@@ -51,7 +51,7 @@ from .holes import (
     read_holes_csv,
     write_holes_csv,
 )
-from .inverse import ConstructionReport, construct_holes, construct_holes_template
+from .inverse import ConstructionReport, construct_holes
 from .potential import (
     CellAverageField,
     Density,

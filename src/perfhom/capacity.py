@@ -118,7 +118,6 @@ def capacity_variational(
     h: float,
     *,
     tol: float = 1e-8,
-    pool=None,
 ) -> CapacityResult:
     """Relative capacity of ``B(0, a)`` inside the grounded cube ``[-L, L]^d``.
 
@@ -170,11 +169,11 @@ def capacity_variational(
     u[boundary] = 0.0
 
     def apply_op(v):
-        w = neg_laplacian(v, h, pool)
+        w = neg_laplacian(v, h)
         w[fixed] = 0.0
         return w
 
-    residual = -neg_laplacian(u, h, pool)
+    residual = -neg_laplacian(u, h)
     residual[fixed] = 0.0
     correction, _, _ = pcg(apply_op, residual, tol=tol)
     u = u + correction

@@ -30,9 +30,8 @@ from .errors import (
     SolverError,
     StudyError,
 )
-from .harness import load_config, run_study, run_trends
-from .holes import read_holes_csv
-from .inverse import construct_holes
+from .harness import construct_study_holes, load_config, run_study
+from .holes import SeparationParams, read_holes_csv
 from .solver import Grid, field_from_callable, lump_measure, solve_limit, solve_perforated, write_field
 from .tiling import TilingSpec, cells_intersecting, unit_box
 
@@ -64,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="L2",
         help="extrapolate using a second truncation L2 (requires --numeric)",
     )
-    p_cap.add_argument("--threads", type=int, default=None)
 
     for name, help_text in (
         ("construct", "emit hole CSVs for each epsilon in the config"),
@@ -75,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument(
             "--override-tiny-holes",
             action="store_true",
@@ -105,8 +102,6 @@ def _out_dir(args, cfg) -> Path:
 
 
 def _apply_overrides(args, cfg):
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.override_tiny_holes:
         cfg.override_tiny_holes = True
     if args.out is not None:
@@ -131,28 +126,17 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
-def _constructions(cfg):
-    domain = unit_box(cfg.dim)
-    for eps in cfg.epsilons:
-        spec = TilingSpec(cfg.dim, eps)
-        yield eps, spec, construct_holes(
-            cfg.potential, spec, domain, cfg.quad,
-            strict=not cfg.allow_oversized_holes,
-        )
-
-
 def _cmd_construct(args) -> int:
     cfg = _apply_overrides(args, load_config(args.config))
     out = _out_dir(args, cfg)
-    for k, (eps, _, construction) in enumerate(_constructions(cfg)):
+    for k, eps in enumerate(cfg.epsilons):
+        construction = construct_study_holes(cfg, eps)
         construction.write(out / f"holes_{k:02d}.csv", out / f"holes_{k:02d}.json")
         print(f"epsilon={eps:g}: {len(construction.nonempty)} holes -> holes_{k:02d}.csv")
     return 0
 
 
 def _assumption_rows(cfg, args):
-    from .holes import SeparationParams
-
     domain = unit_box(cfg.dim)
     for k, eps in enumerate(cfg.epsilons):
         spec = TilingSpec(cfg.dim, eps)
@@ -161,10 +145,7 @@ def _assumption_rows(cfg, args):
             holes = read_holes_csv(args.holes_dir / f"holes_{k:02d}.csv")
             seps = SeparationParams(c1=1.0, epsilon=eps)
         else:
-            construction = construct_holes(
-                cfg.potential, spec, domain, cfg.quad,
-                strict=not cfg.allow_oversized_holes,
-            )
+            construction = construct_study_holes(cfg, eps)
             holes = construction.holes
             seps = construction.separation
         yield assumption_quantities(holes, seps, cells)
@@ -191,18 +172,13 @@ def _cmd_solve(args) -> int:
     eps = cfg.epsilons[0]
     n = cfg.grids[0]
     grid = Grid(cfg.dim, n)
-    spec = TilingSpec(cfg.dim, eps)
-    construction = construct_holes(
-        cfg.potential, spec, unit_box(cfg.dim), cfg.quad,
-        strict=not cfg.allow_oversized_holes,
-    )
+    construction = construct_study_holes(cfg, eps)
     f = field_from_callable(grid, cfg.rhs)
     u_eps, stats_eps = solve_perforated(
-        f, construction.holes, grid, cfg.tol,
-        override_tiny=cfg.override_tiny_holes, n_threads=cfg.threads,
+        f, construction.holes, grid, cfg.tol, override_tiny=cfg.override_tiny_holes
     )
     weights = lump_measure(cfg.potential, grid, cfg.quad)
-    u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol, n_threads=cfg.threads)
+    u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol)
     write_field(out / "u_perforated.bin", grid, u_eps)
     write_field(out / "u_limit.bin", grid, u_lim)
     stats = {
@@ -221,7 +197,7 @@ def _cmd_study(args) -> int:
     if cfg.out_dir is None:
         cfg.out_dir = str(_out_dir(args, cfg))
     report = run_study(cfg)
-    results = run_trends(report, cfg.trends)
+    results = report.trend_results
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"trend {res.spec.name} [{res.spec.column} {res.spec.mode}]: {status}")

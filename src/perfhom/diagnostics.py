@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -22,13 +22,7 @@ from .cg import pcg
 from .errors import InvalidParameterError
 from .holes import Hole, SeparationParams
 from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec
-from .solver import (
-    Grid,
-    _multilinear_sample,
-    field_from_callable,
-    lump_measure,
-    thread_pool,
-)
+from .solver import Grid, field_from_callable, lump_measure, multilinear_sample
 from .stencil import neg_laplacian
 from .tiling import Cell, TilingSpec, cell_axis_indices
 
@@ -109,9 +103,7 @@ def assumption_quantities(
     )
 
 
-def hminus1_norm(
-    nu: Array, grid: Grid, tol: float = 1e-10, n_threads: Optional[int] = None
-) -> float:
+def hminus1_norm(nu: Array, grid: Grid, tol: float = 1e-10) -> float:
     """Discrete ``H^-1`` norm of a nodal density via one Poisson solve.
 
     Solves ``-Delta_h phi = nu`` with zero boundary values and returns
@@ -124,8 +116,7 @@ def hminus1_norm(
     if not np.all(np.isfinite(nu)):
         raise InvalidParameterError("density must be finite at all nodes")
     h = grid.h
-    with thread_pool(n_threads) as pool:
-        phi, _, _ = pcg(lambda v: neg_laplacian(v, h, pool), nu, tol=tol)
+    phi, _, _ = pcg(lambda v: neg_laplacian(v, h), nu, tol=tol)
     pairing = float(np.vdot(nu, phi).real) * h**grid.dim
     return math.sqrt(max(pairing, 0.0))
 
@@ -164,7 +155,6 @@ def ldc_deviation(
     grid: Grid,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
     tol: float = 1e-10,
-    n_threads: Optional[int] = None,
 ) -> float:
     """``H^-1`` distance between the capacity density and the lumped target.
 
@@ -173,7 +163,7 @@ def ldc_deviation(
     """
     field = capacity_density_field(holes, spec, grid)
     lumped = lump_measure(mu, grid, quad)
-    return hminus1_norm(field - lumped, grid, tol=tol, n_threads=n_threads)
+    return hminus1_norm(field - lumped, grid, tol=tol)
 
 
 def _check_test_function(g: Callable[[Array], Array], grid: Grid) -> None:
@@ -229,7 +219,7 @@ def dprime_pairing(
             value = float(np.asarray(g_fn(np.asarray(hole.center)[None, :]), dtype=float)[0])
         else:
             value = float(
-                _multilinear_sample(grid, g_field, np.asarray(hole.center)[None, :])[0]
+                multilinear_sample(grid, g_field, np.asarray(hole.center)[None, :])[0]
             )
         total += capacity_ball(hole.dim, hole.radius).value * value
     return total

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -24,12 +24,13 @@ import numpy as np
 
 from .diagnostics import assumption_quantities, ldc_deviation
 from .errors import ConfigError, InvalidParameterError, StudyError
-from .inverse import construct_holes
+from .inverse import ConstructionReport, construct_holes
 from .potential import (
     DEFAULT_QUADRATURE,
     Potential,
     QuadratureSpec,
     parse_potential,
+    parse_spec,
 )
 from .solver import (
     CUTOFF_NAME,
@@ -62,36 +63,30 @@ def sine_mode(mode: Sequence[int]) -> Callable[[Array], Array]:
     return g
 
 
-RHS_CONSTRUCTORS = {
-    "constant": lambda dim, c: (lambda x: np.full(x.shape[0], float(c))),
-    "sine": lambda dim, *m: sine_mode([int(v) for v in (m or (1,) * dim)]),
-}
+def _rhs_constant(dim: int, c: float) -> Callable[[Array], Array]:
+    value = float(c)
+    return lambda x: np.full(x.shape[0], value)
+
+
+def _rhs_sine(dim: int, *m: float) -> Callable[[Array], Array]:
+    mode = [int(v) for v in (m or (1,) * dim)]
+    if len(mode) != dim:
+        raise InvalidParameterError(f"sine needs {dim} modes, got {len(mode)}")
+    return sine_mode(mode)
+
+
+RHS_CONSTRUCTORS = {"constant": _rhs_constant, "sine": _rhs_sine}
 
 
 def parse_rhs(text: str, dim: int) -> Callable[[Array], Array]:
     """Parse a right-hand-side spec such as ``constant(1)`` or ``sine(1,1,1)``."""
-    import ast
-
     try:
-        tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse rhs spec {text!r}: {exc}") from exc
-    node = tree.body
-    if (
-        not isinstance(node, ast.Call)
-        or not isinstance(node.func, ast.Name)
-        or node.func.id not in RHS_CONSTRUCTORS
-    ):
-        raise ConfigError(f"unknown rhs constructor in {text!r}")
-    args = []
-    for a in node.args:
-        if isinstance(a, ast.Constant) and isinstance(a.value, (int, float)):
-            args.append(float(a.value))
-        elif isinstance(a, ast.UnaryOp) and isinstance(a.op, ast.USub):
-            args.append(-float(a.operand.value))
-        else:
-            raise ConfigError(f"rhs arguments must be numbers in {text!r}")
-    return RHS_CONSTRUCTORS[node.func.id](dim, *args)
+        rhs = parse_spec(text, RHS_CONSTRUCTORS, dim, "rhs")
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not callable(rhs):
+        raise ConfigError(f"rhs spec {text!r} is not a right-hand side")
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,6 @@ class StudyConfig:
     out_dir: Optional[str] = None
     allow_oversized_holes: bool = False
     override_tiny_holes: bool = False
-    threads: Optional[int] = None
     trends: tuple[TrendSpec, ...] = ()
 
     def __post_init__(self):
@@ -163,7 +157,7 @@ def load_config(path) -> StudyConfig:
     Sections: ``[study]`` with keys ``dim``, ``epsilons``, ``grids``,
     ``potential``, ``f``, and optional ``tol``, ``witness_modes``,
     ``quad_volume_order``, ``quad_surface_refine``, ``out``,
-    ``allow_oversized_holes``, ``override_tiny_holes``, ``threads``;
+    ``allow_oversized_holes``, ``override_tiny_holes``;
     optional ``[trends]`` with lines ``name = column mode [param]``.
     """
     parser = configparser.ConfigParser()
@@ -183,8 +177,6 @@ def load_config(path) -> StudyConfig:
         out_dir = section.get("out", fallback=None)
         allow_oversized = section.getboolean("allow_oversized_holes", fallback=False)
         override_tiny = section.getboolean("override_tiny_holes", fallback=False)
-        threads_raw = section.get("threads", fallback=None)
-        threads = int(threads_raw) if threads_raw else None
         quad = QuadratureSpec(
             volume_order=section.getint("quad_volume_order", DEFAULT_QUADRATURE.volume_order),
             surface_refine=section.getint(
@@ -236,7 +228,6 @@ def load_config(path) -> StudyConfig:
         out_dir=out_dir,
         allow_oversized_holes=allow_oversized,
         override_tiny_holes=override_tiny,
-        threads=threads,
         trends=tuple(trends),
     )
 
@@ -270,33 +261,14 @@ class StudyRow:
     solver_seconds: float
 
     def as_dict(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "n": self.n,
-            "h": self.h,
-            "cell_count": self.cell_count,
-            "hole_count": self.hole_count,
-            "min_radius": self.min_radius,
-            "max_radius": self.max_radius,
-            "max_radius_ratio": self.max_radius_ratio,
-            "sup_a_over_R": self.sup_a_over_R,
-            "sum_A2": self.sum_A2,
-            "sup_A3": self.sup_A3,
-            "sum_A4": self.sum_A4,
-            "sum_A6": self.sum_A6,
-            "ldc_deviation": self.ldc_deviation,
-            "v_l2": self.v_l2,
-            "l2_error": self.l2_error,
-            "rel_l2_error": self.rel_l2_error,
-        }
-        out.update(self.witnesses)
-        out.update(
-            {
-                "solver_iterations": self.solver_iterations,
-                "solver_residual": self.solver_residual,
-                "solver_seconds": self.solver_seconds,
-            }
-        )
+        """Columns in field order, with the witnesses flattened in place."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "witnesses":
+                out.update(value)
+            else:
+                out[f.name] = value
         return out
 
 
@@ -313,6 +285,7 @@ class TrendResult:
 class StudyReport:
     rows: list[StudyRow]
     metadata: dict
+    trend_results: list[TrendResult] = field(default_factory=list)
 
     def columns(self) -> list[str]:
         return list(self.rows[0].as_dict().keys()) if self.rows else []
@@ -337,7 +310,7 @@ class StudyReport:
             )
         return buffer.getvalue()
 
-    def write(self, out_dir, trend_results: Sequence[TrendResult] = ()) -> None:
+    def write(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "study.csv").write_text(self.to_csv_text())
@@ -353,7 +326,7 @@ class StudyReport:
                     "ratios": list(t.ratios),
                     "detail": t.detail,
                 }
-                for t in trend_results
+                for t in self.trend_results
             ],
         }
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -430,6 +403,17 @@ def run_trends(report: StudyReport, trends: Sequence[TrendSpec]) -> list[TrendRe
     return [_run_trend(report, spec) for spec in trends]
 
 
+def construct_study_holes(cfg: StudyConfig, eps: float) -> ConstructionReport:
+    """Capacity-matched holes for ``cfg`` at pitch ``eps`` on the unit cube."""
+    return construct_holes(
+        cfg.potential,
+        TilingSpec(cfg.dim, eps),
+        unit_box(cfg.dim),
+        cfg.quad,
+        strict=not cfg.allow_oversized_holes,
+    )
+
+
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the full sweep; deterministic for a fixed configuration.
 
@@ -457,7 +441,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     except StudyError:
         # emit the rows finished before the failure
         if cfg.out_dir and report.rows:
-            report.write(cfg.out_dir, [])
+            report.write(cfg.out_dir)
         raise
 
 
@@ -480,9 +464,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
     weights = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid, cfg.quad))
     f_fine = stage("rhs", None, lambda: field_from_callable(fine_grid, cfg.rhs))
     u_limit, limit_stats = stage(
-        "solve_limit",
-        None,
-        lambda: solve_limit(f_fine, weights, fine_grid, cfg.tol, n_threads=cfg.threads),
+        "solve_limit", None, lambda: solve_limit(f_fine, weights, fine_grid, cfg.tol)
     )
     metadata["limit_solver"] = {
         "n": finest_n,
@@ -494,13 +476,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
     for eps, n in zip(cfg.epsilons, cfg.grids):
         grid = Grid(cfg.dim, n)
         spec = TilingSpec(cfg.dim, eps)
-        construction = stage(
-            "construct",
-            eps,
-            lambda: construct_holes(
-                cfg.potential, spec, domain, cfg.quad, strict=not cfg.allow_oversized_holes
-            ),
-        )
+        construction = stage("construct", eps, lambda: construct_study_holes(cfg, eps))
         holes = construction.holes
         seps = construction.separation
         geometry = stage("disjointness", eps, lambda: disjointness_check(holes, seps))
@@ -512,13 +488,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
         assumptions = stage(
             "assumptions", eps, lambda: assumption_quantities(holes, seps, cells)
         )
-        ldc = stage(
-            "ldc",
-            eps,
-            lambda: ldc_deviation(
-                holes, cfg.potential, spec, grid, cfg.quad, n_threads=cfg.threads
-            ),
-        )
+        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, cfg.potential, spec, grid, cfg.quad))
         nonempty = construction.nonempty
         if nonempty and max(h.radius for h in nonempty) < seps.R:
             _, v_l2 = stage(
@@ -534,12 +504,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
             "solve_perforated",
             eps,
             lambda: solve_perforated(
-                f_row,
-                holes,
-                grid,
-                cfg.tol,
-                override_tiny=cfg.override_tiny_holes,
-                n_threads=cfg.threads,
+                f_row, holes, grid, cfg.tol, override_tiny=cfg.override_tiny_holes
             ),
         )
         u_ref = stage("restrict", eps, lambda: restrict(u_limit, fine_grid, grid))
@@ -577,7 +542,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
         )
     metadata["total_seconds"] = time.perf_counter() - start
 
-    trend_results = run_trends(report, cfg.trends)
+    report.trend_results = run_trends(report, cfg.trends)
     if cfg.out_dir:
-        report.write(cfg.out_dir, trend_results)
+        report.write(cfg.out_dir)
     return report

@@ -9,29 +9,23 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .tiling import Cell
+
+# Rounding allowance of the inclusion test, in ulps of ``|index| + 1``.
+INCLUSION_ULPS = 4
 
 
 @dataclass(frozen=True)
 class Hole:
-    """A closed ball ``B(center, radius)``; ``radius == 0`` means empty.
-
-    ``template_shape``/``template_scale``/``reference_capacity`` tag holes
-    produced from a congruent template; ``radius`` is then the scaled
-    enclosing-ball radius.  Only plain balls are solvable downstream.
-    """
+    """A closed ball ``B(center, radius)``; ``radius == 0`` means empty."""
 
     center: tuple[float, ...]
     radius: float
     cell_index: tuple[int, ...]
-    template_shape: Optional[str] = None
-    template_scale: Optional[float] = None
-    reference_capacity: Optional[float] = None
 
     def __post_init__(self):
         if self.radius < 0.0:
@@ -48,10 +42,6 @@ class Hole:
     @property
     def diameter(self) -> float:
         return 2.0 * self.radius
-
-    @property
-    def is_ball(self) -> bool:
-        return self.template_shape in (None, "ball")
 
 
 @dataclass(frozen=True)
@@ -91,46 +81,46 @@ class DisjointnessReport:
         return self.disjoint and self.inclusion_ok
 
 
-def disjointness_check(
-    holes: Sequence[Hole], seps: SeparationParams, block: int = 512
-) -> DisjointnessReport:
+def disjointness_check(holes: Sequence[Hole], seps: SeparationParams) -> DisjointnessReport:
     """Check that separation balls are pairwise disjoint and sit in their cells.
 
     Open balls touching at a point count as disjoint.  The inclusion part
-    checks ``B(center, c1*eps)`` against the owning cell's half-open box;
-    pair indices refer to positions in ``holes``.
+    checks ``B(center, c1*eps)`` against the owning cell's half-open box
+    in cell-local units, ``|center/eps - index| + c1 <= 1`` per axis.  The
+    comparison allows ``INCLUSION_ULPS`` ulps of ``|index| + 1``, which
+    absorbs the rounding of ``center = eps * index`` and of the division,
+    so a ball centered in its cell with ``c1 = 1`` passes at every pitch;
+    a ball poking out of its cell by less than that allowance (relative to
+    the cell half-width ``eps``) counts as touching.
+
+    Open balls inside distinct half-open cells cannot overlap, so pair
+    distances are measured only for holes that fail inclusion, share a
+    cell index with another hole or carry an odd (non-lattice) index;
+    the check is O(N) on a valid lattice.  Pair indices refer to
+    positions in ``holes``.
     """
-    n = len(holes)
-    R = seps.R
-    violations = []
-    for h in holes:
-        cell = Cell(h.cell_index, seps.epsilon)
-        inside = all(
-            c - R >= l and c + R <= u
-            for c, l, u in zip(h.center, cell.lower, cell.upper)
-        )
-        if not inside:
-            violations.append(h.cell_index)
-    pairs: list[tuple[int, int]] = []
-    if n > 1:
-        centers = np.array([h.center for h in holes], dtype=float)
-        limit = (2.0 * R) ** 2
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            chunk = centers[start:stop]
-            diff = chunk[:, None, :] - centers[None, :, :]
-            dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-            rows, cols = np.nonzero(dist2 < limit)
-            for r, c in zip(rows, cols):
-                i = start + int(r)
-                j = int(c)
-                if i < j:
-                    pairs.append((i, j))
+    if not holes:
+        return DisjointnessReport(disjoint=True, inclusion_ok=True)
+    centers = np.array([h.center for h in holes], dtype=float)
+    index = np.array([h.cell_index for h in holes], dtype=np.int64)
+    slack = INCLUSION_ULPS * np.finfo(float).eps * (np.abs(index) + 1.0)
+    local = np.abs(centers / seps.epsilon - index) + seps.c1
+    outside = np.any(local > 1.0 + slack, axis=1)
+    _, owner, count = np.unique(index, axis=0, return_inverse=True, return_counts=True)
+    shared = count[owner.reshape(-1)] > 1
+    suspect = outside | shared | np.any(index % 2 != 0, axis=1)
+    limit = (2.0 * seps.R) ** 2
+    pairs = set()
+    for i in np.flatnonzero(suspect).tolist():
+        diff = centers - centers[i]
+        near = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) < limit).tolist()
+        pairs.update((min(i, j), max(i, j)) for j in near if j != i)
+    violations = tuple(holes[i].cell_index for i in np.flatnonzero(outside).tolist())
     return DisjointnessReport(
         disjoint=not pairs,
         inclusion_ok=not violations,
-        overlapping_pairs=tuple(pairs),
-        inclusion_violations=tuple(violations),
+        overlapping_pairs=tuple(sorted(pairs)),
+        inclusion_violations=violations,
     )
 
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .capacity import sphere_area
-from .errors import ConstructionError, InvalidParameterError
+from .errors import ConstructionError
 from .holes import Hole, SeparationParams, write_holes_csv
 from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec, cell_mass
 from .tiling import Box, TilingSpec, cells_intersecting
@@ -63,48 +63,6 @@ class ConstructionReport:
                 fh.write("\n")
 
 
-def _construct(
-    mu: Potential,
-    spec: TilingSpec,
-    domain: Box,
-    quad: QuadratureSpec,
-    strict: bool,
-    radius_of_mass,
-    tag,
-) -> ConstructionReport:
-    cells = cells_intersecting(spec, domain)
-    eps = spec.epsilon
-    holes = []
-    skipped = []
-    total = 0.0
-    max_ratio = 0.0
-    for cell in cells:
-        mass = cell_mass(mu, cell, quad)
-        total += mass
-        if mass == 0.0:
-            skipped.append(cell.index)
-            holes.append(Hole(cell.center, 0.0, cell.index, *tag(0.0)))
-            continue
-        radius, scale = radius_of_mass(mass)
-        ratio = radius / (C1 * eps)
-        max_ratio = max(max_ratio, ratio)
-        if strict and radius >= eps:
-            raise ConstructionError(
-                f"hole radius {radius:.6g} >= cell half-width {eps:.6g} "
-                f"in cell {cell.index}; lower epsilon or the potential"
-            )
-        holes.append(Hole(cell.center, radius, cell.index, *tag(scale)))
-    return ConstructionReport(
-        holes=tuple(holes),
-        dim=spec.dim,
-        epsilon=eps,
-        c1=C1,
-        max_radius_ratio=max_ratio,
-        skipped=tuple(skipped),
-        total_mass=total,
-    )
-
-
 def construct_holes(
     mu: Potential,
     spec: TilingSpec,
@@ -123,38 +81,34 @@ def construct_holes(
     d = spec.dim
     denom = (d - 2) * sphere_area(d)
     exponent = 1.0 / (d - 2)
-
-    def radius_of_mass(mass):
-        return (mass / denom) ** exponent, None
-
-    return _construct(mu, spec, domain, quad, strict, radius_of_mass, lambda s: ())
-
-
-def construct_holes_template(
-    mu: Potential,
-    spec: TilingSpec,
-    domain: Box,
-    template_capacity: float,
-    shape_id: str = "template",
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    strict: bool = True,
-) -> ConstructionReport:
-    """Scale a congruent template ``K`` so that ``cap(K_i) = mu(A_i)``.
-
-    The template is normalised to a unit enclosing ball, so the stored
-    radius is the scale factor ``(mu(A_i) / cap(K)) ** (1/(d-2))``
-    itself.  Downstream solvers accept only ball templates.
-    """
-    if not (template_capacity > 0.0):
-        raise InvalidParameterError("template capacity must be positive")
-    exponent = 1.0 / (spec.dim - 2)
-
-    def radius_of_mass(mass):
-        scale = (mass / template_capacity) ** exponent
-        return scale, scale
-
-    def tag(scale):
-        return (shape_id, scale, template_capacity)
-
-    return _construct(mu, spec, domain, quad, strict, radius_of_mass, tag)
+    cells = cells_intersecting(spec, domain)
+    eps = spec.epsilon
+    holes = []
+    skipped = []
+    total = 0.0
+    max_ratio = 0.0
+    for cell in cells:
+        mass = cell_mass(mu, cell, quad)
+        total += mass
+        if mass == 0.0:
+            skipped.append(cell.index)
+            holes.append(Hole(cell.center, 0.0, cell.index))
+            continue
+        radius = (mass / denom) ** exponent
+        ratio = radius / (C1 * eps)
+        max_ratio = max(max_ratio, ratio)
+        if strict and radius >= eps:
+            raise ConstructionError(
+                f"hole radius {radius:.6g} >= cell half-width {eps:.6g} "
+                f"in cell {cell.index}; lower epsilon or the potential"
+            )
+        holes.append(Hole(cell.center, radius, cell.index))
+    return ConstructionReport(
+        holes=tuple(holes),
+        dim=d,
+        epsilon=eps,
+        c1=C1,
+        max_radius_ratio=max_ratio,
+        skipped=tuple(skipped),
+        total_mass=total,
+    )

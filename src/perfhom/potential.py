@@ -330,36 +330,61 @@ POTENTIAL_CONSTRUCTORS = {
 }
 
 
-def parse_potential(text: str, dim: int) -> Potential:
-    """Build a potential from a constructor expression.
+def parse_spec(text: str, registry: dict, dim: int, kind: str):
+    """Evaluate a constructor expression against a registry.
 
-    The grammar is a single call from the registry with numeric literal
-    arguments, e.g. ``constant(40)``, ``plane(0.5, 20)``,
-    ``sum([box(1), plane(0.5, 8)])``.
+    The grammar is a call ``name(args, key=value)`` to a ``registry``
+    entry, whose arguments are numeric literals (optionally negated),
+    lists or further registry calls; ``registry[name]`` is called as
+    ``(dim, *args, **kwargs)``.  Syntax errors, unknown names, non-literal
+    operands and arguments a constructor rejects all raise
+    :class:`InvalidParameterError` naming ``kind``.
     """
     import ast
 
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
-        raise InvalidParameterError(f"cannot parse potential spec {text!r}: {exc}") from exc
+        raise InvalidParameterError(f"cannot parse {kind} spec {text!r}: {exc}") from exc
 
     def build(node):
         if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in POTENTIAL_CONSTRUCTORS:
-                raise InvalidParameterError(f"unknown potential constructor in {text!r}")
+            if not isinstance(node.func, ast.Name) or node.func.id not in registry:
+                raise InvalidParameterError(f"unknown {kind} constructor in {text!r}")
+            name = node.func.id
             args = [build(a) for a in node.args]
             kwargs = {kw.arg: build(kw.value) for kw in node.keywords}
-            return POTENTIAL_CONSTRUCTORS[node.func.id](dim, *args, **kwargs)
+            try:
+                return registry[name](dim, *args, **kwargs)
+            except InvalidParameterError:
+                raise
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise InvalidParameterError(
+                    f"bad arguments to {name}() in {kind} spec {text!r}: {exc}"
+                ) from exc
         if isinstance(node, ast.List):
             return [build(e) for e in node.elts]
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return float(node.value)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        if (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+        ):
             return -build(node.operand)
-        raise InvalidParameterError(f"unsupported expression in potential spec {text!r}")
+        raise InvalidParameterError(f"unsupported expression in {kind} spec {text!r}")
 
-    result = build(tree.body)
+    return build(tree.body)
+
+
+def parse_potential(text: str, dim: int) -> Potential:
+    """Build a potential from a constructor expression.
+
+    The grammar is a single call from the registry with numeric literal
+    arguments, e.g. ``constant(40)``, ``plane(0.5, 20)``,
+    ``sum([box(1), plane(0.5, 8)])``; see :func:`parse_spec`.
+    """
+    result = parse_spec(text, POTENTIAL_CONSTRUCTORS, dim, "potential")
     if not isinstance(result, (Density, SurfaceGraph, SumPotential)):
         raise InvalidParameterError(f"potential spec {text!r} is not a potential")
     return result

@@ -20,8 +20,6 @@ import csv
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -96,19 +94,6 @@ class SolveStats:
     seconds: float
 
 
-@contextmanager
-def thread_pool(n_threads: Optional[int]):
-    """Context manager yielding a worker pool, or None for serial kernels."""
-    if n_threads is None or n_threads <= 1:
-        yield None
-        return
-    pool = ThreadPoolExecutor(max_workers=n_threads)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True)
-
-
 def field_from_callable(grid: Grid, fn: Callable[[Array], Array]) -> Array:
     """Evaluate a vectorised callable on all interior nodes, slab by slab."""
     xs = grid.axis()
@@ -180,10 +165,6 @@ def hole_mask(grid: Grid, holes: Sequence[Hole], *, override_tiny: bool = False)
     for hole in holes:
         if hole.is_empty:
             continue
-        if not hole.is_ball:
-            raise InvalidParameterError(
-                f"solver accepts only ball holes, got template {hole.template_shape!r}"
-            )
         if hole.radius < 2.0 * h:
             if not override_tiny:
                 raise ResolutionError(
@@ -216,7 +197,6 @@ def solve_perforated(
     tol: float = 1e-8,
     *,
     override_tiny: bool = False,
-    n_threads: Optional[int] = None,
     maxiter: Optional[int] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
@@ -232,18 +212,15 @@ def solve_perforated(
     h = grid.h
     inv_diag = 1.0 / (2.0 * grid.dim / h**2 + np.zeros(grid.shape))
     start = time.perf_counter()
-    with thread_pool(n_threads) as pool:
 
-        def apply_op(v):
-            w = neg_laplacian(v, h, pool)
-            w[mask] = 0.0
-            return w
+    def apply_op(v):
+        w = neg_laplacian(v, h)
+        w[mask] = 0.0
+        return w
 
-        b = f.copy()
-        b[mask] = 0.0
-        u, iterations, residual = pcg(
-            apply_op, b, tol=tol, inv_diag=inv_diag, maxiter=maxiter
-        )
+    b = f.copy()
+    b[mask] = 0.0
+    u, iterations, residual = pcg(apply_op, b, tol=tol, inv_diag=inv_diag, maxiter=maxiter)
     u[mask] = 0.0
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
@@ -354,7 +331,6 @@ def solve_limit(
     grid: Grid,
     tol: float = 1e-8,
     *,
-    n_threads: Optional[int] = None,
     maxiter: Optional[int] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
@@ -373,16 +349,13 @@ def solve_limit(
     h = grid.h
     inv_diag = 1.0 / (2.0 * grid.dim / h**2 + weights)
     start = time.perf_counter()
-    with thread_pool(n_threads) as pool:
 
-        def apply_op(v):
-            w = neg_laplacian(v, h, pool)
-            w += weights * v
-            return w
+    def apply_op(v):
+        w = neg_laplacian(v, h)
+        w += weights * v
+        return w
 
-        u, iterations, residual = pcg(
-            apply_op, f, tol=tol, inv_diag=inv_diag, maxiter=maxiter
-        )
+    u, iterations, residual = pcg(apply_op, f, tol=tol, inv_diag=inv_diag, maxiter=maxiter)
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
 
@@ -499,7 +472,7 @@ def read_field(path) -> tuple[Grid, Array]:
     return grid, data.reshape(grid.shape).copy()
 
 
-def _multilinear_sample(grid: Grid, u: Array, points: Array) -> Array:
+def multilinear_sample(grid: Grid, u: Array, points: Array) -> Array:
     """Multilinear interpolation with the implied zero boundary values."""
     h = grid.h
     t = points / h - 1.0
@@ -528,7 +501,7 @@ def sample_line_csv(path, grid: Grid, u: Array, start, end, num: int = 101) -> N
     end = np.asarray(end, dtype=float)
     ts = np.linspace(0.0, 1.0, num)
     points = start[None, :] + ts[:, None] * (end - start)[None, :]
-    values = _multilinear_sample(grid, u, points)
+    values = multilinear_sample(grid, u, points)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{k + 1}" for k in range(grid.dim)] + ["value"])

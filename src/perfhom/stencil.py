@@ -2,27 +2,18 @@
 
 Fields are arrays of node values with an implied zero Dirichlet trace:
 missing neighbours outside the array contribute zero.  The operator is
-applied matrix-free; an optional thread pool splits the leading axis
-into slabs with disjoint writes, so the kernel stays deterministic.
+applied matrix-free.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 import numpy as np
 
 Array = np.ndarray
 
-# below this many nodes the thread pool costs more than it saves
-_THREAD_THRESHOLD = 1 << 18
 
-
-def neg_laplacian(u: Array, h: float, pool: Optional[ThreadPoolExecutor] = None) -> Array:
+def neg_laplacian(u: Array, h: float) -> Array:
     """Return ``(2d u_j - sum of neighbours) / h^2`` with zero padding."""
-    if pool is not None and u.size >= _THREAD_THRESHOLD and u.shape[0] >= 4:
-        return _neg_laplacian_slabs(u, h, pool)
     d = u.ndim
     out = (2.0 * d) * u
     for ax in range(d):
@@ -30,42 +21,5 @@ def neg_laplacian(u: Array, h: float, pool: Optional[ThreadPoolExecutor] = None)
         hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
         out[lo] -= u[hi]
         out[hi] -= u[lo]
-    out *= 1.0 / (h * h)
-    return out
-
-
-def _slab_kernel(u: Array, out: Array, start: int, stop: int) -> None:
-    d = u.ndim
-    n0 = u.shape[0]
-    out[start:stop] = (2.0 * d) * u[start:stop]
-    # neighbours along the split axis
-    up_stop = min(stop, n0 - 1)
-    if up_stop > start:
-        out[start:up_stop] -= u[start + 1 : up_stop + 1]
-    down_start = max(start, 1)
-    if stop > down_start:
-        out[down_start:stop] -= u[down_start - 1 : stop - 1]
-    # neighbours along the remaining axes, within the slab
-    slab_out = out[start:stop]
-    slab_u = u[start:stop]
-    for ax in range(1, d):
-        lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
-        hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
-        slab_out[lo] -= slab_u[hi]
-        slab_out[hi] -= slab_u[lo]
-
-
-def _neg_laplacian_slabs(u: Array, h: float, pool: ThreadPoolExecutor) -> Array:
-    out = np.empty_like(u)
-    workers = pool._max_workers
-    n0 = u.shape[0]
-    bounds = np.linspace(0, n0, min(workers, n0) + 1).astype(int)
-    futures = [
-        pool.submit(_slab_kernel, u, out, int(s), int(e))
-        for s, e in zip(bounds[:-1], bounds[1:])
-        if e > s
-    ]
-    for fut in futures:
-        fut.result()
     out *= 1.0 / (h * h)
     return out

@@ -152,6 +152,11 @@ def test_bad_config_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "study", cfg)
     assert code == 1
     assert "error" in err
+    for old, new in (("zero()", "constant()"), ("constant(1)", "constant(-x)")):
+        cfg = write(tmp_path / "bad.cfg", ZERO_CFG.replace(old, new))
+        code, _, err = run_cli(capsys, "study", cfg)
+        assert code == 1
+        assert err.startswith("error:")
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

@@ -1,0 +1,89 @@
+"""Golden regression: the README study against its checked-in report.
+
+``golden/readme_study.csv`` holds the report of the README config.  Every
+column except the wall-clock ``solver_seconds`` is compared:
+
+* columns computed without a linear solve (geometry, assumption sums,
+  corrector norm) within 4096 ulps;
+* solution columns within ``3 kappa tol max|column|``, where
+  ``kappa = 4 (n+1)^2 / pi^2`` is the condition number of the grid
+  Laplacian on the finest grid and ``tol`` the relative CG residual.
+  ``ldc_deviation`` uses the fixed tolerance of its own solve plus a
+  rounding floor of 4096 ulps of the total hole capacity, since it is
+  zero in exact arithmetic for a constant density;
+* ``solver_iterations`` and ``solver_residual`` describe the solver, not
+  the answer: the residual must reach ``tol`` and the count be positive.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+from perfhom.harness import load_config, run_study
+
+GOLDEN = Path(__file__).parent / "golden" / "readme_study.csv"
+EPS64 = 2.0**-52
+LDC_TOL = 1e-10
+
+README_CONFIG = """
+[study]
+dim = 3
+epsilons = 1/4 1/8
+grids = 63 63
+potential = constant(40)
+f = constant(1)
+tol = 1e-9
+allow_oversized_holes = true
+witness_modes = (1,1,1) (3,1,1) (1,3,3)
+out = {out}
+
+[trends]
+error_drop = rel_l2_error min_ratio 1.2
+witness_drop = witness_1_1_1 abs_decrease
+"""
+
+SOLUTION_COLUMNS = ("l2_error", "rel_l2_error")
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+def test_readme_study_matches_golden_report(tmp_path):
+    config = tmp_path / "study.ini"
+    config.write_text(README_CONFIG.format(out=tmp_path / "report"))
+    cfg = load_config(config)
+    report = run_study(cfg)
+    assert all(t.passed for t in report.trend_results)
+
+    columns, rows = read_rows(tmp_path / "report" / "study.csv")
+    golden_columns, golden = read_rows(GOLDEN)
+    assert columns == golden_columns
+    assert len(rows) == len(golden)
+
+    kappa = 4.0 * (max(cfg.grids) + 1) ** 2 / math.pi**2
+    capacity = max(float(r["sum_A6"]) for r in golden)
+    for col in columns:
+        if col == "solver_seconds":
+            continue
+        if col in ("solver_iterations", "solver_residual"):
+            for row in rows:
+                assert int(row["solver_iterations"]) > 0
+                assert float(row["solver_residual"]) <= cfg.tol
+            continue
+        want = [float(r[col]) for r in golden]
+        magnitude = max(abs(v) for v in want if not math.isnan(v))
+        if col == "ldc_deviation":
+            rtol, atol = 0.0, 3 * kappa * LDC_TOL * magnitude + 4096 * EPS64 * capacity
+        elif col in SOLUTION_COLUMNS or col.startswith("witness_"):
+            rtol, atol = 0.0, 3 * kappa * cfg.tol * magnitude
+        else:
+            rtol, atol = 4096 * EPS64, 0.0
+        for row, expected in zip(rows, want):
+            got = float(row[col])
+            if math.isnan(expected):
+                assert math.isnan(got), col
+            else:
+                assert abs(got - expected) <= rtol * abs(expected) + atol, (col, got, expected)

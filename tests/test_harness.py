@@ -73,6 +73,15 @@ def test_config_validation_errors(tmp_path):
     bad_rhs = BASE.replace("constant(1)", "nonsense(1)")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path / "c.cfg", bad_rhs))
+    no_arg = BASE.replace("potential = zero()", "potential = constant()")
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path / "d.cfg", no_arg))
+    symbol = BASE.replace("f = constant(1)", "f = constant(-x)")
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path / "e.cfg", symbol))
+    short_mode = BASE.replace("f = constant(1)", "f = sine(1, 1)")
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path / "f.cfg", short_mode))
 
 
 def zero_study_config(out_dir=None):
@@ -175,6 +184,7 @@ def test_report_files_and_trends(tmp_path):
     report = run_study(cfg)
     results = run_trends(report, cfg.trends)
     assert not results[0].passed
+    assert [r.passed for r in report.trend_results] == [False]
     assert (tmp_path / "out" / "study.csv").exists()
     assert (tmp_path / "out" / "summary.json").exists()
     text = (tmp_path / "out" / "study.csv").read_text()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from perfhom.errors import InvalidParameterError
@@ -10,13 +11,15 @@ from perfhom.holes import (
     read_holes_csv,
     write_holes_csv,
 )
+from perfhom.inverse import construct_holes
+from perfhom.potential import make_constant
+from perfhom.tiling import TilingSpec, unit_box
 
 
 def test_hole_basics():
     hole = Hole((0.5, 0.5, 0.5), 0.1, (2, 2, 2))
     assert not hole.is_empty
     assert hole.diameter == 0.2
-    assert hole.is_ball
     empty = Hole((0.0, 0.0, 0.0), 0.0, (0, 0, 0))
     assert empty.is_empty
     with pytest.raises(InvalidParameterError):
@@ -80,3 +83,36 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_csv_rejects_empty_list(tmp_path):
     with pytest.raises(InvalidParameterError):
         write_holes_csv([], tmp_path / "holes.csv")
+
+
+@pytest.mark.parametrize("denominator", [6, 10, 12])
+def test_centered_lattice_passes_at_non_dyadic_pitches(denominator):
+    # centers eps * index round differently from the cell faces, but the
+    # balls are disjoint and inside their cells by construction
+    report = construct_holes(
+        make_constant(3, 1.0), TilingSpec(3, 1.0 / denominator), unit_box(3)
+    )
+    geometry = disjointness_check(report.holes, report.separation)
+    assert geometry.ok
+    assert geometry.overlapping_pairs == ()
+    assert geometry.inclusion_violations == ()
+
+
+def test_pairs_match_all_pairs_scan():
+    # jittered holes, some sharing an index, some odd: the pairs reported must
+    # be exactly those of a brute-force scan over all pairs
+    rng = np.random.default_rng(0)
+    seps = SeparationParams(c1=0.8, epsilon=0.25)
+    index = rng.integers(0, 4, size=(50, 3))
+    index = np.concatenate([index, index[:10]])
+    centers = seps.epsilon * index + rng.uniform(-0.06, 0.06, size=(60, 3))
+    holes = [Hole(tuple(c), 0.01, tuple(int(v) for v in i)) for c, i in zip(centers, index)]
+    limit = (2.0 * seps.R) ** 2
+    expected = tuple(
+        (i, j)
+        for i in range(60)
+        for j in range(i + 1, 60)
+        if float(np.sum((centers[i] - centers[j]) ** 2)) < limit
+    )
+    assert expected
+    assert disjointness_check(holes, seps).overlapping_pairs == expected

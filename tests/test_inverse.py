@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from perfhom.capacity import capacity_ball, sphere_area
-from perfhom.errors import ConstructionError, InvalidParameterError
-from perfhom.inverse import construct_holes, construct_holes_template
+from perfhom.capacity import capacity_ball
+from perfhom.errors import ConstructionError
+from perfhom.inverse import construct_holes
 from perfhom.potential import (
     cell_average_field,
     make_box,
@@ -98,39 +98,6 @@ def test_empty_potential_builds_empty_family():
     assert all(h.is_empty for h in report.holes)
     assert report.total_mass == 0.0
     assert report.max_radius_ratio == 0.0
-
-
-def test_template_unit_ball_reduces_to_plain_construction():
-    mu = make_box(3, 1.0)
-    spec = TilingSpec(3, 0.125)
-    plain = construct_holes(mu, spec, unit_box(3))
-    unit_ball_cap = (3 - 2) * sphere_area(3)
-    templ = construct_holes_template(mu, spec, unit_box(3), unit_ball_cap, "ball")
-    for a, b in zip(plain.holes, templ.holes):
-        assert b.radius == pytest.approx(a.radius, rel=1e-13)
-        assert b.template_scale == pytest.approx(a.radius, rel=1e-13) or a.radius == 0.0
-
-
-def test_template_capacity_power_law():
-    mu = make_box(3, 1.0)
-    spec = TilingSpec(3, 0.125)
-    base = construct_holes_template(mu, spec, unit_box(3), 4.0, "shape")
-    doubled = construct_holes_template(mu, spec, unit_box(3), 8.0, "shape")
-    for a, b in zip(base.holes, doubled.holes):
-        if a.radius > 0:
-            assert b.radius / a.radius == pytest.approx(0.5, rel=1e-13)
-
-
-def test_template_scale_hand_value():
-    # cell mass 4 pi with template capacity 8 pi gives scale 1/2
-    c = 4.0 * math.pi  # cell measure is 1 at eps = 1/2
-    report = construct_holes_template(
-        make_constant(3, c), TilingSpec(3, 0.5), unit_box(3), 8.0 * math.pi, "shape"
-    )
-    for hole in report.holes:
-        assert hole.template_scale == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(InvalidParameterError):
-        construct_holes_template(make_constant(3, c), TilingSpec(3, 0.5), unit_box(3), 0.0)
 
 
 def test_report_serialization(tmp_path):

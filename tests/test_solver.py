@@ -277,14 +277,6 @@ def test_sample_line_interpolates_node_values(tmp_path):
     assert values[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_threaded_operator_matches_serial():
-    grid = Grid(3, 31)
-    f = field_from_callable(grid, product_sine)
-    serial, _ = solve_perforated(f, [], grid, tol=1e-10)
-    threaded, _ = solve_perforated(f, [], grid, tol=1e-10, n_threads=4)
-    np.testing.assert_array_equal(serial, threaded)
-
-
 def test_four_dimensional_solves():
     grid = Grid(4, 9)
     u_exact = field_from_callable(grid, product_sine)
@@ -295,14 +287,3 @@ def test_four_dimensional_solves():
     m = 5.0
     u2, _ = solve_limit(f + m * u_exact, np.full(grid.shape, m), grid, tol=1e-11)
     assert max_err(u2, u_exact) < 0.02
-
-
-def test_solver_rejects_template_holes():
-    from perfhom.inverse import construct_holes_template
-
-    grid = Grid(3, 15)
-    report = construct_holes_template(
-        make_box(3, 1.0), TilingSpec(3, 0.25), unit_box(3), 4.0, "torus"
-    )
-    with pytest.raises(InvalidParameterError):
-        solve_perforated(np.ones(grid.shape), report.holes, grid)
