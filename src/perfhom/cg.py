@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import EvaluationError, SolverError
 
 Array = np.ndarray
 
@@ -48,11 +48,16 @@ def pcg(
 
     Raises
     ------
+    EvaluationError
+        If ``b`` has a non-finite entry or a norm that overflows.
     SolverError
-        If ``maxiter`` is exhausted before the tolerance is met.
+        If the residual turns non-finite, or ``maxiter`` is exhausted
+        before the tolerance is met.
     """
     b = np.asarray(b, dtype=float)
     norm_b = float(np.sqrt(np.vdot(b, b).real))
+    if not np.isfinite(norm_b):
+        raise EvaluationError("right-hand side is not finite or its norm overflows")
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     if maxiter is None:
@@ -70,6 +75,8 @@ def pcg(
     for iteration in range(maxiter):
         if res <= tol * norm_b:
             return x, iteration, res / norm_b
+        if not np.isfinite(res):
+            raise SolverError(f"residual turned non-finite after {iteration} iterations")
         ap = apply_op(p)
         pap = float(np.vdot(p, ap).real)
         if pap <= 0.0:

@@ -6,8 +6,8 @@ capacity), ``construct`` (emit hole CSVs for a config), ``check``
 ``solve`` (one perforated/limit pair at the first epsilon), ``study``
 (the full sweep).
 
-Exit codes: 0 success, 1 validation or configuration error, 2 numerical
-failure, 3 failed trend check under ``study --assert``.
+Exit codes: 0 success, 1 validation, configuration or file error, 2
+numerical failure, 3 failed trend check under ``study --assert``.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except VALIDATION_ERRORS as exc:
+    except (*VALIDATION_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NUMERICAL_ERRORS as exc:

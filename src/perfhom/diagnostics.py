@@ -21,8 +21,8 @@ from .capacity import capacity_ball
 from .cg import pcg
 from .errors import InvalidParameterError
 from .holes import Hole, SeparationParams
-from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec
-from .solver import Grid, field_from_callable, lump_measure, multilinear_sample
+from .solver import Grid, field_from_callable, multilinear_sample
+from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
 from .stencil import neg_laplacian
 from .tiling import Cell, TilingSpec, cell_axis_indices
 
@@ -150,19 +150,18 @@ def capacity_density_field(
 
 def ldc_deviation(
     holes: Sequence[Hole],
-    mu: Potential,
+    lumped: Array,
     spec: TilingSpec,
     grid: Grid,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     tol: float = 1e-10,
 ) -> float:
     """``H^-1`` distance between the capacity density and the lumped target.
 
-    Under the capacity-matched construction this isolates the
-    cell-averaging error of the target potential.
+    ``lumped`` is the target potential on ``grid`` from
+    :func:`~perfhom.solver.lump_measure`.  Under the capacity-matched
+    construction this isolates the cell-averaging error of the target.
     """
     field = capacity_density_field(holes, spec, grid)
-    lumped = lump_measure(mu, grid, quad)
     return hminus1_norm(field - lumped, grid, tol=tol)
 
 

@@ -34,7 +34,7 @@ class ExtrapolationError(PerfhomError):
 
 
 class EvaluationError(PerfhomError):
-    """A user-supplied callable returned non-finite values."""
+    """User input is non-finite: a callable's values or a right-hand side."""
 
 
 class StudyError(PerfhomError):

@@ -466,6 +466,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
     u_limit, limit_stats = stage(
         "solve_limit", None, lambda: solve_limit(f_fine, weights, fine_grid, cfg.tol)
     )
+    lumped = {finest_n: weights}
     metadata["limit_solver"] = {
         "n": finest_n,
         "iterations": limit_stats.iterations,
@@ -488,7 +489,11 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
         assumptions = stage(
             "assumptions", eps, lambda: assumption_quantities(holes, seps, cells)
         )
-        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, cfg.potential, spec, grid, cfg.quad))
+        if n not in lumped:
+            lumped[n] = stage(
+                "lump_measure", eps, lambda: lump_measure(cfg.potential, grid, cfg.quad)
+            )
+        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped[n], spec, grid))
         nonempty = construction.nonempty
         if nonempty and max(h.radius for h in nonempty) < seps.R:
             _, v_l2 = stage(

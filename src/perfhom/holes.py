@@ -124,17 +124,17 @@ def disjointness_check(holes: Sequence[Hole], seps: SeparationParams) -> Disjoin
     )
 
 
+def _csv_header(dim: int) -> list[str]:
+    return [f"i{k + 1}" for k in range(dim)] + [f"cx{k + 1}" for k in range(dim)] + ["radius"]
+
+
 def write_holes_csv(holes: Sequence[Hole], path) -> None:
     """Serialise holes as CSV with 17-significant-digit decimals."""
     if not holes:
         raise InvalidParameterError("refusing to write an empty hole list")
-    dim = holes[0].dim
-    header = [f"i{k + 1}" for k in range(dim)]
-    header += [f"cx{k + 1}" for k in range(dim)]
-    header.append("radius")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_csv_header(holes[0].dim))
         for h in holes:
             row = [str(i) for i in h.cell_index]
             row += [format(c, ".17g") for c in h.center]
@@ -143,15 +143,25 @@ def write_holes_csv(holes: Sequence[Hole], path) -> None:
 
 
 def read_holes_csv(path) -> list[Hole]:
-    """Read a hole list written by :func:`write_holes_csv`."""
+    """Read a hole list written by :func:`write_holes_csv`.
+
+    A header or row that does not follow that format raises
+    :class:`InvalidParameterError`.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         dim = (len(header) - 1) // 2
+        if dim < 1 or header != _csv_header(dim):
+            raise InvalidParameterError(f"{path}: not a hole CSV header: {header}")
         holes = []
         for row in reader:
-            index = tuple(int(v) for v in row[:dim])
-            center = tuple(float(v) for v in row[dim : 2 * dim])
-            radius = float(row[2 * dim])
-            holes.append(Hole(center, radius, index))
+            try:
+                if len(row) != 2 * dim + 1:
+                    raise ValueError(f"expected {2 * dim + 1} fields, got {len(row)}")
+                index = tuple(int(v) for v in row[:dim])
+                center = tuple(float(v) for v in row[dim : 2 * dim])
+                holes.append(Hole(center, float(row[2 * dim]), index))
+            except ValueError as exc:
+                raise InvalidParameterError(f"{path}, line {reader.line_num}: {exc}") from exc
     return holes

@@ -17,10 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacity import sphere_area
 from .errors import ConstructionError
 from .holes import Hole, SeparationParams, write_holes_csv
-from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec, cell_mass
+from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec, cell_masses
+from .potential import cell_mass  # noqa: F401  (perfbench/tracing.py wraps inverse.cell_mass)
 from .tiling import Box, TilingSpec, cells_intersecting
 
 C1 = 1.0
@@ -79,36 +82,22 @@ def construct_holes(
     leaves the separation assumptions violated but still solvable.
     """
     d = spec.dim
-    denom = (d - 2) * sphere_area(d)
-    exponent = 1.0 / (d - 2)
-    cells = cells_intersecting(spec, domain)
     eps = spec.epsilon
-    holes = []
-    skipped = []
-    total = 0.0
-    max_ratio = 0.0
-    for cell in cells:
-        mass = cell_mass(mu, cell, quad)
-        total += mass
-        if mass == 0.0:
-            skipped.append(cell.index)
-            holes.append(Hole(cell.center, 0.0, cell.index))
-            continue
-        radius = (mass / denom) ** exponent
-        ratio = radius / (C1 * eps)
-        max_ratio = max(max_ratio, ratio)
-        if strict and radius >= eps:
-            raise ConstructionError(
-                f"hole radius {radius:.6g} >= cell half-width {eps:.6g} "
-                f"in cell {cell.index}; lower epsilon or the potential"
-            )
-        holes.append(Hole(cell.center, radius, cell.index))
+    cells = cells_intersecting(spec, domain)
+    masses = cell_masses(mu, cells, quad)
+    radii = (masses / ((d - 2) * sphere_area(d))) ** (1.0 / (d - 2))
+    if strict and np.any(radii >= eps):
+        i = int(np.argmax(radii >= eps))
+        raise ConstructionError(
+            f"hole radius {radii[i]:.6g} >= cell half-width {eps:.6g} "
+            f"in cell {cells[i].index}; lower epsilon or the potential"
+        )
     return ConstructionReport(
-        holes=tuple(holes),
+        holes=tuple(Hole(cell.center, float(r), cell.index) for cell, r in zip(cells, radii)),
         dim=d,
         epsilon=eps,
         c1=C1,
-        max_radius_ratio=max_ratio,
-        skipped=tuple(skipped),
-        total_mass=total,
+        max_radius_ratio=float(radii.max()) / (C1 * eps),
+        skipped=tuple(cells[i].index for i in np.flatnonzero(masses == 0.0)),
+        total_mass=float(masses.sum()),
     )

@@ -79,25 +79,6 @@ class SumPotential:
 Potential = Union[Density, SurfaceGraph, SumPotential]
 
 
-def gauss_points_on_box(lo: np.ndarray, hi: np.ndarray, order: int):
-    """Tensor Gauss-Legendre nodes and weights on the box [lo, hi]."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-    dim = lo.size
-    axes_x = []
-    axes_w = []
-    for k in range(dim):
-        mid = 0.5 * (lo[k] + hi[k])
-        half = 0.5 * (hi[k] - lo[k])
-        axes_x.append(mid + half * ref_x)
-        axes_w.append(half * ref_w)
-    grids = np.meshgrid(*axes_x, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = axes_w[0]
-    for k in range(1, dim):
-        weights = np.multiply.outer(weights, axes_w[k])
-    return points, weights.ravel()
-
-
 def eval_checked(f, points: np.ndarray) -> np.ndarray:
     """Evaluate a vectorised callable and reject non-finite output."""
     values = np.asarray(f(points), dtype=float)
@@ -106,68 +87,105 @@ def eval_checked(f, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def weight_values(weight, points: np.ndarray) -> np.ndarray:
-    if callable(weight):
-        return eval_checked(weight, points)
-    return np.full(points.shape[0], float(weight))
+def box_quadrature(f, centers: np.ndarray, half: float, order: int) -> np.ndarray:
+    """Tensor Gauss integrals of a nonnegative density ``f`` over the boxes
+    of half-width ``half`` centered at the rows of ``centers``.
+
+    One pass per Gauss node evaluates ``f`` at all shifted centers.
+    """
+    dim = centers.shape[1]
+    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    offsets = np.meshgrid(*([half * ref_x] * dim), indexing="ij")
+    qweights = half * ref_w
+    for _ in range(dim - 1):
+        qweights = np.multiply.outer(qweights, half * ref_w)
+    acc = np.zeros(centers.shape[0])
+    for offset, qweight in zip(np.stack([g.ravel() for g in offsets], axis=-1), qweights.ravel()):
+        values = eval_checked(f, centers + offset)
+        if np.any(values < 0.0):
+            raise InvalidParameterError("density must be nonnegative")
+        acc += qweight * values
+    return acc
 
 
-def _footprint_midpoints(cell: Cell, refine: int):
-    lo = np.asarray(cell.lower[:-1])
-    hi = np.asarray(cell.upper[:-1])
-    axes = [
-        lo[k] + (hi[k] - lo[k]) * (np.arange(refine) + 0.5) / refine
-        for k in range(lo.size)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    area = float(np.prod((hi - lo) / refine))
-    return points, area
+def footprint_samples(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float):
+    """Midpoint samples of a graph measure over the tensor footprint ``axes``.
 
-
-def _surface_cell_mass(mu: SurfaceGraph, cell: Cell, quad: QuadratureSpec) -> float:
-    spec = TilingSpec(cell.dim, cell.epsilon)
-    points, area = _footprint_midpoints(cell, quad.surface_refine)
+    Returns the footprint points ``(M, d-1)``, their lifted heights and the
+    sample masses ``weight * sqrt(1 + |grad s|^2) * area``.
+    """
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     heights = eval_checked(mu.height, points)
-    # classify the lifted sample with the half-open cell convention
-    lifted_last = cell_axis_indices(spec, heights)
-    keep = lifted_last == cell.index[-1]
-    for k in range(cell.dim - 1):
-        keep &= cell_axis_indices(spec, points[:, k]) == cell.index[k]
-    if not np.any(keep):
-        return 0.0
-    points = points[keep]
     grads = np.asarray(mu.grad(points), dtype=float)
     if grads.ndim == 1:
         grads = grads[:, None]
     element = np.sqrt(1.0 + (grads * grads).sum(axis=1))
-    weights = weight_values(mu.weight, points)
-    if np.any(weights < 0.0):
+    weight = eval_checked(mu.weight, points) if callable(mu.weight) else float(mu.weight)
+    if np.any(weight < 0.0):
         raise InvalidParameterError("surface weight must be nonnegative")
-    return float((weights * element).sum() * area)
+    return points, heights, weight * element * area
+
+
+def bin_samples(points, heights, masses, axis_index, shape) -> np.ndarray:
+    """Sum sample masses into the bins of a ``shape`` array.
+
+    ``axis_index(k, coords)`` maps coordinates along axis ``k`` (the last
+    axis takes the heights) to bin positions; samples with a position
+    outside ``[0, shape[k])`` on any axis are dropped.
+    """
+    idx = [axis_index(k, points[:, k]) for k in range(points.shape[1])]
+    idx.append(axis_index(len(idx), heights))
+    keep = np.ones(heights.shape[0], dtype=bool)
+    for k, component in enumerate(idx):
+        keep &= (component >= 0) & (component < shape[k])
+    lin = np.ravel_multi_index(tuple(c[keep] for c in idx), shape)
+    return np.bincount(lin, weights=masses[keep], minlength=math.prod(shape)).reshape(shape)
+
+
+def cell_masses(
+    mu: Potential, cells: Sequence[Cell], quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> np.ndarray:
+    """Masses ``mu(A_i)`` of a family of cells of one pitch, shape ``(N,)``.
+
+    Densities use tensor Gauss quadrature over each cell box (exact for
+    constants).  Surface graphs sample the footprints of the family's
+    cell columns once, ``surface_refine`` midpoints per cell width and
+    axis, and credit each sample's weighted area element to the cell
+    holding its lifted point (half-open convention).  Sums add exactly.
+    """
+    if isinstance(mu, SumPotential):
+        return sum(cell_masses(part, cells, quad) for part in mu.parts)
+    eps = cells[0].epsilon
+    index = np.array([cell.index for cell in cells], dtype=np.int64)
+    if isinstance(mu, Density):
+        return box_quadrature(mu.f, eps * index, eps, quad.volume_order)
+    if isinstance(mu, SurfaceGraph):
+        spec = TilingSpec(cells[0].dim, eps)
+        lo = index.min(axis=0)
+        shape = tuple((index.max(axis=0) - lo) // 2 + 1)
+        refine = quad.surface_refine
+        t = np.arange(refine) + 0.5
+        axes = []
+        for k in range(spec.dim - 1):
+            column = lo[k] + 2 * np.arange(shape[k])
+            low = eps * (column - 1)
+            high = eps * (column + 1)
+            axes.append(low[:, None] + (high - low)[:, None] * t / refine)
+        area = (2.0 * eps / refine) ** (spec.dim - 1)
+        dense = np.zeros(shape)
+        # one strip of columns at a time keeps the sample arrays small
+        for strip in axes[0]:
+            samples = footprint_samples(mu, [strip] + [a.ravel() for a in axes[1:]], area)
+            dense += bin_samples(
+                *samples, lambda k, coords: (cell_axis_indices(spec, coords) - lo[k]) // 2, shape
+            )
+        return dense[tuple(((index - lo) // 2).T)]
+    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
 
 
 def cell_mass(mu: Potential, cell: Cell, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Mass ``mu(A_i)`` of one cell.
-
-    Densities use tensor Gauss quadrature over the cell box (exact for
-    constants); surface graphs use midpoint quadrature of the weighted
-    area element over the part of the footprint whose lifted point lands
-    in this cell; sums add exactly.
-    """
-    if isinstance(mu, SumPotential):
-        return sum(cell_mass(part, cell, quad) for part in mu.parts)
-    if isinstance(mu, SurfaceGraph):
-        return _surface_cell_mass(mu, cell, quad)
-    if isinstance(mu, Density):
-        lo = np.asarray(cell.lower)
-        hi = np.asarray(cell.upper)
-        points, weights = gauss_points_on_box(lo, hi, quad.volume_order)
-        values = eval_checked(mu.f, points)
-        if np.any(values < 0.0):
-            raise InvalidParameterError("density must be nonnegative")
-        return float(values @ weights)
-    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
+    """Mass ``mu(A_i)`` of one cell; see :func:`cell_masses`."""
+    return float(cell_masses(mu, [cell], quad)[0])
 
 
 @dataclass(frozen=True)
@@ -194,7 +212,7 @@ def cell_average_field(
 ) -> CellAverageField:
     """Cell averages over all cells meeting ``domain``, in index order."""
     cells = cells_intersecting(spec, domain)
-    masses = np.array([cell_mass(mu, cell, quad) for cell in cells])
+    masses = cell_masses(mu, cells, quad)
     measure = (2.0 * spec.epsilon) ** spec.dim
     return CellAverageField(tuple(cells), masses, masses / measure)
 
@@ -365,6 +383,8 @@ def parse_spec(text: str, registry: dict, dim: int, kind: str):
         if isinstance(node, ast.List):
             return [build(e) for e in node.elts]
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            if not abs(node.value) <= float(np.finfo(float).max):
+                raise InvalidParameterError(f"non-finite number in {kind} spec {text!r}")
             return float(node.value)
         if (
             isinstance(node, ast.UnaryOp)

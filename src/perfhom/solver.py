@@ -8,10 +8,10 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
   lumped onto node dual cells.
 
 Both systems are symmetric positive definite and solved matrix-free by
-Jacobi-preconditioned conjugate gradients.  The module also evaluates
-the oscillating corrector built from ball equilibrium potentials, the
-discrete pairings used as weak-convergence witnesses, and the flat
-binary field export.
+conjugate gradients, Jacobi-preconditioned where the measure makes the
+diagonal vary.  The module also evaluates the oscillating corrector
+built from ball equilibrium potentials, the discrete pairings used as
+weak-convergence witnesses, and the flat binary field export.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .potential import (
     QuadratureSpec,
     SumPotential,
     SurfaceGraph,
-    eval_checked,
-    gauss_points_on_box,
-    weight_values,
+    bin_samples,
+    box_quadrature,
+    footprint_samples,
 )
 from .stencil import neg_laplacian
 from .tiling import Box, unit_box
@@ -210,7 +210,6 @@ def solve_perforated(
         raise InvalidParameterError("right-hand side shape does not match grid")
     mask = hole_mask(grid, holes, override_tiny=override_tiny)
     h = grid.h
-    inv_diag = 1.0 / (2.0 * grid.dim / h**2 + np.zeros(grid.shape))
     start = time.perf_counter()
 
     def apply_op(v):
@@ -220,7 +219,7 @@ def solve_perforated(
 
     b = f.copy()
     b[mask] = 0.0
-    u, iterations, residual = pcg(apply_op, b, tol=tol, inv_diag=inv_diag, maxiter=maxiter)
+    u, iterations, residual = pcg(apply_op, b, tol=tol, maxiter=maxiter)
     u[mask] = 0.0
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
@@ -265,12 +264,12 @@ def lump_measure(
 
     ``V_j`` is the half-open h-cube centered at node ``j`` (consistent
     with the tiling convention).  Densities use tensor Gauss quadrature
-    over each dual cell (midpoint sampling when ``volume_order == 1``),
-    so a constant density lumps to itself at every node.  Surface
-    measures deposit footprint samples of the weighted area element into
-    the dual cell holding the lifted point; samples in the half-spacing
-    skin along the boundary go to the outermost interior node, so the
-    lumped total captures the full surface mass inside the domain.
+    over each dual cell (order 1 is the midpoint rule), so a constant
+    density lumps to itself at every node.  Surface measures deposit
+    footprint samples of the weighted area element into the dual cell
+    holding the lifted point; samples in the half-spacing skin along the
+    boundary go to the outermost interior node, so the lumped total
+    captures the full surface mass inside the domain.
     """
     if isinstance(mu, SumPotential):
         out = grid.zeros()
@@ -279,49 +278,19 @@ def lump_measure(
         return out
     h = grid.h
     if isinstance(mu, Density):
-        if quad.volume_order == 1:
-            values = field_from_callable(grid, mu.f)
-            if np.any(values < 0.0):
-                raise InvalidParameterError("density must be nonnegative")
-            return values
-        half = np.full(grid.dim, 0.5 * h)
-        offsets, qweights = gauss_points_on_box(-half, half, quad.volume_order)
         out = np.zeros(grid.shape)
         flat = out.reshape(grid.n, -1)
         for rows, pts in _node_chunks(grid):
-            acc = np.zeros(pts.shape[0])
-            for q in range(offsets.shape[0]):
-                acc += qweights[q] * eval_checked(mu.f, pts + offsets[q])
+            acc = box_quadrature(mu.f, pts, 0.5 * h, quad.volume_order)
             flat[rows] = acc.reshape(rows.stop - rows.start, -1)
-        if np.any(out < 0.0):
-            raise InvalidParameterError("density must be nonnegative")
         return out / h**grid.dim
     if isinstance(mu, SurfaceGraph):
-        refine = quad.surface_refine
-        m = (grid.n + 1) * refine
+        m = (grid.n + 1) * quad.surface_refine
         step = 1.0 / m
         axis = (np.arange(m) + 0.5) * step
-        grids = np.meshgrid(*([axis] * (grid.dim - 1)), indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=-1)
-        heights = eval_checked(mu.height, points)
-        grads = np.asarray(mu.grad(points), dtype=float)
-        if grads.ndim == 1:
-            grads = grads[:, None]
-        element = np.sqrt(1.0 + (grads * grads).sum(axis=1))
-        weights = weight_values(mu.weight, points)
-        if np.any(weights < 0.0):
-            raise InvalidParameterError("surface weight must be nonnegative")
-        masses = weights * element * step ** (grid.dim - 1)
-        idx = [_dual_cell_indices(grid, points[:, k]) for k in range(grid.dim - 1)]
-        idx.append(_dual_cell_indices(grid, heights))
-        keep = np.ones(points.shape[0], dtype=bool)
-        for component in idx:
-            keep &= component >= 0
-        flat = np.zeros(grid.size)
-        if np.any(keep):
-            lin = np.ravel_multi_index(tuple(c[keep] for c in idx), grid.shape)
-            np.add.at(flat, lin, masses[keep])
-        return flat.reshape(grid.shape) / h**grid.dim
+        samples = footprint_samples(mu, [axis] * (grid.dim - 1), step ** (grid.dim - 1))
+        dense = bin_samples(*samples, lambda k, coords: _dual_cell_indices(grid, coords), grid.shape)
+        return dense / h**grid.dim
     raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
 
 
@@ -347,7 +316,9 @@ def solve_limit(
     if np.any(weights < 0.0):
         raise InvalidParameterError("lumped measure must be nonnegative")
     h = grid.h
-    inv_diag = 1.0 / (2.0 * grid.dim / h**2 + weights)
+    # a zero measure leaves a constant diagonal, and a constant scaling
+    # changes no CG iterate: skip Jacobi, as in the perforated solve
+    inv_diag = 1.0 / (2.0 * grid.dim / h**2 + weights) if weights.any() else None
     start = time.perf_counter()
 
     def apply_op(v):

@@ -112,22 +112,16 @@ def cells_intersecting(spec: TilingSpec, domain: Box) -> list[Cell]:
     if domain.dim != spec.dim:
         raise InvalidParameterError("domain dimension does not match tiling")
     eps = spec.epsilon
-    ranges: list[range] = []
+    ranges: list[list[int]] = []
     for lo, hi in zip(domain.lo, domain.hi):
         # need eps*(i+1) > lo and eps*(i-1) < hi with i even
         i_min = 2 * (math.floor((lo / eps - 1.0) / 2.0) + 1)
         i_max = 2 * (math.ceil((hi / eps + 1.0) / 2.0) - 1)
-        ranges.append(range(i_min, i_max + 1, 2))
-    cells = []
-    for index in itertools.product(*ranges):
-        cell = Cell(index, eps)
-        overlaps = all(
-            lo < u and l < hi
-            for lo, hi, l, u in zip(domain.lo, domain.hi, cell.lower, cell.upper)
+        # overlap is a per-axis condition; test it on the rounded faces
+        ranges.append(
+            [i for i in range(i_min, i_max + 1, 2) if lo < eps * (i + 1) and eps * (i - 1) < hi]
         )
-        if overlaps:
-            cells.append(cell)
-    return cells
+    return [Cell(index, eps) for index in itertools.product(*ranges)]
 
 
 def cell_index_of(spec: TilingSpec, x: Sequence[float]) -> tuple[int, ...]:

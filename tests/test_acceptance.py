@@ -36,6 +36,7 @@ from perfhom.solver import (
     Grid,
     corrector_field,
     field_from_callable,
+    lump_measure,
     solve_limit,
     solve_perforated,
 )
@@ -231,7 +232,7 @@ def test_criterion_09_hminus1_machinery():
     for eps in (0.25, 0.125, 0.0625):
         spec = TilingSpec(3, eps)
         construction = construct_holes(mu, spec, unit_box(3))
-        deviations.append(ldc_deviation(construction.holes, mu, spec, grid))
+        deviations.append(ldc_deviation(construction.holes, lump_measure(mu, grid), spec, grid))
     decreasing = all(a > b for a, b in zip(deviations, deviations[1:]))
     report(
         9,

@@ -152,9 +152,34 @@ def test_bad_config_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "study", cfg)
     assert code == 1
     assert "error" in err
-    for old, new in (("zero()", "constant()"), ("constant(1)", "constant(-x)")):
+    for old, new in (
+        ("zero()", "constant()"),
+        ("constant(1)", "constant(-x)"),
+        ("constant(1)", "constant(1e400)"),
+        ("zero()", "constant(" + "9" * 400 + ")"),
+    ):
         cfg = write(tmp_path / "bad.cfg", ZERO_CFG.replace(old, new))
         code, _, err = run_cli(capsys, "study", cfg)
+        assert code == 1
+        assert err.startswith("error:")
+
+
+def test_bad_hole_csv_exits_one(tmp_path, capsys):
+    cfg = write(tmp_path / "zero.cfg", ZERO_CFG)
+    holes_dir = tmp_path / "holes"
+    holes_dir.mkdir()
+    # missing holes_00.csv, then a non-numeric field, a short row and a bad header
+    for text in (
+        None,
+        "i1,i2,i3,cx1,cx2,cx3,radius\n0,0,0,0,0,zero,0\n",
+        "i1,i2,i3,cx1,cx2,cx3,radius\n0,0,0,0,0,0\n",
+        "a,b,c\n",
+    ):
+        if text is not None:
+            (holes_dir / "holes_00.csv").write_text(text)
+        code, _, err = run_cli(
+            capsys, "check", cfg, "--out", str(tmp_path / "o"), "--holes-dir", str(holes_dir)
+        )
         assert code == 1
         assert err.startswith("error:")
 

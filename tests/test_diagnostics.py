@@ -15,7 +15,7 @@ from perfhom.harness import sine_mode
 from perfhom.holes import Hole, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import cell_average_field, make_box, make_constant, make_plane
-from perfhom.solver import Grid, field_from_callable
+from perfhom.solver import Grid, field_from_callable, lump_measure
 from perfhom.tiling import TilingSpec, cells_intersecting, unit_box
 
 
@@ -135,7 +135,7 @@ def test_ldc_deviation_zero_for_empty_problem():
     spec = TilingSpec(3, 0.25)
     grid = Grid(3, 15)
     holes = [Hole(c.center, 0.0, c.index) for c in cells_intersecting(spec, unit_box(3))]
-    assert ldc_deviation(holes, make_constant(3, 0.0), spec, grid) == 0.0
+    assert ldc_deviation(holes, lump_measure(make_constant(3, 0.0), grid), spec, grid) == 0.0
 
 
 def test_ldc_deviation_small_for_constant_density():
@@ -146,7 +146,7 @@ def test_ldc_deviation_small_for_constant_density():
     deviations = []
     for eps in (0.25, 0.125):
         spec, report, _ = build(mu, eps)
-        deviations.append(ldc_deviation(report.holes, mu, spec, grid))
+        deviations.append(ldc_deviation(report.holes, lump_measure(mu, grid), spec, grid))
     assert deviations[1] < deviations[0]
     assert deviations[0] < 0.2
 
@@ -157,7 +157,7 @@ def test_ldc_deviation_plane_decreases():
     deviations = []
     for eps in (0.25, 0.125):
         spec, report, _ = build(mu, eps)
-        deviations.append(ldc_deviation(report.holes, mu, spec, grid))
+        deviations.append(ldc_deviation(report.holes, lump_measure(mu, grid), spec, grid))
     assert deviations[1] < deviations[0]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perfhom.errors import EvaluationError, InvalidParameterError
 from perfhom.potential import (
@@ -19,7 +21,7 @@ from perfhom.potential import (
     max_cell_mass_scaling,
     parse_potential,
 )
-from perfhom.tiling import Cell, TilingSpec, cell_of_point, unit_box
+from perfhom.tiling import Cell, TilingSpec, cell_of_point, cells_intersecting, unit_box
 
 
 def gauss_oracle_lp_distance(field, mu, p, order=4):
@@ -233,3 +235,44 @@ def test_parse_potential_constructors():
         parse_potential("unknown(1)", 3)
     with pytest.raises(InvalidParameterError):
         parse_potential("1 + 2", 3)
+
+
+def reference_cell_mass(mu, cell, quad=QuadratureSpec()):
+    """Independent per-cell reference: tensor Gauss over the cell box for
+    densities; for graphs, footprint midpoints whose lifted point lies in
+    the half-open cell ``(lower, upper]``."""
+    if isinstance(mu, SumPotential):
+        return sum(reference_cell_mass(part, cell, quad) for part in mu.parts)
+    lo, hi = np.asarray(cell.lower), np.asarray(cell.upper)
+    if isinstance(mu, Density):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(quad.volume_order)
+        axes = [0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * ref_x for k in range(3)]
+        w = [0.5 * (hi[k] - lo[k]) * ref_w for k in range(3)]
+        pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        return float(mu.f(pts) @ np.einsum("i,j,k->ijk", *w).ravel())
+    refine = quad.surface_refine
+    axes = [lo[k] + (hi[k] - lo[k]) * (np.arange(refine) + 0.5) / refine for k in range(2)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    z = mu.height(pts)
+    keep = (lo[2] < z) & (z <= hi[2])
+    element = np.sqrt(1.0 + (mu.grad(pts[keep]) ** 2).sum(axis=1))
+    return float(mu.weight * element.sum() * np.prod((hi[:2] - lo[:2]) / refine))
+
+
+@settings(max_examples=8, deadline=None)
+@given(z0=st.floats(0.0, 1.0), m=st.sampled_from([10, 12, 14, 20]))
+@example(z0=0.5, m=12)
+@example(z0=1.0, m=20)
+def test_batched_cell_masses_match_per_cell_reference(z0, m):
+    # the lattice potential: every cell carries density mass; the graph
+    # part alone leaves most cells empty, and those must stay exactly zero;
+    # z0 near 0 or 1 lifts part of the graph out of the cell family
+    mu = parse_potential(f"sum([sine_density(2), graph({z0!r}, 0.1, 2, 20)])", 3)
+    spec = TilingSpec(3, 1.0 / m)
+    cells = cells_intersecting(spec, unit_box(3))
+    bound = 4096 * np.finfo(float).eps
+    for potential in (mu, mu.parts[1]):
+        masses = cell_average_field(potential, spec, unit_box(3)).masses
+        expected = np.array([reference_cell_mass(potential, cell) for cell in cells])
+        np.testing.assert_array_equal(masses == 0.0, expected == 0.0)
+        assert np.all(np.abs(masses - expected) <= bound * expected)

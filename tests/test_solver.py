@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from perfhom.errors import GeometryError, InvalidParameterError, ResolutionError
+from perfhom.cg import pcg
+from perfhom.errors import (
+    EvaluationError,
+    GeometryError,
+    InvalidParameterError,
+    ResolutionError,
+    SolverError,
+)
 from perfhom.holes import Hole, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import QuadratureSpec, make_box, make_constant, make_plane
@@ -148,6 +155,32 @@ def test_limit_reduces_to_poisson_for_zero_measure():
     u_limit, _ = solve_limit(f, np.zeros(grid.shape), grid, tol=1e-10)
     u_plain, _ = solve_perforated(f, [], grid, tol=1e-10)
     np.testing.assert_array_equal(u_limit, u_plain)
+
+
+def test_nonfinite_rhs_rejected_before_iterating():
+    grid = Grid(3, 15)
+    f = np.ones(grid.shape)
+    f[3, 4, 5] = np.nan
+    with pytest.raises(EvaluationError):
+        solve_perforated(f, [], grid, maxiter=5)
+    f[3, 4, 5] = np.inf
+    with pytest.raises(EvaluationError):
+        solve_limit(f, np.zeros(grid.shape), grid, maxiter=5)
+    # finite, but the norm overflows: no iterate could be trusted
+    with pytest.raises(EvaluationError):
+        solve_perforated(np.full(grid.shape, 1e300), [], grid, maxiter=5)
+
+
+def test_pcg_aborts_when_residual_turns_nonfinite():
+    calls = []
+
+    def broken(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    with pytest.raises(SolverError, match="non-finite"):
+        pcg(broken, np.ones(50), maxiter=1000)
+    assert len(calls) == 1
 
 
 def test_limit_monotone_in_measure():
