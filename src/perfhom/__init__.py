@@ -46,6 +46,7 @@ from .harness import (
 from .holes import (
     DisjointnessReport,
     Hole,
+    HoleFamily,
     SeparationParams,
     disjointness_check,
     read_holes_csv,

@@ -69,11 +69,11 @@ def sphere_area(d: int) -> float:
     return 2.0 ** (k + 1) * math.pi**k / odd_double_factorial
 
 
-def capacity_ball(d: int, a: float) -> CapacityResult:
-    """Exact Newtonian capacity ``(d-2) S_d a^(d-2)`` of a closed ball."""
+def capacity_ball(d: int, a) -> CapacityResult:
+    """Exact capacity ``(d-2) S_d a^(d-2)`` of a closed ball; ``a`` may be an array of radii."""
     if d < 3:
         raise InvalidParameterError(f"ball capacity needs d >= 3, got {d}")
-    if a < 0.0:
+    if np.any(np.less(a, 0.0)):
         raise InvalidParameterError(f"ball radius must be >= 0, got {a}")
     return CapacityResult(value=(d - 2) * sphere_area(d) * a ** (d - 2), method="exact", dim=d)
 

@@ -24,7 +24,6 @@ def pcg(
     tol: float = 1e-8,
     maxiter: Optional[int] = None,
     inv_diag: Optional[Array] = None,
-    x0: Optional[Array] = None,
 ) -> tuple[Array, int, float]:
     """Solve ``A x = b`` for SPD ``A`` given as a callback.
 
@@ -39,8 +38,6 @@ def pcg(
         Relative residual target, ``||b - A x|| <= tol * ||b||``.
     inv_diag : ndarray, optional
         Inverse diagonal of ``A`` for Jacobi preconditioning.
-    x0 : ndarray, optional
-        Initial guess.
 
     Returns
     -------
@@ -62,12 +59,8 @@ def pcg(
         return np.zeros_like(b), 0, 0.0
     if maxiter is None:
         maxiter = max(2000, 60 * max(b.shape))
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r = b - apply_op(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     z = r * inv_diag if inv_diag is not None else r
     p = z.copy()
     rz = float(np.vdot(r, z).real)

@@ -73,11 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument(
-            "--override-tiny-holes",
-            action="store_true",
-            help="collapse under-resolved holes to single-node constraints",
-        )
+        if name in ("solve", "study"):
+            p.add_argument(
+                "--override-tiny-holes",
+                action="store_true",
+                help="collapse under-resolved holes to single-node constraints",
+            )
         if name == "check":
             p.add_argument(
                 "--holes-dir",
@@ -102,7 +103,7 @@ def _out_dir(args, cfg) -> Path:
 
 
 def _apply_overrides(args, cfg):
-    if args.override_tiny_holes:
+    if getattr(args, "override_tiny_holes", False):
         cfg.override_tiny_holes = True
     if args.out is not None:
         cfg.out_dir = str(args.out)
@@ -132,7 +133,7 @@ def _cmd_construct(args) -> int:
     for k, eps in enumerate(cfg.epsilons):
         construction = construct_study_holes(cfg, eps)
         construction.write(out / f"holes_{k:02d}.csv", out / f"holes_{k:02d}.json")
-        print(f"epsilon={eps:g}: {len(construction.nonempty)} holes -> holes_{k:02d}.csv")
+        print(f"epsilon={eps:g}: {len(construction.holes.nonempty)} holes -> holes_{k:02d}.csv")
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .capacity import capacity_ball
 from .cg import pcg
 from .errors import InvalidParameterError
-from .holes import Hole, SeparationParams
+from .holes import HoleFamily, SeparationParams
 from .solver import Grid, field_from_callable, multilinear_sample
 from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
 from .stencil import neg_laplacian
@@ -66,26 +66,21 @@ class AssumptionReport:
 
 
 def assumption_quantities(
-    holes: Sequence[Hole], seps: SeparationParams, cells: Sequence[Cell]
+    holes: HoleFamily, seps: SeparationParams, cells: Sequence[Cell]
 ) -> AssumptionReport:
     """Evaluate the separation-assumption quantities by direct summation.
 
     ``holes`` and ``cells`` must be aligned index by index.
     """
-    if len(holes) != len(cells):
-        raise InvalidParameterError(
-            f"holes and cells are misaligned: {len(holes)} vs {len(cells)}"
-        )
-    for hole, cell in zip(holes, cells):
-        if hole.cell_index != cell.index:
-            raise InvalidParameterError(
-                f"hole/cell index mismatch at cell {cell.index}"
-            )
     if not cells:
         raise InvalidParameterError("assumption quantities need at least one cell")
+    if not np.array_equal(holes.index, [cell.index for cell in cells]):
+        raise InvalidParameterError(
+            f"holes and cells are misaligned ({len(holes)} holes, {len(cells)} cells)"
+        )
     d = cells[0].dim
     R = seps.R
-    radii = np.array([h.radius for h in holes])
+    radii = holes.radii
     diam_cell = cells[0].diameter
     measure = cells[0].measure
     powers = radii ** (d - 2)
@@ -122,7 +117,7 @@ def hminus1_norm(nu: Array, grid: Grid, tol: float = 1e-10) -> float:
 
 
 def capacity_density_field(
-    holes: Sequence[Hole], spec: TilingSpec, grid: Grid
+    holes: HoleFamily, spec: TilingSpec, grid: Grid
 ) -> Array:
     """Nodal field ``sum_i cap(K_i)/|A_i| 1_{A_i}`` on the grid.
 
@@ -132,24 +127,20 @@ def capacity_density_field(
     if spec.dim != grid.dim:
         raise InvalidParameterError("tiling and grid dimensions differ")
     measure = (2.0 * spec.epsilon) ** spec.dim
-    values = {
-        h.cell_index: capacity_ball(spec.dim, h.radius).value / measure for h in holes
-    }
     axis_cells = cell_axis_indices(spec, grid.axis())
     lo = int(axis_cells.min())
     hi = int(axis_cells.max())
     ords = (axis_cells - lo) // 2
     count = (hi - lo) // 2 + 1
     dense = np.zeros((count,) * grid.dim)
-    for index, value in values.items():
-        pos = tuple((i - lo) // 2 for i in index)
-        if all(0 <= p < count for p in pos):
-            dense[pos] = value
+    pos = (holes.index - lo) // 2
+    keep = np.all((pos >= 0) & (pos < count), axis=1)
+    dense[tuple(pos[keep].T)] = capacity_ball(spec.dim, holes.radii[keep]).value / measure
     return dense[np.ix_(*([ords] * grid.dim))]
 
 
 def ldc_deviation(
-    holes: Sequence[Hole],
+    holes: HoleFamily,
     lumped: Array,
     spec: TilingSpec,
     grid: Grid,
@@ -184,14 +175,14 @@ def _check_test_function(g: Callable[[Array], Array], grid: Grid) -> None:
 
 
 def dprime_pairing(
-    nu: Union[Array, Sequence[Hole]],
+    nu: Union[Array, HoleFamily],
     g: Union[Array, Callable[[Array], Array]],
     grid: Grid,
 ) -> float:
     """Distributional pairing ``<nu, g>`` against a smooth test function.
 
     ``nu`` may be a nodal field (paired by nodal quadrature) or a hole
-    list, in which case the pairing is against the hole-ball capacity
+    family, in which case the pairing is against the hole-ball capacity
     density ``sum_i cap(K_i)/|K_i| 1_{K_i}``: each nonempty ball
     contributes ``cap(K_i) * g(center)``, exact up to O(radius^2) because
     the ball average of a smooth ``g`` matches its center value to that
@@ -200,25 +191,14 @@ def dprime_pairing(
     if callable(g):
         _check_test_function(g, grid)
         g_field = field_from_callable(grid, g)
-        g_fn = g
     else:
         g_field = np.asarray(g, dtype=float)
         if g_field.shape != grid.shape:
             raise InvalidParameterError("test function field does not match grid")
-        g_fn = None
     if isinstance(nu, np.ndarray):
         if nu.shape != grid.shape:
             raise InvalidParameterError("field shape does not match grid")
         return float(np.vdot(nu, g_field).real) * grid.h**grid.dim
-    total = 0.0
-    for hole in nu:
-        if hole.is_empty:
-            continue
-        if g_fn is not None:
-            value = float(np.asarray(g_fn(np.asarray(hole.center)[None, :]), dtype=float)[0])
-        else:
-            value = float(
-                multilinear_sample(grid, g_field, np.asarray(hole.center)[None, :])[0]
-            )
-        total += capacity_ball(hole.dim, hole.radius).value * value
-    return total
+    holes = nu.nonempty
+    values = g(holes.centers) if callable(g) else multilinear_sample(grid, g_field, holes.centers)
+    return float(np.dot(capacity_ball(grid.dim, holes.radii).value, values))

@@ -494,12 +494,12 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
                 "lump_measure", eps, lambda: lump_measure(cfg.potential, grid, cfg.quad)
             )
         ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped[n], spec, grid))
-        nonempty = construction.nonempty
-        if nonempty and max(h.radius for h in nonempty) < seps.R:
+        radii = holes.nonempty.radii
+        if radii.size and radii.max() < seps.R:
             _, v_l2 = stage(
                 "corrector", eps, lambda: corrector_field(holes, seps, grid)
             )
-        elif not nonempty:
+        elif not radii.size:
             v_l2 = 0.0
         else:
             # oversized holes leave no cutoff annulus; metric undefined
@@ -519,16 +519,15 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
         for mode in cfg.witness_modes:
             g = field_from_callable(grid, sine_mode(mode))
             witnesses[_witness_column(mode)] = weak_witness(u_eps, u_ref, g, grid)
-        radii = [h.radius for h in nonempty]
         rows.append(
             StudyRow(
                 epsilon=eps,
                 n=n,
                 h=grid.h,
                 cell_count=len(cells),
-                hole_count=len(nonempty),
-                min_radius=min(radii) if radii else 0.0,
-                max_radius=max(radii) if radii else 0.0,
+                hole_count=radii.size,
+                min_radius=float(radii.min()) if radii.size else 0.0,
+                max_radius=float(radii.max()) if radii.size else 0.0,
                 max_radius_ratio=construction.max_radius_ratio,
                 sup_a_over_R=assumptions.sup_a_over_R,
                 sum_A2=assumptions.sum_A2,

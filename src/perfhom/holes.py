@@ -1,15 +1,16 @@
 """Hole families: closed balls with their enclosing-ball and separation data.
 
-A hole of radius 0 encodes the empty set and is kept in the list so the
-cell-to-hole indexing stays total.  For balls the enclosing-ball bound
-``a <= diam K <= 2a`` holds with equality ``diam = 2a``.
+A family holds one ball per lattice cell as three arrays: centers,
+radii and cell indices.  A hole of radius 0 encodes the empty set and is
+kept so the cell-to-hole indexing stays total.  For balls the
+enclosing-ball bound ``a <= diam K <= 2a`` holds with equality
+``diam = 2a``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -19,29 +20,63 @@ from .errors import InvalidParameterError
 INCLUSION_ULPS = 4
 
 
-@dataclass(frozen=True)
-class Hole:
-    """A closed ball ``B(center, radius)``; ``radius == 0`` means empty."""
+class Hole(NamedTuple):
+    """One ball of a :class:`HoleFamily`; ``radius == 0`` means empty."""
 
     center: tuple[float, ...]
     radius: float
     cell_index: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise InvalidParameterError(f"hole radius must be >= 0, got {self.radius}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
     @property
     def is_empty(self) -> bool:
         return self.radius == 0.0
 
+
+@dataclass(frozen=True, eq=False)
+class HoleFamily:
+    """Balls ``B(centers[i], radii[i])`` owned by cells ``index[i]``.
+
+    ``centers`` is ``(N, d)`` float, ``radii`` ``(N,)`` float and
+    ``index`` ``(N, d)`` int64.  Centers and radii must be finite and
+    radii nonnegative.  Iterating yields one :class:`Hole` per ball.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    index: np.ndarray
+
+    def __post_init__(self):
+        centers = np.asarray(self.centers, dtype=float)
+        radii = np.asarray(self.radii, dtype=float)
+        index = np.asarray(self.index, dtype=np.int64)
+        if centers.ndim != 2 or index.shape != centers.shape or radii.shape != centers.shape[:1]:
+            shapes = f"centers {centers.shape}, radii {radii.shape}, index {index.shape}"
+            raise InvalidParameterError(f"hole arrays disagree: {shapes}")
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise InvalidParameterError("hole centers and radii must be finite")
+        if np.any(radii < 0.0):
+            raise InvalidParameterError(f"hole radius must be >= 0, got {radii.min()}")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "index", index)
+
+    @classmethod
+    def from_holes(cls, holes: Iterable[Hole], dim: int) -> HoleFamily:
+        """Family of ``dim``-dimensional :class:`Hole` records (possibly none)."""
+        centers, radii, index = list(zip(*holes)) or ((), (), ())
+        return cls(np.reshape(centers, (-1, dim)), radii, np.reshape(index, (-1, dim)))
+
+    def __len__(self) -> int:
+        return self.radii.shape[0]
+
+    def __iter__(self):
+        rows = zip(self.centers.tolist(), self.radii.tolist(), self.index.tolist())
+        return (Hole(tuple(c), r, tuple(i)) for c, r, i in rows)
+
     @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
+    def nonempty(self) -> HoleFamily:
+        keep = self.radii > 0.0
+        return HoleFamily(self.centers[keep], self.radii[keep], self.index[keep])
 
 
 @dataclass(frozen=True)
@@ -81,7 +116,7 @@ class DisjointnessReport:
         return self.disjoint and self.inclusion_ok
 
 
-def disjointness_check(holes: Sequence[Hole], seps: SeparationParams) -> DisjointnessReport:
+def disjointness_check(holes: HoleFamily, seps: SeparationParams) -> DisjointnessReport:
     """Check that separation balls are pairwise disjoint and sit in their cells.
 
     Open balls touching at a point count as disjoint.  The inclusion part
@@ -101,8 +136,8 @@ def disjointness_check(holes: Sequence[Hole], seps: SeparationParams) -> Disjoin
     """
     if not holes:
         return DisjointnessReport(disjoint=True, inclusion_ok=True)
-    centers = np.array([h.center for h in holes], dtype=float)
-    index = np.array([h.cell_index for h in holes], dtype=np.int64)
+    centers = holes.centers
+    index = holes.index
     slack = INCLUSION_ULPS * np.finfo(float).eps * (np.abs(index) + 1.0)
     local = np.abs(centers / seps.epsilon - index) + seps.c1
     outside = np.any(local > 1.0 + slack, axis=1)
@@ -115,7 +150,7 @@ def disjointness_check(holes: Sequence[Hole], seps: SeparationParams) -> Disjoin
         diff = centers - centers[i]
         near = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) < limit).tolist()
         pairs.update((min(i, j), max(i, j)) for j in near if j != i)
-    violations = tuple(holes[i].cell_index for i in np.flatnonzero(outside).tolist())
+    violations = tuple(map(tuple, index[outside].tolist()))
     return DisjointnessReport(
         disjoint=not pairs,
         inclusion_ok=not violations,
@@ -128,40 +163,36 @@ def _csv_header(dim: int) -> list[str]:
     return [f"i{k + 1}" for k in range(dim)] + [f"cx{k + 1}" for k in range(dim)] + ["radius"]
 
 
-def write_holes_csv(holes: Sequence[Hole], path) -> None:
+def write_holes_csv(holes: HoleFamily, path) -> None:
     """Serialise holes as CSV with 17-significant-digit decimals."""
     if not holes:
-        raise InvalidParameterError("refusing to write an empty hole list")
+        raise InvalidParameterError("refusing to write an empty hole family")
+    d = holes.centers.shape[1]
+    row = ",".join(["%d"] * d + ["%.17g"] * (d + 1)) + "\r\n"
+    # one float table; the index columns stay exact up to 2**53
+    table = np.column_stack([holes.index, holes.centers, holes.radii])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(holes[0].dim))
-        for h in holes:
-            row = [str(i) for i in h.cell_index]
-            row += [format(c, ".17g") for c in h.center]
-            row.append(format(h.radius, ".17g"))
-            writer.writerow(row)
+        fh.write(",".join(_csv_header(d)) + "\r\n")
+        fh.write((row * len(holes)) % tuple(table.ravel().tolist()))
 
 
-def read_holes_csv(path) -> list[Hole]:
-    """Read a hole list written by :func:`write_holes_csv`.
+def read_holes_csv(path) -> HoleFamily:
+    """Read a hole family written by :func:`write_holes_csv`.
 
-    A header or row that does not follow that format raises
-    :class:`InvalidParameterError`.
+    A header or row that does not follow that format, a non-finite value
+    or a negative radius raises :class:`InvalidParameterError`.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         dim = (len(header) - 1) // 2
         if dim < 1 or header != _csv_header(dim):
             raise InvalidParameterError(f"{path}: not a hole CSV header: {header}")
-        holes = []
-        for row in reader:
-            try:
-                if len(row) != 2 * dim + 1:
-                    raise ValueError(f"expected {2 * dim + 1} fields, got {len(row)}")
-                index = tuple(int(v) for v in row[:dim])
-                center = tuple(float(v) for v in row[dim : 2 * dim])
-                holes.append(Hole(center, float(row[2 * dim]), index))
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return holes
+        body = fh.read()
+    if not body.strip():
+        raise InvalidParameterError(f"{path}: no hole rows")
+    row = np.dtype([("index", np.int64, (dim,)), ("center", float, (dim,)), ("radius", float)])
+    try:
+        table = np.loadtxt(body.splitlines(), delimiter=",", dtype=row, ndmin=1)
+        return HoleFamily(table["center"], table["radius"], table["index"])
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from exc

@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import sphere_area
 from .errors import ConstructionError
-from .holes import Hole, SeparationParams, write_holes_csv
+from .holes import HoleFamily, SeparationParams, write_holes_csv
 from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec, cell_masses
 from .potential import cell_mass  # noqa: F401  (perfbench/tracing.py wraps inverse.cell_mass)
 from .tiling import Box, TilingSpec, cells_intersecting
@@ -33,7 +33,7 @@ C1 = 1.0
 class ConstructionReport:
     """Holes realizing a potential, with the separation data used."""
 
-    holes: tuple[Hole, ...]
+    holes: HoleFamily
     dim: int
     epsilon: float
     c1: float
@@ -44,10 +44,6 @@ class ConstructionReport:
     @property
     def separation(self) -> SeparationParams:
         return SeparationParams(c1=self.c1, epsilon=self.epsilon)
-
-    @property
-    def nonempty(self) -> tuple[Hole, ...]:
-        return tuple(h for h in self.holes if not h.is_empty)
 
     def header(self) -> dict:
         return {
@@ -85,6 +81,7 @@ def construct_holes(
     eps = spec.epsilon
     cells = cells_intersecting(spec, domain)
     masses = cell_masses(mu, cells, quad)
+    index = np.array([cell.index for cell in cells], dtype=np.int64)
     radii = (masses / ((d - 2) * sphere_area(d))) ** (1.0 / (d - 2))
     if strict and np.any(radii >= eps):
         i = int(np.argmax(radii >= eps))
@@ -93,7 +90,7 @@ def construct_holes(
             f"in cell {cells[i].index}; lower epsilon or the potential"
         )
     return ConstructionReport(
-        holes=tuple(Hole(cell.center, float(r), cell.index) for cell, r in zip(cells, radii)),
+        holes=HoleFamily(eps * index, radii, index),
         dim=d,
         epsilon=eps,
         c1=C1,

@@ -21,14 +21,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .cg import pcg
 from .capacity import BALL_MASK_INFLATION, ball_potential_radial
 from .errors import GeometryError, InvalidParameterError, ResolutionError
-from .holes import Hole, SeparationParams, disjointness_check
+from .holes import HoleFamily, SeparationParams, disjointness_check
 from .potential import (
     DEFAULT_QUADRATURE,
     Density,
@@ -143,13 +143,7 @@ def _box_radii2(grid: Grid, slices, center) -> Array:
     return r2
 
 
-def _nearest_node(grid: Grid, center) -> tuple[int, ...]:
-    return tuple(
-        int(np.clip(round(c / grid.h) - 1, 0, grid.n - 1)) for c in center
-    )
-
-
-def hole_mask(grid: Grid, holes: Sequence[Hole], *, override_tiny: bool = False) -> Array:
+def hole_mask(grid: Grid, holes: HoleFamily, *, override_tiny: bool = False) -> Array:
     """Boolean mask of nodes inside any closed hole ball.
 
     Masks use the recentred staircase (nodes with distance at most
@@ -161,28 +155,25 @@ def hole_mask(grid: Grid, holes: Sequence[Hole], *, override_tiny: bool = False)
     """
     mask = np.zeros(grid.shape, dtype=bool)
     h = grid.h
-    tiny = 0
-    for hole in holes:
-        if hole.is_empty:
-            continue
-        if hole.radius < 2.0 * h:
-            if not override_tiny:
-                raise ResolutionError(
-                    f"hole radius {hole.radius:.6g} < 2h = {2 * h:.6g}; "
-                    "refine the grid or enable the tiny-hole override"
-                )
-            mask[_nearest_node(grid, hole.center)] = True
-            tiny += 1
-            continue
-        masked_radius = hole.radius + BALL_MASK_INFLATION * h
-        slices = _node_box(grid, hole.center, masked_radius)
+    holes = holes.nonempty
+    tiny = holes.radii < 2.0 * h
+    if tiny.any() and not override_tiny:
+        raise ResolutionError(
+            f"hole radius {holes.radii[tiny][0]:.6g} < 2h = {2 * h:.6g}; "
+            "refine the grid or enable the tiny-hole override"
+        )
+    nearest = np.clip(np.round(holes.centers[tiny] / h) - 1, 0, grid.n - 1).astype(np.int64)
+    mask[tuple(nearest.T)] = True
+    for center, radius in zip(holes.centers[~tiny].tolist(), holes.radii[~tiny].tolist()):
+        masked_radius = radius + BALL_MASK_INFLATION * h
+        slices = _node_box(grid, center, masked_radius)
         if slices is None:
             continue
-        r2 = _box_radii2(grid, slices, hole.center)
+        r2 = _box_radii2(grid, slices, center)
         mask[slices] |= r2 <= masked_radius**2
-    if tiny:
+    if tiny.any():
         warnings.warn(
-            f"{tiny} hole(s) below the 2h resolution limit were collapsed to "
+            f"{int(tiny.sum())} hole(s) below the 2h resolution limit were collapsed to "
             "single-node constraints; their effective capacity is O(h)",
             RuntimeWarning,
             stacklevel=2,
@@ -192,7 +183,7 @@ def hole_mask(grid: Grid, holes: Sequence[Hole], *, override_tiny: bool = False)
 
 def solve_perforated(
     f: Array,
-    holes: Sequence[Hole],
+    holes: HoleFamily,
     grid: Grid,
     tol: float = 1e-8,
     *,
@@ -340,7 +331,7 @@ CUTOFF_NAME = "quintic smoothstep on [1/2, 1]"
 
 
 def corrector_field(
-    holes: Sequence[Hole], seps: SeparationParams, grid: Grid
+    holes: HoleFamily, seps: SeparationParams, grid: Grid
 ) -> tuple[Array, float]:
     """Oscillating corrector ``w = 1 - sum_i cutoff_i * H_i`` on the grid.
 
@@ -359,25 +350,25 @@ def corrector_field(
         )
     R = seps.R
     d = grid.dim
+    holes = holes.nonempty
+    closed = seps.margin(holes.radii) <= 0.0
+    if closed.any():
+        i = int(np.argmax(closed))
+        raise GeometryError(
+            f"hole in cell {tuple(holes.index[i].tolist())} has radius {holes.radii[i]:.6g} "
+            f">= separation radius {R:.6g}; cutoff margin is empty"
+        )
     deviation = grid.zeros()
-    for hole in holes:
-        if hole.is_empty:
-            continue
-        margin = seps.margin(hole.radius)
-        if margin <= 0.0:
-            raise GeometryError(
-                f"hole in cell {hole.cell_index} has radius {hole.radius:.6g} "
-                f">= separation radius {R:.6g}; cutoff margin is empty"
-            )
-        slices = _node_box(grid, hole.center, R)
+    for center, radius in zip(holes.centers.tolist(), holes.radii.tolist()):
+        slices = _node_box(grid, center, R)
         if slices is None:
             continue
-        r = np.sqrt(_box_radii2(grid, slices, hole.center))
+        r = np.sqrt(_box_radii2(grid, slices, center))
         inside = r < R
         if not np.any(inside):
             continue
-        phi = _cutoff((r - hole.radius) / margin)
-        pot = ball_potential_radial(r, hole.radius, d)
+        phi = _cutoff((r - radius) / seps.margin(radius))
+        pot = ball_potential_radial(r, radius, d)
         deviation[slices] += np.where(inside, phi * pot, 0.0)
     v_norm = l2_norm(deviation, grid)
     return 1.0 - deviation, v_norm

@@ -21,6 +21,7 @@ from perfhom.diagnostics import (
     ldc_deviation,
 )
 from perfhom.harness import StudyConfig, parse_rhs, run_study, sine_mode
+from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom.potential import (
     cell_average_field,
@@ -93,7 +94,7 @@ def test_criterion_03_manufactured_solutions():
         grid = Grid(3, n)
         u_exact = field_from_callable(grid, product_sine)
         f_poisson = 3.0 * math.pi**2 * u_exact
-        u_num, _ = solve_perforated(f_poisson, [], grid, tol=1e-11)
+        u_num, _ = solve_perforated(f_poisson, HoleFamily.from_holes([], 3), grid, tol=1e-11)
         errors_poisson[n] = float(np.abs(u_num - u_exact).max())
         f_limit = (3.0 * math.pi**2 + shift) * u_exact
         u_num, _ = solve_limit(f_limit, np.full(grid.shape, shift), grid, tol=1e-11)

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from perfhom.cli import main
 from perfhom.solver import read_field
 
@@ -168,12 +170,22 @@ def test_bad_hole_csv_exits_one(tmp_path, capsys):
     cfg = write(tmp_path / "zero.cfg", ZERO_CFG)
     holes_dir = tmp_path / "holes"
     holes_dir.mkdir()
-    # missing holes_00.csv, then a non-numeric field, a short row and a bad header
+    # valid CSVs of this config; the first gets a non-finite radius or center
+    assert run_cli(capsys, "construct", cfg, "--out", str(tmp_path / "valid"))[0] == 0
+    (holes_dir / "holes_01.csv").write_text((tmp_path / "valid" / "holes_01.csv").read_text())
+    header, first, *rest = (tmp_path / "valid" / "holes_00.csv").read_text().splitlines()
+    fields = first.split(",")
+    nan_radius = ",".join(fields[:-1] + ["nan"])
+    inf_center = ",".join(fields[:3] + ["inf"] + fields[4:])
+    # missing holes_00.csv, then a non-numeric field, a short row, a bad
+    # header, a NaN radius and an infinite center
     for text in (
         None,
         "i1,i2,i3,cx1,cx2,cx3,radius\n0,0,0,0,0,zero,0\n",
         "i1,i2,i3,cx1,cx2,cx3,radius\n0,0,0,0,0,0\n",
         "a,b,c\n",
+        "\n".join([header, nan_radius, *rest]) + "\n",
+        "\n".join([header, inf_center, *rest]) + "\n",
     ):
         if text is not None:
             (holes_dir / "holes_00.csv").write_text(text)
@@ -182,6 +194,14 @@ def test_bad_hole_csv_exits_one(tmp_path, capsys):
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+def test_override_tiny_holes_only_where_a_mask_is_built(tmp_path):
+    cfg = write(tmp_path / "zero.cfg", ZERO_CFG)
+    for command in ("construct", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, "--override-tiny-holes"])
+        assert exc.value.code == 2
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

@@ -12,7 +12,7 @@ from perfhom.diagnostics import (
 )
 from perfhom.errors import InvalidParameterError
 from perfhom.harness import sine_mode
-from perfhom.holes import Hole, SeparationParams
+from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import cell_average_field, make_box, make_constant, make_plane
 from perfhom.solver import Grid, field_from_callable, lump_measure
@@ -65,7 +65,7 @@ def test_all_empty_holes_give_zero_quantities():
     eps = 0.25
     spec = TilingSpec(3, eps)
     cells = cells_intersecting(spec, unit_box(3))
-    holes = [Hole(c.center, 0.0, c.index) for c in cells]
+    holes = HoleFamily.from_holes([Hole(c.center, 0.0, c.index) for c in cells], 3)
     quantities = assumption_quantities(holes, SeparationParams(1.0, eps), cells)
     assert quantities.sup_a_over_R == 0.0
     assert quantities.sum_A2 == 0.0
@@ -78,11 +78,12 @@ def test_all_empty_holes_give_zero_quantities():
 
 def test_misaligned_holes_and_cells_rejected():
     _, report, cells = build(make_box(3, 1.0), 0.25)
-    shuffled = list(report.holes[1:]) + [report.holes[0]]
+    holes = list(report.holes)
+    shuffled = HoleFamily.from_holes(holes[1:] + [holes[0]], 3)
     with pytest.raises(InvalidParameterError):
         assumption_quantities(shuffled, report.separation, cells)
     with pytest.raises(InvalidParameterError):
-        assumption_quantities(report.holes[:-1], report.separation, cells)
+        assumption_quantities(HoleFamily.from_holes(holes[:-1], 3), report.separation, cells)
 
 
 def test_hminus1_zero_and_exact_linearity():
@@ -134,7 +135,7 @@ def test_capacity_density_field_matches_cell_averages():
 def test_ldc_deviation_zero_for_empty_problem():
     spec = TilingSpec(3, 0.25)
     grid = Grid(3, 15)
-    holes = [Hole(c.center, 0.0, c.index) for c in cells_intersecting(spec, unit_box(3))]
+    holes = HoleFamily.from_holes([Hole(c.center, 0.0, c.index) for c in cells_intersecting(spec, unit_box(3))], 3)
     assert ldc_deviation(holes, lump_measure(make_constant(3, 0.0), grid), spec, grid) == 0.0
 
 

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfhom.capacity import BALL_MASK_INFLATION, capacity_ball
+from perfhom.diagnostics import capacity_density_field, dprime_pairing
 from perfhom.errors import InvalidParameterError
+from perfhom.harness import sine_mode
 from perfhom.holes import (
     Hole,
+    HoleFamily,
     SeparationParams,
     disjointness_check,
     read_holes_csv,
@@ -13,17 +19,114 @@ from perfhom.holes import (
 )
 from perfhom.inverse import construct_holes
 from perfhom.potential import make_constant
-from perfhom.tiling import TilingSpec, unit_box
+from perfhom.solver import Grid, field_from_callable, hole_mask, multilinear_sample
+from perfhom.tiling import TilingSpec, cell_axis_indices, cells_intersecting, unit_box
 
 
 def test_hole_basics():
     hole = Hole((0.5, 0.5, 0.5), 0.1, (2, 2, 2))
     assert not hole.is_empty
-    assert hole.diameter == 0.2
     empty = Hole((0.0, 0.0, 0.0), 0.0, (0, 0, 0))
     assert empty.is_empty
+
+
+def test_family_validates_its_arrays():
+    centers = np.zeros((2, 3))
+    index = np.zeros((2, 3), dtype=np.int64)
+    family = HoleFamily(centers, [0.0, 0.1], index)
+    assert len(family) == 2
+    assert len(family.nonempty) == 1
+    for bad in (
+        (centers, [0.1], index),  # radii shorter than centers
+        (centers, [0.1, 0.1], index[:, :2]),  # index of another dimension
+        (centers[0], [0.1], index[0]),  # centers not (N, d)
+        (centers, [0.1, np.nan], index),
+        (np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]), [0.1, 0.1], index),
+        (np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]), [0.1, 0.1], index),
+        (centers, [0.1, -0.5], index),
+    ):
+        with pytest.raises(InvalidParameterError):
+            HoleFamily(*bad)
     with pytest.raises(InvalidParameterError):
-        Hole((0.0, 0.0, 0.0), -0.5, (0, 0, 0))
+        HoleFamily.from_holes([Hole((0.0, 0.0, 0.0), -0.5, (0, 0, 0))], 3)
+    empty = HoleFamily.from_holes([], 3)
+    assert len(empty) == 0
+    assert empty.centers.shape == (0, 3) and empty.index.dtype == np.int64
+
+
+def jittered_family(seed, m):
+    """Jittered balls on the cells of pitch 1/m, about a third of them
+    empty, plus one ball outside the unit cube."""
+    rng = np.random.default_rng(seed)
+    eps = 1.0 / m
+    cells = cells_intersecting(TilingSpec(3, eps), unit_box(3))
+    index = np.array([c.index for c in cells] + [(2 * m + 4, 2, 2)])
+    centers = eps * index + rng.uniform(-0.3, 0.3, index.shape) * eps
+    radii = rng.uniform(0.05, 0.45, len(index)) * eps
+    radii[rng.random(len(index)) < 0.3] = 0.0
+    radii[-1] = 0.1
+    return HoleFamily(centers, radii, index)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([4, 6]),
+    n=st.sampled_from([23, 31]),
+)
+def test_family_matches_per_hole_references(seed, m, n):
+    family = jittered_family(seed, m)
+    spec = TilingSpec(3, 1.0 / m)
+    grid = Grid(3, n)
+    h = grid.h
+    ulps = 4096 * np.finfo(float).eps
+    holes = list(family)
+    assert all(isinstance(hole.center, tuple) for hole in holes)
+    back = HoleFamily.from_holes(holes, 3)
+    for name in ("centers", "radii", "index"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(family, name))
+        assert getattr(back, name).dtype == getattr(family, name).dtype
+
+    # capacity density: each hole fills the nodes of its own cell
+    axis = cell_axis_indices(spec, grid.axis())
+    expected = np.zeros(grid.shape)
+    for hole in holes:
+        cell_nodes = np.ix_(*[axis == i for i in hole.cell_index])
+        expected[cell_nodes] = capacity_ball(3, hole.radius).value / (2.0 / m) ** 3
+    field = capacity_density_field(family, spec, grid)
+    assert np.all(np.abs(field - expected) <= ulps * np.abs(expected))
+
+    # pairing: one capacity-weighted value of g per nonempty hole
+    g = sine_mode((1, 2, 1))
+    g_field = field_from_callable(grid, g)
+    for test_function, value_at in (
+        (g, lambda c: float(g(np.array([c]))[0])),
+        (g_field, lambda c: float(multilinear_sample(grid, g_field, np.array([c]))[0])),
+    ):
+        terms = [
+            capacity_ball(3, hole.radius).value * value_at(hole.center)
+            for hole in holes
+            if not hole.is_empty
+        ]
+        got = dprime_pairing(family, test_function, grid)
+        assert abs(got - math.fsum(terms)) <= ulps * math.fsum(map(abs, terms))
+
+    # mask: nodes within the inflated radius of a resolved ball, and the
+    # nearest node of each ball below 2h
+    xs = grid.axis()
+    nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
+    reference = np.zeros(grid.shape, dtype=bool)
+    for hole in holes:
+        if hole.is_empty:
+            continue
+        if hole.radius < 2.0 * h:
+            reference[tuple(min(max(round(c / h) - 1, 0), n - 1) for c in hole.center)] = True
+            continue
+        masked = hole.radius + BALL_MASK_INFLATION * h
+        reference |= ((nodes - np.array(hole.center)) ** 2).sum(axis=-1) <= masked**2
+    with pytest.warns(RuntimeWarning):
+        mask = hole_mask(grid, family, override_tiny=True)
+    np.testing.assert_array_equal(mask, reference)
 
 
 def test_separation_params():
@@ -39,11 +142,11 @@ def test_disjointness_distance_gap():
     seps = SeparationParams(c1=1.0, epsilon=1.0)
     a = Hole((0.0, 0.0, 0.0), 0.2, (0, 0, 0))
     b = Hole((2.1, 0.0, 0.0), 0.2, (2, 0, 0))
-    report = disjointness_check([a, b], seps)
+    report = disjointness_check(HoleFamily.from_holes([a, b], 3), seps)
     assert report.disjoint
     # centers 1.9 apart: overlap reported as a pair
     c = Hole((1.9, 0.0, 0.0), 0.2, (2, 0, 0))
-    report = disjointness_check([a, c], seps)
+    report = disjointness_check(HoleFamily.from_holes([a, c], 3), seps)
     assert not report.disjoint
     assert report.overlapping_pairs == ((0, 1),)
 
@@ -52,24 +155,27 @@ def test_tangent_separation_balls_count_as_disjoint():
     seps = SeparationParams(c1=1.0, epsilon=0.25)
     a = Hole((0.0, 0.0, 0.0), 0.1, (0, 0, 0))
     b = Hole((0.5, 0.0, 0.0), 0.1, (2, 0, 0))
-    assert disjointness_check([a, b], seps).disjoint
+    assert disjointness_check(HoleFamily.from_holes([a, b], 3), seps).disjoint
 
 
 def test_inclusion_requires_c1_at_most_one():
     # ball of radius c1*eps inside a box of half-width eps needs c1 <= 1
     hole = Hole((0.0, 0.0, 0.0), 0.05, (0, 0, 0))
-    ok = disjointness_check([hole], SeparationParams(c1=1.0, epsilon=0.25))
+    ok = disjointness_check(HoleFamily.from_holes([hole], 3), SeparationParams(c1=1.0, epsilon=0.25))
     assert ok.inclusion_ok
-    bad = disjointness_check([hole], SeparationParams(c1=1.2, epsilon=0.25))
+    bad = disjointness_check(HoleFamily.from_holes([hole], 3), SeparationParams(c1=1.2, epsilon=0.25))
     assert not bad.inclusion_ok
     assert bad.inclusion_violations == ((0, 0, 0),)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    holes = [
-        Hole((0.125, 0.25, 0.375), 1.2345678901234567e-3, (0, 2, 2)),
-        Hole((1.0 / 3.0, math.pi / 10.0, 0.5), 0.0, (2, 0, 0)),
-    ]
+    holes = HoleFamily.from_holes(
+        [
+            Hole((0.125, 0.25, 0.375), 1.2345678901234567e-3, (0, 2, 2)),
+            Hole((1.0 / 3.0, math.pi / 10.0, 0.5), 0.0, (2, 0, 0)),
+        ],
+        3,
+    )
     path = tmp_path / "holes.csv"
     write_holes_csv(holes, path)
     back = read_holes_csv(path)
@@ -82,7 +188,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 def test_csv_rejects_empty_list(tmp_path):
     with pytest.raises(InvalidParameterError):
-        write_holes_csv([], tmp_path / "holes.csv")
+        write_holes_csv(HoleFamily.from_holes([], 3), tmp_path / "holes.csv")
 
 
 @pytest.mark.parametrize("denominator", [6, 10, 12])
@@ -106,7 +212,9 @@ def test_pairs_match_all_pairs_scan():
     index = rng.integers(0, 4, size=(50, 3))
     index = np.concatenate([index, index[:10]])
     centers = seps.epsilon * index + rng.uniform(-0.06, 0.06, size=(60, 3))
-    holes = [Hole(tuple(c), 0.01, tuple(int(v) for v in i)) for c, i in zip(centers, index)]
+    holes = HoleFamily.from_holes(
+        [Hole(tuple(c), 0.01, tuple(int(v) for v in i)) for c, i in zip(centers, index)], 3
+    )
     limit = (2.0 * seps.R) ** 2
     expected = tuple(
         (i, j)

@@ -11,7 +11,7 @@ from perfhom.errors import (
     ResolutionError,
     SolverError,
 )
-from perfhom.holes import Hole, SeparationParams
+from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import QuadratureSpec, make_box, make_constant, make_plane
 from perfhom.solver import (
@@ -52,7 +52,7 @@ def test_poisson_manufactured_second_order():
     errors = {}
     for n in (15, 31):
         grid, u_exact, f = manufactured_fields(n)
-        u, stats = solve_perforated(f, [], grid, tol=1e-11)
+        u, stats = solve_perforated(f, HoleFamily.from_holes([], 3), grid, tol=1e-11)
         errors[n] = max_err(u, u_exact)
         assert stats.residual <= 1e-11
     ratio = errors[15] / errors[31]
@@ -74,7 +74,7 @@ def test_hole_covering_domain_gives_zero_solution():
     grid = Grid(3, 15)
     hole = Hole((0.5, 0.5, 0.5), 2.0, (0, 0, 0))
     f = np.ones(grid.shape)
-    u, stats = solve_perforated(f, [hole], grid)
+    u, stats = solve_perforated(f, HoleFamily.from_holes([hole], 3), grid)
     assert np.all(u == 0.0)
     assert stats.iterations == 0
 
@@ -82,16 +82,16 @@ def test_hole_covering_domain_gives_zero_solution():
 def test_zero_extension_and_comparison_principle():
     grid = Grid(3, 31)
     f = np.ones(grid.shape)
-    plain, _ = solve_perforated(f, [], grid, tol=1e-11)
+    plain, _ = solve_perforated(f, HoleFamily.from_holes([], 3), grid, tol=1e-11)
     hole = Hole((0.5, 0.5, 0.5), 0.15, (0, 0, 0))
-    pierced, _ = solve_perforated(f, [hole], grid, tol=1e-11)
-    mask = hole_mask(grid, [hole])
+    pierced, _ = solve_perforated(f, HoleFamily.from_holes([hole], 3), grid, tol=1e-11)
+    mask = hole_mask(grid, HoleFamily.from_holes([hole], 3))
     assert np.all(pierced[mask] == 0.0)
     assert np.all(pierced >= -1e-12)
     assert np.all(pierced <= plain + 1e-10)
     # adding another hole decreases the solution nodewise
     second = Hole((0.25, 0.25, 0.25), 0.1, (0, 0, 0))
-    more, _ = solve_perforated(f, [hole, second], grid, tol=1e-11)
+    more, _ = solve_perforated(f, HoleFamily.from_holes([hole, second], 3), grid, tol=1e-11)
     assert np.all(more <= pierced + 1e-10)
 
 
@@ -99,9 +99,9 @@ def test_under_resolved_hole_rejected_then_overridden():
     grid = Grid(3, 15)
     tiny = Hole((0.5, 0.5, 0.5), 0.01, (0, 0, 0))
     with pytest.raises(ResolutionError):
-        hole_mask(grid, [tiny])
+        hole_mask(grid, HoleFamily.from_holes([tiny], 3))
     with pytest.warns(RuntimeWarning):
-        mask = hole_mask(grid, [tiny], override_tiny=True)
+        mask = hole_mask(grid, HoleFamily.from_holes([tiny], 3), override_tiny=True)
     assert mask.sum() == 1
     assert mask[7, 7, 7]  # node at exactly 0.5
 
@@ -153,7 +153,7 @@ def test_limit_reduces_to_poisson_for_zero_measure():
     grid = Grid(3, 15)
     f = field_from_callable(grid, lambda x: 1.0 + x[:, 0])
     u_limit, _ = solve_limit(f, np.zeros(grid.shape), grid, tol=1e-10)
-    u_plain, _ = solve_perforated(f, [], grid, tol=1e-10)
+    u_plain, _ = solve_perforated(f, HoleFamily.from_holes([], 3), grid, tol=1e-10)
     np.testing.assert_array_equal(u_limit, u_plain)
 
 
@@ -162,13 +162,13 @@ def test_nonfinite_rhs_rejected_before_iterating():
     f = np.ones(grid.shape)
     f[3, 4, 5] = np.nan
     with pytest.raises(EvaluationError):
-        solve_perforated(f, [], grid, maxiter=5)
+        solve_perforated(f, HoleFamily.from_holes([], 3), grid, maxiter=5)
     f[3, 4, 5] = np.inf
     with pytest.raises(EvaluationError):
         solve_limit(f, np.zeros(grid.shape), grid, maxiter=5)
     # finite, but the norm overflows: no iterate could be trusted
     with pytest.raises(EvaluationError):
-        solve_perforated(np.full(grid.shape, 1e300), [], grid, maxiter=5)
+        solve_perforated(np.full(grid.shape, 1e300), HoleFamily.from_holes([], 3), grid, maxiter=5)
 
 
 def test_pcg_aborts_when_residual_turns_nonfinite():
@@ -235,13 +235,16 @@ def test_corrector_norm_decreases_with_epsilon():
 def test_corrector_rejects_bad_geometry():
     grid = Grid(3, 15)
     seps = SeparationParams(c1=1.0, epsilon=0.25)
-    overlapping = [
-        Hole((0.4, 0.5, 0.5), 0.05, (2, 2, 2)),
-        Hole((0.5, 0.5, 0.5), 0.05, (2, 2, 2)),
-    ]
+    overlapping = HoleFamily.from_holes(
+        [
+            Hole((0.4, 0.5, 0.5), 0.05, (2, 2, 2)),
+            Hole((0.5, 0.5, 0.5), 0.05, (2, 2, 2)),
+        ],
+        3,
+    )
     with pytest.raises(GeometryError):
         corrector_field(overlapping, seps, grid)
-    oversized = [Hole((0.5, 0.5, 0.5), 0.3, (2, 2, 2))]
+    oversized = HoleFamily.from_holes([Hole((0.5, 0.5, 0.5), 0.3, (2, 2, 2))], 3)
     with pytest.raises(GeometryError):
         corrector_field(oversized, seps, grid)
 
@@ -314,7 +317,7 @@ def test_four_dimensional_solves():
     grid = Grid(4, 9)
     u_exact = field_from_callable(grid, product_sine)
     f = 4.0 * math.pi**2 * u_exact
-    u, stats = solve_perforated(f, [], grid, tol=1e-11)
+    u, stats = solve_perforated(f, HoleFamily.from_holes([], 3), grid, tol=1e-11)
     assert stats.residual <= 1e-11
     assert max_err(u, u_exact) < 0.02
     m = 5.0
