@@ -2,12 +2,19 @@
 
 Every linear system in this package is symmetric positive definite (a
 masked or shifted discrete Laplacian), so a single CG loop written
-against an abstract operator callback covers all of them.  Grid layout,
-Dirichlet masking and measure shifts stay with the callers.
+against an abstract operator callback and an abstract preconditioner
+covers all of them.  Grid layout, Dirichlet masking, measure shifts and
+the choice of preconditioner (the exact sine-basis Poisson solve of
+:mod:`perfhom.stencil`, masked or shifted) stay with the callers.
+
+Inner products go through :func:`dot`, a single-threaded reduction in a
+fixed order, so iterates and reports do not depend on the number of BLAS
+threads.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,13 +24,20 @@ from .errors import EvaluationError, SolverError
 Array = np.ndarray
 
 
+def dot(a: Array, b: Array) -> float:
+    """Inner product ``sum a_i b_i`` of two real arrays, summed in a fixed
+    order on one thread (threaded ``np.vdot`` reorders the sum with the
+    BLAS thread count)."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
 def pcg(
     apply_op: Callable[[Array], Array],
     b: Array,
     *,
     tol: float = 1e-8,
     maxiter: Optional[int] = None,
-    inv_diag: Optional[Array] = None,
+    precond: Optional[Callable[[Array, Array], Array]] = None,
 ) -> tuple[Array, int, float]:
     """Solve ``A x = b`` for SPD ``A`` given as a callback.
 
@@ -31,13 +45,15 @@ def pcg(
     ----------
     apply_op : callable
         Computes ``A v`` for an array ``v`` of the same shape as ``b``.
-        Must not alias its input.
+        Must return a new array (the loop overwrites it).
     b : ndarray
         Right-hand side.  ``b = 0`` short-circuits to the zero solution.
     tol : float
         Relative residual target, ``||b - A x|| <= tol * ||b||``.
-    inv_diag : ndarray, optional
-        Inverse diagonal of ``A`` for Jacobi preconditioning.
+    precond : callable, optional
+        ``precond(r, out)`` writes ``M^-1 r`` into ``out`` and returns it,
+        for a symmetric positive definite ``M`` approximating ``A``.
+        Without it the loop is plain CG.
 
     Returns
     -------
@@ -52,7 +68,7 @@ def pcg(
         before the tolerance is met.
     """
     b = np.asarray(b, dtype=float)
-    norm_b = float(np.sqrt(np.vdot(b, b).real))
+    norm_b = math.sqrt(dot(b, b))
     if not np.isfinite(norm_b):
         raise EvaluationError("right-hand side is not finite or its norm overflows")
     if norm_b == 0.0:
@@ -61,30 +77,34 @@ def pcg(
         maxiter = max(2000, 60 * max(b.shape))
     x = np.zeros_like(b)
     r = b.copy()
-    z = r * inv_diag if inv_diag is not None else r
+    z = precond(r, np.empty_like(b)) if precond is not None else r
     p = z.copy()
-    rz = float(np.vdot(r, z).real)
-    res = float(np.sqrt(np.vdot(r, r).real))
+    rz = dot(r, z)
+    res = math.sqrt(dot(r, r))
     for iteration in range(maxiter):
         if res <= tol * norm_b:
             return x, iteration, res / norm_b
         if not np.isfinite(res):
             raise SolverError(f"residual turned non-finite after {iteration} iterations")
         ap = apply_op(p)
-        pap = float(np.vdot(p, ap).real)
+        pap = dot(p, ap)
         if pap <= 0.0:
             raise SolverError(
                 f"operator lost positive definiteness (p^T A p = {pap:.3e})"
             )
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        z = r * inv_diag if inv_diag is not None else r
-        rz_new = float(np.vdot(r, z).real)
+        ap *= alpha
+        r -= ap
+        x += np.multiply(p, alpha, out=ap)
+        del ap  # release it before the preconditioner takes its scratch array
+        if precond is not None:
+            z = precond(r, z)
+        rz_new = dot(r, z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
-        res = float(np.sqrt(np.vdot(r, r).real))
+        p *= beta
+        p += z
+        res = math.sqrt(dot(r, r))
     if res <= tol * norm_b:
         return x, maxiter, res / norm_b
     raise SolverError(

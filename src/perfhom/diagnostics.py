@@ -6,7 +6,9 @@ meeting the domain.  The negative-norm machinery realises the discrete
 ``H^-1`` norm through the same grid Laplacian the solvers use, so both
 sides of every comparison carry the same discretisation bias:
 
-    ||nu||_{H^-1} = sqrt(<nu, phi> h^d)   with   -Delta_h phi = nu.
+    ||nu||_{H^-1} = sqrt(<nu, phi> h^d)   with   -Delta_h phi = nu,
+
+where ``phi`` comes from the exact sine-basis solve, not an iteration.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .capacity import capacity_ball
-from .cg import pcg
+from .cg import dot
+from .cg import pcg  # noqa: F401  (perfbench/tracing.py wraps diagnostics.pcg)
 from .errors import InvalidParameterError
 from .holes import HoleFamily, SeparationParams
 from .solver import Grid, field_from_callable, multilinear_sample
 from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
-from .stencil import neg_laplacian
+from .stencil import dirichlet_solve
+from .stencil import neg_laplacian  # noqa: F401  (perfbench/tracing.py wraps diagnostics.neg_laplacian)
 from .tiling import Cell, TilingSpec, cell_axis_indices
 
 Array = np.ndarray
@@ -98,12 +102,13 @@ def assumption_quantities(
     )
 
 
-def hminus1_norm(nu: Array, grid: Grid, tol: float = 1e-10) -> float:
+def hminus1_norm(nu: Array, grid: Grid) -> float:
     """Discrete ``H^-1`` norm of a nodal density via one Poisson solve.
 
-    Solves ``-Delta_h phi = nu`` with zero boundary values and returns
-    ``sqrt(<nu, phi> h^d)``.  Homogeneous of degree one and zero exactly
-    for ``nu = 0``.
+    Solves ``-Delta_h phi = nu`` with zero boundary values exactly in the
+    sine basis and returns ``sqrt(<nu, phi> h^d)``.  Homogeneous of
+    degree one (exactly, for powers of two) and zero exactly for
+    ``nu = 0``.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.shape != grid.shape:
@@ -111,8 +116,8 @@ def hminus1_norm(nu: Array, grid: Grid, tol: float = 1e-10) -> float:
     if not np.all(np.isfinite(nu)):
         raise InvalidParameterError("density must be finite at all nodes")
     h = grid.h
-    phi, _, _ = pcg(lambda v: neg_laplacian(v, h), nu, tol=tol)
-    pairing = float(np.vdot(nu, phi).real) * h**grid.dim
+    phi = dirichlet_solve(nu, h)
+    pairing = dot(nu, phi) * h**grid.dim
     return math.sqrt(max(pairing, 0.0))
 
 
@@ -144,7 +149,6 @@ def ldc_deviation(
     lumped: Array,
     spec: TilingSpec,
     grid: Grid,
-    tol: float = 1e-10,
 ) -> float:
     """``H^-1`` distance between the capacity density and the lumped target.
 
@@ -153,7 +157,7 @@ def ldc_deviation(
     construction this isolates the cell-averaging error of the target.
     """
     field = capacity_density_field(holes, spec, grid)
-    return hminus1_norm(field - lumped, grid, tol=tol)
+    return hminus1_norm(field - lumped, grid)
 
 
 def _check_test_function(g: Callable[[Array], Array], grid: Grid) -> None:
@@ -198,7 +202,7 @@ def dprime_pairing(
     if isinstance(nu, np.ndarray):
         if nu.shape != grid.shape:
             raise InvalidParameterError("field shape does not match grid")
-        return float(np.vdot(nu, g_field).real) * grid.h**grid.dim
+        return dot(nu, g_field) * grid.h**grid.dim
     holes = nu.nonempty
     values = g(holes.centers) if callable(g) else multilinear_sample(grid, g_field, holes.centers)
-    return float(np.dot(capacity_ball(grid.dim, holes.radii).value, values))
+    return dot(capacity_ball(grid.dim, holes.radii).value, values)

@@ -8,8 +8,11 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
   lumped onto node dual cells.
 
 Both systems are symmetric positive definite and solved matrix-free by
-conjugate gradients, Jacobi-preconditioned where the measure makes the
-diagonal vary.  The module also evaluates the oscillating corrector
+conjugate gradients, preconditioned by the exact sine-basis Poisson
+solve (:func:`~perfhom.stencil.dirichlet_solve`): masked to the free
+nodes for the perforated problem, shifted by the smallest measure
+weight for the limit problem (exact, one iteration, for a constant
+measure).  The module also evaluates the oscillating corrector
 built from ball equilibrium potentials, the discrete pairings used as
 weak-convergence witnesses, and the flat binary field export.
 """
@@ -25,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cg import pcg
+from .cg import dot, pcg
 from .capacity import BALL_MASK_INFLATION, ball_potential_radial
 from .errors import GeometryError, InvalidParameterError, ResolutionError
 from .holes import HoleFamily, SeparationParams, disjointness_check
@@ -40,7 +43,7 @@ from .potential import (
     box_quadrature,
     footprint_samples,
 )
-from .stencil import neg_laplacian
+from .stencil import dirichlet_solve, neg_laplacian
 from .tiling import Box, unit_box
 
 Array = np.ndarray
@@ -112,7 +115,7 @@ def field_from_callable(grid: Grid, fn: Callable[[Array], Array]) -> Array:
 
 def l2_norm(u: Array, grid: Grid) -> float:
     """Discrete L2 norm ``sqrt(sum u^2 h^d)``."""
-    return float(math.sqrt(float(np.vdot(u, u).real) * grid.h**grid.dim))
+    return math.sqrt(dot(u, u) * grid.h**grid.dim)
 
 
 def l2_distance(u1: Array, u2: Array, grid: Grid) -> float:
@@ -151,7 +154,8 @@ def hole_mask(grid: Grid, holes: HoleFamily, *, override_tiny: bool = False) -> 
     Nonempty holes must satisfy ``radius >= 2h``; with ``override_tiny``
     an under-resolved hole is mapped to its nearest node instead (a node
     constraint has its own O(h) effective capacity, so this is opt-in
-    and warns).
+    and warns).  A tiny hole whose nearest node lies on or beyond the
+    boundary constrains nothing the zero trace does not, and is dropped.
     """
     mask = np.zeros(grid.shape, dtype=bool)
     h = grid.h
@@ -162,8 +166,9 @@ def hole_mask(grid: Grid, holes: HoleFamily, *, override_tiny: bool = False) -> 
             f"hole radius {holes.radii[tiny][0]:.6g} < 2h = {2 * h:.6g}; "
             "refine the grid or enable the tiny-hole override"
         )
-    nearest = np.clip(np.round(holes.centers[tiny] / h) - 1, 0, grid.n - 1).astype(np.int64)
-    mask[tuple(nearest.T)] = True
+    nearest = np.round(holes.centers[tiny] / h) - 1
+    inside = np.all((nearest >= 0) & (nearest < grid.n), axis=1)
+    mask[tuple(nearest[inside].astype(np.int64).T)] = True
     for center, radius in zip(holes.centers[~tiny].tolist(), holes.radii[~tiny].tolist()):
         masked_radius = radius + BALL_MASK_INFLATION * h
         slices = _node_box(grid, center, masked_radius)
@@ -174,7 +179,8 @@ def hole_mask(grid: Grid, holes: HoleFamily, *, override_tiny: bool = False) -> 
     if tiny.any():
         warnings.warn(
             f"{int(tiny.sum())} hole(s) below the 2h resolution limit were collapsed to "
-            "single-node constraints; their effective capacity is O(h)",
+            f"single-node constraints ({int((~inside).sum())} with no interior nearest "
+            "node dropped); their effective capacity is O(h)",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -208,9 +214,14 @@ def solve_perforated(
         w[mask] = 0.0
         return w
 
+    def precond(r, out):
+        dirichlet_solve(r, h, out=out)
+        out[mask] = 0.0
+        return out
+
     b = f.copy()
     b[mask] = 0.0
-    u, iterations, residual = pcg(apply_op, b, tol=tol, maxiter=maxiter)
+    u, iterations, residual = pcg(apply_op, b, tol=tol, maxiter=maxiter, precond=precond)
     u[mask] = 0.0
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
@@ -307,9 +318,9 @@ def solve_limit(
     if np.any(weights < 0.0):
         raise InvalidParameterError("lumped measure must be nonnegative")
     h = grid.h
-    # a zero measure leaves a constant diagonal, and a constant scaling
-    # changes no CG iterate: skip Jacobi, as in the perforated solve
-    inv_diag = 1.0 / (2.0 * grid.dim / h**2 + weights) if weights.any() else None
+    # the constant part of the measure goes into the exact solve, so a
+    # constant measure converges in one iteration
+    shift = float(weights.min())
     start = time.perf_counter()
 
     def apply_op(v):
@@ -317,7 +328,10 @@ def solve_limit(
         w += weights * v
         return w
 
-    u, iterations, residual = pcg(apply_op, f, tol=tol, inv_diag=inv_diag, maxiter=maxiter)
+    def precond(r, out):
+        return dirichlet_solve(r, h, shift, out=out)
+
+    u, iterations, residual = pcg(apply_op, f, tol=tol, maxiter=maxiter, precond=precond)
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
 
@@ -391,7 +405,7 @@ def weak_witness(u1: Array, u2: Array, g: Array, grid: Grid) -> float:
         pw[ax] = (1, 1)
         de = np.diff(np.pad(e, pw), axis=ax)
         dg = np.diff(np.pad(g, pw), axis=ax)
-        total += float(np.vdot(de, dg).real)
+        total += dot(de, dg)
     return total * h ** (grid.dim - 2)
 
 

@@ -223,11 +223,9 @@ def test_criterion_09_hminus1_machinery():
     grid = Grid(3, 63)
     nu = field_from_callable(grid, sine_mode((1, 1, 1)))
     exact = math.sqrt(1.0 / 8.0) / (math.sqrt(3.0) * math.pi)
-    value = hminus1_norm(nu, grid, tol=1e-12)
+    value = hminus1_norm(nu, grid)
     eigen_err = abs(value - exact) / exact
-    linear = hminus1_norm(2.0 * nu, grid, tol=1e-12) == 2.0 * hminus1_norm(
-        nu, grid, tol=1e-12
-    )
+    linear = hminus1_norm(2.0 * nu, grid) == 2.0 * hminus1_norm(nu, grid)
     mu = make_plane(3, 0.5, 1.0)
     deviations = []
     for eps in (0.25, 0.125, 0.0625):

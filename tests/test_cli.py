@@ -1,8 +1,14 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perfhom
 from perfhom.cli import main
 from perfhom.solver import read_field
 
@@ -220,3 +226,40 @@ f = constant(1)
     code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "o"))
     assert code == 2
     assert "solve_perforated" in err
+
+
+THREADS_CFG = """
+[study]
+dim = 3
+epsilons = 1/4 1/8
+grids = 31 31
+potential = plane(0.5, 20)
+f = constant(1)
+tol = 1e-9
+allow_oversized_holes = true
+witness_modes = (1,1,1) (3,1,1)
+"""
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    # threaded BLAS reductions sum in an order that depends on the thread
+    # count; every reduction behind the report must not
+    cfg = write(tmp_path / "threads.cfg", THREADS_CFG)
+    src = str(Path(perfhom.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "perfhom.cli", "study", cfg, "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        with open(out / "study.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "solver_seconds"
+        reports.append([row[:-1] for row in rows])
+    assert reports[0] == reports[1]

@@ -112,7 +112,8 @@ def test_family_matches_per_hole_references(seed, m, n):
         assert abs(got - math.fsum(terms)) <= ulps * math.fsum(map(abs, terms))
 
     # mask: nodes within the inflated radius of a resolved ball, and the
-    # nearest node of each ball below 2h
+    # nearest node of each ball below 2h, unless that node is a boundary
+    # node or lies beyond one
     xs = grid.axis()
     nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
     reference = np.zeros(grid.shape, dtype=bool)
@@ -120,7 +121,9 @@ def test_family_matches_per_hole_references(seed, m, n):
         if hole.is_empty:
             continue
         if hole.radius < 2.0 * h:
-            reference[tuple(min(max(round(c / h) - 1, 0), n - 1) for c in hole.center)] = True
+            node = tuple(round(c / h) - 1 for c in hole.center)
+            if all(0 <= k < n for k in node):
+                reference[node] = True
             continue
         masked = hole.radius + BALL_MASK_INFLATION * h
         reference |= ((nodes - np.array(hole.center)) ** 2).sum(axis=-1) <= masked**2
@@ -184,6 +187,35 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert reread.cell_index == orig.cell_index
         assert reread.center == orig.center
         assert reread.radius == orig.radius
+
+
+@st.composite
+def hole_families(draw):
+    d = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    centers = draw(st.lists(finite, min_size=count * d, max_size=count * d))
+    radii = draw(st.lists(st.floats(0.0, 1e300), min_size=count, max_size=count))
+    # the CSV keeps indices exact up to 2**53
+    index = draw(st.lists(st.integers(-(2**53), 2**53), min_size=count * d, max_size=count * d))
+    return HoleFamily(
+        np.reshape(centers, (count, d)),
+        np.array(radii),
+        np.reshape(np.array(index, dtype=np.int64), (count, d)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(hole_families())
+def test_csv_round_trip_property(tmp_path_factory, family):
+    path = tmp_path_factory.mktemp("csv") / "holes.csv"
+    write_holes_csv(family, path)
+    back = read_holes_csv(path)
+    for name in ("centers", "radii", "index"):
+        got, want = getattr(back, name), getattr(family, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # bit for bit, so a signed zero must come back signed
+        assert got.tobytes() == want.tobytes()
 
 
 def test_csv_rejects_empty_list(tmp_path):

@@ -106,6 +106,19 @@ def test_under_resolved_hole_rejected_then_overridden():
     assert mask[7, 7, 7]  # node at exactly 0.5
 
 
+def test_tiny_hole_outside_the_cube_clamps_no_node():
+    # the nearest node of a tiny ball at or beyond the face x = 1 is a
+    # boundary node, where the zero trace already holds: no interior node
+    # may be clamped for it
+    grid = Grid(3, 15)
+    inside = Hole((0.5, 0.5, 0.5), 0.01, (0, 0, 0))
+    for center in ((1.5, 0.5, 0.5), (1.0, 0.5, 0.5)):
+        family = HoleFamily.from_holes([Hole(center, 0.01, (0, 0, 0)), inside], 3)
+        with pytest.warns(RuntimeWarning):
+            mask = hole_mask(grid, family, override_tiny=True)
+        assert mask.sum() == 1 and mask[7, 7, 7]
+
+
 def test_lump_constant_density_is_exact():
     grid = Grid(3, 15)
     w = lump_measure(make_constant(3, 2.5), grid)
