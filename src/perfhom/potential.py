@@ -26,7 +26,12 @@ from .tiling import Box, Cell, TilingSpec, cell_axis_indices, cells_intersecting
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature resolution: Gauss points per axis for densities and
-    footprint subdivisions per axis for surface measures."""
+    footprint subdivisions per axis for surface measures.
+
+    ``volume_order`` governs cell masses, hence construction, where exact
+    capacity matching needs them accurate; grid lumping
+    (:func:`perfhom.solver.lump_measure`) caps it at 2.
+    """
 
     volume_order: int = 4
     surface_refine: int = 16
@@ -108,38 +113,34 @@ def box_quadrature(f, centers: np.ndarray, half: float, order: int) -> np.ndarra
     return acc
 
 
-def footprint_samples(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float):
-    """Midpoint samples of a graph measure over the tensor footprint ``axes``.
+def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axis_index, shape):
+    """Midpoint samples of a graph measure summed into a ``shape`` array.
 
-    Returns the footprint points ``(M, d-1)``, their lifted heights and the
-    sample masses ``weight * sqrt(1 + |grad s|^2) * area``.
-    """
-    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    heights = eval_checked(mu.height, points)
-    grads = np.asarray(mu.grad(points), dtype=float)
-    if grads.ndim == 1:
-        grads = grads[:, None]
-    element = np.sqrt(1.0 + (grads * grads).sum(axis=1))
-    weight = eval_checked(mu.weight, points) if callable(mu.weight) else float(mu.weight)
-    if np.any(weight < 0.0):
-        raise InvalidParameterError("surface weight must be nonnegative")
-    return points, heights, weight * element * area
-
-
-def bin_samples(points, heights, masses, axis_index, shape) -> np.ndarray:
-    """Sum sample masses into the bins of a ``shape`` array.
-
+    The footprint is the tensor product of the ravelled ``axes``; each
+    sample has mass ``weight * sqrt(1 + |grad s|^2) * area``.  It is
+    sampled one strip (one row of ``axes[0]``) at a time, so no array
+    spans the whole footprint, and every bin adds its samples in
+    footprint order, as one pass over the whole footprint would.
     ``axis_index(k, coords)`` maps coordinates along axis ``k`` (the last
-    axis takes the heights) to bin positions; samples with a position
-    outside ``[0, shape[k])`` on any axis are dropped.
+    axis takes the lifted heights) to bin positions; samples with a
+    position outside ``[0, shape[k])`` on any axis are dropped.
     """
-    idx = [axis_index(k, points[:, k]) for k in range(points.shape[1])]
-    idx.append(axis_index(len(idx), heights))
-    keep = np.ones(heights.shape[0], dtype=bool)
-    for k, component in enumerate(idx):
-        keep &= (component >= 0) & (component < shape[k])
-    lin = np.ravel_multi_index(tuple(c[keep] for c in idx), shape)
-    return np.bincount(lin, weights=masses[keep], minlength=math.prod(shape)).reshape(shape)
+    dense = np.zeros(shape)
+    rest = [a.ravel() for a in axes[1:]]
+    for strip in axes[0]:
+        points = np.stack([g.ravel() for g in np.meshgrid(strip, *rest, indexing="ij")], axis=-1)
+        heights = eval_checked(mu.height, points)
+        grads = np.asarray(mu.grad(points), dtype=float).reshape(len(points), -1)
+        element = np.sqrt(1.0 + (grads * grads).sum(axis=1))
+        weight = eval_checked(mu.weight, points) if callable(mu.weight) else float(mu.weight)
+        if np.any(weight < 0.0):
+            raise InvalidParameterError("surface weight must be nonnegative")
+        idx = [axis_index(k, points[:, k]) for k in range(points.shape[1])]
+        idx.append(axis_index(len(idx), heights))
+        keep = np.logical_and.reduce([(c >= 0) & (c < size) for c, size in zip(idx, shape)])
+        lin = np.ravel_multi_index(tuple(c[keep] for c in idx), shape)
+        np.add.at(dense.reshape(-1), lin, (weight * element * area)[keep])
+    return dense
 
 
 def cell_masses(
@@ -172,13 +173,9 @@ def cell_masses(
             high = eps * (column + 1)
             axes.append(low[:, None] + (high - low)[:, None] * t / refine)
         area = (2.0 * eps / refine) ** (spec.dim - 1)
-        dense = np.zeros(shape)
-        # one strip of columns at a time keeps the sample arrays small
-        for strip in axes[0]:
-            samples = footprint_samples(mu, [strip] + [a.ravel() for a in axes[1:]], area)
-            dense += bin_samples(
-                *samples, lambda k, coords: (cell_axis_indices(spec, coords) - lo[k]) // 2, shape
-            )
+        dense = bin_footprint(
+            mu, axes, area, lambda k, coords: (cell_axis_indices(spec, coords) - lo[k]) // 2, shape
+        )
         return dense[tuple(((index - lo) // 2).T)]
     raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
 

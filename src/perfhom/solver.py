@@ -5,7 +5,9 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
 * the perforated Poisson problem, where nodes inside any closed hole
   ball are clamped to zero (the zero extension of the solution), and
 * the limit problem ``(-Delta + mu) u = f`` with the measure ``mu``
-  lumped onto node dual cells.
+  lumped onto node dual cells.  ``QuadratureSpec.volume_order`` governs
+  the construction's cell masses; lumping caps it at 2, whose O(h^4)
+  dual-cell error is below the O(h^2) error of the grid.
 
 Both systems are symmetric positive definite and solved matrix-free by
 conjugate gradients, preconditioned by the exact sine-basis Poisson
@@ -39,9 +41,8 @@ from .potential import (
     QuadratureSpec,
     SumPotential,
     SurfaceGraph,
-    bin_samples,
+    bin_footprint,
     box_quadrature,
-    footprint_samples,
 )
 from .stencil import dirichlet_solve, neg_laplacian
 from .tiling import Box, unit_box
@@ -97,19 +98,28 @@ class SolveStats:
     seconds: float
 
 
+_CHUNK_POINTS = 1 << 14  # keeps the scratch of callers O(n^(d-1)), a few MB
+
+
+def _node_chunks(grid: Grid):
+    """Yield ``(node_slice, points)`` over all interior nodes in index order,
+    whole axis-0 slabs of about ``_CHUNK_POINTS`` points (at least one) each."""
+    xs = grid.axis()
+    tail = [xs] * (grid.dim - 1)
+    slab = grid.n ** (grid.dim - 1)
+    rows = max(1, _CHUNK_POINTS // slab)
+    for start in range(0, grid.n, rows):
+        mesh = np.meshgrid(xs[start : start + rows], *tail, indexing="ij", copy=False)
+        pts = np.stack(mesh, axis=-1).reshape(-1, grid.dim)
+        yield slice(start * slab, start * slab + len(pts)), pts
+
+
 def field_from_callable(grid: Grid, fn: Callable[[Array], Array]) -> Array:
     """Evaluate a vectorised callable on all interior nodes, slab by slab."""
-    xs = grid.axis()
     out = np.empty(grid.shape)
-    if grid.dim == 1:
-        return np.asarray(fn(xs[:, None]), dtype=float)
-    tail = np.meshgrid(*([xs] * (grid.dim - 1)), indexing="ij")
-    tail_pts = np.stack([g.ravel() for g in tail], axis=-1)
-    slab = np.empty((tail_pts.shape[0], grid.dim))
-    slab[:, 1:] = tail_pts
-    for i, x0 in enumerate(xs):
-        slab[:, 0] = x0
-        out[i] = np.asarray(fn(slab), dtype=float).reshape(out[i].shape)
+    flat = out.reshape(-1)
+    for nodes, pts in _node_chunks(grid):
+        flat[nodes] = np.asarray(fn(pts), dtype=float).reshape(len(pts))
     return out
 
 
@@ -241,24 +251,6 @@ def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
     return idx
 
 
-def _node_chunks(grid: Grid, max_points: int = 1 << 22):
-    """Yield ``(row_slice, points)`` chunks covering all interior nodes."""
-    xs = grid.axis()
-    if grid.dim == 1:
-        yield slice(0, grid.n), xs[:, None]
-        return
-    tail = np.meshgrid(*([xs] * (grid.dim - 1)), indexing="ij")
-    tail_pts = np.stack([g.ravel() for g in tail], axis=-1)
-    rows_per_chunk = max(1, max_points // tail_pts.shape[0])
-    for start in range(0, grid.n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, grid.n)
-        rows = stop - start
-        pts = np.empty((rows * tail_pts.shape[0], grid.dim))
-        pts[:, 0] = np.repeat(xs[start:stop], tail_pts.shape[0])
-        pts[:, 1:] = np.tile(tail_pts, (rows, 1))
-        yield slice(start, stop), pts
-
-
 def lump_measure(
     mu: Potential, grid: Grid, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> Array:
@@ -266,10 +258,13 @@ def lump_measure(
 
     ``V_j`` is the half-open h-cube centered at node ``j`` (consistent
     with the tiling convention).  Densities use tensor Gauss quadrature
-    over each dual cell (order 1 is the midpoint rule), so a constant
-    density lumps to itself at every node.  Surface measures deposit
-    footprint samples of the weighted area element into the dual cell
-    holding the lifted point; samples in the half-spacing skin along the
+    over each dual cell of order ``min(quad.volume_order, 2)``: the
+    2-point rule has an O(h^4) dual-cell error, below the O(h^2) error
+    of the grid, and lumps a constant density to itself at every node
+    (construction keeps the full ``volume_order`` for its cell masses).
+    Surface measures deposit footprint samples of the weighted area
+    element into the dual cell holding the lifted point, one grid row of
+    samples at a time; samples in the half-spacing skin along the
     boundary go to the outermost interior node, so the lumped total
     captures the full surface mass inside the domain.
     """
@@ -280,20 +275,20 @@ def lump_measure(
         return out
     h = grid.h
     if isinstance(mu, Density):
-        out = np.zeros(grid.shape)
-        flat = out.reshape(grid.n, -1)
-        for rows, pts in _node_chunks(grid):
-            acc = box_quadrature(mu.f, pts, 0.5 * h, quad.volume_order)
-            flat[rows] = acc.reshape(rows.stop - rows.start, -1)
-        return out / h**grid.dim
-    if isinstance(mu, SurfaceGraph):
+        order = min(quad.volume_order, 2)
+        out = field_from_callable(grid, lambda pts: box_quadrature(mu.f, pts, 0.5 * h, order))
+    elif isinstance(mu, SurfaceGraph):
         m = (grid.n + 1) * quad.surface_refine
         step = 1.0 / m
-        axis = (np.arange(m) + 0.5) * step
-        samples = footprint_samples(mu, [axis] * (grid.dim - 1), step ** (grid.dim - 1))
-        dense = bin_samples(*samples, lambda k, coords: _dual_cell_indices(grid, coords), grid.shape)
-        return dense / h**grid.dim
-    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
+        rows = ((np.arange(m) + 0.5) * step).reshape(grid.n + 1, quad.surface_refine)
+        out = bin_footprint(
+            mu, [rows] * (grid.dim - 1), step ** (grid.dim - 1),
+            lambda k, coords: _dual_cell_indices(grid, coords), grid.shape,
+        )
+    else:
+        raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
+    out /= h**grid.dim
+    return out
 
 
 def solve_limit(
@@ -391,22 +386,14 @@ def corrector_field(
 def weak_witness(u1: Array, u2: Array, g: Array, grid: Grid) -> float:
     """Discrete ``H_0^1`` pairing of ``u1 - u2`` against ``g``.
 
-    Forward differences on the zero-extended fields, so boundary jumps
-    are included and the pairing is symmetric in discretisation bias.
+    The sum of forward-difference products on the zero-extended fields,
+    boundary jumps included, so the pairing is symmetric in
+    discretisation bias.  By summation by parts it equals
+    ``<u1 - u2, -Delta_h g> h^d``: one stencil apply and one dot.
     """
     if u1.shape != grid.shape or u2.shape != grid.shape or g.shape != grid.shape:
         raise InvalidParameterError("field shapes do not match grid")
-    e = u1 - u2
-    h = grid.h
-    total = 0.0
-    pad_width = [(0, 0)] * grid.dim
-    for ax in range(grid.dim):
-        pw = list(pad_width)
-        pw[ax] = (1, 1)
-        de = np.diff(np.pad(e, pw), axis=ax)
-        dg = np.diff(np.pad(g, pw), axis=ax)
-        total += dot(de, dg)
-    return total * h ** (grid.dim - 2)
+    return dot(u1 - u2, neg_laplacian(g, grid.h)) * grid.h**grid.dim
 
 
 def restrict(u_fine: Array, fine: Grid, coarse: Grid) -> Array:

@@ -1,7 +1,11 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perfhom.errors import ConfigError, InvalidParameterError, StudyError
 from perfhom.harness import (
@@ -11,9 +15,11 @@ from perfhom.harness import (
     run_study,
     run_trends,
     sine_mode,
+    sine_mode_field,
     trend_check,
 )
 from perfhom.potential import parse_potential
+from perfhom.solver import Grid, field_from_callable
 
 
 def write_config(path, body):
@@ -222,3 +228,33 @@ def test_sine_mode_vectorisation():
     g = sine_mode((1, 2, 1))
     pts = np.array([[0.5, 0.25, 0.5], [0.5, 0.5, 0.5]])
     np.testing.assert_allclose(g(pts), [1.0, np.sin(np.pi)], atol=1e-12)
+
+
+@st.composite
+def grids_and_modes(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, {1: 300, 2: 60, 3: 24, 4: 10}[d]))
+    return d, n, tuple(draw(st.lists(st.integers(1, 9), min_size=d, max_size=d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids_and_modes())
+@example((3, 63, (1, 1, 1))).via("the default witness modes at the README study size")
+@example((3, 63, (3, 1, 1))).via("the default witness modes at the README study size")
+@example((3, 63, (1, 3, 3))).via("the default witness modes at the README study size")
+def test_sine_mode_field_is_bit_equal_to_pointwise_evaluation(case):
+    d, n, mode = case
+    grid = Grid(d, n)
+    field = sine_mode_field(grid, mode)
+    assert field.shape == grid.shape
+    assert field.tobytes() == field_from_callable(grid, sine_mode(mode)).tobytes()
+
+
+def test_summary_records_numpy_version_and_cpu_count(tmp_path):
+    report = run_study(zero_study_config(out_dir=tmp_path / "out"))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["metadata"]["numpy_version"] == np.__version__
+    assert summary["metadata"]["cpu_count"] == os.cpu_count()
+    header = (tmp_path / "out" / "study.csv").read_text().splitlines()[0]
+    assert header.split(",") == report.columns()
+    assert "numpy_version" not in header and "cpu_count" not in header

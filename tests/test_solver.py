@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perfhom.cg import pcg
 from perfhom.errors import (
@@ -13,7 +16,16 @@ from perfhom.errors import (
 )
 from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
-from perfhom.potential import QuadratureSpec, make_box, make_constant, make_plane
+from perfhom.potential import (
+    QuadratureSpec,
+    box_quadrature,
+    make_box,
+    make_constant,
+    make_graph,
+    make_plane,
+    make_sine_density,
+    parse_potential,
+)
 from perfhom.solver import (
     Grid,
     corrector_field,
@@ -31,6 +43,8 @@ from perfhom.solver import (
     write_field,
 )
 from perfhom.tiling import TilingSpec, unit_box
+
+EPS64 = np.finfo(float).eps
 
 
 def product_sine(x):
@@ -125,6 +139,11 @@ def test_lump_constant_density_is_exact():
     np.testing.assert_allclose(w, 2.5, rtol=1e-13)
     w1 = lump_measure(make_constant(3, 2.5), grid, QuadratureSpec(volume_order=1))
     np.testing.assert_allclose(w1, 2.5, rtol=1e-15)
+    # on a dyadic grid every lumping rule reproduces the constant bit for bit
+    for n in (15, 63):
+        for order in (1, 2, 4):
+            w = lump_measure(make_constant(3, 40.0), Grid(3, n), QuadratureSpec(volume_order=order))
+            assert np.all(w == 40.0)
 
 
 def test_lump_plane_concentrates_on_node_layer():
@@ -145,21 +164,81 @@ def test_lump_plane_concentrates_on_node_layer():
     assert total == pytest.approx(weight, rel=1e-12)
 
 
-def test_lump_curved_graph_total_matches_direct_quadrature():
-    from perfhom.potential import make_graph
+def one_pass_graph_lump(graph, grid, refine):
+    """Dual-cell masses of a graph measure from one pass over all of its
+    footprint samples: the same midpoints and half-open dual cells as
+    ``lump_measure``, binned at once."""
+    m = (grid.n + 1) * refine
+    axis = (np.arange(m) + 0.5) * (1.0 / m)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    z = graph.height(pts)
+    mass = graph.weight * np.sqrt(1.0 + (graph.grad(pts) ** 2).sum(axis=1)) / m**2
 
-    graph = make_graph(3, 0.5, 0.05, 1.0, 2.0)  # surface stays inside the cube
-    grid = Grid(3, 31)
-    lumped_total = float(lump_measure(graph, grid).sum()) * grid.h**3
+    def dual_cell(c):
+        return np.clip(np.ceil(c / grid.h - 0.5), 1, grid.n).astype(int) - 1
+
+    inside = (z > 0.0) & (z < 1.0)
+    lin = np.ravel_multi_index(
+        (dual_cell(gx.ravel()[inside]), dual_cell(gy.ravel()[inside]), dual_cell(z[inside])),
+        grid.shape,
+    )
+    return np.bincount(lin, weights=mass[inside], minlength=grid.size).reshape(grid.shape)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    z0=st.floats(0.3, 0.7),
+    amplitude=st.floats(-0.2, 0.2),
+    frequency=st.sampled_from([1.0, 2.0]),
+    weight=st.floats(0.5, 50.0),
+    n=st.integers(3, 40),
+)
+@example(z0=0.5, amplitude=0.05, frequency=1.0, weight=2.0, n=31)
+def test_lump_curved_graph_total_matches_direct_quadrature(z0, amplitude, frequency, weight, n):
+    graph = make_graph(3, z0, amplitude, frequency, weight)  # surface stays inside the cube
+    grid = Grid(3, n)
+    lumped = lump_measure(graph, grid) * grid.h**3
     # independent oracle: midpoint quadrature of the weighted area element
     m = 1024
     axis = (np.arange(m) + 0.5) / m
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    grads = graph.grad(pts)
-    element = np.sqrt(1.0 + (grads**2).sum(axis=1))
-    reference = 2.0 * float(element.sum()) / m**2
-    assert lumped_total == pytest.approx(reference, rel=1e-4)
+    grads = graph.grad(np.stack([gx.ravel(), gy.ravel()], axis=-1))
+    reference = weight * float(np.sqrt(1.0 + (grads**2).sum(axis=1)).sum()) / m**2
+    assert float(lumped.sum()) == pytest.approx(reference, rel=1e-4)
+    # lumping strip by strip bins every sample as one pass over the whole
+    # footprint does
+    one_pass = one_pass_graph_lump(graph, grid, QuadratureSpec().surface_refine)
+    assert np.abs(lumped - one_pass).max() <= 4096 * EPS64 * one_pass.sum()
+
+
+@pytest.mark.parametrize("n", [15, 31])
+def test_lump_density_order_two_is_within_h4_of_order_four(n):
+    # the 2-point rule lumping uses against the 4-point rule of construction
+    grid = Grid(3, n)
+    mu = make_sine_density(3, 2.0)
+    h = grid.h
+    w2 = lump_measure(mu, grid)
+    np.testing.assert_array_equal(w2, lump_measure(mu, grid, QuadratureSpec(volume_order=2)))
+    pts = np.stack(np.meshgrid(*([grid.axis()] * 3), indexing="ij"), axis=-1).reshape(-1, 3)
+    w4 = box_quadrature(mu.f, pts, 0.5 * h, 4).reshape(grid.shape) / h**3
+    deviation = float(np.abs(w2 - w4).max())
+    assert 0.0 < deviation <= h**4 * float(np.abs(w4).max())
+
+
+@pytest.mark.parametrize("spec", ["plane(0.5, 20)", "constant(40)"])
+def test_lump_measure_peak_memory_is_a_few_grid_arrays(spec):
+    # the output plus scratch of O(n^2): no array spans every node or
+    # every footprint sample at once
+    grid = Grid(3, 47)
+    mu = parse_potential(spec, 3)
+    tracemalloc.start()
+    try:
+        lump_measure(mu, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * grid.size
 
 
 def test_limit_reduces_to_poisson_for_zero_measure():
@@ -275,6 +354,32 @@ def test_weak_witness_identities():
     a = weak_witness(u1, u2, g, grid)
     b = weak_witness(u1, u2, 2.0 * g, grid)
     assert b == pytest.approx(2.0 * a, rel=1e-12)
+
+
+def pad_and_diff_witness(u1, u2, g, grid):
+    """The definition of the pairing: forward differences of the
+    zero-padded fields along every axis, summed."""
+    e = u1 - u2
+    total = 0.0
+    for ax in range(grid.dim):
+        pad = [(0, 0)] * grid.dim
+        pad[ax] = (1, 1)
+        total += float(np.sum(np.diff(np.pad(e, pad), axis=ax) * np.diff(np.pad(g, pad), axis=ax)))
+    return total * grid.h ** (grid.dim - 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_weak_witness_matches_pad_and_diff(d, data):
+    n = data.draw(st.integers(1, {1: 40, 2: 20, 3: 10, 4: 6}[d]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    grid = Grid(d, n)
+    u1, u2, g = (rng.standard_normal(grid.shape) for _ in range(3))
+    # both forms sum at most (2d + 1) n^d products whose magnitudes add
+    # up to at most 4d sum|u1 - u2| max|g| h^(d-2)
+    scale = 4 * d * float(np.abs(u1 - u2).sum()) * float(np.abs(g).max()) * grid.h ** (d - 2)
+    bound = 4 * (2 * d + 1) * grid.size * EPS64 * scale
+    assert abs(weak_witness(u1, u2, g, grid) - pad_and_diff_witness(u1, u2, g, grid)) <= bound
 
 
 def test_l2_norm_of_sine_product_is_exact():
