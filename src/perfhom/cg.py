@@ -1,11 +1,11 @@
 """Matrix-free preconditioned conjugate gradients.
 
 Every linear system in this package is symmetric positive definite (a
-masked or shifted discrete Laplacian), so a single CG loop written
-against an abstract operator callback and an abstract preconditioner
-covers all of them.  Grid layout, Dirichlet masking, measure shifts and
-the choice of preconditioner (the exact sine-basis Poisson solve of
-:mod:`perfhom.stencil`, masked or shifted) stay with the callers.
+shifted discrete Laplacian, or the capacitance matrix of the holes), so
+a single CG loop written against an abstract operator callback, an
+abstract preconditioner and an optional residual measure covers all of
+them.  Grid layout, hole indexing, measure shifts and the choice of
+preconditioner stay with the callers.
 
 Inner products go through :func:`dot`, a single-threaded reduction in a
 fixed order, so iterates and reports do not depend on the number of BLAS
@@ -31,6 +31,18 @@ def dot(a: Array, b: Array) -> float:
     return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
 
 
+def rhs_norm(b: Array) -> float:
+    """``||b||`` of a right-hand side, checked before any iteration.
+
+    Raises :class:`EvaluationError` if ``b`` has a non-finite entry or a
+    norm that overflows: no iterate built from it could be trusted.
+    """
+    norm_b = math.sqrt(dot(b, b))
+    if not np.isfinite(norm_b):
+        raise EvaluationError("right-hand side is not finite or its norm overflows")
+    return norm_b
+
+
 def pcg(
     apply_op: Callable[[Array], Array],
     b: Array,
@@ -38,6 +50,7 @@ def pcg(
     tol: float = 1e-8,
     maxiter: Optional[int] = None,
     precond: Optional[Callable[[Array, Array], Array]] = None,
+    residual: Optional[Callable[[Array], float]] = None,
 ) -> tuple[Array, int, float]:
     """Solve ``A x = b`` for SPD ``A`` given as a callback.
 
@@ -49,11 +62,18 @@ def pcg(
     b : ndarray
         Right-hand side.  ``b = 0`` short-circuits to the zero solution.
     tol : float
-        Relative residual target, ``||b - A x|| <= tol * ||b||``.
+        Relative residual target, ``||b - A x|| <= tol * ||b||`` unless
+        ``residual`` measures it otherwise.
     precond : callable, optional
         ``precond(r, out)`` writes ``M^-1 r`` into ``out`` and returns it,
         for a symmetric positive definite ``M`` approximating ``A``.
         Without it the loop is plain CG.
+    residual : callable, optional
+        ``residual(r)`` maps the CG residual ``r = b - A x`` to the
+        relative residual of the stopping test ``residual(r) <= tol``,
+        which is also the value returned.  Defaults to ``||r|| / ||b||``.
+        A caller whose ``A`` is a reformulation of a larger system passes
+        the residual of that system here.
 
     Returns
     -------
@@ -68,22 +88,23 @@ def pcg(
         before the tolerance is met.
     """
     b = np.asarray(b, dtype=float)
-    norm_b = math.sqrt(dot(b, b))
-    if not np.isfinite(norm_b):
-        raise EvaluationError("right-hand side is not finite or its norm overflows")
+    norm_b = rhs_norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     if maxiter is None:
         maxiter = max(2000, 60 * max(b.shape))
+    if residual is None:
+        def residual(r):
+            return math.sqrt(dot(r, r)) / norm_b
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r, np.empty_like(b)) if precond is not None else r
     p = z.copy()
     rz = dot(r, z)
-    res = math.sqrt(dot(r, r))
+    res = residual(r)
     for iteration in range(maxiter):
-        if res <= tol * norm_b:
-            return x, iteration, res / norm_b
+        if res <= tol:
+            return x, iteration, res
         if not np.isfinite(res):
             raise SolverError(f"residual turned non-finite after {iteration} iterations")
         ap = apply_op(p)
@@ -104,10 +125,10 @@ def pcg(
         rz = rz_new
         p *= beta
         p += z
-        res = math.sqrt(dot(r, r))
-    if res <= tol * norm_b:
-        return x, maxiter, res / norm_b
+        res = residual(r)
+    if res <= tol:
+        return x, maxiter, res
     raise SolverError(
-        f"conjugate gradients stagnated: relative residual {res / norm_b:.3e} "
+        f"conjugate gradients stagnated: relative residual {res:.3e} "
         f"after {maxiter} iterations (tol {tol:.1e})"
     )

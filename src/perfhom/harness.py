@@ -559,6 +559,8 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
                 solver_seconds=stats.seconds,
             )
         )
+        # the next row's solves must not run beside this row's fields
+        del u_eps, u_ref
     metadata["total_seconds"] = time.perf_counter() - start
 
     report.trend_results = run_trends(report, cfg.trends)

@@ -9,14 +9,24 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
   the construction's cell masses; lumping caps it at 2, whose O(h^4)
   dual-cell error is below the O(h^2) error of the grid.
 
-Both systems are symmetric positive definite and solved matrix-free by
-conjugate gradients, preconditioned by the exact sine-basis Poisson
-solve (:func:`~perfhom.stencil.dirichlet_solve`): masked to the free
-nodes for the perforated problem, shifted by the smallest measure
-weight for the limit problem (exact, one iteration, for a constant
-measure).  The module also evaluates the oscillating corrector
-built from ball equilibrium potentials, the discrete pairings used as
-weak-convergence witnesses, and the flat binary field export.
+Both rest on the exact sine-basis Poisson solve
+(:func:`~perfhom.stencil.dirichlet_solve`).  Where it is the exact
+inverse (no hole nodes; a constant lumped measure, as a shift) it is
+applied once, not iterated.  The perforated problem is solved by the
+capacitance-matrix method: the zero extension of the solution is
+``u = L^-1 (b - E_X sigma)``, with ``L`` the zero-Dirichlet grid
+Laplacian, ``b`` the right-hand side zeroed on holes and ``sigma`` a
+charge on hole nodes ``X`` chosen so that ``u`` vanishes on ``X``.
+Conjugate gradients solve ``(L^-1)_XX sigma = (L^-1 b)_X`` on vectors
+indexed by ``X``, one sine solve per iteration, preconditioned by the
+stencil restricted to ``X``; they stop on the free-node residual of
+``u``.  ``X`` holds every hole node, or only the surface layer when the
+holes fill more than half the grid.  The limit problem with a varying
+measure runs conjugate gradients on the grid, preconditioned by the sine
+solve shifted by the smallest weight.  The module also evaluates the
+oscillating corrector built from ball equilibrium potentials, the
+discrete pairings used as weak-convergence witnesses, and the flat
+binary field export.
 """
 
 from __future__ import annotations
@@ -30,9 +40,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cg import dot, pcg
+from .cg import dot, pcg, rhs_norm
 from .capacity import BALL_MASK_INFLATION, ball_potential_radial
-from .errors import GeometryError, InvalidParameterError, ResolutionError
+from .errors import GeometryError, InvalidParameterError, ResolutionError, SolverError
 from .holes import HoleFamily, SeparationParams, disjointness_check
 from .potential import (
     DEFAULT_QUADRATURE,
@@ -197,6 +207,141 @@ def hole_mask(grid: Grid, holes: HoleFamily, *, override_tiny: bool = False) -> 
     return mask
 
 
+def _exact_solve(b: Array, h: float, shift: float, tol: float) -> tuple[Array, int, float]:
+    """Solve ``(-Delta_h + shift) u = b`` with one sine solve.
+
+    The exact preconditioner is applied once, not iterated; the relative
+    residual comes from one stencil apply.  Returns ``(u, iterations,
+    relative_residual)`` like :func:`~perfhom.cg.pcg`.
+    """
+    norm_b = rhs_norm(b)
+    if norm_b == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    u = dirichlet_solve(b, h, shift)
+    r = neg_laplacian(u, h)
+    r -= b
+    if shift:
+        r += shift * u
+    residual = math.sqrt(dot(r, r)) / norm_b
+    if residual > tol:
+        raise SolverError(
+            f"exact sine solve left relative residual {residual:.3e} above "
+            f"tol {tol:.1e}: the tolerance is below the rounding floor"
+        )
+    return u, 1, residual
+
+
+def _capacitance_nodes(mask: Array) -> Array:
+    """Sorted flat indices of the capacitance unknowns of a hole mask.
+
+    Every hole node, or, when the holes fill more than half the grid,
+    only the surface layer: the hole nodes with a free stencil neighbour,
+    which carry the exact charge ``-L_SF u_F``.
+    """
+    unknowns = mask
+    if 2 * np.count_nonzero(mask) > mask.size:
+        free = ~mask
+        touch = np.zeros_like(mask)
+        d = mask.ndim
+        for ax in range(d):
+            lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
+            hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
+            touch[lo] |= free[hi]
+            touch[hi] |= free[lo]
+        unknowns = mask & touch
+    index = np.int32 if mask.size < 2**31 else np.int64
+    return np.flatnonzero(unknowns).astype(index)
+
+
+def _hole_stencil(mask: Array, nodes: Array) -> tuple[Array, Array, Array]:
+    """Stencil pattern around the capacitance unknowns ``nodes``.
+
+    Returns ``(neighbours, edge_x, edge_f)``.  Row ``2 ax + k`` of
+    ``neighbours`` (shape ``(2d, m)``, ``m = len(nodes)``) holds the
+    position in ``nodes`` of each unknown's neighbour above (k = 0) or
+    below (k = 1) along ``ax``, and ``m`` where that neighbour is not an
+    unknown.  ``edge_x`` and ``edge_f`` list the stencil edges from an
+    unknown to a free node: the unknown's position and a compact id of
+    the free node.
+    """
+    n, d = mask.shape[0], mask.ndim
+    m = nodes.size
+    flat = mask.reshape(-1)
+    position = np.full(mask.size, m, dtype=nodes.dtype)
+    position[nodes] = np.arange(m, dtype=nodes.dtype)
+    neighbours = np.full((2 * d, m), m, dtype=nodes.dtype)
+    edge_x, edge_free = [], []
+    for ax in range(d):
+        stride = n ** (d - 1 - ax)
+        coord = nodes // stride % n
+        for k, (step, inside) in enumerate(((stride, coord < n - 1), (-stride, coord > 0))):
+            at = np.flatnonzero(inside).astype(nodes.dtype)
+            other = nodes[at] + step
+            neighbours[2 * ax + k, at] = position[other]
+            free = ~flat[other]
+            edge_x.append(at[free])
+            edge_free.append(other[free])
+    _, edge_f = np.unique(np.concatenate(edge_free), return_inverse=True)
+    return neighbours, np.concatenate(edge_x), edge_f.astype(nodes.dtype)
+
+
+def _capacitance_solve(
+    f: Array, mask: Array, nodes: Array, h: float, tol: float, maxiter: int
+) -> tuple[Array, int, float]:
+    """The perforated solve on the capacitance unknowns ``nodes``.
+
+    Live grid arrays: one buffer (``b``, then the scatter buffer, then the
+    final right-hand side), the solve output and the sine solve's
+    scratch.  Returns ``(u, iterations, relative_residual)`` like
+    :func:`~perfhom.cg.pcg`.
+    """
+    b = f.copy()
+    b[mask] = 0.0
+    norm_b = rhs_norm(b)
+    if norm_b == 0.0:
+        return b, 0, 0.0
+    neighbours, edge_x, edge_f = _hole_stencil(mask, nodes)
+    m = nodes.size
+    flat = b.reshape(-1)
+    g = dirichlet_solve(b, h, out=b).reshape(-1)[nodes]
+    b.fill(0.0)
+    out = np.empty(b.shape)
+    out_flat = out.reshape(-1)
+
+    def apply_op(v):
+        # (L^-1)_XX v: the buffer is zero off the unknowns
+        flat[nodes] = v
+        dirichlet_solve(b, h, out=out)
+        return out_flat[nodes]
+
+    padded = np.zeros(m + 1)  # a zero behind the last unknown for missing neighbours
+
+    def precond(r, z):
+        # L_XX r, the stencil restricted to the unknowns
+        padded[:m] = r
+        np.multiply(r, 2.0 * b.ndim, out=z)
+        for row in neighbours:
+            z -= padded[row]
+        z *= 1.0 / (h * h)
+        return z
+
+    def residual(r):
+        # the zero-extended u has free-node residual L_FX r
+        w = np.bincount(edge_f, weights=r[edge_x])
+        return math.sqrt(dot(w, w)) / (h * h * norm_b)
+
+    sigma, iterations, res = pcg(
+        apply_op, g, tol=tol, maxiter=maxiter, precond=precond, residual=residual
+    )
+    # u = L^-1 (b - E_X sigma)
+    np.copyto(b, f)
+    b[mask] = 0.0
+    flat[nodes] = -sigma
+    u = dirichlet_solve(b, h, out=out)
+    u[mask] = 0.0
+    return u, iterations, res
+
+
 def solve_perforated(
     f: Array,
     holes: HoleFamily,
@@ -209,6 +354,7 @@ def solve_perforated(
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
 
     The output is the zero extension: it is exactly zero on hole nodes.
+    The reported residual is the relative residual on the free nodes.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
@@ -218,21 +364,14 @@ def solve_perforated(
     mask = hole_mask(grid, holes, override_tiny=override_tiny)
     h = grid.h
     start = time.perf_counter()
-
-    def apply_op(v):
-        w = neg_laplacian(v, h)
-        w[mask] = 0.0
-        return w
-
-    def precond(r, out):
-        dirichlet_solve(r, h, out=out)
-        out[mask] = 0.0
-        return out
-
-    b = f.copy()
-    b[mask] = 0.0
-    u, iterations, residual = pcg(apply_op, b, tol=tol, maxiter=maxiter, precond=precond)
-    u[mask] = 0.0
+    nodes = _capacitance_nodes(mask)
+    if nodes.size == 0:
+        # no hole node, or no free node
+        u, iterations, residual = _exact_solve(np.where(mask, 0.0, f), h, 0.0, tol)
+    else:
+        if maxiter is None:
+            maxiter = max(2000, 60 * grid.n)
+        u, iterations, residual = _capacitance_solve(f, mask, nodes, h, tol, maxiter)
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
 
@@ -313,10 +452,13 @@ def solve_limit(
     if np.any(weights < 0.0):
         raise InvalidParameterError("lumped measure must be nonnegative")
     h = grid.h
-    # the constant part of the measure goes into the exact solve, so a
-    # constant measure converges in one iteration
+    # the constant part of the measure goes into the exact solve; a
+    # constant measure needs nothing else
     shift = float(weights.min())
     start = time.perf_counter()
+    if shift == float(weights.max()):
+        u, iterations, residual = _exact_solve(f, h, shift, tol)
+        return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
     def apply_op(v):
         w = neg_laplacian(v, h)

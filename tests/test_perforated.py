@@ -1,0 +1,211 @@
+"""The capacitance-matrix perforated solve against the masked-grid CG it
+replaced, and its residual, memory and failure contracts."""
+
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from perfhom.cg import dot, pcg
+from perfhom.errors import EvaluationError, SolverError
+from perfhom.holes import HoleFamily
+from perfhom.inverse import construct_holes
+from perfhom.potential import parse_potential
+from perfhom.solver import Grid, hole_mask, solve_limit, solve_perforated
+from perfhom.stencil import dirichlet_solve, neg_laplacian
+from perfhom.tiling import TilingSpec, unit_box
+
+EPS64 = 2.0**-52
+
+
+def masked_pcg(f, mask, h, tol):
+    """The oracle: CG on full-grid vectors with the Laplacian zeroed on
+    hole rows, preconditioned by the sine solve masked to the free nodes."""
+
+    def apply_op(v):
+        w = neg_laplacian(v, h)
+        w[mask] = 0.0
+        return w
+
+    def precond(r, out):
+        dirichlet_solve(r, h, out=out)
+        out[mask] = 0.0
+        return out
+
+    b = np.where(mask, 0.0, f)
+    u, iterations, _ = pcg(apply_op, b, tol=tol, precond=precond)
+    u[mask] = 0.0
+    return u, iterations
+
+
+def free_residual(f, mask, u, h):
+    """``||b - A u|| / ||b||`` on the free nodes, by one stencil apply."""
+    b = np.where(mask, 0.0, f)
+    r = b - neg_laplacian(u, h)
+    r[mask] = 0.0
+    return math.sqrt(dot(r, r)) / math.sqrt(dot(b, b))
+
+
+def kappa(grid):
+    """Condition number of the grid Laplacian, ``4 (n+1)^2 / pi^2``."""
+    return 4.0 * (grid.n + 1) ** 2 / math.pi**2
+
+
+def family(centers, radii):
+    centers = np.asarray(centers, dtype=float)
+    return HoleFamily(centers, np.asarray(radii, dtype=float), np.zeros(centers.shape, np.int64))
+
+
+def quiet_mask(grid, holes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return hole_mask(grid, holes, override_tiny=True)
+
+
+def quiet_solve(f, holes, grid, tol, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return solve_perforated(f, holes, grid, tol, override_tiny=True, **kwargs)
+
+
+@st.composite
+def problems(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 40 if d == 2 else 14))
+    count = draw(st.integers(1, 6))
+    # centers up to 0.1 outside the cube, so balls touch or cross the
+    # boundary; radii from below 2h (collapsed to a node) to 0.8, so
+    # some families fill more than half the grid
+    centers = draw(
+        st.lists(
+            st.lists(st.floats(-0.1, 1.1), min_size=d, max_size=d),
+            min_size=count, max_size=count,
+        )
+    )
+    radii = draw(st.lists(st.floats(0.0, 0.8), min_size=count, max_size=count))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tol = draw(st.sampled_from([1e-6, 1e-8, 1e-10]))
+    return Grid(d, n), family(centers, radii), seed, tol
+
+
+def check_against_oracle(grid, holes, seed, tol):
+    rng = np.random.default_rng(seed)
+    f = 1.0 + rng.standard_normal(grid.shape)
+    mask = quiet_mask(grid, holes)
+    u, stats = quiet_solve(f, holes, grid, tol)
+    assert np.all(u[mask] == 0.0)
+    if mask.all():
+        assert np.all(u == 0.0) and stats.iterations == 0
+        return
+    reference, _ = masked_pcg(f, mask, grid.h, tol)
+    scale = float(np.abs(reference).max())
+    assert float(np.abs(u - reference).max()) <= 3.0 * kappa(grid) * tol * scale
+    # the reported residual is the free-node residual of u, up to the
+    # rounding of the CG recursion and of the stencil
+    true = free_residual(f, mask, u, grid.h)
+    rounding = 8.0 * (stats.iterations + 1) * kappa(grid) * EPS64
+    assert abs(stats.residual - true) <= rounding
+    assert stats.residual <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+# one ball over 99% of the 3D grid: only the surface layer is unknown
+@example((Grid(3, 11), family([[0.5, 0.5, 0.5]], [0.8]), 0, 1e-8))
+# a ball over 60% of a 2D grid
+@example((Grid(2, 30), family([[0.5, 0.5]], [0.44]), 1, 1e-8))
+# a ball crossing a face, and a tiny hole collapsed to a node
+@example((Grid(3, 9), family([[1.05, 0.5, 0.5], [0.3, 0.3, 0.3]], [0.3, 0.01]), 2, 1e-10))
+def test_capacitance_solve_matches_masked_cg(problem):
+    check_against_oracle(*problem)
+
+
+@pytest.mark.parametrize("spec, eps", [("constant(40)", 0.125), ("plane(0.5, 20)", 0.125)])
+def test_iterations_match_masked_cg(spec, eps):
+    # with every hole node unknown, the stencil-preconditioned capacitance
+    # matrix has the nonzero spectrum of the masked preconditioned grid
+    # operator, so the two take the same number of iterations
+    grid = Grid(3, 47)
+    holes = construct_holes(
+        parse_potential(spec, 3), TilingSpec(3, eps), unit_box(3), strict=False
+    ).holes
+    f = np.ones(grid.shape)
+    _, stats = solve_perforated(f, holes, grid, 1e-9)
+    _, iterations = masked_pcg(f, hole_mask(grid, holes), grid.h, 1e-9)
+    assert abs(stats.iterations - iterations) <= 1
+
+
+def test_surface_layer_examples_fill_more_than_half():
+    # the examples above do take the surface-layer path
+    for grid, holes in (
+        (Grid(3, 11), family([[0.5, 0.5, 0.5]], [0.8])),
+        (Grid(2, 30), family([[0.5, 0.5]], [0.44])),
+    ):
+        assert 2 * int(quiet_mask(grid, holes).sum()) > grid.size
+
+
+def test_empty_mask_is_one_exact_sine_solve():
+    grid = Grid(3, 15)
+    f = 1.0 + np.random.default_rng(4).standard_normal(grid.shape)
+    u, stats = solve_perforated(f, family(np.zeros((0, 3)), []), grid, tol=1e-10)
+    np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
+    assert stats.iterations == 1
+    no_mask = np.zeros(grid.shape, dtype=bool)
+    assert stats.residual == pytest.approx(free_residual(f, no_mask, u, grid.h), rel=1e-12)
+    assert stats.residual <= 1e-10
+
+
+def test_mask_covering_the_grid_gives_zero():
+    grid = Grid(2, 20)
+    u, stats = solve_perforated(np.ones(grid.shape), family([[0.5, 0.5]], [1.0]), grid)
+    assert np.all(u == 0.0)
+    assert stats.iterations == 0 and stats.residual == 0.0
+
+
+def test_exact_solves_reject_a_tolerance_below_rounding():
+    # one sine solve cannot reach 1e-18; iterating would not either
+    grid = Grid(3, 15)
+    f = np.ones(grid.shape)
+    with pytest.raises(SolverError, match="rounding floor"):
+        solve_perforated(f, family(np.zeros((0, 3)), []), grid, tol=1e-18)
+    with pytest.raises(SolverError, match="rounding floor"):
+        solve_limit(f, np.full(grid.shape, 5.0), grid, tol=1e-18)
+
+
+def test_one_iteration_cap_raises():
+    grid = Grid(3, 15)
+    holes = family([[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]], [0.15, 0.15])
+    with pytest.raises(SolverError):
+        solve_perforated(np.ones(grid.shape), holes, grid, maxiter=1)
+
+
+def test_nonfinite_rhs_with_holes_rejected():
+    grid = Grid(3, 15)
+    holes = family([[0.5, 0.5, 0.5]], [0.15])
+    f = np.ones(grid.shape)
+    f[2, 3, 4] = np.inf
+    with pytest.raises(EvaluationError):
+        solve_perforated(f, holes, grid)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125])
+def test_perforated_solve_peak_memory(eps):
+    # the scatter buffer, the solve output and the sine solve's scratch,
+    # plus O(hole nodes) vectors: eps = 1/4 masks 99.8% of the grid, so
+    # only its surface layer is unknown; eps = 1/8 masks 4%
+    grid = Grid(3, 47)
+    holes = construct_holes(
+        parse_potential("constant(40)", 3), TilingSpec(3, eps), unit_box(3), strict=False
+    ).holes
+    f = np.ones(grid.shape)
+    tracemalloc.start()
+    try:
+        solve_perforated(f, holes, grid, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * grid.size
