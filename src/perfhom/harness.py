@@ -38,7 +38,7 @@ from .solver import (
     Grid,
     corrector_field,
     field_from_callable,
-    l2_distance,
+    l2_distance,  # noqa: F401  (perfbench/tracing.py wraps harness.l2_distance)
     l2_norm,
     lump_measure,
     restrict,
@@ -62,13 +62,6 @@ def sine_mode(mode: Sequence[int]) -> Callable[[Array], Array]:
         return np.prod(np.sin(np.pi * m * x), axis=1)
 
     return g
-
-
-def sine_mode_field(grid: Grid, mode: Sequence[int]) -> Array:
-    """:func:`sine_mode` on the nodes as a broadcast product of 1-D sine
-    vectors, bit for bit equal to ``field_from_callable(grid, sine_mode(mode))``."""
-    factors = [np.sin(k * grid.axis()) for k in np.pi * np.asarray(mode, dtype=float)]
-    return math.prod(np.ix_(*factors))
 
 
 def _rhs_constant(dim: int, c: float) -> Callable[[Array], Array]:
@@ -289,11 +282,23 @@ class TrendResult:
     detail: str = ""
 
 
+def _no_stage_seconds() -> dict:
+    return {"limit": {}, "rows": []}
+
+
 @dataclass
 class StudyReport:
+    """Rows, metadata and trend results of a study.
+
+    ``stage_seconds`` holds the wall seconds of each harness stage: a
+    ``limit`` dict for the limit phase and one dict per row in ``rows``.
+    It goes to ``summary.json``, not to the CSV report.
+    """
+
     rows: list[StudyRow]
     metadata: dict
     trend_results: list[TrendResult] = field(default_factory=list)
+    stage_seconds: dict = field(default_factory=_no_stage_seconds)
 
     def columns(self) -> list[str]:
         return list(self.rows[0].as_dict().keys()) if self.rows else []
@@ -324,6 +329,7 @@ class StudyReport:
         (out / "study.csv").write_text(self.to_csv_text())
         summary = {
             "metadata": self.metadata,
+            "stage_seconds": self.stage_seconds,
             "trends": [
                 {
                     "name": t.spec.name,
@@ -462,13 +468,21 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
     finest_n = max(cfg.grids)
     fine_grid = Grid(cfg.dim, finest_n)
 
+    seconds = report.stage_seconds
+
     def stage(name, eps, fn):
+        # the one instrumentation point: wall seconds per stage, summed
+        # when a stage runs twice in a phase
+        phase = seconds["limit"] if eps is None else seconds["rows"][-1]
+        start = time.perf_counter()
         try:
             return fn()
         except StudyError:
             raise
         except Exception as exc:
             raise StudyError(name, eps, exc, partial=report) from exc
+        finally:
+            phase[name] = phase.get(name, 0.0) + time.perf_counter() - start
 
     start = time.perf_counter()
     weights = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid, cfg.quad))
@@ -487,6 +501,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
     }
 
     for eps, n in zip(cfg.epsilons, cfg.grids):
+        seconds["rows"].append({})
         grid = Grid(cfg.dim, n)
         spec = TilingSpec(cfg.dim, eps)
         construction = stage("construct", eps, lambda: construct_study_holes(cfg, eps))
@@ -497,7 +512,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
             raise StudyError(
                 "disjointness", eps, "separation balls overlap or escape cells", report
             )
-        cells = cells_intersecting(spec, domain)
+        cells = stage("cells", eps, lambda: cells_intersecting(spec, domain))
         assumptions = stage(
             "assumptions", eps, lambda: assumption_quantities(holes, seps, cells)
         )
@@ -526,14 +541,21 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
             ),
         )
         u_ref = stage("restrict", eps, lambda: restrict(u_limit, fine_grid, grid))
-        error = l2_distance(u_eps, u_ref, grid)
         ref_norm = l2_norm(u_ref, grid)
-        # a separable witness field costs one product per node; holding
-        # them for later rows would keep one grid array per mode alive
-        witnesses = {
-            _witness_column(mode): weak_witness(u_eps, u_ref, sine_mode_field(grid, mode), grid)
-            for mode in cfg.witness_modes
-        }
+        # one error field, built in the solution's array, serves the L2
+        # error and every witness
+        diff = u_eps
+        diff -= u_ref
+        del u_eps, u_ref
+        error = stage("l2_error", eps, lambda: l2_norm(diff, grid))
+        witnesses = stage(
+            "witnesses",
+            eps,
+            lambda: {
+                _witness_column(mode): weak_witness(diff, mode, grid)
+                for mode in cfg.witness_modes
+            },
+        )
         rows.append(
             StudyRow(
                 epsilon=eps,
@@ -560,7 +582,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
             )
         )
         # the next row's solves must not run beside this row's fields
-        del u_eps, u_ref
+        del diff
     metadata["total_seconds"] = time.perf_counter() - start
 
     report.trend_results = run_trends(report, cfg.trends)

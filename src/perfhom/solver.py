@@ -9,24 +9,33 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
   the construction's cell masses; lumping caps it at 2, whose O(h^4)
   dual-cell error is below the O(h^2) error of the grid.
 
-Both rest on the exact sine-basis Poisson solve
+Both are "a grid Laplacian plus something on a small node set", and
+both rest on the exact sine-basis Poisson solve
 (:func:`~perfhom.stencil.dirichlet_solve`).  Where it is the exact
 inverse (no hole nodes; a constant lumped measure, as a shift) it is
-applied once, not iterated.  The perforated problem is solved by the
-capacitance-matrix method: the zero extension of the solution is
-``u = L^-1 (b - E_X sigma)``, with ``L`` the zero-Dirichlet grid
-Laplacian, ``b`` the right-hand side zeroed on holes and ``sigma`` a
-charge on hole nodes ``X`` chosen so that ``u`` vanishes on ``X``.
-Conjugate gradients solve ``(L^-1)_XX sigma = (L^-1 b)_X`` on vectors
-indexed by ``X``, one sine solve per iteration, preconditioned by the
-stencil restricted to ``X``; they stop on the free-node residual of
-``u``.  ``X`` holds every hole node, or only the surface layer when the
-holes fill more than half the grid.  The limit problem with a varying
-measure runs conjugate gradients on the grid, preconditioned by the sine
-solve shifted by the smallest weight.  The module also evaluates the
-oscillating corrector built from ball equilibrium potentials, the
-discrete pairings used as weak-convergence witnesses, and the flat
-binary field export.
+applied once, not iterated.  Otherwise both use the capacitance-matrix
+method: conjugate gradients on vectors indexed by the small node set,
+one support-restricted sine solve (:class:`~perfhom.stencil.SupportSolve`)
+per iteration, then one full sine solve for the grid solution.
+
+* Perforated: the zero extension of the solution is
+  ``u = L^-1 (b - E_X sigma)``, with ``L`` the zero-Dirichlet grid
+  Laplacian, ``b`` the right-hand side zeroed on holes and ``sigma`` a
+  charge on hole nodes ``X`` chosen so that ``u`` vanishes on ``X``.  CG
+  solves ``(L^-1)_XX sigma = (L^-1 b)_X``, preconditioned by the stencil
+  restricted to ``X``, and stops on the free-node residual of ``u``.
+  ``X`` holds every hole node, or only the surface layer when the holes
+  fill more than half the grid.
+* Limit, with lumped weights ``w``: ``A = L + min w`` is inverted
+  exactly, and ``D = w - min w`` lives on ``Y = {w > min w}``.  CG
+  solves ``(I + D^1/2 A^-1_YY D^1/2) y = D^1/2 (A^-1 f)_Y`` unpreconditioned
+  (its spectrum is that of the grid operator preconditioned by ``A``),
+  stopping on the grid residual ``||D^1/2 r||``, and
+  ``u = A^-1 (f - E_Y D^1/2 y)``.
+
+The module also evaluates the oscillating corrector built from ball
+equilibrium potentials, the discrete pairings used as weak-convergence
+witnesses, and the flat binary field export.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +63,7 @@ from .potential import (
     bin_footprint,
     box_quadrature,
 )
-from .stencil import dirichlet_solve, neg_laplacian
+from .stencil import SupportSolve, dirichlet_solve, neg_laplacian
 from .tiling import Box, unit_box
 
 Array = np.ndarray
@@ -290,36 +299,27 @@ def _capacitance_solve(
 ) -> tuple[Array, int, float]:
     """The perforated solve on the capacitance unknowns ``nodes``.
 
-    Live grid arrays: one buffer (``b``, then the scatter buffer, then the
-    final right-hand side), the solve output and the sine solve's
-    scratch.  Returns ``(u, iterations, relative_residual)`` like
-    :func:`~perfhom.cg.pcg`.
+    No grid array lives through the iterations: the right-hand side is
+    rebuilt from ``f`` for the final solve, and each iteration's
+    support-restricted sine solve allocates its own blocks.  Returns
+    ``(u, iterations, relative_residual)`` like :func:`~perfhom.cg.pcg`.
     """
-    b = f.copy()
-    b[mask] = 0.0
+    b = np.where(mask, 0.0, f)
     norm_b = rhs_norm(b)
     if norm_b == 0.0:
         return b, 0, 0.0
     neighbours, edge_x, edge_f = _hole_stencil(mask, nodes)
     m = nodes.size
-    flat = b.reshape(-1)
     g = dirichlet_solve(b, h, out=b).reshape(-1)[nodes]
-    b.fill(0.0)
-    out = np.empty(b.shape)
-    out_flat = out.reshape(-1)
-
-    def apply_op(v):
-        # (L^-1)_XX v: the buffer is zero off the unknowns
-        flat[nodes] = v
-        dirichlet_solve(b, h, out=out)
-        return out_flat[nodes]
-
+    del b
+    # (L^-1)_XX, one support-restricted sine solve
+    solve = SupportSolve(nodes, mask.shape[0], mask.ndim, h)
     padded = np.zeros(m + 1)  # a zero behind the last unknown for missing neighbours
 
     def precond(r, z):
         # L_XX r, the stencil restricted to the unknowns
         padded[:m] = r
-        np.multiply(r, 2.0 * b.ndim, out=z)
+        np.multiply(r, 2.0 * mask.ndim, out=z)
         for row in neighbours:
             z -= padded[row]
         z *= 1.0 / (h * h)
@@ -331,13 +331,12 @@ def _capacitance_solve(
         return math.sqrt(dot(w, w)) / (h * h * norm_b)
 
     sigma, iterations, res = pcg(
-        apply_op, g, tol=tol, maxiter=maxiter, precond=precond, residual=residual
+        solve.apply, g, tol=tol, maxiter=maxiter, precond=precond, residual=residual
     )
     # u = L^-1 (b - E_X sigma)
-    np.copyto(b, f)
-    b[mask] = 0.0
-    flat[nodes] = -sigma
-    u = dirichlet_solve(b, h, out=out)
+    b = np.where(mask, 0.0, f)
+    b.reshape(-1)[nodes] = -sigma
+    u = dirichlet_solve(b, h, out=b)
     u[mask] = 0.0
     return u, iterations, res
 
@@ -442,6 +441,10 @@ def solve_limit(
 
     ``weights`` are the nonnegative dual-cell densities from
     :func:`lump_measure`; zero weights reduce to the plain Poisson solve.
+    A constant measure is one exact sine solve; otherwise conjugate
+    gradients run on the nodes where the weight exceeds its minimum (see
+    the module notes), at most ``max(2000, 60 n)`` iterations by default.
+    The reported residual is the grid residual ``||f - (L + W) u|| / ||f||``.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
@@ -459,16 +462,34 @@ def solve_limit(
     if shift == float(weights.max()):
         u, iterations, residual = _exact_solve(f, h, shift, tol)
         return u, SolveStats(iterations, residual, time.perf_counter() - start)
+    norm_f = rhs_norm(f)
+    support = weights > shift  # Y, in the flat order of its nodes
+    root = np.sqrt(weights[support] - shift)  # D^1/2 on Y
+    g = dirichlet_solve(f, h, shift)[support]
+    g *= root
+    # A^-1_YY with A = L + min w, one support-restricted sine solve
+    solve = SupportSolve(np.flatnonzero(support), grid.n, grid.dim, h, shift)
 
-    def apply_op(v):
-        w = neg_laplacian(v, h)
-        w += weights * v
-        return w
+    def apply_op(y):
+        z = solve.apply(root * y)
+        z *= root
+        z += y
+        return z
 
-    def precond(r, out):
-        return dirichlet_solve(r, h, shift, out=out)
+    def grid_residual(r):
+        # u built from the iterate has grid residual E_Y D^1/2 r
+        s = root * r
+        return math.sqrt(dot(s, s)) / norm_f
 
-    u, iterations, residual = pcg(apply_op, f, tol=tol, maxiter=maxiter, precond=precond)
+    if maxiter is None:
+        maxiter = max(2000, 60 * grid.n)
+    y, iterations, residual = pcg(
+        apply_op, g, tol=tol, maxiter=maxiter, residual=grid_residual
+    )
+    # u = A^-1 (f - E_Y D^1/2 y)
+    b = f.copy()
+    b[support] -= root * y
+    u = dirichlet_solve(b, h, shift, out=b)
     return u, SolveStats(iterations, residual, time.perf_counter() - start)
 
 
@@ -525,17 +546,28 @@ def corrector_field(
     return 1.0 - deviation, v_norm
 
 
-def weak_witness(u1: Array, u2: Array, g: Array, grid: Grid) -> float:
-    """Discrete ``H_0^1`` pairing of ``u1 - u2`` against ``g``.
+def sine_mode_field(grid: Grid, mode: Sequence[int]) -> Array:
+    """The product sine mode ``prod_k sin(pi m_k x_k)`` on the nodes, as a
+    broadcast product of 1-D sine vectors (bit for bit the pointwise
+    product, evaluated once per axis)."""
+    factors = [np.sin(k * grid.axis()) for k in np.pi * np.asarray(mode, dtype=float)]
+    return math.prod(np.ix_(*factors))
 
-    The sum of forward-difference products on the zero-extended fields,
-    boundary jumps included, so the pairing is symmetric in
-    discretisation bias.  By summation by parts it equals
-    ``<u1 - u2, -Delta_h g> h^d``: one stencil apply and one dot.
+
+def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
+    """Discrete ``H_0^1`` pairing of ``e`` against the product sine mode ``g_m``.
+
+    The pairing is the sum of forward-difference products on the
+    zero-extended fields, boundary jumps included, which by summation by
+    parts is ``<e, -Delta_h g_m> h^d``.  ``g_m`` is an eigenvector of
+    ``-Delta_h`` with eigenvalue ``lambda_m = sum_k 4/h^2 sin^2(pi m_k h / 2)``,
+    so the pairing is ``lambda_m <e, g_m> h^d``: one dot, no stencil.
     """
-    if u1.shape != grid.shape or u2.shape != grid.shape or g.shape != grid.shape:
-        raise InvalidParameterError("field shapes do not match grid")
-    return dot(u1 - u2, neg_laplacian(g, grid.h)) * grid.h**grid.dim
+    if e.shape != grid.shape or len(mode) != grid.dim:
+        raise InvalidParameterError("field or mode does not match grid")
+    h = grid.h
+    eigenvalue = sum(4.0 / (h * h) * math.sin(0.5 * math.pi * m * h) ** 2 for m in mode)
+    return eigenvalue * dot(e, sine_mode_field(grid, mode)) * h**grid.dim
 
 
 def restrict(u_fine: Array, fine: Grid, coarse: Grid) -> Array:

@@ -15,11 +15,10 @@ from perfhom.harness import (
     run_study,
     run_trends,
     sine_mode,
-    sine_mode_field,
     trend_check,
 )
 from perfhom.potential import parse_potential
-from perfhom.solver import Grid, field_from_callable
+from perfhom.solver import Grid, field_from_callable, sine_mode_field
 
 
 def write_config(path, body):
@@ -248,6 +247,21 @@ def test_sine_mode_field_is_bit_equal_to_pointwise_evaluation(case):
     field = sine_mode_field(grid, mode)
     assert field.shape == grid.shape
     assert field.tobytes() == field_from_callable(grid, sine_mode(mode)).tobytes()
+
+
+def test_summary_records_stage_seconds(tmp_path):
+    report = run_study(zero_study_config(out_dir=tmp_path / "out"))
+    seconds = json.loads((tmp_path / "out" / "summary.json").read_text())["stage_seconds"]
+    assert seconds == report.stage_seconds
+    assert set(seconds["limit"]) == {"lump_measure", "rhs", "solve_limit"}
+    assert len(seconds["rows"]) == len(report.rows)
+    for row in seconds["rows"]:
+        stages = {"construct", "cells", "ldc", "solve_perforated", "l2_error", "witnesses"}
+        assert stages <= set(row)
+    values = [*seconds["limit"].values(), *(v for row in seconds["rows"] for v in row.values())]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+    # the stages do not nest, so they add up to at most the whole sweep
+    assert sum(values) <= report.metadata["total_seconds"]
 
 
 def test_summary_records_numpy_version_and_cpu_count(tmp_path):

@@ -38,6 +38,7 @@ from perfhom.solver import (
     restrict,
     sample_line_csv,
     solve_limit,
+    sine_mode_field,
     solve_perforated,
     weak_witness,
     write_field,
@@ -343,23 +344,20 @@ def test_corrector_rejects_bad_geometry():
 
 def test_weak_witness_identities():
     grid = Grid(3, 15)
-    rng = np.random.default_rng(3)
-    u1 = rng.standard_normal(grid.shape)
-    u2 = rng.standard_normal(grid.shape)
-    g = rng.standard_normal(grid.shape)
-    assert weak_witness(u1, u1, g, grid) == 0.0
-    seminorm_sq = weak_witness(u1, u2, u1 - u2, grid)
-    assert seminorm_sq >= 0.0
-    # bilinearity in the test function
-    a = weak_witness(u1, u2, g, grid)
-    b = weak_witness(u1, u2, 2.0 * g, grid)
-    assert b == pytest.approx(2.0 * a, rel=1e-12)
+    e = np.random.default_rng(3).standard_normal(grid.shape)
+    mode = (2, 1, 3)
+    assert weak_witness(np.zeros(grid.shape), mode, grid) == 0.0
+    # linear in the error field, exactly for a power-of-two factor
+    assert weak_witness(2.0 * e, mode, grid) == 2.0 * weak_witness(e, mode, grid)
+    # against its own mode the pairing is a squared seminorm
+    assert weak_witness(sine_mode_field(grid, mode), mode, grid) > 0.0
+    with pytest.raises(InvalidParameterError):
+        weak_witness(e, (1, 1), grid)
 
 
-def pad_and_diff_witness(u1, u2, g, grid):
+def pad_and_diff_witness(e, g, grid):
     """The definition of the pairing: forward differences of the
     zero-padded fields along every axis, summed."""
-    e = u1 - u2
     total = 0.0
     for ax in range(grid.dim):
         pad = [(0, 0)] * grid.dim
@@ -372,14 +370,21 @@ def pad_and_diff_witness(u1, u2, g, grid):
 @given(st.integers(1, 4), st.data())
 def test_weak_witness_matches_pad_and_diff(d, data):
     n = data.draw(st.integers(1, {1: 40, 2: 20, 3: 10, 4: 6}[d]))
+    # modes above n alias to modes up to n, or vanish on the nodes
+    mode = tuple(data.draw(st.lists(st.integers(1, n), min_size=d, max_size=d)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     grid = Grid(d, n)
-    u1, u2, g = (rng.standard_normal(grid.shape) for _ in range(3))
-    # both forms sum at most (2d + 1) n^d products whose magnitudes add
-    # up to at most 4d sum|u1 - u2| max|g| h^(d-2)
-    scale = 4 * d * float(np.abs(u1 - u2).sum()) * float(np.abs(g).max()) * grid.h ** (d - 2)
-    bound = 4 * (2 * d + 1) * grid.size * EPS64 * scale
-    assert abs(weak_witness(u1, u2, g, grid) - pad_and_diff_witness(u1, u2, g, grid)) <= bound
+    e = rng.standard_normal(grid.shape)
+    g = sine_mode_field(grid, mode)
+    # both forms sum at most (2d + 1) n^d products whose magnitudes add up
+    # to at most 4d sum|e| max|g| h^(d-2); the rounded mode is an
+    # eigenvector of -Delta_h up to the rounding of its sines, about
+    # (pi m + 2d) ulps
+    scale = 4 * d * float(np.abs(e).sum()) * grid.h ** (d - 2)
+    bound = EPS64 * scale * (
+        4 * (2 * d + 1) * grid.size * float(np.abs(g).max()) + 4 * (math.pi * max(mode) + 2 * d)
+    )
+    assert abs(weak_witness(e, mode, grid) - pad_and_diff_witness(e, g, grid)) <= bound
 
 
 def test_l2_norm_of_sine_product_is_exact():

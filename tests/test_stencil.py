@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perfhom.cg import pcg
 from perfhom.errors import InvalidParameterError
-from perfhom.stencil import dirichlet_solve, neg_laplacian
+from perfhom.stencil import SupportSolve, dirichlet_solve, neg_laplacian
 
 EPS64 = np.finfo(float).eps
 # largest n per dimension that keeps a CG reference solve cheap
@@ -66,3 +66,61 @@ def test_dirichlet_solve_rejects_bad_shapes():
         dirichlet_solve(np.ones((3, 4)), 0.25)
     with pytest.raises(InvalidParameterError):
         dirichlet_solve(np.ones((3, 3)), 0.25, out=np.empty((3, 3)).T)
+
+
+@st.composite
+def supports(draw):
+    """A node set on an ``n^d`` block: one node, one line along an axis,
+    one slab normal to an axis, a random set, or the full block."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, {1: 40, 2: 20, 3: 10, 4: 6}[d]))
+    block = np.arange(n**d).reshape((n,) * d)
+    kind = draw(st.sampled_from(["node", "line", "slab", "random", "full"]))
+    ax = draw(st.integers(0, d - 1))
+    at = tuple(draw(st.integers(0, n - 1)) for _ in range(d))
+    if kind == "node":
+        nodes = block[at].reshape(1)
+    elif kind == "line":
+        nodes = block[at[:ax] + (slice(None),) + at[ax + 1 :]].reshape(-1)
+    elif kind == "slab":
+        nodes = np.take(block, at[ax], axis=ax).reshape(-1)
+    elif kind == "random":
+        keep = draw(st.lists(st.booleans(), min_size=n**d, max_size=n**d))
+        nodes = block.reshape(-1)[np.asarray(keep, dtype=bool)]
+        if not nodes.size:
+            nodes = block[at].reshape(1)
+    else:
+        nodes = block.reshape(-1)
+    h = draw(st.sampled_from([1.0 / (n + 1), 0.125, 1.0]))
+    shift = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, n, np.sort(nodes), h, shift, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports())
+def test_support_solve_matches_scattered_dirichlet_solve(problem):
+    d, n, nodes, h, shift, seed = problem
+    v = np.random.default_rng(seed).standard_normal(nodes.size)
+    b = np.zeros(n**d)
+    b[nodes] = v
+    reference = dirichlet_solve(b.reshape((n,) * d), h, shift).reshape(-1)[nodes]
+    solve = SupportSolve(nodes, n, d, h, shift)
+    u = solve.apply(v)
+    assert u.shape == v.shape
+    np.testing.assert_array_equal(v, b[nodes])
+    # both are 2d orthogonal transforms and one scaling by at most
+    # 1 / smallest eigenvalue; each transform rounds within n ulps of ||x||
+    smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    bound = 8 * d * n * EPS64 * np.linalg.norm(v) / smallest
+    assert np.linalg.norm(u - reference) <= bound
+    # the input is not modified and a second apply repeats the first
+    np.testing.assert_array_equal(solve.apply(v), u)
+
+
+def test_support_solve_rejects_bad_supports():
+    for nodes in ([], [3, 2], [1, 1], [-1], [27]):
+        with pytest.raises(InvalidParameterError):
+            SupportSolve(np.asarray(nodes, dtype=np.int64), 3, 3, 0.25)
+    with pytest.raises(InvalidParameterError):
+        SupportSolve(np.arange(4), 3, 3, 0.25).apply(np.ones(5))
