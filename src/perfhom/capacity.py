@@ -6,9 +6,10 @@ ball capacity ``(d-2) S_d a^(d-2)``, and the equilibrium potential
 ``min(1, (a/r)^(d-2))``.  The variational route minimises the discrete
 Dirichlet energy on a cube of half-width ``L`` with the ball clamped to
 one and the cube surface to zero (a relative capacity), then removes the
-truncation bias with the condenser law.  Node masking is used for the
-ball boundary, which makes the O(h) staircase error the dominant error
-source.
+truncation bias with the condenser law.  The cube is rescaled onto the
+unit cube and the ball solved as one hole of the perforated solve, so it
+shares that solve's node mask, whose O(h) staircase error is the
+dominant error source.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cg import pcg
-from .errors import ExtrapolationError, InvalidParameterError, ResolutionError
-from .stencil import dirichlet_solve, neg_laplacian
+from .errors import EvaluationError, ExtrapolationError, InvalidParameterError, ResolutionError
+from .holes import HoleFamily
+from .stencil import neg_laplacian
 
 
 # Node-masked staircase balls act like spheres of radius ``a - 0.34 h``:
@@ -73,9 +74,16 @@ def capacity_ball(d: int, a) -> CapacityResult:
     """Exact capacity ``(d-2) S_d a^(d-2)`` of a closed ball; ``a`` may be an array of radii."""
     if d < 3:
         raise InvalidParameterError(f"ball capacity needs d >= 3, got {d}")
-    if np.any(np.less(a, 0.0)):
-        raise InvalidParameterError(f"ball radius must be >= 0, got {a}")
-    return CapacityResult(value=(d - 2) * sphere_area(d) * a ** (d - 2), method="exact", dim=d)
+    if not np.all(np.isfinite(a)) or np.any(np.less(a, 0.0)):
+        raise InvalidParameterError(f"ball radius must be finite and >= 0, got {a}")
+    try:
+        with np.errstate(over="ignore"):
+            value = (d - 2) * sphere_area(d) * a ** (d - 2)
+    except OverflowError:
+        value = math.inf
+    if not np.all(np.isfinite(value)):
+        raise EvaluationError(f"capacity of the ball of radius {a} overflows in d = {d}")
+    return CapacityResult(value=value, method="exact", dim=d)
 
 
 def ball_potential_radial(r, a: float, d: int):
@@ -122,17 +130,27 @@ def capacity_variational(
     """Relative capacity of ``B(0, a)`` inside the grounded cube ``[-L, L]^d``.
 
     Minimises the discrete Dirichlet energy over grid fields with value 1
-    on ball nodes (``|x| <= a + h/3``, the recentred staircase) and 0 on
-    the cube surface, via the associated Laplace solve.  The value
-    decreases in ``L`` toward the Newtonian capacity.
+    on ball nodes and 0 on the cube surface.  The cube is rescaled onto
+    the unit cube, where the ball is one hole of the perforated solve: its
+    mask is :func:`~perfhom.solver.hole_mask` (``|x| <= a + h/3``, the
+    recentred staircase), and :func:`~perfhom.solver.solve_perforated`
+    finds the correction that vanishes on the ball and makes the field
+    discrete-harmonic off it.  ``tol`` is the relative residual of that
+    correction system on the free nodes.  The value decreases in ``L``
+    toward the Newtonian capacity.
 
-    Requires ``0 <= a < L``, ``h < a / 2`` and ``L/h`` integral.
+    Requires ``0 <= a < L``, ``0 < h < a / 2`` and ``L/h`` integral.
     """
+    # solver imports this module for the ball potential and the mask rule
+    from .solver import Grid, hole_mask, solve_perforated
+
     if d < 3:
         raise InvalidParameterError(f"variational capacity needs d >= 3, got {d}")
+    if not (math.isfinite(L) and math.isfinite(h) and h > 0.0):
+        raise InvalidParameterError(f"need finite L and h > 0, got L={L}, h={h}")
     if a == 0.0:
         return CapacityResult(value=0.0, method="variational", dim=d, truncation=L, grid_h=h)
-    if a < 0.0 or a >= L:
+    if not (0.0 <= a < L):
         raise InvalidParameterError(f"need 0 <= a < L, got a={a}, L={L}")
     if h >= a / 2.0:
         raise ResolutionError(f"grid spacing h={h} cannot resolve ball radius a={a} (need h < a/2)")
@@ -141,51 +159,11 @@ def capacity_variational(
         raise InvalidParameterError(f"L/h must be an integer, got {L}/{h}")
     half = int(round(half))
 
-    coords = (np.arange(2 * half + 1) - half) * h
-    shape = (coords.size,) * d
-    r2 = np.zeros(shape)
-    for ax in range(d):
-        view = [None] * d
-        view[ax] = slice(None)
-        r2 = r2 + (coords[tuple(view)]) ** 2
-    masked_radius = a + BALL_MASK_INFLATION * h
-    ball = r2 <= masked_radius * masked_radius
-    boundary = np.zeros(shape, dtype=bool)
-    for ax in range(d):
-        face = [slice(None)] * d
-        face[ax] = 0
-        boundary[tuple(face)] = True
-        face[ax] = -1
-        boundary[tuple(face)] = True
-    fixed = ball | boundary
-
-    # analytical condenser profile as the initial guess (clamped to the
-    # boundary values; does not bias the minimised energy)
-    r = np.sqrt(r2)
-    profile = (a / np.maximum(r, a)) ** (d - 2)
-    profile = (profile - (a / L) ** (d - 2)) / (1.0 - (a / L) ** (d - 2))
-    u = np.clip(profile, 0.0, 1.0)
-    u[ball] = 1.0
-    u[boundary] = 0.0
-
-    def apply_op(v):
-        w = neg_laplacian(v, h)
-        w[fixed] = 0.0
-        return w
-
-    # the surface is fixed, so the free nodes lie in the interior block,
-    # where the stencil is the Dirichlet Laplacian the sine basis inverts
-    inner = (slice(1, -1),) * d
-
-    def precond(r, out):
-        out[inner] = dirichlet_solve(r[inner], h)
-        out[fixed] = 0.0
-        return out
-
-    residual = -neg_laplacian(u, h)
-    residual[fixed] = 0.0
-    correction, _, _ = pcg(apply_op, residual, tol=tol, precond=precond)
-    u = u + correction
+    grid = Grid(d, 2 * half - 1)
+    ball = HoleFamily(np.full((1, d), 0.5), [a / (2.0 * L)], np.zeros((1, d), dtype=np.int64))
+    u = hole_mask(grid, ball).astype(float)
+    correction, _ = solve_perforated(-neg_laplacian(u, grid.h), ball, grid, tol)
+    u = np.pad(u + correction, 1)
 
     energy = 0.0
     for ax in range(d):

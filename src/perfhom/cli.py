@@ -117,12 +117,12 @@ def _cmd_capacity(args) -> int:
         L, h = args.numeric
         first = capacity_variational(args.dim, args.radius, L, h)
         print(f"variational L={L:g} h={h:g}: {first.value!r}")
-        if args.extrapolate:
+        if args.extrapolate is not None:
             second = capacity_variational(args.dim, args.radius, args.extrapolate, h)
             print(f"variational L={args.extrapolate:g} h={h:g}: {second.value!r}")
             extrapolated = capacity_extrapolate(first, second)
             print(f"extrapolated: {extrapolated.value!r}")
-    elif args.extrapolate:
+    elif args.extrapolate is not None:
         raise InvalidParameterError("--extrapolate requires --numeric")
     return 0
 

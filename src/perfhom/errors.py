@@ -34,7 +34,8 @@ class ExtrapolationError(PerfhomError):
 
 
 class EvaluationError(PerfhomError):
-    """User input is non-finite: a callable's values or a right-hand side."""
+    """User input is non-finite (a callable's values or a right-hand side), or a
+    value computed from finite input overflows."""
 
 
 class StudyError(PerfhomError):

@@ -64,7 +64,6 @@ from .potential import (
     box_quadrature,
 )
 from .stencil import SupportSolve, dirichlet_solve, neg_laplacian
-from .tiling import Box, unit_box
 
 Array = np.ndarray
 
@@ -97,10 +96,6 @@ class Grid:
     @property
     def size(self) -> int:
         return self.n**self.dim
-
-    @property
-    def domain(self) -> Box:
-        return unit_box(self.dim)
 
     def axis(self) -> Array:
         """Interior node coordinates along one axis."""

@@ -58,11 +58,6 @@ class TilingSpec:
         if not (self.epsilon > 0.0):
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
 
-    @property
-    def template_diameter(self) -> float:
-        """Diameter of the unscaled template, ``2 sqrt(d)``."""
-        return 2.0 * math.sqrt(self.dim)
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -78,10 +73,6 @@ class Cell:
     @property
     def center(self) -> tuple[float, ...]:
         return tuple(self.epsilon * i for i in self.index)
-
-    @property
-    def half_width(self) -> float:
-        return self.epsilon
 
     @property
     def measure(self) -> float:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfhom import solver
 from perfhom.capacity import (
     CapacityResult,
     capacity_ball,
@@ -163,6 +166,40 @@ def test_variational_matches_sparse_direct_solve():
 
     ours = capacity_variational(3, a, L, h, tol=1e-12)
     assert ours.value == pytest.approx(energy, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([3, 4]),
+    half=st.integers(3, 8),
+    h=st.floats(0.05, 1.0),
+    s=st.floats(0.02, 0.98),
+)
+def test_variational_ball_mask_is_the_cube_staircase(d, half, h, s):
+    # the ball's mask on the rescaled unit-cube grid is the staircase
+    # |x| <= a + h/3 on the interior nodes of the [-L, L]^d lattice,
+    # away from nodes within rounding of the masked sphere
+    from perfhom.capacity import BALL_MASK_INFLATION
+
+    a, L = (2.0 + s * (half - 2)) * h, half * h
+    masks = []
+    hole_mask = solver.hole_mask
+
+    def spy(grid, holes, **kwargs):
+        masks.append(hole_mask(grid, holes, **kwargs))
+        return masks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "hole_mask", spy)
+        capacity_variational(d, a, L, h)
+    coords = (np.arange(1, 2 * half) - half) * h
+    r = np.sqrt(sum(np.ix_(*[coords**2] * d)))
+    masked_radius = a + BALL_MASK_INFLATION * h
+    clear = np.abs(r - masked_radius) > 1e-9 * h
+    assert masks
+    for mask in masks:
+        assert mask.shape == r.shape
+        np.testing.assert_array_equal(mask[clear], (r <= masked_radius)[clear])
 
 
 def test_variational_subset_monotonicity():

@@ -50,6 +50,30 @@ def test_capacity_invalid_dimension_exits_one(capsys):
     assert "error" in err
 
 
+BAD_CAPACITY_INPUT = [
+    (["3", "nan"], 1, "error:"),
+    (["3", "inf"], 1, "error:"),
+    (["3", "1", "--numeric", "3", "0"], 1, "error:"),
+    (["3", "1", "--numeric", "3", "-0.25"], 1, "error:"),
+    (["3", "1", "--numeric", "3", "nan"], 1, "error:"),
+    (["3", "1", "--numeric", "inf", "0.25"], 1, "error:"),
+    (["3", "1", "--numeric", "3", "0.25", "--extrapolate", "nan"], 1, "error:"),
+    (["3", "1", "--numeric", "3", "0.25", "--extrapolate", "inf"], 1, "error:"),
+    (["3", "1", "--numeric", "3", "0.25", "--extrapolate", "0"], 1, "error:"),
+    (["3", "1", "--extrapolate", "0"], 1, "error:"),
+    (["5", "1e200"], 2, "numerical failure:"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix", BAD_CAPACITY_INPUT, ids=[" ".join(c[0]) for c in BAD_CAPACITY_INPUT]
+)
+def test_capacity_bad_input_exits_with_message(capsys, argv, code, prefix):
+    got, _, err = run_cli(capsys, "capacity", *argv)
+    assert got == code
+    assert err.startswith(prefix)
+
+
 def test_capacity_numeric_flag(capsys):
     code, out, _ = run_cli(
         capsys, "capacity", "3", "1", "--numeric", "3", "0.25", "--extrapolate", "6"
