@@ -84,8 +84,8 @@ from .solver import (
 from .tiling import (
     Box,
     Cell,
+    CellFamily,
     TilingSpec,
-    cell_of_point,
     cells_intersecting,
     unit_box,
 )

@@ -138,17 +138,14 @@ def _cmd_construct(args) -> int:
 
 
 def _assumption_rows(cfg, args):
-    domain = unit_box(cfg.dim)
     for k, eps in enumerate(cfg.epsilons):
-        spec = TilingSpec(cfg.dim, eps)
-        cells = cells_intersecting(spec, domain)
         if getattr(args, "holes_dir", None):
             holes = read_holes_csv(args.holes_dir / f"holes_{k:02d}.csv")
             seps = SeparationParams(c1=1.0, epsilon=eps)
+            cells = cells_intersecting(TilingSpec(cfg.dim, eps), unit_box(cfg.dim))
         else:
             construction = construct_study_holes(cfg, eps)
-            holes = construction.holes
-            seps = construction.separation
+            holes, seps, cells = construction.holes, construction.separation, construction.cells
         yield assumption_quantities(holes, seps, cells)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .solver import Grid, field_from_callable, multilinear_sample
 from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
 from .stencil import dirichlet_solve
 from .stencil import neg_laplacian  # noqa: F401  (perfbench/tracing.py wraps diagnostics.neg_laplacian)
-from .tiling import Cell, TilingSpec, cell_axis_indices
+from .tiling import CellFamily, TilingSpec, cell_axis_indices
 
 Array = np.ndarray
 
@@ -70,23 +70,24 @@ class AssumptionReport:
 
 
 def assumption_quantities(
-    holes: HoleFamily, seps: SeparationParams, cells: Sequence[Cell]
+    holes: HoleFamily, seps: SeparationParams, cells: CellFamily
 ) -> AssumptionReport:
     """Evaluate the separation-assumption quantities by direct summation.
 
-    ``holes`` and ``cells`` must be aligned index by index.
+    ``holes.index`` must equal ``cells.index`` row for row; every cell
+    has diameter ``2 eps sqrt(d)`` and measure ``(2 eps)^d``.
     """
     if not cells:
         raise InvalidParameterError("assumption quantities need at least one cell")
-    if not np.array_equal(holes.index, [cell.index for cell in cells]):
+    if not np.array_equal(holes.index, cells.index):
         raise InvalidParameterError(
             f"holes and cells are misaligned ({len(holes)} holes, {len(cells)} cells)"
         )
-    d = cells[0].dim
+    d = cells.index.shape[1]
     R = seps.R
     radii = holes.radii
-    diam_cell = cells[0].diameter
-    measure = cells[0].measure
+    diam_cell = 2.0 * cells.epsilon * math.sqrt(d)
+    measure = (2.0 * cells.epsilon) ** d
     powers = radii ** (d - 2)
     return AssumptionReport(
         epsilon=seps.epsilon,

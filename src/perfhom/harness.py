@@ -47,7 +47,8 @@ from .solver import (
     weak_witness,
 )
 from .holes import disjointness_check
-from .tiling import TilingSpec, cells_intersecting, unit_box
+from .tiling import TilingSpec, unit_box
+from .tiling import cells_intersecting  # noqa: F401  (perfbench/tracing.py wraps harness.cells_intersecting)
 
 Array = np.ndarray
 
@@ -92,13 +93,22 @@ def parse_rhs(text: str, dim: int) -> Callable[[Array], Array]:
 
 @dataclass(frozen=True)
 class TrendSpec:
-    """A registered trend assertion on one report column."""
+    """A registered trend assertion on one report column; ``mode`` is one
+    of ``MODES``, and the last three take ``param``."""
+
+    MODES = ("strict_decrease", "abs_decrease", "min_ratio", "slope", "max_abs")
 
     name: str
     column: str
-    mode: str  # strict_decrease | min_ratio | slope | max_abs
+    mode: str
     param: Optional[float] = None
     param2: Optional[float] = None
+
+    def __post_init__(self):
+        if self.mode not in self.MODES:
+            raise InvalidParameterError(f"unknown trend mode {self.mode!r}")
+        if self.param is None and self.mode in self.MODES[2:]:
+            raise InvalidParameterError(f"{self.mode} mode needs a parameter")
 
 
 @dataclass
@@ -127,8 +137,8 @@ class StudyConfig:
             raise ConfigError("study needs at least one epsilon")
         if any(e2 >= e1 for e1, e2 in zip(self.epsilons, self.epsilons[1:])):
             raise ConfigError("epsilon list must be strictly decreasing")
-        if any(e <= 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
+        if not all(0.0 < e < math.inf for e in self.epsilons):
+            raise ConfigError("epsilons must be positive and finite")
         if any(n < 1 for n in self.grids):
             raise ConfigError("grid sizes must be positive")
         finest = max(self.grids) + 1
@@ -142,6 +152,12 @@ class StudyConfig:
         for mode in self.witness_modes:
             if len(mode) != self.dim or any(int(m) < 1 for m in mode):
                 raise ConfigError(f"bad witness mode {mode}")
+        columns = {f.name for f in fields(StudyRow)} | set(map(_witness_column, self.witness_modes))
+        for trend in self.trends:
+            if trend.column not in columns - {"witnesses"}:
+                raise ConfigError(f"trend {trend.name!r} names unknown column {trend.column!r}")
+        if self.trends and len(self.epsilons) < 2:
+            raise ConfigError("trends need at least 2 epsilons")
 
 
 def _parse_number(text: str) -> float:
@@ -195,12 +211,8 @@ def load_config(path) -> StudyConfig:
             witness_modes = tuple(m[:dim] for m in DEFAULT_WITNESS_MODES) if dim <= 3 else (
                 tuple([1] * dim),
             )
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"invalid value in [study]: {exc}") from exc
-
-    trends = []
-    if "trends" in parser:
-        for name, value in parser["trends"].items():
+        trends = []
+        for name, value in parser["trends"].items() if "trends" in parser else ():
             tokens = value.split()
             if len(tokens) < 2:
                 raise ConfigError(f"trend {name!r} needs 'column mode [param]'")
@@ -208,6 +220,8 @@ def load_config(path) -> StudyConfig:
             param = float(tokens[2]) if len(tokens) > 2 else None
             param2 = float(tokens[3]) if len(tokens) > 3 else None
             trends.append(TrendSpec(name, column, mode, param, param2))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid value in {path}: {exc}") from exc
 
     try:
         potential = parse_potential(potential_spec, dim)
@@ -353,7 +367,7 @@ def trend_check(
     *,
     min_ratio: Optional[float] = None,
     slope_target: Optional[float] = None,
-    slope_tol: Optional[float] = None,
+    slope_tol: float = 0.1,
     bound: Optional[float] = None,
 ) -> TrendResult:
     """Evaluate a trend assertion on one report column.
@@ -370,7 +384,8 @@ def trend_check(
     ratios = tuple(
         a / b if b != 0.0 else math.inf for a, b in zip(values, values[1:])
     )
-    spec = TrendSpec("adhoc", column, mode, min_ratio or slope_target or bound)
+    param = {"min_ratio": min_ratio, "slope": slope_target, "max_abs": bound}.get(mode)
+    spec = TrendSpec("adhoc", column, mode, param)
     if mode == "strict_decrease":
         passed = all(a > b for a, b in zip(values, values[1:]))
         return TrendResult(spec, passed, tuple(values), ratios)
@@ -378,37 +393,26 @@ def trend_check(
         passed = all(abs(a) > abs(b) for a, b in zip(values, values[1:]))
         return TrendResult(spec, passed, tuple(values), ratios)
     if mode == "min_ratio":
-        if min_ratio is None:
-            raise InvalidParameterError("min_ratio mode needs a ratio")
         passed = all(r >= min_ratio for r in ratios)
         return TrendResult(spec, passed, tuple(values), ratios)
     if mode == "slope":
-        if slope_target is None or slope_tol is None:
-            raise InvalidParameterError("slope mode needs target and tolerance")
         eps = report.column("epsilon")
         if any(v <= 0 for v in values):
             return TrendResult(spec, False, tuple(values), ratios, "nonpositive values")
         slope = float(np.polyfit(np.log(eps), np.log(values), 1)[0])
         passed = abs(slope - slope_target) <= slope_tol
         return TrendResult(spec, passed, tuple(values), ratios, f"slope={slope:.4f}")
-    if mode == "max_abs":
-        if bound is None:
-            raise InvalidParameterError("max_abs mode needs a bound")
-        passed = all(abs(v) <= bound for v in values)
-        return TrendResult(spec, passed, tuple(values), ratios)
-    raise InvalidParameterError(f"unknown trend mode {mode!r}")
+    passed = all(abs(v) <= bound for v in values)  # max_abs, the one mode left
+    return TrendResult(spec, passed, tuple(values), ratios)
 
 
 def _run_trend(report: StudyReport, spec: TrendSpec) -> TrendResult:
-    kwargs = {}
-    if spec.mode == "min_ratio":
-        kwargs["min_ratio"] = spec.param
-    elif spec.mode == "slope":
-        kwargs["slope_target"] = spec.param
-        kwargs["slope_tol"] = spec.param2 if spec.param2 is not None else 0.1
-    elif spec.mode == "max_abs":
-        kwargs["bound"] = spec.param
-    result = trend_check(report, spec.column, spec.mode, **kwargs)
+    # each mode reads only its own keyword
+    p = spec.param
+    tol = {} if spec.param2 is None else {"slope_tol": spec.param2}
+    result = trend_check(
+        report, spec.column, spec.mode, min_ratio=p, slope_target=p, bound=p, **tol
+    )
     result.spec = spec
     return result
 
@@ -436,7 +440,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     against the injected limit field.  Any stage failure raises
     :class:`StudyError` carrying the rows finished so far.
     """
-    domain = unit_box(cfg.dim)
     rows: list[StudyRow] = []
     metadata = {
         "dim": cfg.dim,
@@ -453,7 +456,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     report = StudyReport(rows, metadata)
 
     try:
-        return _run_study_body(cfg, domain, report)
+        return _run_study_body(cfg, report)
     except StudyError:
         # emit the rows finished before the failure
         if cfg.out_dir and report.rows:
@@ -461,7 +464,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         raise
 
 
-def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyReport:
+def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
     rows = report.rows
     metadata = report.metadata
 
@@ -512,9 +515,8 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
             raise StudyError(
                 "disjointness", eps, "separation balls overlap or escape cells", report
             )
-        cells = stage("cells", eps, lambda: cells_intersecting(spec, domain))
         assumptions = stage(
-            "assumptions", eps, lambda: assumption_quantities(holes, seps, cells)
+            "assumptions", eps, lambda: assumption_quantities(holes, seps, construction.cells)
         )
         if n not in lumped:
             lumped[n] = stage(
@@ -561,7 +563,7 @@ def _run_study_body(cfg: StudyConfig, domain, report: StudyReport) -> StudyRepor
                 epsilon=eps,
                 n=n,
                 h=grid.h,
-                cell_count=len(cells),
+                cell_count=len(holes),
                 hole_count=radii.size,
                 min_radius=float(radii.min()) if radii.size else 0.0,
                 max_radius=float(radii.max()) if radii.size else 0.0,

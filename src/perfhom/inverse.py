@@ -24,7 +24,7 @@ from .errors import ConstructionError
 from .holes import HoleFamily, SeparationParams, write_holes_csv
 from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec, cell_masses
 from .potential import cell_mass  # noqa: F401  (perfbench/tracing.py wraps inverse.cell_mass)
-from .tiling import Box, TilingSpec, cells_intersecting
+from .tiling import Box, CellFamily, TilingSpec, cells_intersecting
 
 C1 = 1.0
 
@@ -40,6 +40,10 @@ class ConstructionReport:
     max_radius_ratio: float
     skipped: tuple[tuple[int, ...], ...]
     total_mass: float
+
+    @property
+    def cells(self) -> CellFamily:
+        return CellFamily(self.holes.index, self.epsilon)
 
     @property
     def separation(self) -> SeparationParams:
@@ -81,20 +85,19 @@ def construct_holes(
     eps = spec.epsilon
     cells = cells_intersecting(spec, domain)
     masses = cell_masses(mu, cells, quad)
-    index = np.array([cell.index for cell in cells], dtype=np.int64)
     radii = (masses / ((d - 2) * sphere_area(d))) ** (1.0 / (d - 2))
     if strict and np.any(radii >= eps):
         i = int(np.argmax(radii >= eps))
         raise ConstructionError(
             f"hole radius {radii[i]:.6g} >= cell half-width {eps:.6g} "
-            f"in cell {cells[i].index}; lower epsilon or the potential"
+            f"in cell {tuple(cells.index[i].tolist())}; lower epsilon or the potential"
         )
     return ConstructionReport(
-        holes=HoleFamily(eps * index, radii, index),
+        holes=HoleFamily(eps * cells.index, radii, cells.index),
         dim=d,
         epsilon=eps,
         c1=C1,
         max_radius_ratio=float(radii.max()) / (C1 * eps),
-        skipped=tuple(cells[i].index for i in np.flatnonzero(masses == 0.0)),
+        skipped=tuple(map(tuple, cells.index[masses == 0.0].tolist())),
         total_mass=float(masses.sum()),
     )

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EvaluationError, InvalidParameterError
-from .tiling import Box, Cell, TilingSpec, cell_axis_indices, cells_intersecting
+from .tiling import Box, Cell, CellFamily, TilingSpec, cell_axis_indices, cells_intersecting
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,9 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
 
 
 def cell_masses(
-    mu: Potential, cells: Sequence[Cell], quad: QuadratureSpec = DEFAULT_QUADRATURE
+    mu: Potential, cells: CellFamily, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> np.ndarray:
-    """Masses ``mu(A_i)`` of a family of cells of one pitch, shape ``(N,)``.
+    """Masses ``mu(A_i)`` of a cell family, shape ``(N,)``, in index order.
 
     Densities use tensor Gauss quadrature over each cell box (exact for
     constants).  Surface graphs sample the footprints of the family's
@@ -156,12 +156,12 @@ def cell_masses(
     """
     if isinstance(mu, SumPotential):
         return sum(cell_masses(part, cells, quad) for part in mu.parts)
-    eps = cells[0].epsilon
-    index = np.array([cell.index for cell in cells], dtype=np.int64)
+    eps = cells.epsilon
+    index = cells.index
     if isinstance(mu, Density):
         return box_quadrature(mu.f, eps * index, eps, quad.volume_order)
     if isinstance(mu, SurfaceGraph):
-        spec = TilingSpec(cells[0].dim, eps)
+        spec = TilingSpec(index.shape[1], eps)
         lo = index.min(axis=0)
         shape = tuple((index.max(axis=0) - lo) // 2 + 1)
         refine = quad.surface_refine
@@ -182,14 +182,15 @@ def cell_masses(
 
 def cell_mass(mu: Potential, cell: Cell, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Mass ``mu(A_i)`` of one cell; see :func:`cell_masses`."""
-    return float(cell_masses(mu, [cell], quad)[0])
+    cells = CellFamily(np.array([cell.index], dtype=np.int64), cell.epsilon)
+    return float(cell_masses(mu, cells, quad)[0])
 
 
 @dataclass(frozen=True)
 class CellAverageField:
     """Piecewise-constant field ``mu(A_i) / |A_i|`` on the intersecting cells."""
 
-    cells: tuple[Cell, ...]
+    cells: CellFamily
     masses: np.ndarray
     values: np.ndarray
 
@@ -211,7 +212,7 @@ def cell_average_field(
     cells = cells_intersecting(spec, domain)
     masses = cell_masses(mu, cells, quad)
     measure = (2.0 * spec.epsilon) ** spec.dim
-    return CellAverageField(tuple(cells), masses, masses / measure)
+    return CellAverageField(cells, masses, masses / measure)
 
 
 @dataclass(frozen=True)

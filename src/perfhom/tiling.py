@@ -3,15 +3,16 @@
 The plane is tiled by half-open boxes ``eps * ((-1, 1]^d + i)`` with
 ``i`` running over the even integer lattice ``2 Z^d``.  The translates
 are pairwise disjoint and cover ``R^d``; upper faces are included, which
-resolves every membership tie.
+resolves every membership tie; :func:`cell_axis_indices` is the one
+point-to-cell rule.  The cells of one pitch form a :class:`CellFamily`,
+one ``(N, d)`` index array.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,77 +56,64 @@ class TilingSpec:
     def __post_init__(self):
         if self.dim < 3:
             raise InvalidParameterError(f"dimension must be >= 3, got {self.dim}")
-        if not (self.epsilon > 0.0):
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise InvalidParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One scaled lattice cell; ``index`` has even entries."""
 
     index: tuple[int, ...]
     epsilon: float
 
     @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    @property
     def center(self) -> tuple[float, ...]:
         return tuple(self.epsilon * i for i in self.index)
 
-    @property
-    def measure(self) -> float:
-        return (2.0 * self.epsilon) ** self.dim
 
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.epsilon * math.sqrt(self.dim)
+@dataclass(frozen=True, eq=False)
+class CellFamily:
+    """Cells ``eps * ((-1, 1]^d + index[i])``; ``index`` is ``(N, d)``
+    int64 with even entries.  Iterating yields one :class:`Cell` per row.
+    """
 
-    @property
-    def lower(self) -> tuple[float, ...]:
-        return tuple(self.epsilon * (i - 1) for i in self.index)
+    index: np.ndarray
+    epsilon: float
 
-    @property
-    def upper(self) -> tuple[float, ...]:
-        return tuple(self.epsilon * (i + 1) for i in self.index)
+    def __len__(self) -> int:
+        return self.index.shape[0]
 
-    def contains(self, x: Sequence[float]) -> bool:
-        """Half-open membership: lower faces excluded, upper included."""
-        return all(l < c <= u for l, c, u in zip(self.lower, x, self.upper))
+    def __iter__(self):
+        return (Cell(tuple(i), self.epsilon) for i in self.index.tolist())
 
 
-def cells_intersecting(spec: TilingSpec, domain: Box) -> list[Cell]:
+def cells_intersecting(spec: TilingSpec, domain: Box) -> CellFamily:
     """All cells with nonempty intersection with the open box ``domain``.
 
-    Cells are returned once each, in lexicographic index order.
+    Cells are returned once each, in lexicographic index order.  A pitch
+    too fine to index in int64 or in memory raises InvalidParameterError.
     """
     if domain.dim != spec.dim:
         raise InvalidParameterError("domain dimension does not match tiling")
     eps = spec.epsilon
-    ranges: list[list[int]] = []
-    for lo, hi in zip(domain.lo, domain.hi):
-        # need eps*(i+1) > lo and eps*(i-1) < hi with i even
-        i_min = 2 * (math.floor((lo / eps - 1.0) / 2.0) + 1)
-        i_max = 2 * (math.ceil((hi / eps + 1.0) / 2.0) - 1)
-        # overlap is a per-axis condition; test it on the rounded faces
-        ranges.append(
-            [i for i in range(i_min, i_max + 1, 2) if lo < eps * (i + 1) and eps * (i - 1) < hi]
-        )
-    return [Cell(index, eps) for index in itertools.product(*ranges)]
-
-
-def cell_index_of(spec: TilingSpec, x: Sequence[float]) -> tuple[int, ...]:
-    """Index of the unique cell containing ``x`` (upper faces included)."""
-    eps = spec.epsilon
-    return tuple(int(2 * math.ceil((c / eps - 1.0) / 2.0)) for c in x)
-
-
-def cell_of_point(spec: TilingSpec, x: Sequence[float]) -> Cell:
-    """The unique cell containing ``x``."""
-    return Cell(cell_index_of(spec, x), spec.epsilon)
+    try:
+        ranges = []
+        for lo, hi in zip(domain.lo, domain.hi):
+            # even i with eps*(i+1) > lo and eps*(i-1) < hi, plus one on each side
+            # as a quotient may round across a face: the rounded-face test decides
+            i_min = 2 * math.floor((lo / eps - 1.0) / 2.0)
+            i_max = 2 * math.ceil((hi / eps + 1.0) / 2.0)
+            i = np.arange(i_min, i_max + 1, 2, dtype=np.int64)
+            ranges.append(i[(lo < eps * (i + 1)) & (eps * (i - 1) < hi)])
+        index = np.stack(np.meshgrid(*ranges, indexing="ij", copy=False), axis=-1)
+    except (ArithmeticError, MemoryError, ValueError) as exc:
+        count = " x ".join(f"{(hi - lo) / (2.0 * eps):.3g}" for lo, hi in zip(domain.lo, domain.hi))
+        raise InvalidParameterError(
+            f"pitch {eps!r} gives about {count} cells, too many for int64 indices in memory"
+        ) from exc
+    return CellFamily(index.reshape(-1, spec.dim), eps)
 
 
 def cell_axis_indices(spec: TilingSpec, coords: np.ndarray) -> np.ndarray:
-    """Vectorised 1-d cell index along one axis for an array of coordinates."""
+    """Cell index of each coordinate along one axis; upper faces included."""
     return (2 * np.ceil((np.asarray(coords, dtype=float) / spec.epsilon - 1.0) / 2.0)).astype(int)

@@ -199,8 +199,8 @@ def test_criterion_08_cell_average_convergence():
         field = cell_average_field(mu, TilingSpec(3, eps), unit_box(3))
         total = 0.0
         for cell, value in zip(field.cells, field.values):
-            lo = np.maximum(np.asarray(cell.lower), 0.0)
-            hi = np.minimum(np.asarray(cell.upper), 1.0)
+            lo = np.maximum(cell.epsilon * (np.asarray(cell.index) - 1), 0.0)
+            hi = np.minimum(cell.epsilon * (np.asarray(cell.index) + 1), 1.0)
             if np.any(hi <= lo):
                 continue
             axes_x, axes_w = [], []

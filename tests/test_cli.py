@@ -196,6 +196,18 @@ def test_bad_config_exits_one(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "epsilons, grids, named",
+    [("1e-300", "15", "1e-300"), ("1e-6", "15", "1e-06"), ("inf 1/4", "15 15", "epsilon")],
+)
+def test_check_rejects_unusable_pitch(tmp_path, capsys, epsilons, grids, named):
+    # too fine to enumerate (the index range or array does not fit) or not finite
+    cfg = write(tmp_path / "pitch.cfg", ZERO_CFG.replace("1/4 1/8", epsilons).replace("15 15", grids))
+    code, _, err = run_cli(capsys, "check", cfg, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and named in err
+
+
 def test_bad_hole_csv_exits_one(tmp_path, capsys):
     cfg = write(tmp_path / "zero.cfg", ZERO_CFG)
     holes_dir = tmp_path / "holes"

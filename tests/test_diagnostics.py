@@ -16,7 +16,7 @@ from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import cell_average_field, make_box, make_constant, make_plane
 from perfhom.solver import Grid, field_from_callable, lump_measure
-from perfhom.tiling import TilingSpec, cells_intersecting, unit_box
+from perfhom.tiling import TilingSpec, cell_axis_indices, cells_intersecting, unit_box
 
 
 def build(mu, eps):
@@ -123,13 +123,11 @@ def test_capacity_density_field_matches_cell_averages():
     field = capacity_density_field(report.holes, spec, grid)
     averages = cell_average_field(mu, spec, unit_box(3)).by_index()
     xs = grid.axis()
-    from perfhom.tiling import cell_of_point
-
     for i in (0, 7, 14):
         for j in (0, 7, 14):
             for k in (0, 7, 14):
-                cell = cell_of_point(spec, (xs[i], xs[j], xs[k]))
-                assert field[i, j, k] == pytest.approx(averages[cell.index], rel=1e-12)
+                index = tuple(cell_axis_indices(spec, xs[[i, j, k]]).tolist())
+                assert field[i, j, k] == pytest.approx(averages[index], rel=1e-12)
 
 
 def test_ldc_deviation_zero_for_empty_problem():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perfhom
 from perfhom.errors import ConfigError, InvalidParameterError, StudyError
 from perfhom.harness import (
     StudyConfig,
@@ -19,6 +20,7 @@ from perfhom.harness import (
 )
 from perfhom.potential import parse_potential
 from perfhom.solver import Grid, field_from_callable, sine_mode_field
+from perfhom.tiling import cells_intersecting
 
 
 def write_config(path, body):
@@ -87,6 +89,28 @@ def test_config_validation_errors(tmp_path):
     short_mode = BASE.replace("f = constant(1)", "f = sine(1, 1)")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path / "f.cfg", short_mode))
+
+
+@pytest.mark.parametrize(
+    "line, epsilons",
+    [
+        ("x = no_such_column strict_decrease", "1/4 1/8"),
+        ("x = witnesses strict_decrease", "1/4 1/8"),
+        ("x = witness_9_9_9 abs_decrease", "1/4 1/8"),
+        ("x = l2_error no_such_mode", "1/4 1/8"),
+        ("x = l2_error min_ratio", "1/4 1/8"),
+        ("x = l2_error slope", "1/4 1/8"),
+        ("x = l2_error max_abs", "1/4 1/8"),
+        ("x = l2_error min_ratio abc", "1/4 1/8"),
+        ("x = l2_error strict_decrease", "1/4"),
+    ],
+)
+def test_bad_trend_lines_fail_at_load(tmp_path, line, epsilons):
+    # a trend that cannot be evaluated fails before the sweep, not after it
+    grids = " ".join("15" for _ in epsilons.split())
+    body = BASE.replace("1/4 1/8", epsilons).replace("15 15", grids) + "\n[trends]\n" + line + "\n"
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path / "t.cfg", body))
 
 
 def zero_study_config(out_dir=None):
@@ -256,12 +280,25 @@ def test_summary_records_stage_seconds(tmp_path):
     assert set(seconds["limit"]) == {"lump_measure", "rhs", "solve_limit"}
     assert len(seconds["rows"]) == len(report.rows)
     for row in seconds["rows"]:
-        stages = {"construct", "cells", "ldc", "solve_perforated", "l2_error", "witnesses"}
+        stages = {"construct", "assumptions", "ldc", "solve_perforated", "l2_error", "witnesses"}
         assert stages <= set(row)
     values = [*seconds["limit"].values(), *(v for row in seconds["rows"] for v in row.values())]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
     # the stages do not nest, so they add up to at most the whole sweep
     assert sum(values) <= report.metadata["total_seconds"]
+
+
+def test_study_enumerates_cells_once_per_row(monkeypatch):
+    calls = []
+
+    def counting(spec, domain):
+        calls.append(spec.epsilon)
+        return cells_intersecting(spec, domain)
+
+    for module in (perfhom.harness, perfhom.inverse, perfhom.potential):
+        monkeypatch.setattr(module, "cells_intersecting", counting)
+    run_study(zero_study_config())
+    assert calls == [0.25, 0.125]
 
 
 def test_summary_records_numpy_version_and_cpu_count(tmp_path):

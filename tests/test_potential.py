@@ -21,7 +21,7 @@ from perfhom.potential import (
     max_cell_mass_scaling,
     parse_potential,
 )
-from perfhom.tiling import Cell, TilingSpec, cell_of_point, cells_intersecting, unit_box
+from perfhom.tiling import Cell, TilingSpec, cell_axis_indices, cells_intersecting, unit_box
 
 
 def gauss_oracle_lp_distance(field, mu, p, order=4):
@@ -30,8 +30,8 @@ def gauss_oracle_lp_distance(field, mu, p, order=4):
     ref_x, ref_w = np.polynomial.legendre.leggauss(order)
     total = 0.0
     for cell, value in zip(field.cells, field.values):
-        lo = np.maximum(np.asarray(cell.lower), 0.0)
-        hi = np.minimum(np.asarray(cell.upper), 1.0)
+        lo = np.maximum(cell.epsilon * (np.asarray(cell.index) - 1), 0.0)
+        hi = np.minimum(cell.epsilon * (np.asarray(cell.index) + 1), 1.0)
         if np.any(hi <= lo):
             continue
         axes_x, axes_w = [], []
@@ -77,8 +77,8 @@ def test_plane_on_cell_face_counted_once():
     above = Cell((0, 0, 4), spec_eps)
     masses = [cell_mass(mu, c) for c in (below, above)]
     assert sum(m > 0 for m in masses) == 1
-    owner = cell_of_point(TilingSpec(3, spec_eps), (0.06, 0.06, 0.25))
-    assert masses[0 if owner.index[2] == 2 else 1] > 0
+    owner = cell_axis_indices(TilingSpec(3, spec_eps), 0.25)
+    assert masses[0 if owner == 2 else 1] > 0
 
 
 def test_additivity_of_sums_is_exact():
@@ -100,8 +100,8 @@ def test_partition_consistency_constant_density():
     mu = make_constant(3, 2.0)
     spec = TilingSpec(3, 0.25)
     field = cell_average_field(mu, spec, unit_box(3))
-    lows = np.array([c.lower for c in field.cells])
-    highs = np.array([c.upper for c in field.cells])
+    lows = spec.epsilon * (field.cells.index - 1)
+    highs = spec.epsilon * (field.cells.index + 1)
     covered = float(np.prod(highs.max(axis=0) - lows.min(axis=0)))
     assert field.total_mass == pytest.approx(2.0 * covered, rel=1e-13)
 
@@ -112,8 +112,8 @@ def test_partition_consistency_plane():
     mu = make_plane(3, 0.5, weight)
     spec = TilingSpec(3, 0.25)
     field = cell_average_field(mu, spec, unit_box(3))
-    lows = np.array([c.lower for c in field.cells])
-    highs = np.array([c.upper for c in field.cells])
+    lows = spec.epsilon * (field.cells.index - 1)
+    highs = spec.epsilon * (field.cells.index + 1)
     span = highs.max(axis=0) - lows.min(axis=0)
     assert field.total_mass == pytest.approx(weight * span[0] * span[1], rel=1e-13)
 
@@ -243,7 +243,8 @@ def reference_cell_mass(mu, cell, quad=QuadratureSpec()):
     the half-open cell ``(lower, upper]``."""
     if isinstance(mu, SumPotential):
         return sum(reference_cell_mass(part, cell, quad) for part in mu.parts)
-    lo, hi = np.asarray(cell.lower), np.asarray(cell.upper)
+    lo = cell.epsilon * (np.asarray(cell.index) - 1)
+    hi = cell.epsilon * (np.asarray(cell.index) + 1)
     if isinstance(mu, Density):
         ref_x, ref_w = np.polynomial.legendre.leggauss(quad.volume_order)
         axes = [0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * ref_x for k in range(3)]

@@ -7,6 +7,7 @@ path so the benchmark directory needs no package structure.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import perfhom
@@ -28,3 +29,18 @@ def test_every_trace_target_resolves():
     for mod_name, attr, span, _ in tracing.TARGETS:
         module = getattr(perfhom, mod_name) if mod_name else perfhom
         assert callable(getattr(module, attr, None)), f"{mod_name}.{attr} ({span})"
+
+
+def test_tracing_only_imports_name_a_target():
+    # an import kept only for the benchmark says so in a comment; once the
+    # benchmark drops the target, the stale import fails here
+    targets = {(mod_name, attr) for mod_name, attr, _, _ in load_tracing().TARGETS}
+    pattern = re.compile(r"perfbench/tracing\.py wraps (\w+)\.(\w+)")
+    named = [
+        (path.stem, match.groups())
+        for path in sorted(Path(perfhom.__file__).parent.glob("*.py"))
+        for match in pattern.finditer(path.read_text())
+    ]
+    assert named
+    for module, (mod_name, attr) in named:
+        assert mod_name == module and (mod_name, attr) in targets, f"{module}: {mod_name}.{attr}"
