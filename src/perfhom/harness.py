@@ -47,7 +47,7 @@ from .solver import (
     weak_witness,
 )
 from .holes import disjointness_check
-from .tiling import TilingSpec, unit_box
+from .tiling import TilingSpec, cell_axis_ranges, unit_box
 from .tiling import cells_intersecting  # noqa: F401  (perfbench/tracing.py wraps harness.cells_intersecting)
 
 Array = np.ndarray
@@ -139,6 +139,12 @@ class StudyConfig:
             raise ConfigError("epsilon list must be strictly decreasing")
         if not all(0.0 < e < math.inf for e in self.epsilons):
             raise ConfigError("epsilons must be positive and finite")
+        for eps in self.epsilons:
+            # the enumeration every row's construction runs, checked before any stage
+            try:
+                cell_axis_ranges(TilingSpec(self.dim, eps), unit_box(self.dim))
+            except InvalidParameterError as exc:
+                raise ConfigError(str(exc)) from exc
         if any(n < 1 for n in self.grids):
             raise ConfigError("grid sizes must be positive")
         finest = max(self.grids) + 1

@@ -116,30 +116,53 @@ def box_quadrature(f, centers: np.ndarray, half: float, order: int) -> np.ndarra
 def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axis_index, shape):
     """Midpoint samples of a graph measure summed into a ``shape`` array.
 
-    The footprint is the tensor product of the ravelled ``axes``; each
-    sample has mass ``weight * sqrt(1 + |grad s|^2) * area``.  It is
-    sampled one strip (one row of ``axes[0]``) at a time, so no array
-    spans the whole footprint, and every bin adds its samples in
-    footprint order, as one pass over the whole footprint would.
-    ``axis_index(k, coords)`` maps coordinates along axis ``k`` (the last
-    axis takes the lifted heights) to bin positions; samples with a
-    position outside ``[0, shape[k])`` on any axis are dropped.
+    The footprint is the tensor product of the ravelled ``axes``, whose
+    coordinates ascend; each sample has mass
+    ``weight * sqrt(1 + |grad s|^2) * area``.  ``axis_index(k, coords)``
+    maps coordinates along axis ``k`` (the last axis takes the lifted
+    heights) to bin positions, nondecreasing in ``coords``; samples with
+    a position outside ``[0, shape[k])`` on any axis are dropped.
+
+    Everything separable is done once per axis: the footprint axes are
+    binned (and their out-of-range coordinates dropped) once, as 1-D
+    arrays.  The axis-0 samples then split into runs sharing one axis-0
+    bin.  Each run evaluates the callables on its own points, bins only
+    the lifted heights and fills its slab ``dense[i0]`` with one
+    ``np.bincount``, so scratch stays at one run of samples,
+    ``O(n^(d-1))``.  No two runs share a bin and ``bincount`` adds in
+    input order, so every bin adds its samples in footprint order, as one
+    ``np.add.at`` pass over the whole footprint would.
     """
     dense = np.zeros(shape)
-    rest = [a.ravel() for a in axes[1:]]
-    for strip in axes[0]:
-        points = np.stack([g.ravel() for g in np.meshgrid(strip, *rest, indexing="ij")], axis=-1)
+    coords, idx = [], []
+    for k, axis in enumerate(axes):
+        c = np.ravel(axis)
+        i = axis_index(k, c)
+        keep = (i >= 0) & (i < shape[k])
+        coords.append(c[keep])
+        idx.append(i[keep])
+    # flat position in a slab of each sample over the axes 1..d-2, before the height bin
+    base = np.ravel_multi_index(np.meshgrid(*idx[1:], indexing="ij"), shape[1:-1]).ravel()
+    base *= shape[-1]
+    starts = np.flatnonzero(np.diff(idx[0])) + 1
+    for i0, run in zip(idx[0][np.r_[0, starts]], np.split(coords[0], starts)):
+        mesh = np.meshgrid(run, *coords[1:], indexing="ij")
+        points = np.stack([g.ravel() for g in mesh], axis=-1)
         heights = eval_checked(mu.height, points)
         grads = np.asarray(mu.grad(points), dtype=float).reshape(len(points), -1)
-        element = np.sqrt(1.0 + (grads * grads).sum(axis=1))
+        norm2 = grads[:, 0] * grads[:, 0]
+        for k in range(1, grads.shape[1]):
+            norm2 += grads[:, k] * grads[:, k]
         weight = eval_checked(mu.weight, points) if callable(mu.weight) else float(mu.weight)
         if np.any(weight < 0.0):
             raise InvalidParameterError("surface weight must be nonnegative")
-        idx = [axis_index(k, points[:, k]) for k in range(points.shape[1])]
-        idx.append(axis_index(len(idx), heights))
-        keep = np.logical_and.reduce([(c >= 0) & (c < size) for c, size in zip(idx, shape)])
-        lin = np.ravel_multi_index(tuple(c[keep] for c in idx), shape)
-        np.add.at(dense.reshape(-1), lin, (weight * element * area)[keep])
+        mass = weight * np.sqrt(1.0 + norm2) * area
+        iz = axis_index(len(axes), heights)
+        lin = (base + iz.reshape(len(run), -1)).ravel()
+        keep = (iz >= 0) & (iz < shape[-1])
+        if not keep.all():
+            lin, mass = lin[keep], mass[keep]
+        dense[i0] += np.bincount(lin, weights=mass, minlength=dense[i0].size).reshape(shape[1:])
     return dense
 
 
@@ -152,7 +175,10 @@ def cell_masses(
     constants).  Surface graphs sample the footprints of the family's
     cell columns once, ``surface_refine`` midpoints per cell width and
     axis, and credit each sample's weighted area element to the cell
-    holding its lifted point (half-open convention).  Sums add exactly.
+    holding its lifted point (half-open convention), by
+    :func:`bin_footprint`: the column of each footprint coordinate is
+    found once per axis, and one ``np.bincount`` per axis-0 column fills
+    the masses of that column's cells.  Sums add exactly.
     """
     if isinstance(mu, SumPotential):
         return sum(cell_masses(part, cells, quad) for part in mu.parts)
@@ -257,6 +283,23 @@ def max_cell_mass_scaling(
 # ---------------------------------------------------------------------------
 
 
+def _column_product(values: np.ndarray) -> np.ndarray:
+    """Row products of an ``(N, k)`` array, one column at a time: the
+    factors multiply in the order of ``np.prod(values, axis=1)``."""
+    out = values[:, 0]
+    for k in range(1, values.shape[1]):
+        out = out * values[:, k]
+    return out
+
+
+def _inside(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Rows of ``x`` inside the open box ``(lo, hi)^k``, one column at a time."""
+    inside = (x[:, 0] > lo) & (x[:, 0] < hi)
+    for k in range(1, x.shape[1]):
+        inside &= (x[:, k] > lo) & (x[:, k] < hi)
+    return inside
+
+
 def make_constant(dim: int, c: float) -> Density:
     """Uniform density ``c`` on all of R^d."""
     if c < 0.0:
@@ -272,8 +315,7 @@ def make_box(dim: int, c: float, lo: float = 0.0, hi: float = 1.0) -> Density:
         raise InvalidParameterError("box needs lo < hi")
 
     def f(x):
-        inside = np.all((x > lo) & (x < hi), axis=1)
-        return np.where(inside, float(c), 0.0)
+        return np.where(_inside(x, lo, hi), float(c), 0.0)
 
     return Density(f=f, p=math.inf)
 
@@ -284,8 +326,7 @@ def make_sine_density(dim: int, amplitude: float) -> Density:
         raise InvalidParameterError("sine density amplitude must be nonnegative")
 
     def f(x):
-        inside = np.all((x > 0.0) & (x < 1.0), axis=1)
-        return np.where(inside, amplitude * np.prod(np.sin(np.pi * x), axis=1), 0.0)
+        return np.where(_inside(x, 0.0, 1.0), amplitude * _column_product(np.sin(np.pi * x)), 0.0)
 
     return Density(f=f, p=math.inf)
 
@@ -311,12 +352,12 @@ def make_graph(
     omega = 2.0 * math.pi * frequency
 
     def height(xp):
-        return z0 + amplitude * np.prod(np.sin(omega * xp), axis=1)
+        return z0 + amplitude * _column_product(np.sin(omega * xp))
 
     def grad(xp):
         s = np.sin(omega * xp)
         c = np.cos(omega * xp)
-        prod = np.prod(s, axis=1, keepdims=True)
+        prod = _column_product(s)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(s != 0.0, prod / s, 0.0)
         # recompute columns that contain a zero factor explicitly

@@ -396,10 +396,12 @@ def lump_measure(
     of the grid, and lumps a constant density to itself at every node
     (construction keeps the full ``volume_order`` for its cell masses).
     Surface measures deposit footprint samples of the weighted area
-    element into the dual cell holding the lifted point, one grid row of
-    samples at a time; samples in the half-spacing skin along the
-    boundary go to the outermost interior node, so the lumped total
-    captures the full surface mass inside the domain.
+    element into the dual cell holding the lifted point; samples in the
+    half-spacing skin along the boundary go to the outermost interior
+    node, so the lumped total captures the full surface mass inside the
+    domain.  :func:`~perfhom.potential.bin_footprint` finds the dual cells
+    of the footprint coordinates once per axis and fills one node slab
+    ``out[i]`` per ``np.bincount``, with ``O(n^(d-1))`` scratch.
     """
     if isinstance(mu, SumPotential):
         out = grid.zeros()

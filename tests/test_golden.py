@@ -1,7 +1,9 @@
-"""Golden regression: the README study against its checked-in report.
+"""Golden regression: two studies against their checked-in reports.
 
-``golden/readme_study.csv`` holds the report of the README config.  Every
-column except the wall-clock ``solver_seconds`` is compared:
+``golden/readme_study.csv`` holds the report of the README config (a
+density, ``constant(40)``), ``golden/plane_study.csv`` that of the
+benchmark's surface study (``plane(0.5, 20)`` on grids 47 and 95).
+Every column except the wall-clock ``solver_seconds`` is compared:
 
 * columns computed without a linear solve (geometry, assumption sums,
   corrector norm) within 4096 ulps;
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from perfhom.harness import load_config, run_study
 
-GOLDEN = Path(__file__).parent / "golden" / "readme_study.csv"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 EPS64 = 2.0**-52
 LDC_TOL = 1e-10
 
@@ -42,6 +44,23 @@ error_drop = rel_l2_error min_ratio 1.2
 witness_drop = witness_1_1_1 abs_decrease
 """
 
+PLANE_CONFIG = """
+[study]
+dim = 3
+epsilons = 1/8 1/16
+grids = 47 95
+potential = plane(0.5, 20)
+f = constant(1.0)
+tol = 1e-09
+allow_oversized_holes = true
+witness_modes = (1,1,1) (3,1,1) (1,3,3)
+out = {out}
+
+[trends]
+error_drop = rel_l2_error min_ratio 1.2
+witness_drop = witness_1_1_1 abs_decrease
+"""
+
 SOLUTION_COLUMNS = ("l2_error", "rel_l2_error")
 
 
@@ -52,14 +71,22 @@ def read_rows(path):
 
 
 def test_readme_study_matches_golden_report(tmp_path):
+    assert_study_matches_golden(tmp_path, README_CONFIG, GOLDEN_DIR / "readme_study.csv")
+
+
+def test_plane_study_matches_golden_report(tmp_path):
+    assert_study_matches_golden(tmp_path, PLANE_CONFIG, GOLDEN_DIR / "plane_study.csv")
+
+
+def assert_study_matches_golden(tmp_path, config_text, golden_path):
     config = tmp_path / "study.ini"
-    config.write_text(README_CONFIG.format(out=tmp_path / "report"))
+    config.write_text(config_text.format(out=tmp_path / "report"))
     cfg = load_config(config)
     report = run_study(cfg)
     assert all(t.passed for t in report.trend_results)
 
     columns, rows = read_rows(tmp_path / "report" / "study.csv")
-    golden_columns, golden = read_rows(GOLDEN)
+    golden_columns, golden = read_rows(golden_path)
     assert columns == golden_columns
     assert len(rows) == len(golden)
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perfhom
+import perfhom.cli
 from perfhom.errors import ConfigError, InvalidParameterError, StudyError
 from perfhom.harness import (
     StudyConfig,
@@ -309,3 +310,19 @@ def test_summary_records_numpy_version_and_cpu_count(tmp_path):
     header = (tmp_path / "out" / "study.csv").read_text().splitlines()[0]
     assert header.split(",") == report.columns()
     assert "numpy_version" not in header and "cpu_count" not in header
+
+
+def test_unusable_pitch_fails_before_any_stage(tmp_path, monkeypatch, capsys):
+    # a pitch the cell enumeration cannot index is a config error: no
+    # limit-phase stage runs before it is reported
+    ran = []
+    for name in ("lump_measure", "field_from_callable", "solve_limit"):
+        monkeypatch.setattr(perfhom.harness, name, lambda *a, _name=name, **k: ran.append(_name))
+    for eps in ("1e-300", "1e-6"):
+        body = BASE.replace("1/4 1/8", eps).replace("15 15", "191")
+        path = write_config(tmp_path / "pitch.cfg", body.replace("zero()", "plane(0.5, 20)"))
+        with pytest.raises(ConfigError, match=f"pitch {float(eps)!r} gives about"):
+            load_config(path)
+        assert perfhom.cli.main(["study", str(path)]) == 1
+        assert "too many for int64 indices" in capsys.readouterr().err
+    assert ran == []

@@ -13,6 +13,7 @@ from perfhom.potential import (
     SurfaceGraph,
     cell_average_field,
     cell_mass,
+    cell_masses,
     make_box,
     make_constant,
     make_graph,
@@ -21,7 +22,8 @@ from perfhom.potential import (
     max_cell_mass_scaling,
     parse_potential,
 )
-from perfhom.tiling import Cell, TilingSpec, cell_axis_indices, cells_intersecting, unit_box
+from perfhom.solver import Grid, lump_measure
+from perfhom.tiling import Box, Cell, TilingSpec, cell_axis_indices, cells_intersecting, unit_box
 
 
 def gauss_oracle_lp_distance(field, mu, p, order=4):
@@ -277,3 +279,157 @@ def test_batched_cell_masses_match_per_cell_reference(z0, m):
         expected = np.array([reference_cell_mass(potential, cell) for cell in cells])
         np.testing.assert_array_equal(masses == 0.0, expected == 0.0)
         assert np.all(np.abs(masses - expected) <= bound * expected)
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def add_at_footprint(mu, axes, area, bins, shape):
+    """Reference binning: every sample of the footprint ``product(axes)``
+    at once, ``weight * sqrt(1 + |grad|^2) * area`` added by ``np.add.at``
+    in footprint order into the bin of ``bins(k, coords)`` on each axis."""
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    grads = mu.grad(pts)
+    norm2 = sum(grads[:, k] * grads[:, k] for k in range(grads.shape[1]))
+    weight = mu.weight(pts) if callable(mu.weight) else mu.weight
+    mass = weight * np.sqrt(1.0 + norm2) * area
+    idx = [bins(k, pts[:, k]) for k in range(pts.shape[1])]
+    idx.append(bins(len(idx), mu.height(pts)))
+    keep = np.logical_and.reduce([(i >= 0) & (i < n) for i, n in zip(idx, shape)])
+    dense = np.zeros(shape)
+    np.add.at(dense, tuple(i[keep] for i in idx), mass[keep])
+    return dense
+
+
+def add_at_lump(mu, grid, refine):
+    """``lump_measure`` of a surface measure (or a sum of them) with
+    reference binning over ``refine`` midpoints per grid spacing."""
+    if isinstance(mu, SumPotential):
+        out = grid.zeros()
+        for part in mu.parts:
+            out += add_at_lump(part, grid, refine)
+        return out
+    m = (grid.n + 1) * refine
+    axis = (np.arange(m) + 0.5) * (1.0 / m)
+
+    def dual_cell(k, c):
+        idx = np.clip(np.ceil(c / grid.h - 0.5), 1, grid.n).astype(int) - 1
+        return np.where((c > 0.0) & (c < 1.0), idx, -1)
+
+    area = (1.0 / m) ** (grid.dim - 1)
+    out = add_at_footprint(mu, [axis] * (grid.dim - 1), area, dual_cell, grid.shape)
+    out /= grid.h**grid.dim
+    return out
+
+
+def add_at_cell_masses(mu, cells, refine):
+    """``cell_masses`` of a surface measure with reference binning over the
+    footprints of the family's cell columns."""
+    eps, index = cells.epsilon, cells.index
+    spec = TilingSpec(index.shape[1], eps)
+    lo = index.min(axis=0)
+    shape = tuple((index.max(axis=0) - lo) // 2 + 1)
+    t = np.arange(refine) + 0.5
+    axes = []
+    for k in range(spec.dim - 1):
+        column = lo[k] + 2 * np.arange(shape[k])
+        low, high = eps * (column - 1), eps * (column + 1)
+        axes.append((low[:, None] + (high - low)[:, None] * t / refine).ravel())
+    area = (2.0 * eps / refine) ** (spec.dim - 1)
+    dense = add_at_footprint(
+        mu, axes, area, lambda k, c: (cell_axis_indices(spec, c) - lo[k]) // 2, shape
+    )
+    return dense[tuple(((index - lo) // 2).T)]
+
+
+def tilted_sheet(dim):
+    """A graph with a callable weight that leaves the unit cube through its
+    top face, so part of its footprint lifts out of every binning."""
+    slope = np.linspace(0.3, 0.6, dim - 1)
+    return SurfaceGraph(
+        height=lambda xp: 0.6 + xp @ slope,
+        grad=lambda xp: np.broadcast_to(slope, xp.shape),
+        weight=lambda xp: 1.0 + np.cos(3.0 * xp[:, 0]),
+        lip=float(np.sqrt(slope @ slope)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, n, refine",
+    [
+        ("plane(0.5, 20)", 47, 16),
+        ("plane(0.37, 3)", 31, 16),
+        ("graph(0.5, 0.1, 2, 20)", 47, 16),
+        ("graph(0.45, 0.2, 1, 3)", 23, 5),
+        ("sum([plane(0.3, 2), graph(0.6, 0.15, 1, 3)])", 31, 16),
+        ("tilted", 15, 7),
+    ],
+)
+def test_lump_measure_bins_as_add_at_over_whole_footprint(spec, n, refine):
+    mu = tilted_sheet(3) if spec == "tilted" else parse_potential(spec, 3)
+    grid = Grid(3, n)
+    got = lump_measure(mu, grid, QuadratureSpec(surface_refine=refine))
+    assert_bits_equal(got, add_at_lump(mu, grid, refine))
+
+
+@pytest.mark.parametrize(
+    "dim, eps, domain, refine",
+    [
+        (3, 1 / 12, None, 16),
+        (3, 1 / 8, Box((-0.3, 0.1, 0.2), (0.6, 1.3, 0.9)), 7),
+        (3, 1 / 3, None, 16),
+        (4, 1 / 4, None, 6),
+    ],
+)
+def test_cell_masses_bin_as_add_at_over_whole_footprint(dim, eps, domain, refine):
+    cells = cells_intersecting(TilingSpec(dim, eps), domain or unit_box(dim))
+    # the steeper graph, whose period does not divide the cells, keeps the
+    # rounding of |grad|^2 visible in the bins
+    shapes = ((0.5, 0.1, 2, 20), (0.5, 0.3, 2.3), (0.9, 0.2, 1, 3))
+    graphs = [make_graph(dim, *args) for args in shapes]
+    for mu in (*graphs, tilted_sheet(dim)):
+        got = cell_masses(mu, cells, QuadratureSpec(surface_refine=refine))
+        assert_bits_equal(got, add_at_cell_masses(mu, cells, refine))
+
+
+def old_graph_grad(xp, amplitude, omega):
+    """``make_graph``'s gradient written with axis reductions."""
+    s = np.sin(omega * xp)
+    c = np.cos(omega * xp)
+    prod = np.prod(s, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(s != 0.0, prod / s, 0.0)
+    for row in np.nonzero((s == 0.0).any(axis=1))[0]:
+        for k in range(xp.shape[1]):
+            ratio[row, k] = np.prod(np.delete(s[row], k))
+    return amplitude * omega * c * ratio
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_registry_callables_match_axis_reductions(dim):
+    # points inside and outside the unit cube, on its faces, and with
+    # exact zero sine factors (0 and -0 coordinates)
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(-0.5, 1.5, size=(4000, dim))
+    x[::7, 0] = 0.0
+    x[1::11, dim - 2] = -0.0
+    x[2::13, 1] = 1.0
+    x[3::17] = 0.0
+    x[4::5, -1] = rng.uniform(0.0, 1.0, size=x[4::5].shape[0])
+    inside = np.all((x > 0.0) & (x < 1.0), axis=1)
+    assert inside.any() and not inside.all()
+
+    sine = make_sine_density(dim, 2.5).f(x)
+    assert_bits_equal(sine, np.where(inside, 2.5 * np.prod(np.sin(np.pi * x), axis=1), 0.0))
+    in_box = np.all((x > 0.2) & (x < 0.7), axis=1)
+    assert_bits_equal(make_box(dim, 3.0, 0.2, 0.7).f(x), np.where(in_box, 3.0, 0.0))
+
+    xp = x[:, :-1]
+    for z0, amplitude, frequency in ((0.5, 0.1, 2.0), (0.3, -0.25, 1.5)):
+        graph = make_graph(dim, z0, amplitude, frequency)
+        omega = 2.0 * math.pi * frequency
+        assert_bits_equal(graph.height(xp), z0 + amplitude * np.prod(np.sin(omega * xp), axis=1))
+        assert_bits_equal(graph.grad(xp), old_graph_grad(xp, amplitude, omega))
