@@ -52,11 +52,41 @@ def weights_for(spec, grid, seed=0):
     return lump_measure(parse_potential(spec, grid.dim), grid)
 
 
-def check_against_oracle(grid, weights, f, tol, drift=0.0):
-    """``drift``: the share of the oracle's iterations by which the count
-    may differ beyond one."""
+def capacitance_cg(f, weights, h, tol):
+    """The iteration count of CG on ``(I + D^1/2 A^-1_YY D^1/2) y =
+    D^1/2 (A^-1 f)_Y`` with ``A^-1_YY`` read off full-grid sine solves,
+    stopped on the grid residual: the recursion of ``solve_limit`` without
+    its support-restricted solve."""
+    shift = float(weights.min())
+    support = weights > shift
+    root = np.sqrt(weights[support] - shift)
+    norm_f = math.sqrt(dot(f, f))
+
+    def apply_op(y):
+        v = np.zeros_like(f)
+        v[support] = root * y
+        z = dirichlet_solve(v, h, shift)[support]
+        z *= root
+        z += y
+        return z
+
+    def residual(r):
+        s = root * r
+        return math.sqrt(dot(s, s)) / norm_f
+
+    g = root * dirichlet_solve(f, h, shift)[support]
+    _, iterations, _ = pcg(apply_op, g, tol=tol, residual=residual)
+    return iterations
+
+
+def check_against_oracle(grid, weights, f, tol, drift=0.0, count=None):
+    """``drift``: the share of the reference count by which the iteration
+    count may differ beyond one.  ``count(f, weights, h, tol)`` gives that
+    reference; by default it is the grid oracle's own count."""
     u, stats = solve_limit(f, weights, grid, tol)
     reference, iterations = grid_pcg(f, weights, grid.h, tol)
+    if count is not None:
+        iterations = count(f, weights, grid.h, tol)
     assert abs(stats.iterations - iterations) <= 1 + int(drift * iterations)
     k = kappa(grid, weights)
     assert float(np.abs(u - reference).max()) <= 3.0 * k * tol * float(np.abs(reference).max())
@@ -113,10 +143,16 @@ def sparse_measures(draw):
 @given(sparse_measures())
 def test_random_measures_match_grid_cg(problem):
     grid, weights, f, tol = problem
-    # the two spectra agree in exact arithmetic only: past tens of
-    # iterations on dense weights up to 1e4 the two recursions were seen
-    # to differ by up to 8% of the count, either way
-    check_against_oracle(grid, weights, f, tol, drift=0.1)
+    # the count is held to the same recursion on full-grid solves, not to
+    # the grid oracle's: started from A^-1 f both search one Krylov space,
+    # but the grid CG minimises the error in the norm of L + W and the
+    # capacitance CG in that of its own matrix.  On sparse weights up to
+    # 1e4 that alone parts the counts by 13% in exact arithmetic (46
+    # against 52 on Grid(3, 5) at 1e-6), and from zero the grid CG also
+    # spends an iteration on the start (4 against 2 on Grid(1, 20)).
+    # Past tens of iterations the two capacitance recursions were seen to
+    # part by up to 8% of the count through rounding, either way
+    check_against_oracle(grid, weights, f, tol, drift=0.1, count=capacitance_cg)
 
 
 def test_one_iteration_cap_raises():
