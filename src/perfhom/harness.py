@@ -47,7 +47,8 @@ from .solver import (
     weak_witness,
 )
 from .holes import disjointness_check
-from .tiling import TilingSpec, cell_axis_ranges, unit_box
+from . import tiling
+from .tiling import TilingSpec, unit_box
 from .tiling import cells_intersecting  # noqa: F401  (perfbench/tracing.py wraps harness.cells_intersecting)
 
 Array = np.ndarray
@@ -140,9 +141,10 @@ class StudyConfig:
         if not all(0.0 < e < math.inf for e in self.epsilons):
             raise ConfigError("epsilons must be positive and finite")
         for eps in self.epsilons:
-            # the enumeration every row's construction runs, checked before any stage
+            # the enumeration every row's construction runs, checked before
+            # any stage; not a study stage, so not the name the study calls
             try:
-                cell_axis_ranges(TilingSpec(self.dim, eps), unit_box(self.dim))
+                tiling.cells_intersecting(TilingSpec(self.dim, eps), unit_box(self.dim))
             except InvalidParameterError as exc:
                 raise ConfigError(str(exc)) from exc
         if any(n < 1 for n in self.grids):

@@ -87,14 +87,11 @@ class CellFamily:
         return (Cell(tuple(i), self.epsilon) for i in self.index.tolist())
 
 
-def cell_axis_ranges(spec: TilingSpec, domain: Box) -> tuple[np.ndarray, ...]:
-    """Even indices, per axis, of the cells meeting the open box ``domain``;
-    :func:`cells_intersecting` returns their product.
+def cells_intersecting(spec: TilingSpec, domain: Box) -> CellFamily:
+    """All cells with nonempty intersection with the open box ``domain``.
 
-    This is the one enumeration rule.  A pitch too fine to index in int64
-    or in memory raises InvalidParameterError here, before any ``(N, d)``
-    index array is filled, so a pitch can be checked for the cost of
-    ``d`` one-dimensional ranges.
+    Cells are returned once each, in lexicographic index order.  A pitch
+    too fine to index in int64 or in memory raises InvalidParameterError.
     """
     if domain.dim != spec.dim:
         raise InvalidParameterError("domain dimension does not match tiling")
@@ -108,27 +105,13 @@ def cell_axis_ranges(spec: TilingSpec, domain: Box) -> tuple[np.ndarray, ...]:
             i_max = 2 * math.ceil((hi / eps + 1.0) / 2.0)
             i = np.arange(i_min, i_max + 1, 2, dtype=np.int64)
             ranges.append(i[(lo < eps * (i + 1)) & (eps * (i - 1) < hi)])
-        # an unfilled array claims no pages: this only asks whether the
-        # product's index array can be held
-        np.empty((math.prod(len(r) for r in ranges), spec.dim), dtype=np.int64)
+        index = np.stack(np.meshgrid(*ranges, indexing="ij", copy=False), axis=-1)
     except (ArithmeticError, MemoryError, ValueError) as exc:
         count = " x ".join(f"{(hi - lo) / (2.0 * eps):.3g}" for lo, hi in zip(domain.lo, domain.hi))
         raise InvalidParameterError(
             f"pitch {eps!r} gives about {count} cells, too many for int64 indices in memory"
         ) from exc
-    return tuple(ranges)
-
-
-def cells_intersecting(spec: TilingSpec, domain: Box) -> CellFamily:
-    """All cells with nonempty intersection with the open box ``domain``.
-
-    Cells are returned once each, in lexicographic index order.  A pitch
-    too fine to index in int64 or in memory raises InvalidParameterError
-    (see :func:`cell_axis_ranges`).
-    """
-    ranges = cell_axis_ranges(spec, domain)
-    index = np.stack(np.meshgrid(*ranges, indexing="ij", copy=False), axis=-1)
-    return CellFamily(index.reshape(-1, spec.dim), spec.epsilon)
+    return CellFamily(index.reshape(-1, spec.dim), eps)
 
 
 def cell_axis_indices(spec: TilingSpec, coords: np.ndarray) -> np.ndarray:

@@ -79,15 +79,17 @@ def capacitance_cg(f, weights, h, tol):
     return iterations
 
 
-def check_against_oracle(grid, weights, f, tol, drift=0.0, count=None):
+def check_against_oracle(grid, weights, f, tol, drift=0.0, count=None, slack=0.0):
     """``drift``: the share of the reference count by which the iteration
     count may differ beyond one.  ``count(f, weights, h, tol)`` gives that
-    reference; by default it is the grid oracle's own count."""
+    reference; by default it is the grid oracle's own count.  ``slack``:
+    the share of the grid oracle's count by which the iteration count may
+    exceed it beyond one."""
     u, stats = solve_limit(f, weights, grid, tol)
-    reference, iterations = grid_pcg(f, weights, grid.h, tol)
-    if count is not None:
-        iterations = count(f, weights, grid.h, tol)
+    reference, grid_iterations = grid_pcg(f, weights, grid.h, tol)
+    iterations = grid_iterations if count is None else count(f, weights, grid.h, tol)
     assert abs(stats.iterations - iterations) <= 1 + int(drift * iterations)
+    assert stats.iterations <= grid_iterations + 1 + int(slack * grid_iterations)
     k = kappa(grid, weights)
     assert float(np.abs(u - reference).max()) <= 3.0 * k * tol * float(np.abs(reference).max())
     # the reported residual is the grid residual of u, up to the rounding
@@ -151,8 +153,12 @@ def test_random_measures_match_grid_cg(problem):
     # against 52 on Grid(3, 5) at 1e-6), and from zero the grid CG also
     # spends an iteration on the start (4 against 2 on Grid(1, 20)).
     # Past tens of iterations the two capacitance recursions were seen to
-    # part by up to 8% of the count through rounding, either way
-    check_against_oracle(grid, weights, f, tol, drift=0.1, count=capacitance_cg)
+    # part by up to 8% of the count through rounding, either way.  The
+    # grid count still caps the count: over 4,700 random problems
+    # solve_limit needed at most 12% more iterations than the grid CG
+    # (55 against 49 on Grid(3, 7)), so a fifth more catches a slower
+    # formulation
+    check_against_oracle(grid, weights, f, tol, drift=0.1, count=capacitance_cg, slack=0.2)
 
 
 def test_one_iteration_cap_raises():
