@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .capacity import capacity_ball, capacity_extrapolate, capacity_variational
-from .diagnostics import AssumptionReport, assumption_quantities
+from .diagnostics import assumption_quantities
 from .errors import (
     ConstructionError,
     EvaluationError,
@@ -73,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        if name in ("solve", "study"):
-            p.add_argument(
-                "--override-tiny-holes",
-                action="store_true",
-                help="collapse under-resolved holes to single-node constraints",
-            )
         if name == "check":
             p.add_argument(
                 "--holes-dir",
@@ -96,18 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args, cfg) -> Path:
-    out = args.out or (Path(cfg.out_dir) if cfg.out_dir else Path("."))
+def _load(args):
+    """Load the config and resolve its output directory into ``cfg.out_dir``:
+    ``--out``, else the config's ``out``, else the working directory."""
+    cfg = load_config(args.config)
+    out = args.out or Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _apply_overrides(args, cfg):
-    if getattr(args, "override_tiny_holes", False):
-        cfg.override_tiny_holes = True
-    if args.out is not None:
-        cfg.out_dir = str(args.out)
-    return cfg
+    cfg.out_dir = str(out)
+    return cfg, out
 
 
 def _cmd_capacity(args) -> int:
@@ -128,8 +118,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    cfg = _apply_overrides(args, load_config(args.config))
-    out = _out_dir(args, cfg)
+    cfg, out = _load(args)
     for k, eps in enumerate(cfg.epsilons):
         construction = construct_study_holes(cfg, eps)
         construction.write(out / f"holes_{k:02d}.csv", out / f"holes_{k:02d}.json")
@@ -150,31 +139,25 @@ def _assumption_rows(cfg, args):
 
 
 def _cmd_check(args) -> int:
-    cfg = _apply_overrides(args, load_config(args.config))
-    out = _out_dir(args, cfg)
-    rows = list(_assumption_rows(cfg, args))
+    cfg, out = _load(args)
+    rows = [report.as_row() for report in _assumption_rows(cfg, args)]
     path = out / "assumptions.csv"
     with open(path, "w") as fh:
-        fh.write(",".join(AssumptionReport._COLUMNS) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(format(v, ".17g") for v in row.as_row().values()) + "\n"
-            )
+            fh.write(",".join(format(v, ".17g") for v in row.values()) + "\n")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    cfg = _apply_overrides(args, load_config(args.config))
-    out = _out_dir(args, cfg)
+    cfg, out = _load(args)
     eps = cfg.epsilons[0]
     n = cfg.grids[0]
     grid = Grid(cfg.dim, n)
     construction = construct_study_holes(cfg, eps)
     f = field_from_callable(grid, cfg.rhs)
-    u_eps, stats_eps = solve_perforated(
-        f, construction.holes, grid, cfg.tol, override_tiny=cfg.override_tiny_holes
-    )
+    u_eps, stats_eps = solve_perforated(f, construction.holes, grid, cfg.tol)
     weights = lump_measure(cfg.potential, grid, cfg.quad)
     u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol)
     write_field(out / "u_perforated.bin", grid, u_eps)
@@ -191,9 +174,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    cfg = _apply_overrides(args, load_config(args.config))
-    if cfg.out_dir is None:
-        cfg.out_dir = str(_out_dir(args, cfg))
+    cfg, _ = _load(args)
     report = run_study(cfg)
     results = report.trend_results
     for res in results:

@@ -14,7 +14,7 @@ where ``phi`` comes from the exact sine-basis solve, not an iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -52,21 +52,8 @@ class AssumptionReport:
     sum_A6: float
     diam_over_R: float
 
-    _COLUMNS = (
-        "epsilon",
-        "n_cells",
-        "n_holes",
-        "max_R",
-        "sup_a_over_R",
-        "sum_A2",
-        "sup_A3",
-        "sum_A4",
-        "sum_A6",
-        "diam_over_R",
-    )
-
     def as_row(self) -> dict:
-        return {name: getattr(self, name) for name in self._COLUMNS}
+        return asdict(self)
 
 
 def assumption_quantities(

@@ -128,7 +128,6 @@ class StudyConfig:
     quad: QuadratureSpec = DEFAULT_QUADRATURE
     out_dir: Optional[str] = None
     allow_oversized_holes: bool = False
-    override_tiny_holes: bool = False
     trends: tuple[TrendSpec, ...] = ()
 
     def __post_init__(self):
@@ -176,14 +175,21 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
+STUDY_KEYS = (
+    "dim", "epsilons", "grids", "potential", "f", "tol", "witness_modes",
+    "quad_volume_order", "quad_surface_refine", "out", "allow_oversized_holes",
+)
+
+
 def load_config(path) -> StudyConfig:
     """Read a study configuration from a flat key = value file.
 
     Sections: ``[study]`` with keys ``dim``, ``epsilons``, ``grids``,
     ``potential``, ``f``, and optional ``tol``, ``witness_modes``,
     ``quad_volume_order``, ``quad_surface_refine``, ``out``,
-    ``allow_oversized_holes``, ``override_tiny_holes``;
-    optional ``[trends]`` with lines ``name = column mode [param]``.
+    ``allow_oversized_holes`` (:data:`STUDY_KEYS`; any other key is a
+    :class:`ConfigError`); optional ``[trends]`` with lines
+    ``name = column mode [param]``.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -192,6 +198,9 @@ def load_config(path) -> StudyConfig:
     if "study" not in parser:
         raise ConfigError("config file needs a [study] section")
     section = parser["study"]
+    unknown = [key for key in section if key not in STUDY_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown [study] key {unknown[0]!r} in {path}")
     try:
         dim = section.getint("dim", 3)
         epsilons = tuple(_parse_number(tok) for tok in section.get("epsilons", "").split())
@@ -201,7 +210,6 @@ def load_config(path) -> StudyConfig:
         tol = float(section.get("tol", "1e-8"))
         out_dir = section.get("out", fallback=None)
         allow_oversized = section.getboolean("allow_oversized_holes", fallback=False)
-        override_tiny = section.getboolean("override_tiny_holes", fallback=False)
         quad = QuadratureSpec(
             volume_order=section.getint("quad_volume_order", DEFAULT_QUADRATURE.volume_order),
             surface_refine=section.getint(
@@ -250,7 +258,6 @@ def load_config(path) -> StudyConfig:
         quad=quad,
         out_dir=out_dir,
         allow_oversized_holes=allow_oversized,
-        override_tiny_holes=override_tiny,
         trends=tuple(trends),
     )
 
@@ -546,9 +553,7 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         u_eps, stats = stage(
             "solve_perforated",
             eps,
-            lambda: solve_perforated(
-                rhs_fields[n], holes, grid, cfg.tol, override_tiny=cfg.override_tiny_holes
-            ),
+            lambda: solve_perforated(rhs_fields[n], holes, grid, cfg.tol),
         )
         u_ref = stage("restrict", eps, lambda: restrict(u_limit, fine_grid, grid))
         ref_norm = l2_norm(u_ref, grid)

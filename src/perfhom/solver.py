@@ -43,7 +43,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -170,44 +169,31 @@ def _box_radii2(grid: Grid, slices, center) -> Array:
     return r2
 
 
-def hole_mask(grid: Grid, holes: HoleFamily, *, override_tiny: bool = False) -> Array:
+def hole_mask(grid: Grid, holes: HoleFamily) -> Array:
     """Boolean mask of nodes inside any closed hole ball.
 
     Masks use the recentred staircase (nodes with distance at most
     ``radius + h/3``), which keeps the discrete holes capacity-faithful.
-    Nonempty holes must satisfy ``radius >= 2h``; with ``override_tiny``
-    an under-resolved hole is mapped to its nearest node instead (a node
-    constraint has its own O(h) effective capacity, so this is opt-in
-    and warns).  A tiny hole whose nearest node lies on or beyond the
-    boundary constrains nothing the zero trace does not, and is dropped.
+    Nonempty holes must satisfy ``radius >= 2h``; a smaller one raises
+    :class:`ResolutionError`.  Clamping its nearest node instead would
+    give it the capacity ``h/W`` of one lattice node whatever its radius,
+    not the ``cap(ball)`` the construction matched.
     """
     mask = np.zeros(grid.shape, dtype=bool)
     h = grid.h
     holes = holes.nonempty
     tiny = holes.radii < 2.0 * h
-    if tiny.any() and not override_tiny:
+    if tiny.any():
         raise ResolutionError(
-            f"hole radius {holes.radii[tiny][0]:.6g} < 2h = {2 * h:.6g}; "
-            "refine the grid or enable the tiny-hole override"
+            f"hole radius {holes.radii[tiny][0]:.6g} < 2h = {2 * h:.6g}; refine the grid"
         )
-    nearest = np.round(holes.centers[tiny] / h) - 1
-    inside = np.all((nearest >= 0) & (nearest < grid.n), axis=1)
-    mask[tuple(nearest[inside].astype(np.int64).T)] = True
-    for center, radius in zip(holes.centers[~tiny].tolist(), holes.radii[~tiny].tolist()):
+    for center, radius in zip(holes.centers.tolist(), holes.radii.tolist()):
         masked_radius = radius + BALL_MASK_INFLATION * h
         slices = _node_box(grid, center, masked_radius)
         if slices is None:
             continue
         r2 = _box_radii2(grid, slices, center)
         mask[slices] |= r2 <= masked_radius**2
-    if tiny.any():
-        warnings.warn(
-            f"{int(tiny.sum())} hole(s) below the 2h resolution limit were collapsed to "
-            f"single-node constraints ({int((~inside).sum())} with no interior nearest "
-            "node dropped); their effective capacity is O(h)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return mask
 
 
@@ -342,7 +328,6 @@ def solve_perforated(
     grid: Grid,
     tol: float = 1e-8,
     *,
-    override_tiny: bool = False,
     maxiter: Optional[int] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
@@ -355,7 +340,7 @@ def solve_perforated(
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise InvalidParameterError("right-hand side shape does not match grid")
-    mask = hole_mask(grid, holes, override_tiny=override_tiny)
+    mask = hole_mask(grid, holes)
     h = grid.h
     start = time.perf_counter()
     nodes = _capacitance_nodes(mask)

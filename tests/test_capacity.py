@@ -185,8 +185,8 @@ def test_variational_ball_mask_is_the_cube_staircase(d, half, h, s):
     masks = []
     hole_mask = solver.hole_mask
 
-    def spy(grid, holes, **kwargs):
-        masks.append(hole_mask(grid, holes, **kwargs))
+    def spy(grid, holes):
+        masks.append(hole_mask(grid, holes))
         return masks[-1]
 
     with pytest.MonkeyPatch.context() as mp:

@@ -109,6 +109,9 @@ f = constant(1)
     code, _, _ = run_cli(capsys, "check", cfg, "--out", str(out_a))
     assert code == 0
     direct = (out_a / "assumptions.csv").read_text()
+    assert direct.splitlines()[0] == (
+        "epsilon,n_cells,n_holes,max_R,sup_a_over_R,sum_A2,sup_A3,sum_A4,sum_A6,diam_over_R"
+    )
 
     code, _, _ = run_cli(
         capsys, "check", cfg, "--out", str(out_b), "--holes-dir", str(out_a)
@@ -238,11 +241,12 @@ def test_bad_hole_csv_exits_one(tmp_path, capsys):
         assert err.startswith("error:")
 
 
-def test_override_tiny_holes_only_where_a_mask_is_built(tmp_path):
+def test_override_tiny_holes_is_no_flag(tmp_path):
+    # the nearest-node override was removed: no subcommand accepts it
     cfg = write(tmp_path / "zero.cfg", ZERO_CFG)
-    for command in ("construct", "check"):
+    for argv in (["capacity", "3", "1"], *([c, cfg] for c in ("construct", "check", "solve", "study"))):
         with pytest.raises(SystemExit) as exc:
-            main([command, cfg, "--override-tiny-holes"])
+            main([*argv, "--override-tiny-holes"])
         assert exc.value.code == 2
 
 
@@ -262,6 +266,9 @@ f = constant(1)
     code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "o"))
     assert code == 2
     assert "solve_perforated" in err
+    code, _, err = run_cli(capsys, "solve", cfg, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "< 2h" in err
 
 
 THREADS_CFG = """

@@ -326,3 +326,19 @@ def test_unusable_pitch_fails_before_any_stage(tmp_path, monkeypatch, capsys):
         assert perfhom.cli.main(["study", str(path)]) == 1
         assert "too many for int64 indices" in capsys.readouterr().err
     assert ran == []
+
+
+@pytest.mark.parametrize("line", ["override_tiny_holes = true", "allow_oversize_holes = true"])
+def test_unknown_study_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, line):
+    # a removed option or a misspelt one is a config error at load, not a
+    # late failure or a silently ignored setting
+    ran = []
+    for name in ("lump_measure", "field_from_callable", "solve_limit"):
+        monkeypatch.setattr(perfhom.harness, name, lambda *a, _name=name, **k: ran.append(_name))
+    key = line.split()[0]
+    path = write_config(tmp_path / "unknown.cfg", BASE + line + "\n")
+    with pytest.raises(ConfigError, match=f"unknown \\[study\\] key '{key}'"):
+        load_config(path)
+    assert perfhom.cli.main(["study", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert ran == []

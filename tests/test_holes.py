@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perfhom.capacity import BALL_MASK_INFLATION, capacity_ball
 from perfhom.diagnostics import capacity_density_field, dprime_pairing
-from perfhom.errors import InvalidParameterError
+from perfhom.errors import InvalidParameterError, ResolutionError
 from perfhom.harness import sine_mode
 from perfhom.holes import (
     Hole,
@@ -111,25 +111,21 @@ def test_family_matches_per_hole_references(seed, m, n):
         got = dprime_pairing(family, test_function, grid)
         assert abs(got - math.fsum(terms)) <= ulps * math.fsum(map(abs, terms))
 
-    # mask: nodes within the inflated radius of a resolved ball, and the
-    # nearest node of each ball below 2h, unless that node is a boundary
-    # node or lies beyond one
+    # mask: a ball below the 2h resolution limit is rejected; without
+    # those, nodes within the inflated radius of each resolved ball
+    tiny = (family.radii > 0.0) & (family.radii < 2.0 * h)
+    if tiny.any():
+        with pytest.raises(ResolutionError):
+            hole_mask(grid, family)
+    keep = ~tiny
+    resolved = HoleFamily(family.centers[keep], family.radii[keep], family.index[keep])
     xs = grid.axis()
     nodes = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
     reference = np.zeros(grid.shape, dtype=bool)
-    for hole in holes:
-        if hole.is_empty:
-            continue
-        if hole.radius < 2.0 * h:
-            node = tuple(round(c / h) - 1 for c in hole.center)
-            if all(0 <= k < n for k in node):
-                reference[node] = True
-            continue
+    for hole in resolved.nonempty:
         masked = hole.radius + BALL_MASK_INFLATION * h
         reference |= ((nodes - np.array(hole.center)) ** 2).sum(axis=-1) <= masked**2
-    with pytest.warns(RuntimeWarning):
-        mask = hole_mask(grid, family, override_tiny=True)
-    np.testing.assert_array_equal(mask, reference)
+    np.testing.assert_array_equal(hole_mask(grid, resolved), reference)
 
 
 def test_separation_params():

@@ -3,7 +3,6 @@ replaced, and its residual, memory and failure contracts."""
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -60,25 +59,14 @@ def family(centers, radii):
     return HoleFamily(centers, np.asarray(radii, dtype=float), np.zeros(centers.shape, np.int64))
 
 
-def quiet_mask(grid, holes):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return hole_mask(grid, holes, override_tiny=True)
-
-
-def quiet_solve(f, holes, grid, tol, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return solve_perforated(f, holes, grid, tol, override_tiny=True, **kwargs)
-
-
 @st.composite
 def problems(draw):
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(3, 40 if d == 2 else 14))
+    grid = Grid(d, n)
     count = draw(st.integers(1, 6))
     # centers up to 0.1 outside the cube, so balls touch or cross the
-    # boundary; radii from below 2h (collapsed to a node) to 0.8, so
+    # boundary; radii empty or from the 2h resolution limit to 0.8, so
     # some families fill more than half the grid
     centers = draw(
         st.lists(
@@ -86,17 +74,18 @@ def problems(draw):
             min_size=count, max_size=count,
         )
     )
-    radii = draw(st.lists(st.floats(0.0, 0.8), min_size=count, max_size=count))
+    radius = st.one_of(st.just(0.0), st.floats(2.0 * grid.h, 0.8))
+    radii = draw(st.lists(radius, min_size=count, max_size=count))
     seed = draw(st.integers(0, 2**32 - 1))
     tol = draw(st.sampled_from([1e-6, 1e-8, 1e-10]))
-    return Grid(d, n), family(centers, radii), seed, tol
+    return grid, family(centers, radii), seed, tol
 
 
 def check_against_oracle(grid, holes, seed, tol):
     rng = np.random.default_rng(seed)
     f = 1.0 + rng.standard_normal(grid.shape)
-    mask = quiet_mask(grid, holes)
-    u, stats = quiet_solve(f, holes, grid, tol)
+    mask = hole_mask(grid, holes)
+    u, stats = solve_perforated(f, holes, grid, tol)
     assert np.all(u[mask] == 0.0)
     if mask.all():
         assert np.all(u == 0.0) and stats.iterations == 0
@@ -118,8 +107,9 @@ def check_against_oracle(grid, holes, seed, tol):
 @example((Grid(3, 11), family([[0.5, 0.5, 0.5]], [0.8]), 0, 1e-8))
 # a ball over 60% of a 2D grid
 @example((Grid(2, 30), family([[0.5, 0.5]], [0.44]), 1, 1e-8))
-# a ball crossing a face, and a tiny hole collapsed to a node
-@example((Grid(3, 9), family([[1.05, 0.5, 0.5], [0.3, 0.3, 0.3]], [0.3, 0.01]), 2, 1e-10))
+# a ball crossing a face, and a ball at 2h whose cap crosses a face and
+# masks five nodes
+@example((Grid(3, 9), family([[1.05, 0.5, 0.5], [0.5, -0.1, 0.5]], [0.3, 0.2]), 2, 1e-10))
 def test_capacitance_solve_matches_masked_cg(problem):
     check_against_oracle(*problem)
 
@@ -145,7 +135,7 @@ def test_surface_layer_examples_fill_more_than_half():
         (Grid(3, 11), family([[0.5, 0.5, 0.5]], [0.8])),
         (Grid(2, 30), family([[0.5, 0.5]], [0.44])),
     ):
-        assert 2 * int(quiet_mask(grid, holes).sum()) > grid.size
+        assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
 
 
 def test_empty_mask_is_one_exact_sine_solve():

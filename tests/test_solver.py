@@ -110,28 +110,11 @@ def test_zero_extension_and_comparison_principle():
     assert np.all(more <= pierced + 1e-10)
 
 
-def test_under_resolved_hole_rejected_then_overridden():
+def test_under_resolved_hole_rejected():
     grid = Grid(3, 15)
     tiny = Hole((0.5, 0.5, 0.5), 0.01, (0, 0, 0))
     with pytest.raises(ResolutionError):
         hole_mask(grid, HoleFamily.from_holes([tiny], 3))
-    with pytest.warns(RuntimeWarning):
-        mask = hole_mask(grid, HoleFamily.from_holes([tiny], 3), override_tiny=True)
-    assert mask.sum() == 1
-    assert mask[7, 7, 7]  # node at exactly 0.5
-
-
-def test_tiny_hole_outside_the_cube_clamps_no_node():
-    # the nearest node of a tiny ball at or beyond the face x = 1 is a
-    # boundary node, where the zero trace already holds: no interior node
-    # may be clamped for it
-    grid = Grid(3, 15)
-    inside = Hole((0.5, 0.5, 0.5), 0.01, (0, 0, 0))
-    for center in ((1.5, 0.5, 0.5), (1.0, 0.5, 0.5)):
-        family = HoleFamily.from_holes([Hole(center, 0.01, (0, 0, 0)), inside], 3)
-        with pytest.warns(RuntimeWarning):
-            mask = hole_mask(grid, family, override_tiny=True)
-        assert mask.sum() == 1 and mask[7, 7, 7]
 
 
 def test_lump_constant_density_is_exact():
