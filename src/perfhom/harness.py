@@ -511,12 +511,7 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
     # fields that depend only on the grid, built once per grid size
     lumped = {finest_n: weights}
     rhs_fields = {finest_n: f_fine}
-    metadata["limit_solver"] = {
-        "n": finest_n,
-        "iterations": limit_stats.iterations,
-        "residual": limit_stats.residual,
-        "seconds": limit_stats.seconds,
-    }
+    metadata["limit_solver"] = {"n": finest_n, **limit_stats.__dict__}
 
     for eps, n in zip(cfg.epsilons, cfg.grids):
         seconds["rows"].append({})

@@ -9,29 +9,29 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
   the construction's cell masses; lumping caps it at 2, whose O(h^4)
   dual-cell error is below the O(h^2) error of the grid.
 
-Both are "a grid Laplacian plus something on a small node set", and
+Both are "a grid Laplacian plus a charge on a small node set", and
 both rest on the exact sine-basis Poisson solve
 (:func:`~perfhom.stencil.dirichlet_solve`).  Where it is the exact
 inverse (no hole nodes; a constant lumped measure, as a shift) it is
-applied once, not iterated.  Otherwise both use the capacitance-matrix
-method: conjugate gradients on vectors indexed by the small node set,
-one support-restricted sine solve (:class:`~perfhom.stencil.SupportSolve`)
+applied once, not iterated.  Otherwise both are one capacitance-matrix
+solve: conjugate gradients on vectors indexed by the node set, one
+support-restricted sine solve (:class:`~perfhom.stencil.SupportSolve`)
 per iteration, then one full sine solve for the grid solution.
 
-* Perforated: the zero extension of the solution is
-  ``u = L^-1 (b - E_X sigma)``, with ``L`` the zero-Dirichlet grid
-  Laplacian, ``b`` the right-hand side zeroed on holes and ``sigma`` a
-  charge on hole nodes ``X`` chosen so that ``u`` vanishes on ``X``.  CG
-  solves ``(L^-1)_XX sigma = (L^-1 b)_X``, preconditioned by the stencil
-  restricted to ``X``, and stops on the free-node residual of ``u``.
-  ``X`` holds every hole node, or only the surface layer when the holes
-  fill more than half the grid.
-* Limit, with lumped weights ``w``: ``A = L + min w`` is inverted
-  exactly, and ``D = w - min w`` lives on ``Y = {w > min w}``.  CG
-  solves ``(I + D^1/2 A^-1_YY D^1/2) y = D^1/2 (A^-1 f)_Y`` unpreconditioned
-  (its spectrum is that of the grid operator preconditioned by ``A``),
-  stopping on the grid residual ``||D^1/2 r||``, and
-  ``u = A^-1 (f - E_Y D^1/2 y)``.
+* With ``L`` the zero-Dirichlet grid Laplacian and node weights ``w``
+  (none for the perforated problem), ``A = L + min w`` is inverted
+  exactly.  A charge ``sigma`` lives on ``Y``: the clamped hole nodes
+  ``X``, of infinite weight, and the free nodes ``W`` where ``w`` exceeds
+  its minimum, of weight ``D = w - min w``.  CG solves
+  ``(D^-1 + A^-1_YY) sigma = (A^-1 b)_Y``, ``b`` the right-hand side
+  zeroed on holes, with the rows of ``W`` scaled by ``D^1/2``; then
+  ``u = A^-1 (b - E_Y sigma)`` is the zero extension of the solution.
+  The stencil restricted to ``X`` preconditions the clamped block; the
+  scaled block of ``W`` is the identity plus a matrix with the spectrum
+  of the grid operator preconditioned by ``A``.  CG stops on the grid
+  residual of ``u`` off the holes, ``-(L_FX r_X + E_W D^1/2 r_W)`` for
+  the CG residual ``r``.  ``X`` holds every hole node, or only the
+  surface layer when the holes fill more than half the grid.
 
 The module also evaluates the oscillating corrector built from ball
 equilibrium potentials, the discrete pairings used as weak-convergence
@@ -197,129 +197,178 @@ def hole_mask(grid: Grid, holes: HoleFamily) -> Array:
     return mask
 
 
-def _exact_solve(b: Array, h: float, shift: float, tol: float) -> tuple[Array, int, float]:
-    """Solve ``(-Delta_h + shift) u = b`` with one sine solve.
-
-    The exact preconditioner is applied once, not iterated; the relative
-    residual comes from one stencil apply.  Returns ``(u, iterations,
-    relative_residual)`` like :func:`~perfhom.cg.pcg`.
-    """
-    norm_b = rhs_norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b), 0, 0.0
+def _exact_solve(
+    b: Array, h: float, shift: float, tol: float, norm_b: float
+) -> tuple[Array, float]:
+    """Solve ``(-Delta_h + shift) u = b``, ``||b|| = norm_b > 0``, with one
+    sine solve: the exact preconditioner applied once, not iterated.
+    Returns ``u`` and its relative residual, from one stencil apply."""
     u = dirichlet_solve(b, h, shift)
     r = neg_laplacian(u, h)
     r -= b
     if shift:
         r += shift * u
     residual = math.sqrt(dot(r, r)) / norm_b
-    if residual > tol:
+    if not residual <= tol:
         raise SolverError(
             f"exact sine solve left relative residual {residual:.3e} above "
             f"tol {tol:.1e}: the tolerance is below the rounding floor"
         )
-    return u, 1, residual
+    return u, residual
 
 
-def _capacitance_nodes(mask: Array) -> Array:
-    """Sorted flat indices of the capacitance unknowns of a hole mask.
+def _clamped_unknowns(mask: Array) -> Array:
+    """Mask of the capacitance unknowns of a clamped mask.
 
-    Every hole node, or, when the holes fill more than half the grid,
-    only the surface layer: the hole nodes with a free stencil neighbour,
+    Every clamped node, or, when they fill more than half the grid, only
+    the surface layer: the clamped nodes with a free stencil neighbour,
     which carry the exact charge ``-L_SF u_F``.
     """
-    unknowns = mask
-    if 2 * np.count_nonzero(mask) > mask.size:
-        free = ~mask
-        touch = np.zeros_like(mask)
-        d = mask.ndim
-        for ax in range(d):
-            lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
-            hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
-            touch[lo] |= free[hi]
-            touch[hi] |= free[lo]
-        unknowns = mask & touch
-    index = np.int32 if mask.size < 2**31 else np.int64
-    return np.flatnonzero(unknowns).astype(index)
+    if 2 * np.count_nonzero(mask) <= mask.size:
+        return mask
+    free = ~mask
+    touch = np.zeros_like(mask)
+    d = mask.ndim
+    for ax in range(d):
+        lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
+        hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
+        touch[lo] |= free[hi]
+        touch[hi] |= free[lo]
+    return mask & touch
 
 
-def _hole_stencil(mask: Array, nodes: Array) -> tuple[Array, Array, Array]:
-    """Stencil pattern around the capacitance unknowns ``nodes``.
+def _hole_stencil(clamped: Array, nodes: Array) -> tuple[Array, Array, Array, int]:
+    """Stencil pattern around the clamped unknowns among the capacitance
+    unknowns ``nodes`` (sorted flat indices).
 
-    Returns ``(neighbours, edge_x, edge_f)``.  Row ``2 ax + k`` of
+    Returns ``(neighbours, edge_x, edge_f, count)``.  Row ``2 ax + k`` of
     ``neighbours`` (shape ``(2d, m)``, ``m = len(nodes)``) holds the
-    position in ``nodes`` of each unknown's neighbour above (k = 0) or
-    below (k = 1) along ``ax``, and ``m`` where that neighbour is not an
-    unknown.  ``edge_x`` and ``edge_f`` list the stencil edges from an
-    unknown to a free node: the unknown's position and a compact id of
-    the free node.
+    position of each unknown's clamped neighbour above (k = 0) or below
+    (k = 1) along ``ax``; ``m`` marks no such neighbour or an unclamped
+    row.  ``edge_x`` and ``edge_f`` list the edges from a clamped unknown
+    to a free node: the unknown's position and an id of the free node,
+    ``count`` plus its position if it is an unknown, else below ``count``.
     """
-    n, d = mask.shape[0], mask.ndim
-    m = nodes.size
-    flat = mask.reshape(-1)
-    position = np.full(mask.size, m, dtype=nodes.dtype)
+    n, d, m = clamped.shape[0], clamped.ndim, nodes.size
+    flat = clamped.reshape(-1)
+    position = np.full(clamped.size, m, dtype=nodes.dtype)
     position[nodes] = np.arange(m, dtype=nodes.dtype)
+    on_x = flat[nodes]
     neighbours = np.full((2 * d, m), m, dtype=nodes.dtype)
     edge_x, edge_free = [], []
     for ax in range(d):
         stride = n ** (d - 1 - ax)
         coord = nodes // stride % n
         for k, (step, inside) in enumerate(((stride, coord < n - 1), (-stride, coord > 0))):
-            at = np.flatnonzero(inside).astype(nodes.dtype)
+            at = np.flatnonzero(inside & on_x).astype(nodes.dtype)
             other = nodes[at] + step
-            neighbours[2 * ax + k, at] = position[other]
             free = ~flat[other]
+            neighbours[2 * ax + k, at] = np.where(free, m, position[other])
             edge_x.append(at[free])
             edge_free.append(other[free])
-    _, edge_f = np.unique(np.concatenate(edge_free), return_inverse=True)
-    return neighbours, np.concatenate(edge_x), edge_f.astype(nodes.dtype)
+    other = np.concatenate(edge_free)
+    edge_f = position[other]
+    outside = edge_f == m
+    ids, edge_f[outside] = np.unique(other[outside], return_inverse=True)
+    edge_f[~outside] += ids.size
+    return neighbours, np.concatenate(edge_x), edge_f, ids.size
 
 
 def _capacitance_solve(
-    f: Array, mask: Array, nodes: Array, h: float, tol: float, maxiter: int
-) -> tuple[Array, int, float]:
-    """The perforated solve on the capacitance unknowns ``nodes``.
+    f: Array,
+    grid: Grid,
+    tol: float,
+    maxiter: Optional[int],
+    clamped: Optional[Array] = None,
+    weights: Optional[Array] = None,
+) -> tuple[Array, SolveStats]:
+    """Solve ``(L + w) u = f`` off the ``clamped`` nodes, with ``u = 0`` on them.
 
-    No grid array lives through the iterations: the right-hand side is
-    rebuilt from ``f`` for the final solve, and each iteration's
-    support-restricted sine solve allocates its own blocks.  Returns
-    ``(u, iterations, relative_residual)`` like :func:`~perfhom.cg.pcg`.
+    The charge lives on the clamped unknowns of :func:`_clamped_unknowns`
+    and on the unclamped nodes with ``w > min w`` (see the module notes);
+    without either it is one exact solve.  CG runs at most
+    ``max(2000, 60 n)`` iterations by default.  The reported residual is
+    that of ``u`` off the clamped nodes, relative to ``||f||`` there.
     """
-    b = np.where(mask, 0.0, f)
+    start = time.perf_counter()
+    h, shift = grid.h, 0.0
+    # b, zero on the clamped nodes, is rebuilt from f for the final solve
+    b = f if clamped is None else np.where(clamped, 0.0, f)
+    unknowns = None if clamped is None else _clamped_unknowns(clamped)
+    if weights is not None:
+        shift = float(weights.min())
+        weighted = weights > shift
+        unknowns = weighted if unknowns is None else unknowns | weighted
     norm_b = rhs_norm(b)
     if norm_b == 0.0:
-        return b, 0, 0.0
-    neighbours, edge_x, edge_f = _hole_stencil(mask, nodes)
-    m = nodes.size
-    g = dirichlet_solve(b, h, out=b).reshape(-1)[nodes]
+        return np.zeros_like(b), SolveStats(0, 0.0, time.perf_counter() - start)
+    nodes = np.flatnonzero(unknowns).astype(np.int32 if grid.size < 2**31 else np.int64)
+    if nodes.size == 0:
+        # no clamped or weighted node
+        u, residual = _exact_solve(b, h, shift, tol, norm_b)
+        return u, SolveStats(1, residual, time.perf_counter() - start)
+    m, precond = nodes.size, None
+    if clamped is not None:
+        neighbours, edge_x, edge_f, count = _hole_stencil(clamped, nodes)
+    g = dirichlet_solve(b, h, shift, out=None if b is f else b).reshape(-1)[nodes]
     del b
-    # (L^-1)_XX, one support-restricted sine solve
-    solve = SupportSolve(nodes, mask.shape[0], mask.ndim, h)
-    padded = np.zeros(m + 1)  # a zero behind the last unknown for missing neighbours
+    solve = SupportSolve(nodes, grid.n, grid.dim, h, shift)  # A^-1_YY
+    del nodes
+    root = on_w = None
+    if weights is not None:
+        # the scaling D^1/2 on W, 1 on X
+        root = np.sqrt(weights[unknowns] - shift)
+        if clamped is not None:
+            on_w = ~clamped[unknowns]
+            root[~on_w] = 1.0
+        g *= root
 
-    def precond(r, z):
-        # L_XX r, the stencil restricted to the unknowns
-        padded[:m] = r
-        np.multiply(r, 2.0 * mask.ndim, out=z)
-        for row in neighbours:
-            z -= padded[row]
-        z *= 1.0 / (h * h)
+    def apply_op(y):
+        if root is None:
+            return solve.apply(y)
+        z = solve.apply(root * y)
+        z *= root
+        z += y if on_w is None else y * on_w
         return z
 
+    if clamped is not None:
+        padded = np.zeros(m + 1)  # a zero behind the last unknown for missing neighbours
+
+        def precond(r, z):
+            # L_XX r, the stencil restricted to X, and the identity on W
+            padded[:m] = r
+            np.multiply(r, 2.0 * grid.dim, out=z)
+            for row in neighbours:
+                z -= padded[row]
+            z *= 1.0 / (h * h)
+            if on_w is not None:
+                z[on_w] = r[on_w]
+            return z
+
     def residual(r):
-        # the zero-extended u has free-node residual L_FX r
-        w = np.bincount(edge_f, weights=r[edge_x])
+        # the grid residual of u off the clamped nodes: L_FX r_X on the free
+        # neighbours of X plus D^1/2 r_W on W, added where they meet.  The
+        # bincount is h^2 L_FX r_X, and integer when no edge leaves X
+        if clamped is None:
+            s = root * r
+            return math.sqrt(dot(s, s)) / norm_b
+        size = 0 if root is None else count + m
+        w = np.bincount(edge_f, weights=r[edge_x], minlength=size).astype(float, copy=False)
+        if root is not None:
+            w[count:] += (h * h) * (root * r * on_w)
         return math.sqrt(dot(w, w)) / (h * h * norm_b)
 
-    sigma, iterations, res = pcg(
-        solve.apply, g, tol=tol, maxiter=maxiter, precond=precond, residual=residual
+    y, iterations, res = pcg(
+        apply_op, g, tol=tol, precond=precond, residual=residual,
+        maxiter=max(2000, 60 * grid.n) if maxiter is None else maxiter,
     )
-    # u = L^-1 (b - E_X sigma)
-    b = np.where(mask, 0.0, f)
-    b.reshape(-1)[nodes] = -sigma
-    u = dirichlet_solve(b, h, out=b)
-    u[mask] = 0.0
-    return u, iterations, res
+    # u = A^-1 (b - E_Y sigma), with sigma = D^1/2 y on W
+    b = f.copy() if clamped is None else np.where(clamped, 0.0, f)
+    b[unknowns] -= y if root is None else root * y
+    u = dirichlet_solve(b, h, shift, out=b)
+    if clamped is not None:
+        u[clamped] = 0.0
+    return u, SolveStats(iterations, res, time.perf_counter() - start)
 
 
 def solve_perforated(
@@ -340,18 +389,7 @@ def solve_perforated(
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise InvalidParameterError("right-hand side shape does not match grid")
-    mask = hole_mask(grid, holes)
-    h = grid.h
-    start = time.perf_counter()
-    nodes = _capacitance_nodes(mask)
-    if nodes.size == 0:
-        # no hole node, or no free node
-        u, iterations, residual = _exact_solve(np.where(mask, 0.0, f), h, 0.0, tol)
-    else:
-        if maxiter is None:
-            maxiter = max(2000, 60 * grid.n)
-        u, iterations, residual = _capacitance_solve(f, mask, nodes, h, tol, maxiter)
-    return u, SolveStats(iterations, residual, time.perf_counter() - start)
+    return _capacitance_solve(f, grid, tol, maxiter, clamped=hole_mask(grid, holes))
 
 
 def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
@@ -421,12 +459,12 @@ def solve_limit(
 ) -> tuple[Array, SolveStats]:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
 
-    ``weights`` are the nonnegative dual-cell densities from
+    ``weights`` are the finite nonnegative dual-cell densities from
     :func:`lump_measure`; zero weights reduce to the plain Poisson solve.
     A constant measure is one exact sine solve; otherwise conjugate
     gradients run on the nodes where the weight exceeds its minimum (see
-    the module notes), at most ``max(2000, 60 n)`` iterations by default.
-    The reported residual is the grid residual ``||f - (L + W) u|| / ||f||``.
+    the module notes).  The reported residual is the grid residual
+    ``||f - (L + W) u|| / ||f||``.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
@@ -434,45 +472,10 @@ def solve_limit(
     weights = np.asarray(weights, dtype=float)
     if f.shape != grid.shape or weights.shape != grid.shape:
         raise InvalidParameterError("field shapes do not match grid")
-    if np.any(weights < 0.0):
-        raise InvalidParameterError("lumped measure must be nonnegative")
-    h = grid.h
-    # the constant part of the measure goes into the exact solve; a
-    # constant measure needs nothing else
-    shift = float(weights.min())
-    start = time.perf_counter()
-    if shift == float(weights.max()):
-        u, iterations, residual = _exact_solve(f, h, shift, tol)
-        return u, SolveStats(iterations, residual, time.perf_counter() - start)
-    norm_f = rhs_norm(f)
-    support = weights > shift  # Y, in the flat order of its nodes
-    root = np.sqrt(weights[support] - shift)  # D^1/2 on Y
-    g = dirichlet_solve(f, h, shift)[support]
-    g *= root
-    # A^-1_YY with A = L + min w, one support-restricted sine solve
-    solve = SupportSolve(np.flatnonzero(support), grid.n, grid.dim, h, shift)
-
-    def apply_op(y):
-        z = solve.apply(root * y)
-        z *= root
-        z += y
-        return z
-
-    def grid_residual(r):
-        # u built from the iterate has grid residual E_Y D^1/2 r
-        s = root * r
-        return math.sqrt(dot(s, s)) / norm_f
-
-    if maxiter is None:
-        maxiter = max(2000, 60 * grid.n)
-    y, iterations, residual = pcg(
-        apply_op, g, tol=tol, maxiter=maxiter, residual=grid_residual
-    )
-    # u = A^-1 (f - E_Y D^1/2 y)
-    b = f.copy()
-    b[support] -= root * y
-    u = dirichlet_solve(b, h, shift, out=b)
-    return u, SolveStats(iterations, residual, time.perf_counter() - start)
+    # min and max propagate NaN
+    if not (0.0 <= weights.min() and weights.max() < math.inf):
+        raise InvalidParameterError("lumped measure must be finite and nonnegative")
+    return _capacitance_solve(f, grid, tol, maxiter, weights=weights)
 
 
 def _cutoff(t: Array) -> Array:

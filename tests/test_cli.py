@@ -250,6 +250,15 @@ def test_override_tiny_holes_is_no_flag(tmp_path):
         assert exc.value.code == 2
 
 
+def test_overflowing_measure_exits_one(tmp_path, capsys):
+    # plane(0.5, 1e308) lumps to infinite weights: the limit solve rejects
+    # the measure as invalid input before any iteration
+    cfg = write(tmp_path / "big.cfg", ZERO_CFG.replace("zero()", "plane(0.5, 1e308)"))
+    code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "lumped measure must be finite" in err
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # under-resolved holes at the configured grid: resolution error
     cfg = write(

@@ -14,24 +14,28 @@ from perfhom.errors import EvaluationError, SolverError
 from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom.potential import parse_potential
-from perfhom.solver import Grid, hole_mask, solve_limit, solve_perforated
+from perfhom.solver import Grid, _capacitance_solve, hole_mask, solve_limit, solve_perforated
 from perfhom.stencil import dirichlet_solve, neg_laplacian
 from perfhom.tiling import TilingSpec, unit_box
 
 EPS64 = 2.0**-52
 
 
-def masked_pcg(f, mask, h, tol):
-    """The oracle: CG on full-grid vectors with the Laplacian zeroed on
-    hole rows, preconditioned by the sine solve masked to the free nodes."""
+def masked_pcg(f, mask, h, tol, weights=None):
+    """The oracle: CG on full-grid vectors with ``L``, plus the diagonal
+    ``weights`` if given, zeroed on hole rows, preconditioned by the sine
+    solve shifted by the smallest weight and masked to the free nodes."""
+    shift = 0.0 if weights is None else float(weights.min())
 
     def apply_op(v):
         w = neg_laplacian(v, h)
+        if weights is not None:
+            w += weights * v
         w[mask] = 0.0
         return w
 
     def precond(r, out):
-        dirichlet_solve(r, h, out=out)
+        dirichlet_solve(r, h, shift, out=out)
         out[mask] = 0.0
         return out
 
@@ -41,10 +45,12 @@ def masked_pcg(f, mask, h, tol):
     return u, iterations
 
 
-def free_residual(f, mask, u, h):
+def free_residual(f, mask, u, h, weights=None):
     """``||b - A u|| / ||b||`` on the free nodes, by one stencil apply."""
     b = np.where(mask, 0.0, f)
     r = b - neg_laplacian(u, h)
+    if weights is not None:
+        r -= weights * u
     r[mask] = 0.0
     return math.sqrt(dot(r, r)) / math.sqrt(dot(b, b))
 
@@ -81,21 +87,24 @@ def problems(draw):
     return grid, family(centers, radii), seed, tol
 
 
-def check_against_oracle(grid, holes, seed, tol):
+def check_against_oracle(grid, holes, seed, tol, weights=None):
     rng = np.random.default_rng(seed)
     f = 1.0 + rng.standard_normal(grid.shape)
     mask = hole_mask(grid, holes)
-    u, stats = solve_perforated(f, holes, grid, tol)
+    if weights is None:
+        u, stats = solve_perforated(f, holes, grid, tol)
+    else:
+        u, stats = _capacitance_solve(f, grid, tol, None, clamped=mask, weights=weights)
     assert np.all(u[mask] == 0.0)
     if mask.all():
         assert np.all(u == 0.0) and stats.iterations == 0
         return
-    reference, _ = masked_pcg(f, mask, grid.h, tol)
+    reference, _ = masked_pcg(f, mask, grid.h, tol, weights)
     scale = float(np.abs(reference).max())
     assert float(np.abs(u - reference).max()) <= 3.0 * kappa(grid) * tol * scale
     # the reported residual is the free-node residual of u, up to the
     # rounding of the CG recursion and of the stencil
-    true = free_residual(f, mask, u, grid.h)
+    true = free_residual(f, mask, u, grid.h, weights)
     rounding = 8.0 * (stats.iterations + 1) * kappa(grid) * EPS64
     assert abs(stats.residual - true) <= rounding
     assert stats.residual <= tol
@@ -112,6 +121,40 @@ def check_against_oracle(grid, holes, seed, tol):
 @example((Grid(3, 9), family([[1.05, 0.5, 0.5], [0.5, -0.1, 0.5]], [0.3, 0.2]), 2, 1e-10))
 def test_capacitance_solve_matches_masked_cg(problem):
     check_against_oracle(*problem)
+
+
+def borders(mask, weighted):
+    """Whether a weighted free node has a masked stencil neighbour."""
+    d = mask.ndim
+    for ax in range(d):
+        lo = tuple(slice(None, -1) if k == ax else slice(None) for k in range(d))
+        hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(d))
+        if np.any(mask[lo] & weighted[hi]) or np.any(mask[hi] & weighted[lo]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "radius, layer", [(0.2, True), (0.2, False), (0.5, True), (0.5, False), (0.0, True)]
+)
+def test_clamped_and_weighted_nodes_match_masked_cg(radius, layer):
+    # one resolved hole plus a non-constant weight: the one input on which
+    # both halves of the residual meet, on the weighted nodes that border
+    # the hole.  A node layer through the hole at weight 20/h (a lumped
+    # plane) over a floor of 3, or random weights everywhere.  The 0.5
+    # ball fills 69% of the grid, so only its surface layer is clamped
+    # unknowns, and the weighted nodes inside it are clamped unknowns too.
+    # An empty hole leaves a clamped mask with no node
+    grid = Grid(3, 15)
+    if layer:
+        weights = np.full(grid.shape, 3.0)
+        weights[:, :, 7] += 20.0 / grid.h
+    else:
+        weights = np.random.default_rng(5).uniform(0.0, 50.0, grid.shape)
+    holes = family([[0.5, 0.5, 0.5]], [radius])
+    mask = hole_mask(grid, holes)
+    assert borders(mask, (weights > weights.min()) & ~mask) == (radius > 0.0)
+    check_against_oracle(grid, holes, 6, 1e-9, weights)
 
 
 @pytest.mark.parametrize("spec, eps", [("constant(40)", 0.125), ("plane(0.5, 20)", 0.125)])
