@@ -61,6 +61,8 @@ def pcg(
         Must return a new array (the loop overwrites it).
     b : ndarray
         Right-hand side.  ``b = 0`` short-circuits to the zero solution.
+        A float array is taken over as the residual vector and overwritten;
+        a caller that needs ``b`` afterwards passes a copy.
     tol : float
         Relative residual target, ``||b - A x|| <= tol * ||b||`` unless
         ``residual`` measures it otherwise.
@@ -97,7 +99,7 @@ def pcg(
         def residual(r):
             return math.sqrt(dot(r, r)) / norm_b
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b
     z = precond(r, np.empty_like(b)) if precond is not None else r
     p = z.copy()
     rz = dot(r, z)

@@ -8,7 +8,8 @@ sides of every comparison carry the same discretisation bias:
 
     ||nu||_{H^-1} = sqrt(<nu, phi> h^d)   with   -Delta_h phi = nu,
 
-where ``phi`` comes from the exact sine-basis solve, not an iteration.
+where ``<nu, phi>`` is the energy of the exact sine-basis solve, read
+off the spectrum of ``nu`` without forming ``phi``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import InvalidParameterError
 from .holes import HoleFamily, SeparationParams
 from .solver import Grid, field_from_callable, multilinear_sample
 from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
-from .stencil import dirichlet_solve
+from .stencil import dirichlet_energy
 from .stencil import neg_laplacian  # noqa: F401  (perfbench/tracing.py wraps diagnostics.neg_laplacian)
 from .tiling import CellFamily, TilingSpec, cell_axis_indices
 
@@ -91,10 +92,11 @@ def assumption_quantities(
 
 
 def hminus1_norm(nu: Array, grid: Grid) -> float:
-    """Discrete ``H^-1`` norm of a nodal density via one Poisson solve.
+    """Discrete ``H^-1`` norm of a nodal density.
 
-    Solves ``-Delta_h phi = nu`` with zero boundary values exactly in the
-    sine basis and returns ``sqrt(<nu, phi> h^d)``.  Homogeneous of
+    Returns ``sqrt(<nu, phi> h^d)`` for ``-Delta_h phi = nu`` with zero
+    boundary values, the pairing being the energy of the exact sine-basis
+    solve (:func:`~perfhom.stencil.dirichlet_energy`).  Homogeneous of
     degree one (exactly, for powers of two) and zero exactly for
     ``nu = 0``.
     """
@@ -103,9 +105,13 @@ def hminus1_norm(nu: Array, grid: Grid) -> float:
         raise InvalidParameterError("density shape does not match grid")
     if not np.all(np.isfinite(nu)):
         raise InvalidParameterError("density must be finite at all nodes")
-    h = grid.h
-    phi = dirichlet_solve(nu, h)
-    pairing = dot(nu, phi) * h**grid.dim
+    return _hminus1_norm(nu, grid, overwrite=False)
+
+
+def _hminus1_norm(nu: Array, grid: Grid, overwrite: bool) -> float:
+    """:func:`hminus1_norm` without the checks; ``overwrite`` lets the
+    transforms use ``nu`` as scratch."""
+    pairing = dirichlet_energy(nu, grid.h, overwrite_b=overwrite) * grid.h**grid.dim
     return math.sqrt(max(pairing, 0.0))
 
 
@@ -145,7 +151,8 @@ def ldc_deviation(
     construction this isolates the cell-averaging error of the target.
     """
     field = capacity_density_field(holes, spec, grid)
-    return hminus1_norm(field - lumped, grid)
+    field -= lumped
+    return _hminus1_norm(field, grid, overwrite=True)
 
 
 def _check_test_function(g: Callable[[Array], Array], grid: Grid) -> None:

@@ -14,9 +14,11 @@ both rest on the exact sine-basis Poisson solve
 (:func:`~perfhom.stencil.dirichlet_solve`).  Where it is the exact
 inverse (no hole nodes; a constant lumped measure, as a shift) it is
 applied once, not iterated.  Otherwise both are one capacitance-matrix
-solve: conjugate gradients on vectors indexed by the node set, one
-support-restricted sine solve (:class:`~perfhom.stencil.SupportSolve`)
-per iteration, then one full sine solve for the grid solution.
+solve: at most one full sine solve, conjugate gradients on vectors
+indexed by the node set with one support-restricted sine solve
+(:class:`~perfhom.stencil.SupportSolve`) per iteration, then the grid
+solution from the charge by the sparse-in, full-out half of a sine
+solve (:meth:`~perfhom.stencil.SupportSolve.extend`).
 
 * With ``L`` the zero-Dirichlet grid Laplacian and node weights ``w``
   (none for the perforated problem), ``A = L + min w`` is inverted
@@ -25,7 +27,14 @@ per iteration, then one full sine solve for the grid solution.
   its minimum, of weight ``D = w - min w``.  CG solves
   ``(D^-1 + A^-1_YY) sigma = (A^-1 b)_Y``, ``b`` the right-hand side
   zeroed on holes, with the rows of ``W`` scaled by ``D^1/2``; then
-  ``u = A^-1 (b - E_Y sigma)`` is the zero extension of the solution.
+  ``u = A^-1 b - A^-1 E_Y sigma`` is the zero extension of the solution.
+  ``A^-1 b`` is the one full solve.  A caller solving several problems
+  with one ``f`` at one shift can pass ``A^-1 f`` instead: with ``f_X``
+  the values of ``f`` on ``X``, ``b = f - E_X f_X``, so
+  ``(A^-1 b)_Y = (A^-1 f)_Y - A^-1_YY f_X`` is one restricted solve and
+  ``u = A^-1 f - A^-1 E_Y (sigma + f_X)``.  That needs every clamped
+  node in ``X``; when only the surface layer is (below), the solve
+  ignores ``A^-1 f``.
   The stencil restricted to ``X`` preconditions the clamped block; the
   scaled block of ``W`` is the identity plus a matrix with the spectrum
   of the grid operator preconditioned by ``A``.  CG stops on the grid
@@ -198,12 +207,13 @@ def hole_mask(grid: Grid, holes: HoleFamily) -> Array:
 
 
 def _exact_solve(
-    b: Array, h: float, shift: float, tol: float, norm_b: float
+    b: Array, h: float, shift: float, tol: float, norm_b: float, base: Optional[Array] = None
 ) -> tuple[Array, float]:
     """Solve ``(-Delta_h + shift) u = b``, ``||b|| = norm_b > 0``, with one
-    sine solve: the exact preconditioner applied once, not iterated.
-    Returns ``u`` and its relative residual, from one stencil apply."""
-    u = dirichlet_solve(b, h, shift)
+    sine solve (a copy of ``base`` if the caller made it): the exact
+    preconditioner applied once, not iterated.  Returns ``u`` and its
+    relative residual, from one stencil apply."""
+    u = dirichlet_solve(b, h, shift) if base is None else base.copy()
     r = neg_laplacian(u, h)
     r -= b
     if shift:
@@ -281,20 +291,28 @@ def _capacitance_solve(
     maxiter: Optional[int],
     clamped: Optional[Array] = None,
     weights: Optional[Array] = None,
+    base: Optional[Array] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``(L + w) u = f`` off the ``clamped`` nodes, with ``u = 0`` on them.
 
     The charge lives on the clamped unknowns of :func:`_clamped_unknowns`
     and on the unclamped nodes with ``w > min w`` (see the module notes);
-    without either it is one exact solve.  CG runs at most
-    ``max(2000, 60 n)`` iterations by default.  The reported residual is
-    that of ``u`` off the clamped nodes, relative to ``||f||`` there.
+    without either it is one exact solve.  ``base``, if given, is
+    ``A^-1 f`` at the shift ``min w`` and is not modified: it replaces the
+    solve's one full sine solve, except when only the surface layer of
+    the clamped nodes is unknown.  CG runs at most ``max(2000, 60 n)``
+    iterations by default.  The reported residual is that of ``u`` off
+    the clamped nodes, relative to ``||f||`` there.
     """
     start = time.perf_counter()
+    if base is not None and base.shape != f.shape:
+        raise InvalidParameterError("base solution shape does not match grid")
     h, shift = grid.h, 0.0
-    # b, zero on the clamped nodes, is rebuilt from f for the final solve
     b = f if clamped is None else np.where(clamped, 0.0, f)
     unknowns = None if clamped is None else _clamped_unknowns(clamped)
+    if unknowns is not clamped:
+        # surface layer: f on the inner hole nodes reaches no unknown
+        base = None
     if weights is not None:
         shift = float(weights.min())
         weighted = weights > shift
@@ -305,22 +323,33 @@ def _capacitance_solve(
     nodes = np.flatnonzero(unknowns).astype(np.int32 if grid.size < 2**31 else np.int64)
     if nodes.size == 0:
         # no clamped or weighted node
-        u, residual = _exact_solve(b, h, shift, tol, norm_b)
+        u, residual = _exact_solve(b, h, shift, tol, norm_b, base)
         return u, SolveStats(1, residual, time.perf_counter() - start)
     m, precond = nodes.size, None
     if clamped is not None:
         neighbours, edge_x, edge_f, count = _hole_stencil(clamped, nodes)
-    g = dirichlet_solve(b, h, shift, out=None if b is f else b).reshape(-1)[nodes]
-    del b
     solve = SupportSolve(nodes, grid.n, grid.dim, h, shift)  # A^-1_YY
-    del nodes
-    root = on_w = None
+    root = on_w = f_x = None
     if weights is not None:
         # the scaling D^1/2 on W, 1 on X
         root = np.sqrt(weights[unknowns] - shift)
         if clamped is not None:
             on_w = ~clamped[unknowns]
             root[~on_w] = 1.0
+    if base is None:
+        # A^-1 b for b = f zeroed on the clamped nodes
+        base = dirichlet_solve(b, h, shift, out=None if b is f else b)
+    elif clamped is not None:
+        # b = f - E_X f_X, so A^-1 b = base - A^-1 E_X f_X
+        f_x = f.reshape(-1)[nodes]
+        if on_w is not None:
+            f_x[on_w] = 0.0
+    del b, unknowns
+    g = base.reshape(-1)[nodes]
+    del nodes
+    if f_x is not None:
+        g -= solve.apply(f_x)
+    if root is not None:
         g *= root
 
     def apply_op(y):
@@ -362,10 +391,15 @@ def _capacitance_solve(
         apply_op, g, tol=tol, precond=precond, residual=residual,
         maxiter=max(2000, 60 * grid.n) if maxiter is None else maxiter,
     )
-    # u = A^-1 (b - E_Y sigma), with sigma = D^1/2 y on W
-    b = f.copy() if clamped is None else np.where(clamped, 0.0, f)
-    b[unknowns] -= y if root is None else root * y
-    u = dirichlet_solve(b, h, shift, out=b)
+    del g  # pcg took it over as its residual
+    # u = base - A^-1 E_Y (sigma + f_X), with sigma = D^1/2 y on W
+    if root is not None:
+        y *= root
+    if f_x is not None:
+        y += f_x
+    u = solve.extend(y)
+    del y
+    np.subtract(base, u, out=u)
     if clamped is not None:
         u[clamped] = 0.0
     return u, SolveStats(iterations, res, time.perf_counter() - start)
@@ -378,18 +412,21 @@ def solve_perforated(
     tol: float = 1e-8,
     *,
     maxiter: Optional[int] = None,
+    base: Optional[Array] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
 
     The output is the zero extension: it is exactly zero on hole nodes.
     The reported residual is the relative residual on the free nodes.
+    ``base``, if given, is ``dirichlet_solve(f, grid.h)``, shared between
+    solves on one grid and not modified.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise InvalidParameterError("right-hand side shape does not match grid")
-    return _capacitance_solve(f, grid, tol, maxiter, clamped=hole_mask(grid, holes))
+    return _capacitance_solve(f, grid, tol, maxiter, clamped=hole_mask(grid, holes), base=base)
 
 
 def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
@@ -425,11 +462,23 @@ def lump_measure(
     domain.  :func:`~perfhom.potential.bin_footprint` finds the dual cells
     of the footprint coordinates once per axis and fills one node slab
     ``out[i]`` per ``np.bincount``, with ``O(n^(d-1))`` scratch.
+
+    Raises :class:`InvalidParameterError` if a lumped value is not finite,
+    such as a mass that overflows once divided by ``h^d``.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _lump(mu, grid, quad)
+    # min and max propagate NaN
+    if not (-math.inf < out.min() and out.max() < math.inf):
+        raise InvalidParameterError("lumped measure must be finite; it overflows or is undefined")
+    return out
+
+
+def _lump(mu: Potential, grid: Grid, quad: QuadratureSpec) -> Array:
     if isinstance(mu, SumPotential):
         out = grid.zeros()
         for part in mu.parts:
-            out += lump_measure(part, grid, quad)
+            out += _lump(part, grid, quad)
         return out
     h = grid.h
     if isinstance(mu, Density):
@@ -456,6 +505,7 @@ def solve_limit(
     tol: float = 1e-8,
     *,
     maxiter: Optional[int] = None,
+    base: Optional[Array] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
 
@@ -464,7 +514,9 @@ def solve_limit(
     A constant measure is one exact sine solve; otherwise conjugate
     gradients run on the nodes where the weight exceeds its minimum (see
     the module notes).  The reported residual is the grid residual
-    ``||f - (L + W) u|| / ||f||``.
+    ``||f - (L + W) u|| / ||f||``.  ``base``, if given, is
+    ``dirichlet_solve(f, grid.h)``; it is used only when the smallest
+    weight is zero, and not modified.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
@@ -473,9 +525,12 @@ def solve_limit(
     if f.shape != grid.shape or weights.shape != grid.shape:
         raise InvalidParameterError("field shapes do not match grid")
     # min and max propagate NaN
-    if not (0.0 <= weights.min() and weights.max() < math.inf):
+    floor = weights.min()
+    if not (0.0 <= floor and weights.max() < math.inf):
         raise InvalidParameterError("lumped measure must be finite and nonnegative")
-    return _capacitance_solve(f, grid, tol, maxiter, weights=weights)
+    if floor > 0.0:
+        base = None  # A^-1 f at the shift floor, not at zero
+    return _capacitance_solve(f, grid, tol, maxiter, weights=weights, base=base)
 
 
 def _cutoff(t: Array) -> Array:
@@ -528,7 +583,8 @@ def corrector_field(
         pot = ball_potential_radial(r, radius, d)
         deviation[slices] += np.where(inside, phi * pot, 0.0)
     v_norm = l2_norm(deviation, grid)
-    return 1.0 - deviation, v_norm
+    np.subtract(1.0, deviation, out=deviation)
+    return deviation, v_norm
 
 
 def sine_mode_field(grid: Grid, mode: Sequence[int]) -> Array:

@@ -8,13 +8,17 @@ orthonormal sine basis ``Q_jk = sqrt(2/(n+1)) sin(pi j k / (n+1))``
 (the DST-I), with 1-D eigenvalues ``4/h^2 sin^2(pi k / (2(n+1)))``, so
 ``(-Delta_h + c) u = b`` is solved exactly by one transform per axis,
 a diagonal scaling and the same transforms again (``Q`` is symmetric
-and orthogonal).
+and orthogonal).  The energy ``<b, (-Delta_h + c)^-1 b>`` needs only
+the first half: the squared spectrum over the eigenvalues.
 
-:class:`SupportSolve` is the same solve between vectors on a node set
-``S``: its input is zero off ``S`` and only ``S`` is read back, so each
-transform runs only over the lines that hold a node of ``S`` and
-contracts only over the coordinates ``S`` occupies.  Capacitance-matrix
-iterations, whose unknowns live on a small node set, use it.
+:class:`SupportSolve` is the same solve for an input that is zero off a
+node set ``S``: each forward transform runs only over the lines that
+hold a node of ``S`` and contracts only over the coordinates ``S``
+occupies.  Read back on ``S`` only, the backward transforms shrink the
+same way; capacitance-matrix iterations, whose unknowns live on a small
+node set, use that.  Read back on the whole block, the backward half is
+that of the full solve, which turns a capacitance charge into the grid
+solution.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cg import dot
 from .errors import InvalidParameterError
 
 Array = np.ndarray
@@ -80,17 +85,39 @@ def _transform_back(q: Array, cols: Array, out: Array) -> None:
         np.matmul(q, cols[start : start + step].T, out=out[:, start : start + step])
 
 
-def _scale_spectral(x: Array, lam: Array, shift: float) -> None:
-    """Divide a spectral ``n^d`` block by ``shift + lam_k1 + ... + lam_kd``,
-    one axis-0 slab at a time, so no ``n^d`` denominator is held."""
-    n, d = x.shape[0], x.ndim
+def _denominators(n: int, d: int, lam: Array, shift: float):
+    """Yield ``(i, shift + lam_i + lam_k2 + ... + lam_kd)`` for each
+    axis-0 slab ``i`` of a spectral ``n^d`` block, in one reused slab
+    array, so no ``n^d`` denominator is held."""
     tail = np.zeros((n,) * (d - 1))
     for ax in range(d - 1):
         tail += lam.reshape((n,) + (1,) * (d - 2 - ax))
     slab = np.empty_like(tail)
     for i in range(n):
         np.add(tail, shift + lam[i], out=slab)
+        yield i, slab
+
+
+def _scale_spectral(x: Array, lam: Array, shift: float) -> None:
+    """Divide a spectral ``n^d`` block by its denominators, slab by slab."""
+    for i, slab in _denominators(x.shape[0], x.ndim, lam, shift):
         x[i] /= slab
+
+
+def _sweep(src: Array, bufs: tuple[Array, Array], q: Array) -> Array:
+    """Transform every axis of the ``n^d`` block ``src`` by ``Q`` once.
+
+    Each transform runs along axis 0 and makes it the last axis, so ``d``
+    of them restore the axis order.  They write ``bufs[0]``, ``bufs[1]``,
+    ``bufs[0]``, ... in turn; ``src`` is read only by the first, so it may
+    be ``bufs[1]``.  Returns the buffer that holds the result.
+    """
+    n = q.shape[0]
+    for step in range(src.ndim):
+        dst = bufs[step % 2]
+        _transform(src.reshape(n, -1).T, q, dst.reshape(-1, n))
+        src = dst
+    return src
 
 
 def dirichlet_solve(
@@ -114,19 +141,35 @@ def dirichlet_solve(
     elif out.shape != b.shape or not out.flags.c_contiguous:
         raise InvalidParameterError("sine solve output must be C-contiguous and match b")
     q, lam = _sine_basis(n, float(h))
-    # each transform runs along axis 0 and makes it the last axis, so d
-    # of them transform every axis and restore the axis order; the 2d
-    # transforms alternate between one scratch array and out, so the last
-    # lands in out, and b is read only by the first
-    bufs = (np.empty(b.shape), out)
-    src = b
-    for step in range(2 * d):
-        if step == d:
-            _scale_spectral(src, lam, shift)
-        dst = bufs[step % 2]
-        _transform(src.reshape(n, -1).T, q, dst.reshape(-1, n))
-        src = dst
+    # the forward half lands in scratch for odd d and in out for even d;
+    # the backward half writes the other array first, so it ends in out
+    scratch = np.empty(b.shape)
+    spectrum = _sweep(b, (scratch, out), q)
+    _scale_spectral(spectrum, lam, shift)
+    _sweep(spectrum, (out if spectrum is scratch else scratch, spectrum), q)
     return out
+
+
+def dirichlet_energy(b: Array, h: float, shift: float = 0.0, *, overwrite_b: bool = False) -> float:
+    """``<b, (neg_laplacian + shift)^-1 b> = sum_k (Q b)_k^2 / (shift + lambda_k)``.
+
+    The energy of :func:`dirichlet_solve`'s solution from its forward
+    half alone: ``d`` transforms, not ``2d``, and no solution array.
+    Summed slab by slab in a fixed order.  With ``overwrite_b`` a
+    C-contiguous ``b`` serves as one of the two scratch arrays and is
+    left holding transform values.
+    """
+    b = np.asarray(b, dtype=float)
+    n, d = b.shape[0], b.ndim
+    if b.shape != (n,) * d:
+        raise InvalidParameterError(f"sine solve needs a cubic block, got shape {b.shape}")
+    q, lam = _sine_basis(n, float(h))
+    scratch = b if overwrite_b and b.flags.c_contiguous else np.empty(b.shape)
+    spectrum = _sweep(b, (np.empty(b.shape), scratch), q)
+    total = 0.0
+    for i, slab in _denominators(n, d, lam, shift):
+        total += dot(spectrum[i], spectrum[i] / slab)
+    return total
 
 
 def _occupied(values: Array, size: int) -> tuple[Array, Array]:
@@ -158,7 +201,8 @@ class SupportSolve:
     same GEMMs in reverse order, each producing only the lines and
     coordinates the next one reads.  An apply allocates the spectral
     block and at most one block of the same size; the index sets are
-    O(|S|) and built once.
+    O(|S|) and built once.  :meth:`extend` reads the solution back on the
+    whole block instead.
     """
 
     def __init__(self, nodes: Array, n: int, d: int, h: float, shift: float = 0.0):
@@ -168,7 +212,7 @@ class SupportSolve:
         if np.any(np.diff(nodes) <= 0):
             raise InvalidParameterError("support nodes must be strictly increasing")
         q, lam = _sine_basis(n, float(h))
-        self.n, self.d, self.lam, self.shift = n, d, lam, float(shift)
+        self.n, self.d, self.q, self.lam, self.shift = n, d, q, lam, float(shift)
         self.size = nodes.size
         # step t maps the lines L_t (flat indices of (i_t, ..., i_d-1) in
         # S) to L_t+1: ``rows`` are Q's rows at the coordinates occupied
@@ -190,8 +234,9 @@ class SupportSolve:
             self._steps.append((np.ascontiguousarray(q[coords]), tails.size, where))
             lines = tails
 
-    def apply(self, v: Array) -> Array:
-        """Return ``((neg_laplacian + shift)^-1 E_S v)_S`` as a new vector."""
+    def _spectrum(self, v: Array) -> Array:
+        """The forward half and the scaling: the scaled spectral ``n^d``
+        block of ``E_S v``."""
         n, d = self.n, self.d
         x = np.asarray(v, dtype=float).reshape(-1, 1)
         if x.shape[0] != self.size:
@@ -208,9 +253,15 @@ class SupportSolve:
             _transform(w.T, rows, x)
             x = x.reshape(count, -1)
             del w
-        _scale_spectral(x.reshape((n,) * d), self.lam, self.shift)
+        x = x.reshape((n,) * d)
+        _scale_spectral(x, self.lam, self.shift)
+        return x
+
+    def apply(self, v: Array) -> Array:
+        """Return ``((neg_laplacian + shift)^-1 E_S v)_S`` as a new vector."""
+        x = self._spectrum(v)
         for rows, count, where in reversed(self._steps):
-            cols = x.reshape(-1, n)
+            cols = x.reshape(-1, self.n)
             w = np.empty((rows.shape[0], cols.shape[0]))
             _transform_back(rows, cols, w)
             del x, cols
@@ -218,3 +269,10 @@ class SupportSolve:
             x = w if where is None else _rows(w)[where].reshape(-1, w.shape[1])
             del w
         return x.reshape(-1)
+
+    def extend(self, v: Array) -> Array:
+        """Return ``(neg_laplacian + shift)^-1 E_S v`` on the whole block:
+        the sparse forward half, then the full backward half of
+        :func:`dirichlet_solve`, in the spectral block and one more array."""
+        x = self._spectrum(v)
+        return _sweep(x, (np.empty_like(x), x), self.q)

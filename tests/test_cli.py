@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -251,12 +252,15 @@ def test_override_tiny_holes_is_no_flag(tmp_path):
 
 
 def test_overflowing_measure_exits_one(tmp_path, capsys):
-    # plane(0.5, 1e308) lumps to infinite weights: the limit solve rejects
-    # the measure as invalid input before any iteration
+    # plane(0.5, 1e308) lumps to infinite weights: lumping rejects the
+    # measure as invalid input, before numpy warns of the overflow
     cfg = write(tmp_path / "big.cfg", ZERO_CFG.replace("zero()", "plane(0.5, 1e308)"))
-    code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "o"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "o"))
     assert code == 1
     assert "lumped measure must be finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

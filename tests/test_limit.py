@@ -31,7 +31,7 @@ def grid_pcg(f, weights, h, tol):
     def precond(r, out):
         return dirichlet_solve(r, h, shift, out=out)
 
-    u, iterations, _ = pcg(apply_op, f, tol=tol, precond=precond)
+    u, iterations, _ = pcg(apply_op, f.copy(), tol=tol, precond=precond)
     return u, iterations
 
 
@@ -159,6 +159,28 @@ def test_random_measures_match_grid_cg(problem):
     # (55 against 49 on Grid(3, 7)), so a fifth more catches a slower
     # formulation
     check_against_oracle(grid, weights, f, tol, drift=0.1, count=capacitance_cg, slack=0.2)
+
+
+@pytest.mark.parametrize("spec", ["plane(0.5, 20)", "sine_density(2)"])
+def test_shared_base_matches_own_base(spec):
+    # a measure with minimum 0 uses A^-1 f at shift 0 from the caller: the
+    # same iterations, and a solution within the tol-derived bound.  A
+    # positive minimum shifts A, so a base at shift 0 is ignored
+    grid = Grid(3, 31)
+    weights = weights_for(spec, grid)
+    f = 1.0 + np.random.default_rng(3).standard_normal(grid.shape)
+    base = dirichlet_solve(f, grid.h)
+    kept = base.copy()
+    u, stats = solve_limit(f, weights, grid, 1e-9, base=base)
+    own, own_stats = solve_limit(f, weights, grid, 1e-9)
+    np.testing.assert_array_equal(base, kept)
+    assert stats.iterations == own_stats.iterations
+    assert stats.residual <= 1e-9
+    if weights.min() > 0.0:
+        np.testing.assert_array_equal(u, own)
+    else:
+        bound = 3.0 * kappa(grid, weights) * 1e-9 * float(np.abs(own).max())
+        assert float(np.abs(u - own).max()) <= bound
 
 
 def test_one_iteration_cap_raises():

@@ -172,6 +172,41 @@ def test_iterations_match_masked_cg(spec, eps):
     assert abs(stats.iterations - iterations) <= 1
 
 
+def test_shared_base_matches_own_base():
+    # a perforated row handed A^-1 f: the same iterations, and a solution
+    # within the tol-derived bound of the one that solves the hole-zeroed f
+    grid = Grid(3, 31)
+    holes = construct_holes(
+        parse_potential("plane(0.5, 20)", 3), TilingSpec(3, 0.125), unit_box(3), strict=False
+    ).holes
+    mask = hole_mask(grid, holes)
+    assert 0 < 2 * int(mask.sum()) <= grid.size
+    f = 1.0 + np.random.default_rng(8).standard_normal(grid.shape)
+    base = dirichlet_solve(f, grid.h)
+    kept = base.copy()
+    u, stats = solve_perforated(f, holes, grid, 1e-9, base=base)
+    own, own_stats = solve_perforated(f, holes, grid, 1e-9)
+    np.testing.assert_array_equal(base, kept)
+    assert np.all(u[mask] == 0.0)
+    assert stats.iterations == own_stats.iterations
+    assert stats.residual <= 1e-9
+    scale = float(np.abs(own).max())
+    assert float(np.abs(u - own).max()) <= 3.0 * kappa(grid) * 1e-9 * scale
+
+
+def test_surface_layer_row_ignores_the_base():
+    # with only the surface layer unknown, f on the inner hole nodes would
+    # enter through the base: the solve must not read it
+    grid = Grid(3, 11)
+    holes = family([[0.5, 0.5, 0.5]], [0.55])
+    assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
+    f = 1.0 + np.random.default_rng(9).standard_normal(grid.shape)
+    u, stats = solve_perforated(f, holes, grid, 1e-9, base=np.full(grid.shape, np.nan))
+    own, own_stats = solve_perforated(f, holes, grid, 1e-9)
+    np.testing.assert_array_equal(u, own)
+    assert stats.iterations == own_stats.iterations
+
+
 def test_surface_layer_examples_fill_more_than_half():
     # the examples above do take the surface-layer path
     for grid, holes in (

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perfhom.cg import pcg
 from perfhom.errors import InvalidParameterError
-from perfhom.stencil import SupportSolve, dirichlet_solve, neg_laplacian
+from perfhom.stencil import SupportSolve, dirichlet_energy, dirichlet_solve, neg_laplacian
 
 EPS64 = np.finfo(float).eps
 # largest n per dimension that keeps a CG reference solve cheap
@@ -30,7 +30,7 @@ def test_dirichlet_solve_matches_cg(problem):
     d, n, h, shift, seed = problem
     b = np.random.default_rng(seed).standard_normal((n,) * d)
     tol = 1e-12
-    reference, _, _ = pcg(lambda v: neg_laplacian(v, h) + shift * v, b, tol=tol)
+    reference, _, _ = pcg(lambda v: neg_laplacian(v, h) + shift * v, b.copy(), tol=tol)
     u = dirichlet_solve(b, h, shift)
     # a relative residual tol bounds the relative error by kappa * tol
     kappa = 4.0 * (n + 1) ** 2 / math.pi**2
@@ -59,6 +59,34 @@ def test_sine_eigenvector_is_recovered(problem, data):
     smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
     bound = 8 * d * n * EPS64 * np.abs(vector).max() / smallest
     assert np.abs(u - vector / eigenvalue).max() <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_energy_matches_solution_pairing(problem):
+    d, n, h, shift, seed = problem
+    b = np.random.default_rng(seed).standard_normal((n,) * d)
+    energy = dirichlet_energy(b, h, shift)
+    reference = float(np.dot(b.reshape(-1), dirichlet_solve(b, h, shift).reshape(-1)))
+    # the pairing of b with a solution within 8 d n ulps of ||b|| / smallest
+    smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    norm2 = float(np.dot(b.reshape(-1), b.reshape(-1)))
+    assert abs(energy - reference) <= 16 * d * n * EPS64 * norm2 / smallest
+    # scaling by two is exact in every transform, so the energy quadruples
+    assert dirichlet_energy(2.0 * b, h, shift) == 4.0 * energy
+    # b is left as it was, and letting the transforms overwrite it gives
+    # the same value
+    copy = b.copy()
+    assert dirichlet_energy(b, h, shift) == energy
+    np.testing.assert_array_equal(b, copy)
+    assert dirichlet_energy(copy, h, shift, overwrite_b=True) == energy
+
+
+def test_energy_of_zero_is_exactly_zero():
+    for d, n in ((1, 7), (2, 5), (3, 4)):
+        assert dirichlet_energy(np.zeros((n,) * d), 0.25) == 0.0
+    with pytest.raises(InvalidParameterError):
+        dirichlet_energy(np.ones((3, 4)), 0.25)
 
 
 def test_dirichlet_solve_rejects_bad_shapes():
@@ -116,6 +144,26 @@ def test_support_solve_matches_scattered_dirichlet_solve(problem):
     assert np.linalg.norm(u - reference) <= bound
     # the input is not modified and a second apply repeats the first
     np.testing.assert_array_equal(solve.apply(v), u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(supports())
+def test_support_extend_matches_scattered_dirichlet_solve(problem):
+    d, n, nodes, h, shift, seed = problem
+    v = np.random.default_rng(seed).standard_normal(nodes.size)
+    b = np.zeros(n**d)
+    b[nodes] = v
+    reference = dirichlet_solve(b.reshape((n,) * d), h, shift)
+    solve = SupportSolve(nodes, n, d, h, shift)
+    u = solve.extend(v)
+    assert u.shape == (n,) * d
+    np.testing.assert_array_equal(v, b[nodes])
+    # the bound of the restricted apply, over the whole block
+    smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    bound = 8 * d * n * EPS64 * np.linalg.norm(v) / smallest
+    assert np.linalg.norm(u - reference) <= bound
+    # read back on the support, it is the restricted apply up to rounding
+    assert np.linalg.norm(u.reshape(-1)[nodes] - solve.apply(v)) <= 2 * bound
 
 
 def test_support_solve_rejects_bad_supports():
