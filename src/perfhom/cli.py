@@ -32,7 +32,8 @@ from .errors import (
 )
 from .harness import construct_study_holes, load_config, run_study
 from .holes import SeparationParams, read_holes_csv
-from .solver import Grid, field_from_callable, lump_measure, solve_limit, solve_perforated, write_field
+from .solver import Grid, field_from_callable, lump_measure, shared_base, solve_limit
+from .solver import solve_perforated, write_field
 from .tiling import TilingSpec, cells_intersecting, unit_box
 
 VALIDATION_ERRORS = (InvalidParameterError, ConstructionError, GeometryError)
@@ -157,9 +158,10 @@ def _cmd_solve(args) -> int:
     grid = Grid(cfg.dim, n)
     construction = construct_study_holes(cfg, eps)
     f = field_from_callable(grid, cfg.rhs)
-    u_eps, stats_eps = solve_perforated(f, construction.holes, grid, cfg.tol)
+    base = shared_base(f, grid)
+    u_eps, stats_eps = solve_perforated(f, construction.holes, grid, cfg.tol, base=base)
     weights = lump_measure(cfg.potential, grid, cfg.quad)
-    u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol)
+    u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol, base=base)
     write_field(out / "u_perforated.bin", grid, u_eps)
     write_field(out / "u_limit.bin", grid, u_lim)
     stats = {

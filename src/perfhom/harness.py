@@ -4,7 +4,8 @@ A study runs a strictly decreasing list of epsilons.  The limit problem
 is solved once on the finest grid and injected onto each row's grid, so
 row errors compare against one fixed limit field.  The solves at shift
 0 on one grid (each row's, and the limit's when its measure has minimum
-0) share one exact solve of ``f``.  Rows are computed
+0) share one exact solve of ``f``, made by the first of them that reads
+it; a grid's fields go after its last row.  Rows are computed
 sequentially with fixed-order reductions, which makes reports
 reproducible bit for bit for a given configuration.
 """
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -45,12 +45,12 @@ from .solver import (
     l2_norm,
     lump_measure,
     restrict,
+    shared_base,
     solve_limit,
     solve_perforated,
     weak_witness,
 )
 from .holes import disjointness_check
-from .stencil import dirichlet_solve
 from . import tiling
 from .tiling import TilingSpec, unit_box
 from .tiling import cells_intersecting  # noqa: F401  (perfbench/tracing.py wraps harness.cells_intersecting)
@@ -98,10 +98,11 @@ def parse_rhs(text: str, dim: int) -> Callable[[Array], Array]:
 
 @dataclass(frozen=True)
 class TrendSpec:
-    """A registered trend assertion on one report column; ``mode`` is one
-    of ``MODES``, and the last three take ``param``."""
+    """A registered trend assertion on one report column.  ``MODES`` maps
+    each mode to the parameters it reads: ``param`` for the last three,
+    and ``param2``, the slope tolerance, for ``slope``."""
 
-    MODES = ("strict_decrease", "abs_decrease", "min_ratio", "slope", "max_abs")
+    MODES = {"strict_decrease": 0, "abs_decrease": 0, "min_ratio": 1, "slope": 2, "max_abs": 1}
 
     name: str
     column: str
@@ -111,9 +112,13 @@ class TrendSpec:
 
     def __post_init__(self):
         if self.mode not in self.MODES:
-            raise InvalidParameterError(f"unknown trend mode {self.mode!r}")
-        if self.param is None and self.mode in self.MODES[2:]:
-            raise InvalidParameterError(f"{self.mode} mode needs a parameter")
+            raise InvalidParameterError(f"trend {self.name!r}: unknown mode {self.mode!r}")
+        reads, given = self.MODES[self.mode], (self.param is not None) + (self.param2 is not None)
+        if not min(reads, 1) <= given <= reads:
+            raise InvalidParameterError(
+                f"trend {self.name!r}: {self.mode} takes {('no', '1', '1 or 2')[reads]} "
+                f"parameter(s), got {given}"
+            )
 
 
 @dataclass
@@ -193,7 +198,8 @@ def load_config(path) -> StudyConfig:
     ``quad_volume_order``, ``quad_surface_refine``, ``out``,
     ``allow_oversized_holes`` (:data:`STUDY_KEYS`; any other key is a
     :class:`ConfigError`); optional ``[trends]`` with lines
-    ``name = column mode [param]``.
+    ``name = column mode [param [param2]]``, each mode taking the
+    parameters :attr:`TrendSpec.MODES` gives it.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -234,12 +240,9 @@ def load_config(path) -> StudyConfig:
         trends = []
         for name, value in parser["trends"].items() if "trends" in parser else ():
             tokens = value.split()
-            if len(tokens) < 2:
-                raise ConfigError(f"trend {name!r} needs 'column mode [param]'")
-            column, mode = tokens[0], tokens[1]
-            param = float(tokens[2]) if len(tokens) > 2 else None
-            param2 = float(tokens[3]) if len(tokens) > 3 else None
-            trends.append(TrendSpec(name, column, mode, param, param2))
+            if not 2 <= len(tokens) <= 4:
+                raise ConfigError(f"trend {name!r} needs 'column mode [param [param2]]'")
+            trends.append(TrendSpec(name, *tokens[:2], *(float(t) for t in tokens[2:])))
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid value in {path}: {exc}") from exc
 
@@ -506,40 +509,30 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         finally:
             phase[name] = phase.get(name, 0.0) + time.perf_counter() - start
 
-    # zero-shift solves left per grid: one per row, and the limit's when
-    # its measure has minimum 0.  They share A^-1 f on a grid with two or
-    # more, and the grid's right-hand side and A^-1 f go after the last
-    left = Counter(cfg.grids)
-    rhs = {}
+    # each grid's right-hand side, its A^-1 f (solved by the first solve
+    # that reads it) and its lumped measure live until the grid's last row
+    last_row = {n: k for k, n in enumerate(cfg.grids)}
+    rhs, lumped = {}, {}
 
     def rhs_fields(grid):
         f = field_from_callable(grid, cfg.rhs)
-        return f, dirichlet_solve(f, grid.h) if left[grid.n] > 1 else None
-
-    def solved(n):
-        left[n] -= 1
-        if not left[n]:
-            del rhs[n]
+        return f, shared_base(f, grid)
 
     start = time.perf_counter()
-    weights = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid, cfg.quad))
-    shared_limit = bool(weights.min() == 0.0)
-    left[finest_n] += shared_limit
+    lumped[finest_n] = stage(
+        "lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid, cfg.quad)
+    )
     rhs[finest_n] = stage("rhs", None, lambda: rhs_fields(fine_grid))
     u_limit, limit_stats = stage(
         "solve_limit",
         None,
         lambda: solve_limit(
-            rhs[finest_n][0], weights, fine_grid, cfg.tol, base=rhs[finest_n][1]
+            rhs[finest_n][0], lumped[finest_n], fine_grid, cfg.tol, base=rhs[finest_n][1]
         ),
     )
-    if shared_limit:
-        solved(finest_n)
-    # the lumped measure depends only on the grid, built once per grid size
-    lumped = {finest_n: weights}
     metadata["limit_solver"] = {"n": finest_n, **limit_stats.__dict__}
 
-    for eps, n in zip(cfg.epsilons, cfg.grids):
+    for k, (eps, n) in enumerate(zip(cfg.epsilons, cfg.grids)):
         seconds["rows"].append({})
         grid = Grid(cfg.dim, n)
         spec = TilingSpec(cfg.dim, eps)
@@ -575,7 +568,8 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
             eps,
             lambda: solve_perforated(rhs[n][0], holes, grid, cfg.tol, base=rhs[n][1]),
         )
-        solved(n)
+        if last_row[n] == k:
+            del rhs[n], lumped[n]
         u_ref = stage("restrict", eps, lambda: restrict(u_limit, fine_grid, grid))
         ref_norm = l2_norm(u_ref, grid)
         # one error field, built in the solution's array, serves the L2

@@ -28,13 +28,13 @@ solve (:meth:`~perfhom.stencil.SupportSolve.extend`).
   ``(D^-1 + A^-1_YY) sigma = (A^-1 b)_Y``, ``b`` the right-hand side
   zeroed on holes, with the rows of ``W`` scaled by ``D^1/2``; then
   ``u = A^-1 b - A^-1 E_Y sigma`` is the zero extension of the solution.
-  ``A^-1 b`` is the one full solve.  A caller solving several problems
-  with one ``f`` at one shift can pass ``A^-1 f`` instead: with ``f_X``
+  Every solve starts from ``A^-1 f``, its one full solve: with ``f_X``
   the values of ``f`` on ``X``, ``b = f - E_X f_X``, so
   ``(A^-1 b)_Y = (A^-1 f)_Y - A^-1_YY f_X`` is one restricted solve and
-  ``u = A^-1 f - A^-1 E_Y (sigma + f_X)``.  That needs every clamped
-  node in ``X``; when only the surface layer is (below), the solve
-  ignores ``A^-1 f``.
+  ``u = A^-1 f - A^-1 E_Y (sigma + f_X)``.  Solves of one ``f`` at shift
+  0 on one grid can share ``A^-1 f`` (:func:`shared_base`).  When only
+  the surface layer of the holes is in ``X`` (below), the start is
+  ``A^-1 b`` instead, and ``f_X`` is not used.
   The stencil restricted to ``X`` preconditions the clamped block; the
   scaled block of ``W`` is the identity plus a matrix with the spectrum
   of the grid operator preconditioned by ``A``.  CG stops on the grid
@@ -50,6 +50,7 @@ witnesses, and the flat binary field export.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -206,27 +207,6 @@ def hole_mask(grid: Grid, holes: HoleFamily) -> Array:
     return mask
 
 
-def _exact_solve(
-    b: Array, h: float, shift: float, tol: float, norm_b: float, base: Optional[Array] = None
-) -> tuple[Array, float]:
-    """Solve ``(-Delta_h + shift) u = b``, ``||b|| = norm_b > 0``, with one
-    sine solve (a copy of ``base`` if the caller made it): the exact
-    preconditioner applied once, not iterated.  Returns ``u`` and its
-    relative residual, from one stencil apply."""
-    u = dirichlet_solve(b, h, shift) if base is None else base.copy()
-    r = neg_laplacian(u, h)
-    r -= b
-    if shift:
-        r += shift * u
-    residual = math.sqrt(dot(r, r)) / norm_b
-    if not residual <= tol:
-        raise SolverError(
-            f"exact sine solve left relative residual {residual:.3e} above "
-            f"tol {tol:.1e}: the tolerance is below the rounding floor"
-        )
-    return u, residual
-
-
 def _clamped_unknowns(mask: Array) -> Array:
     """Mask of the capacitance unknowns of a clamped mask.
 
@@ -291,40 +271,55 @@ def _capacitance_solve(
     maxiter: Optional[int],
     clamped: Optional[Array] = None,
     weights: Optional[Array] = None,
-    base: Optional[Array] = None,
+    base: Optional[Callable[[], Array]] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``(L + w) u = f`` off the ``clamped`` nodes, with ``u = 0`` on them.
 
     The charge lives on the clamped unknowns of :func:`_clamped_unknowns`
     and on the unclamped nodes with ``w > min w`` (see the module notes);
-    without either it is one exact solve.  ``base``, if given, is
-    ``A^-1 f`` at the shift ``min w`` and is not modified: it replaces the
-    solve's one full sine solve, except when only the surface layer of
-    the clamped nodes is unknown.  CG runs at most ``max(2000, 60 n)``
+    without either it is one exact solve.  The start is ``A^-1 f`` at the
+    shift ``min w``: ``base()`` when ``base`` is given and the shift is 0,
+    else one full sine solve.  When only the surface layer of the clamped
+    nodes is unknown the start is ``A^-1`` of ``f`` zeroed on them, and
+    ``base`` is not called.  CG runs at most ``max(2000, 60 n)``
     iterations by default.  The reported residual is that of ``u`` off
     the clamped nodes, relative to ``||f||`` there.
     """
-    start = time.perf_counter()
-    if base is not None and base.shape != f.shape:
-        raise InvalidParameterError("base solution shape does not match grid")
+    t0 = time.perf_counter()
     h, shift = grid.h, 0.0
-    b = f if clamped is None else np.where(clamped, 0.0, f)
     unknowns = None if clamped is None else _clamped_unknowns(clamped)
-    if unknowns is not clamped:
-        # surface layer: f on the inner hole nodes reaches no unknown
-        base = None
+    surface = unknowns is not clamped
     if weights is not None:
         shift = float(weights.min())
         weighted = weights > shift
         unknowns = weighted if unknowns is None else unknowns | weighted
+    b = f if clamped is None else np.where(clamped, 0.0, f)
     norm_b = rhs_norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b), SolveStats(0, 0.0, time.perf_counter() - start)
+        return np.zeros_like(f), SolveStats(0, 0.0, time.perf_counter() - t0)
+    shared = base is not None and shift == 0.0 and not surface
+    if surface:
+        # f on the inner hole nodes reaches no unknown: start from A^-1 b
+        start = dirichlet_solve(b, h, shift, out=b)
+    else:
+        del b  # only its norm was needed
+        start = base() if shared else dirichlet_solve(f, h, shift)
     nodes = np.flatnonzero(unknowns).astype(np.int32 if grid.size < 2**31 else np.int64)
     if nodes.size == 0:
-        # no clamped or weighted node
-        u, residual = _exact_solve(b, h, shift, tol, norm_b, base)
-        return u, SolveStats(1, residual, time.perf_counter() - start)
+        # no clamped or weighted node: the start is the solution, the exact
+        # preconditioner applied once, and one stencil apply checks it
+        u = start.copy() if shared else start
+        r = neg_laplacian(u, h)
+        r -= f
+        if shift:
+            r += shift * u
+        residual = math.sqrt(dot(r, r)) / norm_b
+        if not residual <= tol:
+            raise SolverError(
+                f"exact sine solve left relative residual {residual:.3e} above "
+                f"tol {tol:.1e}: the tolerance is below the rounding floor"
+            )
+        return u, SolveStats(1, residual, time.perf_counter() - t0)
     m, precond = nodes.size, None
     if clamped is not None:
         neighbours, edge_x, edge_f, count = _hole_stencil(clamped, nodes)
@@ -336,16 +331,13 @@ def _capacitance_solve(
         if clamped is not None:
             on_w = ~clamped[unknowns]
             root[~on_w] = 1.0
-    if base is None:
-        # A^-1 b for b = f zeroed on the clamped nodes
-        base = dirichlet_solve(b, h, shift, out=None if b is f else b)
-    elif clamped is not None:
-        # b = f - E_X f_X, so A^-1 b = base - A^-1 E_X f_X
+    if clamped is not None and not surface:
+        # b = f - E_X f_X, so A^-1 b = start - A^-1 E_X f_X
         f_x = f.reshape(-1)[nodes]
         if on_w is not None:
             f_x[on_w] = 0.0
-    del b, unknowns
-    g = base.reshape(-1)[nodes]
+    del unknowns
+    g = start.reshape(-1)[nodes]
     del nodes
     if f_x is not None:
         g -= solve.apply(f_x)
@@ -392,17 +384,31 @@ def _capacitance_solve(
         maxiter=max(2000, 60 * grid.n) if maxiter is None else maxiter,
     )
     del g  # pcg took it over as its residual
-    # u = base - A^-1 E_Y (sigma + f_X), with sigma = D^1/2 y on W
+    # u = start - A^-1 E_Y (sigma + f_X), with sigma = D^1/2 y on W
     if root is not None:
         y *= root
     if f_x is not None:
         y += f_x
     u = solve.extend(y)
     del y
-    np.subtract(base, u, out=u)
+    np.subtract(start, u, out=u)
     if clamped is not None:
         u[clamped] = 0.0
-    return u, SolveStats(iterations, res, time.perf_counter() - start)
+    return u, SolveStats(iterations, res, time.perf_counter() - t0)
+
+
+def shared_base(f: Array, grid: Grid) -> Callable[[], Array]:
+    """The ``base`` of the solves of ``f`` at shift 0 on ``grid``: a
+    zero-argument callable returning ``A^-1 f = dirichlet_solve(f, grid.h)``,
+    read-only.  It solves at its first call and holds the result."""
+
+    @functools.cache
+    def base():
+        u = dirichlet_solve(f, grid.h)
+        u.flags.writeable = False
+        return u
+
+    return base
 
 
 def solve_perforated(
@@ -412,14 +418,14 @@ def solve_perforated(
     tol: float = 1e-8,
     *,
     maxiter: Optional[int] = None,
-    base: Optional[Array] = None,
+    base: Optional[Callable[[], Array]] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
 
     The output is the zero extension: it is exactly zero on hole nodes.
     The reported residual is the relative residual on the free nodes.
-    ``base``, if given, is ``dirichlet_solve(f, grid.h)``, shared between
-    solves on one grid and not modified.
+    ``base``, if given, is a :func:`shared_base` of ``f`` on ``grid``; it
+    is not called when the holes fill more than half the grid.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
@@ -505,7 +511,7 @@ def solve_limit(
     tol: float = 1e-8,
     *,
     maxiter: Optional[int] = None,
-    base: Optional[Array] = None,
+    base: Optional[Callable[[], Array]] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
 
@@ -514,9 +520,9 @@ def solve_limit(
     A constant measure is one exact sine solve; otherwise conjugate
     gradients run on the nodes where the weight exceeds its minimum (see
     the module notes).  The reported residual is the grid residual
-    ``||f - (L + W) u|| / ||f||``.  ``base``, if given, is
-    ``dirichlet_solve(f, grid.h)``; it is used only when the smallest
-    weight is zero, and not modified.
+    ``||f - (L + W) u|| / ||f||``.  ``base``, if given, is a
+    :func:`shared_base` of ``f`` on ``grid``; it is called only when the
+    smallest weight is zero.
     """
     if not (tol > 0.0):
         raise InvalidParameterError("tolerance must be positive")
@@ -525,11 +531,8 @@ def solve_limit(
     if f.shape != grid.shape or weights.shape != grid.shape:
         raise InvalidParameterError("field shapes do not match grid")
     # min and max propagate NaN
-    floor = weights.min()
-    if not (0.0 <= floor and weights.max() < math.inf):
+    if not (0.0 <= weights.min() and weights.max() < math.inf):
         raise InvalidParameterError("lumped measure must be finite and nonnegative")
-    if floor > 0.0:
-        base = None  # A^-1 f at the shift floor, not at zero
     return _capacitance_solve(f, grid, tol, maxiter, weights=weights, base=base)
 
 

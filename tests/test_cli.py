@@ -148,6 +148,27 @@ tol = 1e-9
     assert float(abs(u_eps - u_lim).max()) > 0.0
 
 
+def test_solve_shares_one_full_solve_between_its_two_solves(tmp_path, capsys, full_solves):
+    # the plane's lumped measure has minimum 0 and its eps 1/8 holes fill
+    # less than half the grid, so both solves read one A^-1 f
+    cfg = write(
+        tmp_path / "solve.cfg",
+        """
+[study]
+dim = 3
+epsilons = 1/8
+grids = 47
+potential = plane(0.5, 20)
+f = constant(1)
+tol = 1e-9
+allow_oversized_holes = true
+""",
+    )
+    code, _, _ = run_cli(capsys, "solve", cfg, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert full_solves == [47]
+
+
 def test_study_assert_zero_config_passes(tmp_path, capsys):
     cfg = write(tmp_path / "zero.cfg", ZERO_CFG + """
 [trends]

@@ -18,17 +18,18 @@ Every column except the wall-clock ``solver_seconds`` is compared:
   the limit solve's, must be positive and at most the count the
   capacitance solve takes today (the golden files' counts are older).
 
-Each study also counts its full sine solves (``dirichlet_solve``): one
-``A^-1 f`` per grid, shared between the solves at shift 0, and one of
-its own for a row whose holes fill more than half the grid.
+Each study also counts its full sine solves (``dirichlet_solve``, through
+the ``full_solves`` fixture): one ``A^-1 f`` per grid, solved by the
+first solve at shift 0 that reads it and shared with the others, one for
+a limit at a positive shift, and one of its own for a row whose holes
+fill more than half the grid, which never reads ``A^-1 f``.
 """
 
 import csv
 import math
 from pathlib import Path
 
-import perfhom
-from perfhom import stencil
+from perfhom import harness
 from perfhom.harness import load_config, run_study
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -78,43 +79,32 @@ def read_rows(path):
         return reader.fieldnames, list(reader)
 
 
-def count_full_solves(monkeypatch):
-    """Count ``dirichlet_solve`` calls through every perfhom module that
-    binds the name; returns the list of the grid sizes solved."""
-    calls = []
-    solve = stencil.dirichlet_solve
-
-    def counted(b, *args, **kwargs):
-        calls.append(b.shape[0])
-        return solve(b, *args, **kwargs)
-
-    for name in dir(perfhom):
-        module = getattr(perfhom, name)
-        if getattr(module, "dirichlet_solve", None) is solve:
-            monkeypatch.setattr(module, "dirichlet_solve", counted)
-    return calls
-
-
-def test_readme_study_matches_golden_report(tmp_path, monkeypatch):
+def test_readme_study_matches_golden_report(tmp_path, full_solves, monkeypatch):
     # a constant measure: the limit is one exact solve at shift 40; the
     # eps 1/4 holes fill more than half the grid, so that row solves its
-    # own hole-zeroed f, and the eps 1/8 row uses the grid's A^-1 f
-    calls = count_full_solves(monkeypatch)
+    # own hole-zeroed f, and the eps 1/8 row, the only solve that reads
+    # the grid's A^-1 f, solves it: not the limit phase, not row 0
+    solve = harness.solve_perforated
+
+    def spied(*args, **kwargs):
+        full_solves.append("solve_perforated")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_perforated", spied)
     assert_study_matches_golden(
         tmp_path, README_CONFIG, GOLDEN_DIR / "readme_study.csv", (8, 16), 1
     )
-    assert calls == [63, 63, 63]
+    assert full_solves == [63, "solve_perforated", 63, "solve_perforated", 63]
 
 
-def test_plane_study_matches_golden_report(tmp_path, monkeypatch):
+def test_plane_study_matches_golden_report(tmp_path, full_solves):
     # the limit and the eps 1/16 row share A^-1 f on 95^3; the eps 1/8
     # row is the only solve on 47^3.  There were eight full solves when
     # each capacitance solve made two and the H^-1 norm one
-    calls = count_full_solves(monkeypatch)
     assert_study_matches_golden(
         tmp_path, PLANE_CONFIG, GOLDEN_DIR / "plane_study.csv", (19, 18), 10
     )
-    assert calls == [95, 47]
+    assert full_solves == [95, 47]
 
 
 def assert_study_matches_golden(tmp_path, config_text, golden_path, iterations, limit_iterations):

@@ -12,6 +12,7 @@ import perfhom.cli
 from perfhom.errors import ConfigError, InvalidParameterError, StudyError
 from perfhom.harness import (
     StudyConfig,
+    construct_study_holes,
     load_config,
     parse_rhs,
     run_study,
@@ -20,7 +21,7 @@ from perfhom.harness import (
     trend_check,
 )
 from perfhom.potential import parse_potential
-from perfhom.solver import Grid, field_from_callable, sine_mode_field
+from perfhom.solver import Grid, field_from_callable, hole_mask, sine_mode_field
 from perfhom.tiling import cells_intersecting
 
 
@@ -126,6 +127,59 @@ def zero_study_config(out_dir=None):
         tol=1e-10,
         out_dir=str(out_dir) if out_dir else None,
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a = rel_l2_error min_ratio 1.2 7 junk",
+        "a = rel_l2_error min_ratio 1.2 7",
+        "a = rel_l2_error max_abs 0.5 0.1",
+        "a = rel_l2_error strict_decrease 5",
+        "a = witness_1_1_1 abs_decrease 5",
+    ],
+)
+def test_unread_trend_tokens_fail_before_any_stage(tmp_path, monkeypatch, capsys, line):
+    # a parameter a mode never reads, or a token past the last one, is a
+    # config error naming the trend, not a silently dropped value
+    ran = []
+    for name in ("lump_measure", "field_from_callable", "solve_limit"):
+        monkeypatch.setattr(perfhom.harness, name, lambda *a, _name=name, **k: ran.append(_name))
+    path = write_config(tmp_path / "t.cfg", BASE + "\n[trends]\n" + line + "\n")
+    with pytest.raises(ConfigError, match="trend 'a'"):
+        load_config(path)
+    assert perfhom.cli.main(["study", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "trend 'a'" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_slope_trend_takes_a_tolerance(tmp_path):
+    body = BASE + "\n[trends]\na = rel_l2_error slope 1.0 0.2\n"
+    (trend,) = load_config(write_config(tmp_path / "t.cfg", body)).trends
+    assert (trend.mode, trend.param, trend.param2) == ("slope", 1.0, 0.2)
+
+
+def test_study_of_two_surface_layer_rows_never_solves_the_shared_base(full_solves):
+    # both rows' holes fill more than half of 39^3, so each solves its own
+    # hole-zeroed f, and the limit at shift 40 its own: three full solves
+    cfg = StudyConfig(
+        dim=3,
+        epsilons=(0.25, 0.2),
+        grids=(39, 39),
+        potential=parse_potential("constant(40)", 3),
+        potential_spec="constant(40)",
+        rhs=parse_rhs("constant(1)", 3),
+        rhs_spec="constant(1)",
+        tol=1e-8,
+        allow_oversized_holes=True,
+    )
+    grid = Grid(3, 39)
+    for eps in cfg.epsilons:
+        holes = construct_study_holes(cfg, eps).holes
+        assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
+    report = run_study(cfg)
+    assert len(report.rows) == 2
+    assert full_solves == [39, 39, 39]
 
 
 def test_zero_potential_study_is_exact():

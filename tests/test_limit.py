@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from perfhom.cg import dot, pcg
 from perfhom.errors import InvalidParameterError, SolverError
 from perfhom.potential import parse_potential
-from perfhom.solver import Grid, lump_measure, solve_limit
+from perfhom.solver import Grid, lump_measure, shared_base, solve_limit
 from perfhom.stencil import dirichlet_solve, neg_laplacian
 
 EPS64 = 2.0**-52
@@ -163,24 +163,40 @@ def test_random_measures_match_grid_cg(problem):
 
 @pytest.mark.parametrize("spec", ["plane(0.5, 20)", "sine_density(2)"])
 def test_shared_base_matches_own_base(spec):
-    # a measure with minimum 0 uses A^-1 f at shift 0 from the caller: the
-    # same iterations, and a solution within the tol-derived bound.  A
-    # positive minimum shifts A, so a base at shift 0 is ignored
+    # a measure with minimum 0 reads the caller's A^-1 f once, and gives
+    # the bits of the solve that makes A^-1 f itself.  sine_density's
+    # minimum is positive; zeroing one node leaves every other node in Y
     grid = Grid(3, 31)
     weights = weights_for(spec, grid)
+    weights[0, 0, 0] = 0.0
+    assert weights.min() == 0.0
     f = 1.0 + np.random.default_rng(3).standard_normal(grid.shape)
-    base = dirichlet_solve(f, grid.h)
-    kept = base.copy()
+    shared, calls = shared_base(f, grid), []
+
+    def base():
+        calls.append(1)
+        return shared()
+
     u, stats = solve_limit(f, weights, grid, 1e-9, base=base)
     own, own_stats = solve_limit(f, weights, grid, 1e-9)
-    np.testing.assert_array_equal(base, kept)
+    assert calls == [1]
+    np.testing.assert_array_equal(u, own)
     assert stats.iterations == own_stats.iterations
-    assert stats.residual <= 1e-9
-    if weights.min() > 0.0:
-        np.testing.assert_array_equal(u, own)
-    else:
-        bound = 3.0 * kappa(grid, weights) * 1e-9 * float(np.abs(own).max())
-        assert float(np.abs(u - own).max()) <= bound
+    assert stats.residual == own_stats.residual <= 1e-9
+
+
+@pytest.mark.parametrize("spec", ["sine_density(2)", "constant(40)"])
+def test_positive_minimum_never_calls_the_base(spec):
+    # a positive minimum shifts A, so A^-1 f at shift 0 is of no use
+    grid = Grid(3, 15)
+    weights = weights_for(spec, grid)
+    assert weights.min() > 0.0
+
+    def base():
+        pytest.fail("a limit solve at a positive shift called its base")
+
+    u, _ = solve_limit(np.ones(grid.shape), weights, grid, 1e-9, base=base)
+    np.testing.assert_array_equal(u, solve_limit(np.ones(grid.shape), weights, grid, 1e-9)[0])
 
 
 def test_one_iteration_cap_raises():

@@ -14,7 +14,14 @@ from perfhom.errors import EvaluationError, SolverError
 from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom.potential import parse_potential
-from perfhom.solver import Grid, _capacitance_solve, hole_mask, solve_limit, solve_perforated
+from perfhom.solver import (
+    Grid,
+    _capacitance_solve,
+    hole_mask,
+    shared_base,
+    solve_limit,
+    solve_perforated,
+)
 from perfhom.stencil import dirichlet_solve, neg_laplacian
 from perfhom.tiling import TilingSpec, unit_box
 
@@ -173,8 +180,8 @@ def test_iterations_match_masked_cg(spec, eps):
 
 
 def test_shared_base_matches_own_base():
-    # a perforated row handed A^-1 f: the same iterations, and a solution
-    # within the tol-derived bound of the one that solves the hole-zeroed f
+    # a perforated row handed A^-1 f reads it once, and gives the bits of
+    # the solve that makes A^-1 f itself
     grid = Grid(3, 31)
     holes = construct_holes(
         parse_potential("plane(0.5, 20)", 3), TilingSpec(3, 0.125), unit_box(3), strict=False
@@ -182,29 +189,47 @@ def test_shared_base_matches_own_base():
     mask = hole_mask(grid, holes)
     assert 0 < 2 * int(mask.sum()) <= grid.size
     f = 1.0 + np.random.default_rng(8).standard_normal(grid.shape)
-    base = dirichlet_solve(f, grid.h)
-    kept = base.copy()
+    shared, calls = shared_base(f, grid), []
+
+    def base():
+        calls.append(1)
+        return shared()
+
     u, stats = solve_perforated(f, holes, grid, 1e-9, base=base)
     own, own_stats = solve_perforated(f, holes, grid, 1e-9)
-    np.testing.assert_array_equal(base, kept)
+    assert calls == [1]
+    np.testing.assert_array_equal(u, own)
     assert np.all(u[mask] == 0.0)
     assert stats.iterations == own_stats.iterations
-    assert stats.residual <= 1e-9
-    scale = float(np.abs(own).max())
-    assert float(np.abs(u - own).max()) <= 3.0 * kappa(grid) * 1e-9 * scale
+    assert stats.residual == own_stats.residual <= 1e-9
 
 
 def test_surface_layer_row_ignores_the_base():
     # with only the surface layer unknown, f on the inner hole nodes would
-    # enter through the base: the solve must not read it
+    # enter through A^-1 f: the solve must not ask for it
     grid = Grid(3, 11)
     holes = family([[0.5, 0.5, 0.5]], [0.55])
     assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
     f = 1.0 + np.random.default_rng(9).standard_normal(grid.shape)
-    u, stats = solve_perforated(f, holes, grid, 1e-9, base=np.full(grid.shape, np.nan))
+
+    def base():
+        pytest.fail("a surface-layer solve called its base")
+
+    u, stats = solve_perforated(f, holes, grid, 1e-9, base=base)
     own, own_stats = solve_perforated(f, holes, grid, 1e-9)
     np.testing.assert_array_equal(u, own)
     assert stats.iterations == own_stats.iterations
+
+
+def test_empty_mask_with_a_shared_base_returns_a_writable_copy():
+    # the exact path returns the shared A^-1 f itself only as a copy
+    grid = Grid(3, 15)
+    f = 1.0 + np.random.default_rng(4).standard_normal(grid.shape)
+    base = shared_base(f, grid)
+    u, stats = solve_perforated(f, family(np.zeros((0, 3)), []), grid, tol=1e-10, base=base)
+    assert u.flags.writeable and u is not base()
+    np.testing.assert_array_equal(u, base())
+    assert stats.iterations == 1
 
 
 def test_surface_layer_examples_fill_more_than_half():

@@ -37,12 +37,14 @@ from perfhom.solver import (
     read_field,
     restrict,
     sample_line_csv,
+    shared_base,
     solve_limit,
     sine_mode_field,
     solve_perforated,
     weak_witness,
     write_field,
 )
+from perfhom.stencil import dirichlet_solve
 from perfhom.tiling import TilingSpec, unit_box
 
 EPS64 = np.finfo(float).eps
@@ -231,6 +233,21 @@ def test_limit_reduces_to_poisson_for_zero_measure():
     u_limit, _ = solve_limit(f, np.zeros(grid.shape), grid, tol=1e-10)
     u_plain, _ = solve_perforated(f, HoleFamily.from_holes([], 3), grid, tol=1e-10)
     np.testing.assert_array_equal(u_limit, u_plain)
+
+
+def test_shared_base_is_one_read_only_solve(full_solves):
+    # nothing is solved until the first call; later calls return the same
+    # array, which no caller can modify
+    grid = Grid(3, 15)
+    f = field_from_callable(grid, lambda x: 1.0 + x[:, 0])
+    base = shared_base(f, grid)
+    assert full_solves == []
+    u = base()
+    assert base() is u and full_solves == [15]
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0, 0] = 1.0
+    np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
 
 
 def test_nonfinite_rhs_rejected_before_iterating():
