@@ -57,7 +57,6 @@ from .potential import (
     CellAverageField,
     Density,
     Potential,
-    QuadratureSpec,
     SumPotential,
     SurfaceGraph,
     cell_average_field,

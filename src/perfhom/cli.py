@@ -160,7 +160,7 @@ def _cmd_solve(args) -> int:
     f = field_from_callable(grid, cfg.rhs)
     base = shared_base(f, grid)
     u_eps, stats_eps = solve_perforated(f, construction.holes, grid, cfg.tol, base=base)
-    weights = lump_measure(cfg.potential, grid, cfg.quad)
+    weights = lump_measure(cfg.potential, grid)
     u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol, base=base)
     write_field(out / "u_perforated.bin", grid, u_eps)
     write_field(out / "u_limit.bin", grid, u_lim)

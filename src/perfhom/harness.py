@@ -29,13 +29,7 @@ import numpy as np
 from .diagnostics import assumption_quantities, ldc_deviation
 from .errors import ConfigError, InvalidParameterError, StudyError
 from .inverse import ConstructionReport, construct_holes
-from .potential import (
-    DEFAULT_QUADRATURE,
-    Potential,
-    QuadratureSpec,
-    parse_potential,
-    parse_spec,
-)
+from .potential import Potential, parse_potential, parse_spec
 from .solver import (
     CUTOFF_NAME,
     Grid,
@@ -134,7 +128,6 @@ class StudyConfig:
     rhs_spec: str
     tol: float = 1e-8
     witness_modes: tuple[tuple[int, ...], ...] = DEFAULT_WITNESS_MODES
-    quad: QuadratureSpec = DEFAULT_QUADRATURE
     out_dir: Optional[str] = None
     allow_oversized_holes: bool = False
     trends: tuple[TrendSpec, ...] = ()
@@ -163,8 +156,8 @@ class StudyConfig:
                 raise ConfigError(
                     f"grids are not nested: {n + 1} does not divide {finest}"
                 )
-        if not (self.tol > 0):
-            raise ConfigError("tolerance must be positive")
+        if not 0.0 < self.tol < 1.0:
+            raise ConfigError(f"tolerance must lie in (0, 1), got {self.tol}")
         for mode in self.witness_modes:
             if len(mode) != self.dim or any(int(m) < 1 for m in mode):
                 raise ConfigError(f"bad witness mode {mode}")
@@ -185,8 +178,8 @@ def _parse_number(text: str) -> float:
 
 
 STUDY_KEYS = (
-    "dim", "epsilons", "grids", "potential", "f", "tol", "witness_modes",
-    "quad_volume_order", "quad_surface_refine", "out", "allow_oversized_holes",
+    "dim", "epsilons", "grids", "potential", "f", "tol", "witness_modes", "out",
+    "allow_oversized_holes",
 )
 
 
@@ -194,10 +187,10 @@ def load_config(path) -> StudyConfig:
     """Read a study configuration from a flat key = value file.
 
     Sections: ``[study]`` with keys ``dim``, ``epsilons``, ``grids``,
-    ``potential``, ``f``, and optional ``tol``, ``witness_modes``,
-    ``quad_volume_order``, ``quad_surface_refine``, ``out``,
-    ``allow_oversized_holes`` (:data:`STUDY_KEYS`; any other key is a
-    :class:`ConfigError`); optional ``[trends]`` with lines
+    ``potential``, ``f``, and optional ``tol`` (in ``(0, 1)``),
+    ``witness_modes``, ``out``, ``allow_oversized_holes``
+    (:data:`STUDY_KEYS`; any other key is a :class:`ConfigError`);
+    optional ``[trends]`` with lines
     ``name = column mode [param [param2]]``, each mode taking the
     parameters :attr:`TrendSpec.MODES` gives it.
     """
@@ -220,12 +213,6 @@ def load_config(path) -> StudyConfig:
         tol = float(section.get("tol", "1e-8"))
         out_dir = section.get("out", fallback=None)
         allow_oversized = section.getboolean("allow_oversized_holes", fallback=False)
-        quad = QuadratureSpec(
-            volume_order=section.getint("quad_volume_order", DEFAULT_QUADRATURE.volume_order),
-            surface_refine=section.getint(
-                "quad_surface_refine", DEFAULT_QUADRATURE.surface_refine
-            ),
-        )
         modes_raw = section.get("witness_modes", fallback=None)
         if modes_raw:
             witness_modes = tuple(
@@ -262,7 +249,6 @@ def load_config(path) -> StudyConfig:
         rhs_spec=rhs_spec,
         tol=tol,
         witness_modes=witness_modes,
-        quad=quad,
         out_dir=out_dir,
         allow_oversized_holes=allow_oversized,
         trends=tuple(trends),
@@ -382,32 +368,22 @@ class StudyReport:
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
-def trend_check(
-    report: StudyReport,
-    column: str,
-    mode: str,
-    *,
-    min_ratio: Optional[float] = None,
-    slope_target: Optional[float] = None,
-    slope_tol: float = 0.1,
-    bound: Optional[float] = None,
-) -> TrendResult:
+def trend_check(report: StudyReport, spec: TrendSpec) -> TrendResult:
     """Evaluate a trend assertion on one report column.
 
     Modes: ``strict_decrease``; ``abs_decrease`` (strict decrease of
     magnitudes, for signed witness columns); ``min_ratio`` (consecutive
-    ratios at least ``min_ratio``); ``slope`` (log-log fit against
-    epsilon within ``slope_tol`` of ``slope_target``); ``max_abs`` (all
-    values bounded by ``bound``).
+    ratios at least ``param``); ``slope`` (log-log fit against epsilon
+    within ``param2``, default 0.1, of ``param``); ``max_abs`` (all
+    values bounded by ``param``).
     """
-    values = report.column(column)
+    values = report.column(spec.column)
     if len(values) < 2:
         raise InvalidParameterError("trend check needs at least 2 rows")
     ratios = tuple(
         a / b if b != 0.0 else math.inf for a, b in zip(values, values[1:])
     )
-    param = {"min_ratio": min_ratio, "slope": slope_target, "max_abs": bound}.get(mode)
-    spec = TrendSpec("adhoc", column, mode, param)
+    mode, param = spec.mode, spec.param
     if mode == "strict_decrease":
         passed = all(a > b for a, b in zip(values, values[1:]))
         return TrendResult(spec, passed, tuple(values), ratios)
@@ -415,32 +391,18 @@ def trend_check(
         passed = all(abs(a) > abs(b) for a, b in zip(values, values[1:]))
         return TrendResult(spec, passed, tuple(values), ratios)
     if mode == "min_ratio":
-        passed = all(r >= min_ratio for r in ratios)
+        passed = all(r >= param for r in ratios)
         return TrendResult(spec, passed, tuple(values), ratios)
     if mode == "slope":
         eps = report.column("epsilon")
         if any(v <= 0 for v in values):
             return TrendResult(spec, False, tuple(values), ratios, "nonpositive values")
         slope = float(np.polyfit(np.log(eps), np.log(values), 1)[0])
-        passed = abs(slope - slope_target) <= slope_tol
+        slope_tol = 0.1 if spec.param2 is None else spec.param2
+        passed = abs(slope - param) <= slope_tol
         return TrendResult(spec, passed, tuple(values), ratios, f"slope={slope:.4f}")
-    passed = all(abs(v) <= bound for v in values)  # max_abs, the one mode left
+    passed = all(abs(v) <= param for v in values)  # max_abs, the one mode left
     return TrendResult(spec, passed, tuple(values), ratios)
-
-
-def _run_trend(report: StudyReport, spec: TrendSpec) -> TrendResult:
-    # each mode reads only its own keyword
-    p = spec.param
-    tol = {} if spec.param2 is None else {"slope_tol": spec.param2}
-    result = trend_check(
-        report, spec.column, spec.mode, min_ratio=p, slope_target=p, bound=p, **tol
-    )
-    result.spec = spec
-    return result
-
-
-def run_trends(report: StudyReport, trends: Sequence[TrendSpec]) -> list[TrendResult]:
-    return [_run_trend(report, spec) for spec in trends]
 
 
 def construct_study_holes(cfg: StudyConfig, eps: float) -> ConstructionReport:
@@ -449,7 +411,6 @@ def construct_study_holes(cfg: StudyConfig, eps: float) -> ConstructionReport:
         cfg.potential,
         TilingSpec(cfg.dim, eps),
         unit_box(cfg.dim),
-        cfg.quad,
         strict=not cfg.allow_oversized_holes,
     )
 
@@ -519,9 +480,7 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         return f, shared_base(f, grid)
 
     start = time.perf_counter()
-    lumped[finest_n] = stage(
-        "lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid, cfg.quad)
-    )
+    lumped[finest_n] = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid))
     rhs[finest_n] = stage("rhs", None, lambda: rhs_fields(fine_grid))
     u_limit, limit_stats = stage(
         "solve_limit",
@@ -548,9 +507,7 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
             "assumptions", eps, lambda: assumption_quantities(holes, seps, construction.cells)
         )
         if n not in lumped:
-            lumped[n] = stage(
-                "lump_measure", eps, lambda: lump_measure(cfg.potential, grid, cfg.quad)
-            )
+            lumped[n] = stage("lump_measure", eps, lambda: lump_measure(cfg.potential, grid))
         ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped[n], spec, grid))
         radii = holes.nonempty.radii
         if radii.size and radii.max() < seps.R:
@@ -615,7 +572,7 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         del diff
     metadata["total_seconds"] = time.perf_counter() - start
 
-    report.trend_results = run_trends(report, cfg.trends)
+    report.trend_results = [trend_check(report, spec) for spec in cfg.trends]
     if cfg.out_dir:
         report.write(cfg.out_dir)
     return report

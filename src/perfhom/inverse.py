@@ -22,7 +22,7 @@ import numpy as np
 from .capacity import sphere_area
 from .errors import ConstructionError
 from .holes import HoleFamily, SeparationParams, write_holes_csv
-from .potential import DEFAULT_QUADRATURE, Potential, QuadratureSpec, cell_masses
+from .potential import Potential, cell_masses
 from .potential import cell_mass  # noqa: F401  (perfbench/tracing.py wraps inverse.cell_mass)
 from .tiling import Box, CellFamily, TilingSpec, cells_intersecting
 
@@ -70,7 +70,6 @@ def construct_holes(
     mu: Potential,
     spec: TilingSpec,
     domain: Box,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     *,
     strict: bool = True,
 ) -> ConstructionReport:
@@ -84,7 +83,7 @@ def construct_holes(
     d = spec.dim
     eps = spec.epsilon
     cells = cells_intersecting(spec, domain)
-    masses = cell_masses(mu, cells, quad)
+    masses = cell_masses(mu, cells)
     radii = (masses / ((d - 2) * sphere_area(d))) ** (1.0 / (d - 2))
     if strict and np.any(radii >= eps):
         i = int(np.argmax(radii >= eps))

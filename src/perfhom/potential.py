@@ -4,8 +4,10 @@ A potential is a nonnegative Borel measure given in one of three forms:
 a density (``L^p`` with ``p >= d``), a weighted surface measure of a
 Lipschitz graph ``x_d = s(x')``, or a finite sum of such parts.  The
 central operation is the mass ``mu(A_i)`` of a lattice cell, evaluated
-by tensor Gauss quadrature for densities and by midpoint quadrature of
-``weight * sqrt(1 + |grad s|^2)`` over the cell footprint for graphs.
+by fixed rules: tensor Gauss quadrature of order
+:data:`CELL_MASS_GAUSS_ORDER` for densities, and midpoint quadrature of
+``weight * sqrt(1 + |grad s|^2)`` over the cell footprint,
+:data:`SURFACE_MIDPOINTS` midpoints per cell width and axis, for graphs.
 
 All callables are vectorised: they take points of shape ``(N, k)`` and
 return shape ``(N,)`` (or ``(N, k)`` for gradients).
@@ -23,36 +25,17 @@ from .errors import EvaluationError, InvalidParameterError
 from .tiling import Box, Cell, CellFamily, TilingSpec, cell_axis_indices, cells_intersecting
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature resolution: Gauss points per axis for densities and
-    footprint subdivisions per axis for surface measures.
-
-    ``volume_order`` governs cell masses, hence construction, where exact
-    capacity matching needs them accurate; grid lumping
-    (:func:`perfhom.solver.lump_measure`) caps it at 2.
-    """
-
-    volume_order: int = 4
-    surface_refine: int = 16
-
-    def __post_init__(self):
-        if self.volume_order < 1 or self.surface_refine < 1:
-            raise InvalidParameterError("quadrature orders must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Gauss points per cell axis: construction sets cap(K_i) = mu(A_i), so masses must be accurate.
+CELL_MASS_GAUSS_ORDER = 4
+# Footprint midpoints per cell width (node spacing, in lumping) and axis: resolve the area element.
+SURFACE_MIDPOINTS = 16
 
 
 @dataclass(frozen=True)
 class Density:
-    """Absolutely continuous part ``f(x) dx`` with nonnegative ``f``.
-
-    ``p`` is the declared integrability exponent (metadata only).
-    """
+    """Absolutely continuous part ``f(x) dx`` with nonnegative ``f``."""
 
     f: Callable[[np.ndarray], np.ndarray]
-    p: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -166,31 +149,30 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
     return dense
 
 
-def cell_masses(
-    mu: Potential, cells: CellFamily, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> np.ndarray:
+def cell_masses(mu: Potential, cells: CellFamily) -> np.ndarray:
     """Masses ``mu(A_i)`` of a cell family, shape ``(N,)``, in index order.
 
-    Densities use tensor Gauss quadrature over each cell box (exact for
+    Densities use tensor Gauss quadrature of order
+    :data:`CELL_MASS_GAUSS_ORDER` over each cell box (exact for
     constants).  Surface graphs sample the footprints of the family's
-    cell columns once, ``surface_refine`` midpoints per cell width and
-    axis, and credit each sample's weighted area element to the cell
+    cell columns once, :data:`SURFACE_MIDPOINTS` midpoints per cell width
+    and axis, and credit each sample's weighted area element to the cell
     holding its lifted point (half-open convention), by
     :func:`bin_footprint`: the column of each footprint coordinate is
     found once per axis, and one ``np.bincount`` per axis-0 column fills
     the masses of that column's cells.  Sums add exactly.
     """
     if isinstance(mu, SumPotential):
-        return sum(cell_masses(part, cells, quad) for part in mu.parts)
+        return sum(cell_masses(part, cells) for part in mu.parts)
     eps = cells.epsilon
     index = cells.index
     if isinstance(mu, Density):
-        return box_quadrature(mu.f, eps * index, eps, quad.volume_order)
+        return box_quadrature(mu.f, eps * index, eps, CELL_MASS_GAUSS_ORDER)
     if isinstance(mu, SurfaceGraph):
         spec = TilingSpec(index.shape[1], eps)
         lo = index.min(axis=0)
         shape = tuple((index.max(axis=0) - lo) // 2 + 1)
-        refine = quad.surface_refine
+        refine = SURFACE_MIDPOINTS
         t = np.arange(refine) + 0.5
         axes = []
         for k in range(spec.dim - 1):
@@ -206,10 +188,10 @@ def cell_masses(
     raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
 
 
-def cell_mass(mu: Potential, cell: Cell, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def cell_mass(mu: Potential, cell: Cell) -> float:
     """Mass ``mu(A_i)`` of one cell; see :func:`cell_masses`."""
     cells = CellFamily(np.array([cell.index], dtype=np.int64), cell.epsilon)
-    return float(cell_masses(mu, cells, quad)[0])
+    return float(cell_masses(mu, cells)[0])
 
 
 @dataclass(frozen=True)
@@ -228,15 +210,10 @@ class CellAverageField:
         return {cell.index: float(v) for cell, v in zip(self.cells, self.values)}
 
 
-def cell_average_field(
-    mu: Potential,
-    spec: TilingSpec,
-    domain: Box,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> CellAverageField:
+def cell_average_field(mu: Potential, spec: TilingSpec, domain: Box) -> CellAverageField:
     """Cell averages over all cells meeting ``domain``, in index order."""
     cells = cells_intersecting(spec, domain)
-    masses = cell_masses(mu, cells, quad)
+    masses = cell_masses(mu, cells)
     measure = (2.0 * spec.epsilon) ** spec.dim
     return CellAverageField(cells, masses, masses / measure)
 
@@ -259,7 +236,6 @@ def max_cell_mass_scaling(
     dim: int,
     domain: Box,
     eps_list: Sequence[float],
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> MassScalingResult:
     """Fit the scaling exponent of ``max_i mu(A_i)`` against epsilon.
 
@@ -270,7 +246,7 @@ def max_cell_mass_scaling(
         raise InvalidParameterError("exponent fit needs at least 3 epsilon values")
     maxima = []
     for eps in eps_list:
-        field = cell_average_field(mu, TilingSpec(dim, eps), domain, quad)
+        field = cell_average_field(mu, TilingSpec(dim, eps), domain)
         maxima.append(float(field.masses.max()) if field.masses.size else 0.0)
     if any(m <= 0.0 for m in maxima):
         return MassScalingResult(tuple(eps_list), tuple(maxima), None)
@@ -304,7 +280,7 @@ def make_constant(dim: int, c: float) -> Density:
     """Uniform density ``c`` on all of R^d."""
     if c < 0.0:
         raise InvalidParameterError("constant density must be nonnegative")
-    return Density(f=lambda x: np.full(x.shape[0], float(c)), p=math.inf)
+    return Density(f=lambda x: np.full(x.shape[0], float(c)))
 
 
 def make_box(dim: int, c: float, lo: float = 0.0, hi: float = 1.0) -> Density:
@@ -317,7 +293,7 @@ def make_box(dim: int, c: float, lo: float = 0.0, hi: float = 1.0) -> Density:
     def f(x):
         return np.where(_inside(x, lo, hi), float(c), 0.0)
 
-    return Density(f=f, p=math.inf)
+    return Density(f=f)
 
 
 def make_sine_density(dim: int, amplitude: float) -> Density:
@@ -328,7 +304,7 @@ def make_sine_density(dim: int, amplitude: float) -> Density:
     def f(x):
         return np.where(_inside(x, 0.0, 1.0), amplitude * _column_product(np.sin(np.pi * x)), 0.0)
 
-    return Density(f=f, p=math.inf)
+    return Density(f=f)
 
 
 def make_plane(dim: int, z0: float, weight: float = 1.0) -> SurfaceGraph:

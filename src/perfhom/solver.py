@@ -5,9 +5,11 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
 * the perforated Poisson problem, where nodes inside any closed hole
   ball are clamped to zero (the zero extension of the solution), and
 * the limit problem ``(-Delta + mu) u = f`` with the measure ``mu``
-  lumped onto node dual cells.  ``QuadratureSpec.volume_order`` governs
-  the construction's cell masses; lumping caps it at 2, whose O(h^4)
-  dual-cell error is below the O(h^2) error of the grid.
+  lumped onto node dual cells by fixed rules: order-2 tensor Gauss
+  quadrature for densities, whose O(h^4) dual-cell error is below the
+  O(h^2) error of the grid, and
+  :data:`~perfhom.potential.SURFACE_MIDPOINTS` footprint midpoints per
+  node spacing and axis for surface measures.
 
 Both are "a grid Laplacian plus a charge on a small node set", and
 both rest on the exact sine-basis Poisson solve
@@ -63,10 +65,9 @@ from .capacity import BALL_MASK_INFLATION, ball_potential_radial
 from .errors import GeometryError, InvalidParameterError, ResolutionError, SolverError
 from .holes import HoleFamily, SeparationParams, disjointness_check
 from .potential import (
-    DEFAULT_QUADRATURE,
+    SURFACE_MIDPOINTS,
     Density,
     Potential,
-    QuadratureSpec,
     SumPotential,
     SurfaceGraph,
     bin_footprint,
@@ -283,8 +284,12 @@ def _capacitance_solve(
     nodes is unknown the start is ``A^-1`` of ``f`` zeroed on them, and
     ``base`` is not called.  CG runs at most ``max(2000, 60 n)``
     iterations by default.  The reported residual is that of ``u`` off
-    the clamped nodes, relative to ``||f||`` there.
+    the clamped nodes, relative to ``||f||`` there.  A ``tol`` outside
+    ``(0, 1)`` raises :class:`InvalidParameterError`: at 1 or more the
+    zero charge already passes and no iteration runs.
     """
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameterError(f"tolerance must lie in (0, 1), got {tol}")
     t0 = time.perf_counter()
     h, shift = grid.h, 0.0
     unknowns = None if clamped is None else _clamped_unknowns(clamped)
@@ -427,8 +432,6 @@ def solve_perforated(
     ``base``, if given, is a :func:`shared_base` of ``f`` on ``grid``; it
     is not called when the holes fill more than half the grid.
     """
-    if not (tol > 0.0):
-        raise InvalidParameterError("tolerance must be positive")
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise InvalidParameterError("right-hand side shape does not match grid")
@@ -450,19 +453,18 @@ def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
     return idx
 
 
-def lump_measure(
-    mu: Potential, grid: Grid, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> Array:
+def lump_measure(mu: Potential, grid: Grid) -> Array:
     """Lump a potential onto node dual cells: ``w_j = mu(V_j) / h^d``.
 
     ``V_j`` is the half-open h-cube centered at node ``j`` (consistent
-    with the tiling convention).  Densities use tensor Gauss quadrature
-    over each dual cell of order ``min(quad.volume_order, 2)``: the
-    2-point rule has an O(h^4) dual-cell error, below the O(h^2) error
-    of the grid, and lumps a constant density to itself at every node
-    (construction keeps the full ``volume_order`` for its cell masses).
-    Surface measures deposit footprint samples of the weighted area
-    element into the dual cell holding the lifted point; samples in the
+    with the tiling convention).  Densities use order-2 tensor Gauss
+    quadrature over each dual cell: the 2-point rule has an O(h^4)
+    dual-cell error, below the O(h^2) error of the grid, and lumps a
+    constant density to itself at every node (construction's cell masses
+    use :data:`~perfhom.potential.CELL_MASS_GAUSS_ORDER`).  Surface
+    measures deposit footprint samples of the weighted area element,
+    :data:`~perfhom.potential.SURFACE_MIDPOINTS` per node spacing and
+    axis, into the dual cell holding the lifted point; samples in the
     half-spacing skin along the boundary go to the outermost interior
     node, so the lumped total captures the full surface mass inside the
     domain.  :func:`~perfhom.potential.bin_footprint` finds the dual cells
@@ -473,27 +475,26 @@ def lump_measure(
     such as a mass that overflows once divided by ``h^d``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _lump(mu, grid, quad)
+        out = _lump(mu, grid)
     # min and max propagate NaN
     if not (-math.inf < out.min() and out.max() < math.inf):
         raise InvalidParameterError("lumped measure must be finite; it overflows or is undefined")
     return out
 
 
-def _lump(mu: Potential, grid: Grid, quad: QuadratureSpec) -> Array:
+def _lump(mu: Potential, grid: Grid) -> Array:
     if isinstance(mu, SumPotential):
         out = grid.zeros()
         for part in mu.parts:
-            out += _lump(part, grid, quad)
+            out += _lump(part, grid)
         return out
     h = grid.h
     if isinstance(mu, Density):
-        order = min(quad.volume_order, 2)
-        out = field_from_callable(grid, lambda pts: box_quadrature(mu.f, pts, 0.5 * h, order))
+        out = field_from_callable(grid, lambda pts: box_quadrature(mu.f, pts, 0.5 * h, 2))
     elif isinstance(mu, SurfaceGraph):
-        m = (grid.n + 1) * quad.surface_refine
+        m = (grid.n + 1) * SURFACE_MIDPOINTS
         step = 1.0 / m
-        rows = ((np.arange(m) + 0.5) * step).reshape(grid.n + 1, quad.surface_refine)
+        rows = ((np.arange(m) + 0.5) * step).reshape(grid.n + 1, SURFACE_MIDPOINTS)
         out = bin_footprint(
             mu, [rows] * (grid.dim - 1), step ** (grid.dim - 1),
             lambda k, coords: _dual_cell_indices(grid, coords), grid.shape,
@@ -524,8 +525,6 @@ def solve_limit(
     :func:`shared_base` of ``f`` on ``grid``; it is called only when the
     smallest weight is zero.
     """
-    if not (tol > 0.0):
-        raise InvalidParameterError("tolerance must be positive")
     f = np.asarray(f, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if f.shape != grid.shape or weights.shape != grid.shape:

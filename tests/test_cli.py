@@ -214,6 +214,8 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ("constant(1)", "constant(-x)"),
         ("constant(1)", "constant(1e400)"),
         ("zero()", "constant(" + "9" * 400 + ")"),
+        ("tol = 1e-10", "tol = inf"),
+        ("tol = 1e-10", "tol = 1"),
     ):
         cfg = write(tmp_path / "bad.cfg", ZERO_CFG.replace(old, new))
         code, _, err = run_cli(capsys, "study", cfg)

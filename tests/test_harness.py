@@ -12,11 +12,11 @@ import perfhom.cli
 from perfhom.errors import ConfigError, InvalidParameterError, StudyError
 from perfhom.harness import (
     StudyConfig,
+    TrendSpec,
     construct_study_holes,
     load_config,
     parse_rhs,
     run_study,
-    run_trends,
     sine_mode,
     trend_check,
 )
@@ -259,15 +259,10 @@ def test_oversized_row_keeps_nan_corrector():
 
 def test_report_files_and_trends(tmp_path):
     cfg = zero_study_config(out_dir=tmp_path / "out")
-    cfg.trends = (
-        # zero columns are not strictly decreasing: this trend fails
-        __import__("perfhom.harness", fromlist=["TrendSpec"]).TrendSpec(
-            "drop", "sum_A6", "strict_decrease"
-        ),
-    )
+    # zero columns are not strictly decreasing: this trend fails
+    cfg.trends = (TrendSpec("drop", "sum_A6", "strict_decrease"),)
     report = run_study(cfg)
-    results = run_trends(report, cfg.trends)
-    assert not results[0].passed
+    assert not trend_check(report, cfg.trends[0]).passed
     assert [r.passed for r in report.trend_results] == [False]
     assert (tmp_path / "out" / "study.csv").exists()
     assert (tmp_path / "out" / "summary.json").exists()
@@ -278,15 +273,15 @@ def test_report_files_and_trends(tmp_path):
 def test_trend_check_modes():
     report = run_study(zero_study_config())
     # epsilon column is strictly decreasing by construction
-    assert trend_check(report, "epsilon", "strict_decrease").passed
-    assert trend_check(report, "epsilon", "abs_decrease").passed
-    assert trend_check(report, "epsilon", "min_ratio", min_ratio=1.5).passed
-    assert not trend_check(report, "sum_A6", "strict_decrease").passed
-    assert trend_check(report, "l2_error", "max_abs", bound=1e-12).passed
+    assert trend_check(report, TrendSpec("t", "epsilon", "strict_decrease")).passed
+    assert trend_check(report, TrendSpec("t", "epsilon", "abs_decrease")).passed
+    assert trend_check(report, TrendSpec("t", "epsilon", "min_ratio", 1.5)).passed
+    assert not trend_check(report, TrendSpec("t", "sum_A6", "strict_decrease")).passed
+    assert trend_check(report, TrendSpec("t", "l2_error", "max_abs", 1e-12)).passed
     with pytest.raises(InvalidParameterError):
-        trend_check(report, "no_such_column", "strict_decrease")
+        trend_check(report, TrendSpec("t", "no_such_column", "strict_decrease"))
     with pytest.raises(InvalidParameterError):
-        trend_check(report, "epsilon", "unknown_mode")
+        TrendSpec("t", "epsilon", "unknown_mode")
     single = run_study(
         StudyConfig(
             dim=3,
@@ -299,7 +294,7 @@ def test_trend_check_modes():
         )
     )
     with pytest.raises(InvalidParameterError):
-        trend_check(single, "epsilon", "strict_decrease")
+        trend_check(single, TrendSpec("t", "epsilon", "strict_decrease"))
 
 
 def test_sine_mode_vectorisation():
@@ -382,7 +377,15 @@ def test_unusable_pitch_fails_before_any_stage(tmp_path, monkeypatch, capsys):
     assert ran == []
 
 
-@pytest.mark.parametrize("line", ["override_tiny_holes = true", "allow_oversize_holes = true"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "override_tiny_holes = true",
+        "allow_oversize_holes = true",
+        "quad_volume_order = 4",
+        "quad_surface_refine = 16",
+    ],
+)
 def test_unknown_study_key_fails_before_any_stage(tmp_path, monkeypatch, capsys, line):
     # a removed option or a misspelt one is a config error at load, not a
     # late failure or a silently ignored setting

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfhom.cg import dot, pcg
-from perfhom.errors import EvaluationError, SolverError
+from perfhom.errors import EvaluationError, InvalidParameterError, SolverError
 from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom.potential import parse_potential
@@ -267,6 +267,18 @@ def test_exact_solves_reject_a_tolerance_below_rounding():
         solve_perforated(f, family(np.zeros((0, 3)), []), grid, tol=1e-18)
     with pytest.raises(SolverError, match="rounding floor"):
         solve_limit(f, np.full(grid.shape, 5.0), grid, tol=1e-18)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, math.inf, math.nan])
+def test_solves_reject_a_tolerance_outside_zero_one(tol):
+    # at tol >= 1 the zero charge passes the stopping test before any iteration
+    grid = Grid(3, 15)
+    f = np.ones(grid.shape)
+    holes = family([[0.5, 0.5, 0.5]], [0.15])
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        solve_perforated(f, holes, grid, tol=tol)
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        solve_limit(f, np.full(grid.shape, 5.0), grid, tol=tol)
 
 
 def test_one_iteration_cap_raises():

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from perfhom.errors import EvaluationError, InvalidParameterError
 from perfhom.potential import (
+    CELL_MASS_GAUSS_ORDER,
+    SURFACE_MIDPOINTS,
     Density,
-    QuadratureSpec,
     SumPotential,
     SurfaceGraph,
+    bin_footprint,
     cell_average_field,
     cell_mass,
     cell_masses,
@@ -181,13 +183,12 @@ def test_curved_graph_mass_exceeds_flat_footprint():
     graph = make_graph(3, 0.5, 0.05, 1.0, 1.0)
     cell = Cell((2, 2, 4), 0.125)
     flat = make_plane(3, 0.5, 1.0)
-    quad = QuadratureSpec(surface_refine=32)
-    curved_mass = cell_mass(graph, cell, quad)
+    curved_mass = cell_mass(graph, cell)
     # the graph exits the cell for part of the footprint, so compare
     # against the flat mass restricted to where the graph stays inside
     assert curved_mass > 0.0
     assert graph.lip == pytest.approx(0.05 * 2 * math.pi * math.sqrt(2))
-    assert cell_mass(flat, cell, quad) > 0.0
+    assert cell_mass(flat, cell) > 0.0
 
 
 def test_graph_gradient_matches_finite_differences():
@@ -239,21 +240,21 @@ def test_parse_potential_constructors():
         parse_potential("1 + 2", 3)
 
 
-def reference_cell_mass(mu, cell, quad=QuadratureSpec()):
+def reference_cell_mass(mu, cell):
     """Independent per-cell reference: tensor Gauss over the cell box for
     densities; for graphs, footprint midpoints whose lifted point lies in
     the half-open cell ``(lower, upper]``."""
     if isinstance(mu, SumPotential):
-        return sum(reference_cell_mass(part, cell, quad) for part in mu.parts)
+        return sum(reference_cell_mass(part, cell) for part in mu.parts)
     lo = cell.epsilon * (np.asarray(cell.index) - 1)
     hi = cell.epsilon * (np.asarray(cell.index) + 1)
     if isinstance(mu, Density):
-        ref_x, ref_w = np.polynomial.legendre.leggauss(quad.volume_order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(CELL_MASS_GAUSS_ORDER)
         axes = [0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * ref_x for k in range(3)]
         w = [0.5 * (hi[k] - lo[k]) * ref_w for k in range(3)]
         pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
         return float(mu.f(pts) @ np.einsum("i,j,k->ijk", *w).ravel())
-    refine = quad.surface_refine
+    refine = SURFACE_MIDPOINTS
     axes = [lo[k] + (hi[k] - lo[k]) * (np.arange(refine) + 0.5) / refine for k in range(2)]
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     z = mu.height(pts)
@@ -304,13 +305,15 @@ def add_at_footprint(mu, axes, area, bins, shape):
     return dense
 
 
-def add_at_lump(mu, grid, refine):
-    """``lump_measure`` of a surface measure (or a sum of them) with
-    reference binning over ``refine`` midpoints per grid spacing."""
+def binned_lump(bin_samples, mu, grid, refine):
+    """``lump_measure`` of a surface measure (or a sum of them) over
+    ``refine`` midpoints per grid spacing, its footprint binned by
+    ``bin_samples``: :func:`bin_footprint` or the ``add_at_footprint``
+    reference."""
     if isinstance(mu, SumPotential):
         out = grid.zeros()
         for part in mu.parts:
-            out += add_at_lump(part, grid, refine)
+            out += binned_lump(bin_samples, part, grid, refine)
         return out
     m = (grid.n + 1) * refine
     axis = (np.arange(m) + 0.5) * (1.0 / m)
@@ -320,14 +323,15 @@ def add_at_lump(mu, grid, refine):
         return np.where((c > 0.0) & (c < 1.0), idx, -1)
 
     area = (1.0 / m) ** (grid.dim - 1)
-    out = add_at_footprint(mu, [axis] * (grid.dim - 1), area, dual_cell, grid.shape)
+    out = bin_samples(mu, [axis] * (grid.dim - 1), area, dual_cell, grid.shape)
     out /= grid.h**grid.dim
     return out
 
 
-def add_at_cell_masses(mu, cells, refine):
-    """``cell_masses`` of a surface measure with reference binning over the
-    footprints of the family's cell columns."""
+def binned_cell_masses(bin_samples, mu, cells, refine):
+    """``cell_masses`` of a surface measure over ``refine`` midpoints per
+    cell width and axis, the footprints of the family's cell columns
+    binned by ``bin_samples``, as in :func:`binned_lump`."""
     eps, index = cells.epsilon, cells.index
     spec = TilingSpec(index.shape[1], eps)
     lo = index.min(axis=0)
@@ -339,7 +343,7 @@ def add_at_cell_masses(mu, cells, refine):
         low, high = eps * (column - 1), eps * (column + 1)
         axes.append((low[:, None] + (high - low)[:, None] * t / refine).ravel())
     area = (2.0 * eps / refine) ** (spec.dim - 1)
-    dense = add_at_footprint(
+    dense = bin_samples(
         mu, axes, area, lambda k, c: (cell_axis_indices(spec, c) - lo[k]) // 2, shape
     )
     return dense[tuple(((index - lo) // 2).T)]
@@ -371,8 +375,12 @@ def tilted_sheet(dim):
 def test_lump_measure_bins_as_add_at_over_whole_footprint(spec, n, refine):
     mu = tilted_sheet(3) if spec == "tilted" else parse_potential(spec, 3)
     grid = Grid(3, n)
-    got = lump_measure(mu, grid, QuadratureSpec(surface_refine=refine))
-    assert_bits_equal(got, add_at_lump(mu, grid, refine))
+    if refine == SURFACE_MIDPOINTS:
+        got = lump_measure(mu, grid)
+    else:
+        # other midpoint counts split the footprint runs differently
+        got = binned_lump(bin_footprint, mu, grid, refine)
+    assert_bits_equal(got, binned_lump(add_at_footprint, mu, grid, refine))
 
 
 @pytest.mark.parametrize(
@@ -391,8 +399,11 @@ def test_cell_masses_bin_as_add_at_over_whole_footprint(dim, eps, domain, refine
     shapes = ((0.5, 0.1, 2, 20), (0.5, 0.3, 2.3), (0.9, 0.2, 1, 3))
     graphs = [make_graph(dim, *args) for args in shapes]
     for mu in (*graphs, tilted_sheet(dim)):
-        got = cell_masses(mu, cells, QuadratureSpec(surface_refine=refine))
-        assert_bits_equal(got, add_at_cell_masses(mu, cells, refine))
+        if refine == SURFACE_MIDPOINTS:
+            got = cell_masses(mu, cells)
+        else:
+            got = binned_cell_masses(bin_footprint, mu, cells, refine)
+        assert_bits_equal(got, binned_cell_masses(add_at_footprint, mu, cells, refine))
 
 
 def old_graph_grad(xp, amplitude, omega):

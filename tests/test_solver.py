@@ -17,7 +17,7 @@ from perfhom.errors import (
 from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import (
-    QuadratureSpec,
+    SURFACE_MIDPOINTS,
     box_quadrature,
     make_box,
     make_constant,
@@ -123,13 +123,9 @@ def test_lump_constant_density_is_exact():
     grid = Grid(3, 15)
     w = lump_measure(make_constant(3, 2.5), grid)
     np.testing.assert_allclose(w, 2.5, rtol=1e-13)
-    w1 = lump_measure(make_constant(3, 2.5), grid, QuadratureSpec(volume_order=1))
-    np.testing.assert_allclose(w1, 2.5, rtol=1e-15)
-    # on a dyadic grid every lumping rule reproduces the constant bit for bit
+    # on a dyadic grid the lumping rule reproduces the constant bit for bit
     for n in (15, 63):
-        for order in (1, 2, 4):
-            w = lump_measure(make_constant(3, 40.0), Grid(3, n), QuadratureSpec(volume_order=order))
-            assert np.all(w == 40.0)
+        assert np.all(lump_measure(make_constant(3, 40.0), Grid(3, n)) == 40.0)
 
 
 def test_lump_plane_concentrates_on_node_layer():
@@ -194,7 +190,7 @@ def test_lump_curved_graph_total_matches_direct_quadrature(z0, amplitude, freque
     assert float(lumped.sum()) == pytest.approx(reference, rel=1e-4)
     # lumping strip by strip bins every sample as one pass over the whole
     # footprint does
-    one_pass = one_pass_graph_lump(graph, grid, QuadratureSpec().surface_refine)
+    one_pass = one_pass_graph_lump(graph, grid, SURFACE_MIDPOINTS)
     assert np.abs(lumped - one_pass).max() <= 4096 * EPS64 * one_pass.sum()
 
 
@@ -205,7 +201,6 @@ def test_lump_density_order_two_is_within_h4_of_order_four(n):
     mu = make_sine_density(3, 2.0)
     h = grid.h
     w2 = lump_measure(mu, grid)
-    np.testing.assert_array_equal(w2, lump_measure(mu, grid, QuadratureSpec(volume_order=2)))
     pts = np.stack(np.meshgrid(*([grid.axis()] * 3), indexing="ij"), axis=-1).reshape(-1, 3)
     w4 = box_quadrature(mu.f, pts, 0.5 * h, 4).reshape(grid.shape) / h**3
     deviation = float(np.abs(w2 - w4).max())
