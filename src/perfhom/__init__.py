@@ -12,7 +12,6 @@ from .capacity import (
     capacity_ball,
     capacity_extrapolate,
     capacity_variational,
-    potential_ball,
     sphere_area,
 )
 from .diagnostics import (
@@ -74,7 +73,6 @@ from .solver import (
     lump_measure,
     read_field,
     restrict,
-    sample_line_csv,
     solve_limit,
     solve_perforated,
     weak_witness,

@@ -104,21 +104,6 @@ def ball_potential_radial(r, a: float, d: int):
     return out if out.ndim else float(out)
 
 
-def potential_ball(x, center, a: float, d: int):
-    """Equilibrium potential of ``B(center, a)`` at point(s) ``x``.
-
-    ``x`` may be a single point of length ``d`` or an array of shape
-    ``(..., d)``.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    center = np.asarray(center, dtype=float)
-    r = np.sqrt(((x - center) ** 2).sum(axis=-1))
-    out = np.atleast_1d(ball_potential_radial(r, a, d))
-    return out[0].item() if single else out
-
-
 def capacity_variational(
     d: int,
     a: float,

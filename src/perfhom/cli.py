@@ -32,6 +32,7 @@ from .errors import (
 )
 from .harness import construct_study_holes, load_config, run_study
 from .holes import SeparationParams, read_holes_csv
+from .inverse import C1
 from .solver import Grid, field_from_callable, lump_measure, shared_base, solve_limit
 from .solver import solve_perforated, write_field
 from .tiling import TilingSpec, cells_intersecting, unit_box
@@ -131,7 +132,7 @@ def _assumption_rows(cfg, args):
     for k, eps in enumerate(cfg.epsilons):
         if getattr(args, "holes_dir", None):
             holes = read_holes_csv(args.holes_dir / f"holes_{k:02d}.csv")
-            seps = SeparationParams(c1=1.0, epsilon=eps)
+            seps = SeparationParams(c1=C1, epsilon=eps)
             cells = cells_intersecting(TilingSpec(cfg.dim, eps), unit_box(cfg.dim))
         else:
             construction = construct_study_holes(cfg, eps)

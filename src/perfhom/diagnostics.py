@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .cg import dot
 from .cg import pcg  # noqa: F401  (perfbench/tracing.py wraps diagnostics.pcg)
 from .errors import InvalidParameterError
 from .holes import HoleFamily, SeparationParams
-from .solver import Grid, field_from_callable, multilinear_sample
+from .solver import Grid
 from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
 from .stencil import dirichlet_energy
 from .stencil import neg_laplacian  # noqa: F401  (perfbench/tracing.py wraps diagnostics.neg_laplacian)
@@ -173,31 +173,16 @@ def _check_test_function(g: Callable[[Array], Array], grid: Grid) -> None:
         )
 
 
-def dprime_pairing(
-    nu: Union[Array, HoleFamily],
-    g: Union[Array, Callable[[Array], Array]],
-    grid: Grid,
-) -> float:
-    """Distributional pairing ``<nu, g>`` against a smooth test function.
+def dprime_pairing(holes: HoleFamily, g: Callable[[Array], Array], grid: Grid) -> float:
+    """Pairing of the hole capacities with a smooth test function.
 
-    ``nu`` may be a nodal field (paired by nodal quadrature) or a hole
-    family, in which case the pairing is against the hole-ball capacity
-    density ``sum_i cap(K_i)/|K_i| 1_{K_i}``: each nonempty ball
-    contributes ``cap(K_i) * g(center)``, exact up to O(radius^2) because
-    the ball average of a smooth ``g`` matches its center value to that
-    order.
+    Returns ``sum_i cap(K_i) g(center_i)`` over the nonempty holes.  This
+    is the pairing of ``g`` with the capacity density
+    ``sum_i cap(K_i)/|K_i| 1_{K_i}`` up to O(radius^2), because the ball
+    average of a smooth ``g`` matches its center value to that order.
+    ``g`` must vanish on the boundary of the unit cube, which ``grid``
+    discretises.
     """
-    if callable(g):
-        _check_test_function(g, grid)
-        g_field = field_from_callable(grid, g)
-    else:
-        g_field = np.asarray(g, dtype=float)
-        if g_field.shape != grid.shape:
-            raise InvalidParameterError("test function field does not match grid")
-    if isinstance(nu, np.ndarray):
-        if nu.shape != grid.shape:
-            raise InvalidParameterError("field shape does not match grid")
-        return dot(nu, g_field) * grid.h**grid.dim
-    holes = nu.nonempty
-    values = g(holes.centers) if callable(g) else multilinear_sample(grid, g_field, holes.centers)
-    return dot(capacity_ball(grid.dim, holes.radii).value, values)
+    _check_test_function(g, grid)
+    holes = holes.nonempty
+    return dot(capacity_ball(grid.dim, holes.radii).value, g(holes.centers))

@@ -192,10 +192,14 @@ def load_config(path) -> StudyConfig:
     (:data:`STUDY_KEYS`; any other key is a :class:`ConfigError`);
     optional ``[trends]`` with lines
     ``name = column mode [param [param2]]``, each mode taking the
-    parameters :attr:`TrendSpec.MODES` gives it.
+    parameters :attr:`TrendSpec.MODES` gives it.  Values are read
+    literally; ``%`` is not special.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {str(exc).splitlines()[0]}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "study" not in parser:

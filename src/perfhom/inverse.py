@@ -34,11 +34,9 @@ class ConstructionReport:
     """Holes realizing a potential, with the separation data used."""
 
     holes: HoleFamily
-    dim: int
     epsilon: float
     c1: float
     max_radius_ratio: float
-    skipped: tuple[tuple[int, ...], ...]
     total_mass: float
 
     @property
@@ -93,10 +91,8 @@ def construct_holes(
         )
     return ConstructionReport(
         holes=HoleFamily(eps * cells.index, radii, cells.index),
-        dim=d,
         epsilon=eps,
         c1=C1,
         max_radius_ratio=float(radii.max()) / (C1 * eps),
-        skipped=tuple(map(tuple, cells.index[masses == 0.0].tolist())),
         total_mass=float(masses.sum()),
     )

@@ -43,14 +43,12 @@ class SurfaceGraph:
     """Weighted surface measure of the graph ``x_d = height(x')``.
 
     ``grad`` must return the gradient of ``height`` (shape ``(N, d-1)``),
-    ``weight`` is a bounded nonnegative function of ``x'`` (or a scalar),
-    and ``lip`` is a Lipschitz constant for ``height``.
+    and ``weight`` is a bounded nonnegative function of ``x'`` (or a scalar).
     """
 
     height: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     weight: Union[float, Callable[[np.ndarray], np.ndarray]] = 1.0
-    lip: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -315,7 +313,6 @@ def make_plane(dim: int, z0: float, weight: float = 1.0) -> SurfaceGraph:
         height=lambda xp: np.full(xp.shape[0], float(z0)),
         grad=lambda xp: np.zeros_like(xp),
         weight=float(weight),
-        lip=0.0,
     )
 
 
@@ -344,8 +341,7 @@ def make_graph(
                 ratio[row, k] = np.prod(others)
         return amplitude * omega * c * ratio
 
-    lip = abs(amplitude) * omega * math.sqrt(max(dim - 1, 1))
-    return SurfaceGraph(height=height, grad=grad, weight=float(weight), lip=lip)
+    return SurfaceGraph(height=height, grad=grad, weight=float(weight))
 
 
 def make_sum(dim: int, parts: Sequence[Potential]) -> SumPotential:

@@ -51,7 +51,6 @@ witnesses, and the flat binary field export.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import time
@@ -650,44 +649,3 @@ def read_field(path) -> tuple[Grid, Array]:
     if data.size != grid.size:
         raise InvalidParameterError(f"field file has {data.size} values, expected {grid.size}")
     return grid, data.reshape(grid.shape).copy()
-
-
-def multilinear_sample(grid: Grid, u: Array, points: Array) -> Array:
-    """Multilinear interpolation with the implied zero boundary values."""
-    h = grid.h
-    t = points / h - 1.0
-    base = np.floor(t).astype(int)
-    frac = t - base
-    values = np.zeros(points.shape[0])
-    for corner in range(1 << grid.dim):
-        idx = base.copy()
-        weight = np.ones(points.shape[0])
-        for ax in range(grid.dim):
-            bit = (corner >> ax) & 1
-            idx[:, ax] = base[:, ax] + bit
-            weight *= frac[:, ax] if bit else 1.0 - frac[:, ax]
-        inside = np.all((idx >= 0) & (idx < grid.n), axis=1)
-        if np.any(inside):
-            lin = np.ravel_multi_index(tuple(idx[inside].T), grid.shape)
-            values[inside] += weight[inside] * u.ravel()[lin]
-    return values
-
-
-def sample_line_csv(path, grid: Grid, u: Array, start, end, num: int = 101) -> None:
-    """Sample a field along a segment and write ``t, x_1..x_d, value`` rows."""
-    if num < 2:
-        raise InvalidParameterError("line sampling needs at least 2 points")
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    ts = np.linspace(0.0, 1.0, num)
-    points = start[None, :] + ts[:, None] * (end - start)[None, :]
-    values = multilinear_sample(grid, u, points)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{k + 1}" for k in range(grid.dim)] + ["value"])
-        for t, p, v in zip(ts, points, values):
-            writer.writerow(
-                [format(t, ".17g")]
-                + [format(c, ".17g") for c in p]
-                + [format(v, ".17g")]
-            )

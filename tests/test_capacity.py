@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from perfhom import solver
 from perfhom.capacity import (
     CapacityResult,
+    ball_potential_radial,
     capacity_ball,
     capacity_extrapolate,
     capacity_variational,
-    potential_ball,
     sphere_area,
 )
 from perfhom.errors import (
@@ -53,16 +53,15 @@ def test_capacity_ball_strictly_increasing_in_radius():
 
 
 def test_potential_ball_values():
-    center = (0.0, 0.0, 0.0)
-    assert potential_ball((2.0, 0.0, 0.0), center, 1.0, 3) == pytest.approx(0.5, rel=1e-15)
-    assert potential_ball((0.3, 0.0, 0.0), center, 1.0, 3) == 1.0
-    assert potential_ball((1.0, 0.0, 0.0), center, 1.0, 3) == 1.0
-    assert potential_ball((5.0, 0.0, 0.0), center, 0.0, 3) == 0.0
+    assert ball_potential_radial(2.0, 1.0, 3) == pytest.approx(0.5, rel=1e-15)
+    assert ball_potential_radial(0.3, 1.0, 3) == 1.0
+    assert ball_potential_radial(1.0, 1.0, 3) == 1.0
+    assert ball_potential_radial(5.0, 0.0, 3) == 0.0
     # d = 4 decay exponent is 2
-    assert potential_ball((2.0, 0.0, 0.0, 0.0), (0.0,) * 4, 1.0, 4) == pytest.approx(0.25)
+    assert ball_potential_radial(2.0, 1.0, 4) == pytest.approx(0.25)
     # vectorised form
-    pts = np.array([[2.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    np.testing.assert_allclose(potential_ball(pts, center, 1.0, 3), [0.5, 0.25, 1.0])
+    r = np.array([2.0, 4.0, 0.1])
+    np.testing.assert_allclose(ball_potential_radial(r, 1.0, 3), [0.5, 0.25, 1.0])
 
 
 def test_extrapolation_exact_for_analytic_condenser_values():

@@ -216,11 +216,25 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ("zero()", "constant(" + "9" * 400 + ")"),
         ("tol = 1e-10", "tol = inf"),
         ("tol = 1e-10", "tol = 1"),
+        # files configparser cannot parse: a repeated key or section, no header
+        ("tol = 1e-10", "tol = 1e-10\ntol = 1e-9"),
+        ("tol = 1e-10", "tol = 1e-10\n[study]"),
+        ("[study]", ""),
     ):
         cfg = write(tmp_path / "bad.cfg", ZERO_CFG.replace(old, new))
         code, _, err = run_cli(capsys, "study", cfg)
         assert code == 1
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+def test_config_values_are_literal(tmp_path, capsys):
+    # '%' is not an interpolation marker: the output directory keeps it
+    out = tmp_path / "res%1"
+    cfg = write(tmp_path / "pct.cfg", ZERO_CFG + f"out = {out}\n")
+    code, _, _ = run_cli(capsys, "construct", cfg)
+    assert code == 0
+    assert (out / "holes_00.csv").exists()
 
 
 @pytest.mark.parametrize(

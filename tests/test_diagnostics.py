@@ -160,24 +160,10 @@ def test_ldc_deviation_plane_decreases():
     assert deviations[1] < deviations[0]
 
 
-def test_dprime_pairing_field_routes():
-    grid = Grid(3, 15)
-    g = field_from_callable(grid, sine_mode((1, 1, 1)))
-    norm = float(g.sum()) * grid.h**3
-    normalized = g / norm
-    constant = np.full(grid.shape, 3.7)
-    assert dprime_pairing(constant, normalized, grid) == pytest.approx(3.7, rel=1e-12)
-    # disjoint supports pair to zero
-    xs = grid.axis()
-    left = np.where(xs < 0.3, 1.0, 0.0)[:, None, None] * np.ones(grid.shape)
-    right = np.where(xs > 0.6, 1.0, 0.0)[:, None, None] * np.ones(grid.shape)
-    assert dprime_pairing(left, right, grid) == 0.0
-
-
 def test_dprime_rejects_nonvanishing_test_function():
     grid = Grid(3, 15)
     with pytest.raises(InvalidParameterError):
-        dprime_pairing(np.ones(grid.shape), lambda x: np.ones(x.shape[0]), grid)
+        dprime_pairing(HoleFamily.from_holes([], 3), lambda x: np.ones(x.shape[0]), grid)
 
 
 def test_hole_capacity_pairing_approaches_target():

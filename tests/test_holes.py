@@ -19,7 +19,7 @@ from perfhom.holes import (
 )
 from perfhom.inverse import construct_holes
 from perfhom.potential import make_constant
-from perfhom.solver import Grid, field_from_callable, hole_mask, multilinear_sample
+from perfhom.solver import Grid, hole_mask
 from perfhom.tiling import TilingSpec, cell_axis_indices, cells_intersecting, unit_box
 
 
@@ -98,18 +98,13 @@ def test_family_matches_per_hole_references(seed, m, n):
 
     # pairing: one capacity-weighted value of g per nonempty hole
     g = sine_mode((1, 2, 1))
-    g_field = field_from_callable(grid, g)
-    for test_function, value_at in (
-        (g, lambda c: float(g(np.array([c]))[0])),
-        (g_field, lambda c: float(multilinear_sample(grid, g_field, np.array([c]))[0])),
-    ):
-        terms = [
-            capacity_ball(3, hole.radius).value * value_at(hole.center)
-            for hole in holes
-            if not hole.is_empty
-        ]
-        got = dprime_pairing(family, test_function, grid)
-        assert abs(got - math.fsum(terms)) <= ulps * math.fsum(map(abs, terms))
+    terms = [
+        capacity_ball(3, hole.radius).value * float(g(np.array([hole.center]))[0])
+        for hole in holes
+        if not hole.is_empty
+    ]
+    got = dprime_pairing(family, g, grid)
+    assert abs(got - math.fsum(terms)) <= ulps * math.fsum(map(abs, terms))
 
     # mask: a ball below the 2h resolution limit is rejected; without
     # those, nodes within the inflated radius of each resolved ball

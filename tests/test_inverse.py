@@ -31,8 +31,6 @@ def test_zero_mass_cells_keep_empty_holes():
     report = construct_holes(make_plane(3, 0.5, 1.0), TilingSpec(3, 0.125), unit_box(3))
     empties = [h for h in report.holes if h.is_empty]
     assert empties
-    assert len(report.skipped) == len(empties)
-    assert {h.cell_index for h in empties} == set(report.skipped)
     # indexing stays total: one hole per intersecting cell
     from perfhom.tiling import cells_intersecting
 

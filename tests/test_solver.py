@@ -36,7 +36,6 @@ from perfhom.solver import (
     lump_measure,
     read_field,
     restrict,
-    sample_line_csv,
     shared_base,
     solve_limit,
     sine_mode_field,
@@ -415,20 +414,6 @@ def test_field_io_round_trip(tmp_path):
     np.testing.assert_array_equal(back, field)
     header = path.read_bytes().split(b"\n", 1)[0].decode()
     assert header.split()[:2] == ["3", "9"]
-
-
-def test_sample_line_interpolates_node_values(tmp_path):
-    grid = Grid(3, 15)
-    field = field_from_callable(grid, lambda x: x[:, 0])
-    path = tmp_path / "line.csv"
-    sample_line_csv(path, grid, field, (0.0, 0.5, 0.5), (1.0, 0.5, 0.5), num=17)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,x1,x2,x3,value"
-    values = [float(r.split(",")[-1]) for r in rows[1:]]
-    # linear field is reproduced exactly by multilinear interpolation away
-    # from the zero-extended boundary
-    assert values[8] == pytest.approx(0.5, abs=1e-12)
-    assert values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_four_dimensional_solves():
