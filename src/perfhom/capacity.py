@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .errors import EvaluationError, ExtrapolationError, InvalidParameterError, 
 from .holes import HoleFamily
 from .stencil import neg_laplacian
 
+if TYPE_CHECKING:
+    from .solver import SolveStats
 
 # Node-masked staircase balls act like spheres of radius ``a - 0.34 h``:
 # the plain rule ``|x_j - c| <= a`` loses about a third of a spacing of
@@ -39,7 +41,8 @@ class CapacityResult:
     """A capacity value with provenance.
 
     ``method`` is one of ``"exact"``, ``"variational"``, ``"extrapolated"``.
-    ``truncation`` and ``grid_h`` are set for the numerical routes.
+    ``truncation`` and ``grid_h`` are set for the numerical routes, and
+    ``stats`` for the variational one: its perforated solve's record.
     """
 
     value: float
@@ -47,6 +50,7 @@ class CapacityResult:
     dim: int
     truncation: Optional[float] = None
     grid_h: Optional[float] = None
+    stats: Optional[SolveStats] = None
 
 
 def sphere_area(d: int) -> float:
@@ -127,14 +131,17 @@ def capacity_variational(
     Requires ``0 <= a < L``, ``0 < h < a / 2`` and ``L/h`` integral.
     """
     # solver imports this module for the ball potential and the mask rule
-    from .solver import Grid, hole_mask, solve_perforated
+    from .solver import Grid, SolveStats, hole_mask, solve_perforated
 
     if d < 3:
         raise InvalidParameterError(f"variational capacity needs d >= 3, got {d}")
     if not (math.isfinite(L) and math.isfinite(h) and h > 0.0):
         raise InvalidParameterError(f"need finite L and h > 0, got L={L}, h={h}")
     if a == 0.0:
-        return CapacityResult(value=0.0, method="variational", dim=d, truncation=L, grid_h=h)
+        return CapacityResult(
+            value=0.0, method="variational", dim=d, truncation=L, grid_h=h,
+            stats=SolveStats(0, 0.0, 0.0),
+        )
     if not (0.0 <= a < L):
         raise InvalidParameterError(f"need 0 <= a < L, got a={a}, L={L}")
     if h >= a / 2.0:
@@ -147,7 +154,7 @@ def capacity_variational(
     grid = Grid(d, 2 * half - 1)
     ball = HoleFamily(np.full((1, d), 0.5), [a / (2.0 * L)], np.zeros((1, d), dtype=np.int64))
     u = hole_mask(grid, ball).astype(float)
-    correction, _ = solve_perforated(-neg_laplacian(u, grid.h), ball, grid, tol)
+    correction, stats = solve_perforated(-neg_laplacian(u, grid.h), ball, grid, tol)
     u = np.pad(u + correction, 1)
 
     energy = 0.0
@@ -155,7 +162,9 @@ def capacity_variational(
         diffs = np.diff(u, axis=ax)
         energy += float((diffs * diffs).sum())
     energy *= h ** (d - 2)
-    return CapacityResult(value=energy, method="variational", dim=d, truncation=L, grid_h=h)
+    return CapacityResult(
+        value=energy, method="variational", dim=d, truncation=L, grid_h=h, stats=stats
+    )
 
 
 def capacity_extrapolate(first: CapacityResult, second: CapacityResult) -> CapacityResult:

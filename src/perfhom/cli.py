@@ -102,16 +102,26 @@ def _load(args):
     return cfg, out
 
 
+def _variational(d, a, L, h):
+    """Print one variational capacity and its solve's record."""
+    result = capacity_variational(d, a, L, h)
+    stats = result.stats
+    print(f"variational L={L:g} h={h:g}: {result.value!r}")
+    print(
+        f"  solve: {stats.iterations} iterations, residual {stats.residual:.3e}, "
+        f"{stats.seconds:.3f} s"
+    )
+    return result
+
+
 def _cmd_capacity(args) -> int:
     exact = capacity_ball(args.dim, args.radius)
     print(repr(exact.value))
     if args.numeric:
         L, h = args.numeric
-        first = capacity_variational(args.dim, args.radius, L, h)
-        print(f"variational L={L:g} h={h:g}: {first.value!r}")
+        first = _variational(args.dim, args.radius, L, h)
         if args.extrapolate is not None:
-            second = capacity_variational(args.dim, args.radius, args.extrapolate, h)
-            print(f"variational L={args.extrapolate:g} h={h:g}: {second.value!r}")
+            second = _variational(args.dim, args.radius, args.extrapolate, h)
             extrapolated = capacity_extrapolate(first, second)
             print(f"extrapolated: {extrapolated.value!r}")
     elif args.extrapolate is not None:

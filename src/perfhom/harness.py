@@ -197,9 +197,16 @@ def load_config(path) -> StudyConfig:
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {str(exc).splitlines()[0]}") from exc
+        # configparser's text names the file again ("While reading from
+        # 'x' [line  3]: ..."): keep its line number and the reason after it
+        line = getattr(exc, "lineno", None)
+        reason = str(exc).splitlines()[0].rpartition("]: ")[2]
+        if getattr(exc, "errors", None):
+            line, reason = exc.errors[0][0], "not a section header or a key = value line"
+        where = f" line {line}" if line else ""
+        raise ConfigError(f"cannot parse config file {path}{where}: {reason}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "study" not in parser:

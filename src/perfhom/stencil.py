@@ -16,9 +16,13 @@ node set ``S``: each forward transform runs only over the lines that
 hold a node of ``S`` and contracts only over the coordinates ``S``
 occupies.  Read back on ``S`` only, the backward transforms shrink the
 same way; capacitance-matrix iterations, whose unknowns live on a small
-node set, use that.  Read back on the whole block, the backward half is
-that of the full solve, which turns a capacitance charge into the grid
-solution.
+node set, use that.  When ``S`` is thin along the last axis (a layer
+around a surface normal to it) the last transform, the scaling and its
+transpose become one small Green's block per mode of the other axes,
+built once (matrix decomposition, Buzbee, Golub and Nielson 1970), so
+such an iteration never forms the ``n^d`` spectral block.  Read back on
+the whole block, the backward half is that of the full solve, which
+turns a capacitance charge into the grid solution.
 """
 
 from __future__ import annotations
@@ -186,6 +190,33 @@ def _rows(block: Array) -> Array:
     return block.reshape(-1) if block.shape[1] == 1 else block
 
 
+def _line_kernel(rows: Array, lam: Array, d: int, shift: float) -> Array:
+    """The Green's block of each spectral line along the last axis.
+
+    ``rows`` are ``Q``'s rows at the ``c`` coordinates a support occupies
+    on the last axis.  Returns ``K[a, b, kappa] = sum_k Q_ak Q_bk /
+    (shift + mu_kappa + lambda_k)``, ``mu_kappa`` the eigenvalue sum of
+    the ``n^(d-1)`` modes ``kappa`` of the other axes in C order, built
+    by one GEMM per chunk of modes against the products ``Q_ak Q_bk``, in
+    about ``_GEMM_BLOCK`` values of scratch.
+    """
+    c, n = rows.shape
+    mu = np.full((1,) * (d - 1), shift)
+    for ax in range(d - 1):
+        mu = mu + lam.reshape((n,) + (1,) * (d - 2 - ax))
+    mu = mu.reshape(-1)
+    pairs = (rows[:, None, :] * rows[None, :, :]).reshape(c * c, n)  # Q_ak Q_bk
+    kernel = np.empty((c * c, mu.size))
+    scratch = np.empty((min(mu.size, max(1, _GEMM_BLOCK // n)), n))
+    for start in range(0, mu.size, scratch.shape[0]):
+        part = mu[start : start + scratch.shape[0]]
+        inverse = scratch[: part.size]
+        np.add.outer(part, lam, out=inverse)
+        np.divide(1.0, inverse, out=inverse)
+        np.matmul(pairs, inverse.T, out=kernel[:, start : start + part.size])
+    return kernel.reshape(c, c, -1)
+
+
 class SupportSolve:
     """``v -> ((neg_laplacian + shift)^-1 E_S v)_S`` on an ``n^d`` block.
 
@@ -195,14 +226,22 @@ class SupportSolve:
     transformed the block is nonzero only on the lines whose untransformed
     coordinates ``(i_t+1, ..., i_d-1)`` occur in ``S``, and along axis
     ``t`` only at the coordinates ``S`` occupies there, so each GEMM runs
-    over those lines and contracts over those coordinates.  The last
-    transform yields the whole spectral block, which is scaled slab by
-    slab.  The backward half is the transpose (``Q`` is symmetric): the
-    same GEMMs in reverse order, each producing only the lines and
-    coordinates the next one reads.  An apply allocates the spectral
-    block and at most one block of the same size; the index sets are
+    over those lines and contracts over those coordinates.  The backward
+    half is the transpose (``Q`` is symmetric): the same GEMMs in reverse
+    order, each producing only the lines and coordinates the next one
+    reads.
+
+    Between the halves, when ``S`` occupies ``c`` coordinates on the last
+    axis with ``c * c <= n`` (a layer along a surface normal to it), the
+    last transform, the scaling and its transpose collapse into one
+    ``c x c`` Green's block per mode of the other axes
+    (:func:`_line_kernel`, built once): an apply then holds no ``n^d``
+    block, only arrays of ``c n^(d-1)`` values beside the kernel's
+    ``c^2 n^(d-1) <= n^d``.  Otherwise the last transform yields the
+    whole spectral block, which is scaled slab by slab, and an apply holds
+    it and at most one block of the same size.  The index sets are
     O(|S|) and built once.  :meth:`extend` reads the solution back on the
-    whole block instead.
+    whole block instead, always through the spectral block.
     """
 
     def __init__(self, nodes: Array, n: int, d: int, h: float, shift: float = 0.0):
@@ -233,16 +272,19 @@ class SupportSolve:
                 where[coord_rank[coord] * tails.size + tail_rank[rest]] = True
             self._steps.append((np.ascontiguousarray(q[coords]), tails.size, where))
             lines = tails
+        last = self._steps[-1][0]
+        thin = last.shape[0] ** 2 <= n
+        self._kernel = _line_kernel(last, lam, d, self.shift) if thin else None
 
-    def _spectrum(self, v: Array) -> Array:
-        """The forward half and the scaling: the scaled spectral ``n^d``
-        block of ``E_S v``."""
-        n, d = self.n, self.d
+    def _forward(self, v: Array, steps) -> Array:
+        """Run the forward ``steps`` on ``E_S v``: one row per line the
+        next step reads, the transformed coordinates along each row."""
+        n = self.n
         x = np.asarray(v, dtype=float).reshape(-1, 1)
         if x.shape[0] != self.size:
             raise InvalidParameterError("vector does not match the support")
         # x holds one row per line of L_t and n^t transformed values each
-        for rows, count, where in self._steps:
+        for rows, count, where in steps:
             if where is None:
                 w = x.reshape(rows.shape[0], -1)
             else:
@@ -253,14 +295,11 @@ class SupportSolve:
             _transform(w.T, rows, x)
             x = x.reshape(count, -1)
             del w
-        x = x.reshape((n,) * d)
-        _scale_spectral(x, self.lam, self.shift)
         return x
 
-    def apply(self, v: Array) -> Array:
-        """Return ``((neg_laplacian + shift)^-1 E_S v)_S`` as a new vector."""
-        x = self._spectrum(v)
-        for rows, count, where in reversed(self._steps):
+    def _backward(self, x: Array, steps) -> Array:
+        """Transpose :meth:`_forward` over ``steps``: read back on ``S``."""
+        for rows, count, where in reversed(steps):
             cols = x.reshape(-1, self.n)
             w = np.empty((rows.shape[0], cols.shape[0]))
             _transform_back(rows, cols, w)
@@ -269,6 +308,21 @@ class SupportSolve:
             x = w if where is None else _rows(w)[where].reshape(-1, w.shape[1])
             del w
         return x.reshape(-1)
+
+    def _spectrum(self, v: Array) -> Array:
+        """The forward half and the scaling: the scaled spectral ``n^d``
+        block of ``E_S v``."""
+        x = self._forward(v, self._steps).reshape((self.n,) * self.d)
+        _scale_spectral(x, self.lam, self.shift)
+        return x
+
+    def apply(self, v: Array) -> Array:
+        """Return ``((neg_laplacian + shift)^-1 E_S v)_S`` as a new vector."""
+        if self._kernel is None:
+            return self._backward(self._spectrum(v), self._steps)
+        inner = self._steps[:-1]
+        x = self._forward(v, inner).reshape(self._kernel.shape[0], -1)
+        return self._backward(np.einsum("abk,ak->bk", self._kernel, x), inner)
 
     def extend(self, v: Array) -> Array:
         """Return ``(neg_laplacian + shift)^-1 E_S v`` on the whole block:

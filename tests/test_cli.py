@@ -83,8 +83,16 @@ def test_capacity_numeric_flag(capsys):
     lines = out.splitlines()
     assert lines[0] == "12.566370614359172"
     assert lines[1].startswith("variational L=3")
-    assert lines[3].startswith("extrapolated:")
-    extrapolated = float(lines[3].split()[-1])
+    assert lines[3].startswith("variational L=6")
+    # each variational value is followed by its solve's record
+    for line in (lines[2], lines[4]):
+        words = line.split()
+        assert words[0] == "solve:" and words[2] == "iterations," and words[-1] == "s"
+        assert int(words[1]) > 0
+        assert 0.0 < float(words[4].rstrip(",")) <= 1e-8
+        assert float(words[5]) >= 0.0
+    assert lines[5].startswith("extrapolated:")
+    extrapolated = float(lines[5].split()[-1])
     assert abs(extrapolated - 4 * math.pi) / (4 * math.pi) < 0.1
 
 
@@ -216,16 +224,26 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ("zero()", "constant(" + "9" * 400 + ")"),
         ("tol = 1e-10", "tol = inf"),
         ("tol = 1e-10", "tol = 1"),
-        # files configparser cannot parse: a repeated key or section, no header
+        # files configparser cannot parse: a repeated key or section, no
+        # header, a line that is no key = value
         ("tol = 1e-10", "tol = 1e-10\ntol = 1e-9"),
         ("tol = 1e-10", "tol = 1e-10\n[study]"),
         ("[study]", ""),
+        ("tol = 1e-10", "tol = 1e-10\nfoo"),
     ):
         cfg = write(tmp_path / "bad.cfg", ZERO_CFG.replace(old, new))
         code, _, err = run_cli(capsys, "study", cfg)
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert "PosixPath" not in err and err.count("bad.cfg") <= 1
+    # a parse error names the file once, as given, with the line
+    cfg = write(tmp_path / "dup.cfg", ZERO_CFG.replace("tol = 1e-10", "tol = 1e-10\ntol = 1e-9"))
+    code, _, err = run_cli(capsys, "study", cfg)
+    assert code == 1
+    assert "PosixPath" not in err
+    assert err.count("dup.cfg") == 1
+    assert "line 9: option 'tol' in section 'study' already exists" in err
 
 
 def test_config_values_are_literal(tmp_path, capsys):

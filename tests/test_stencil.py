@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,42 @@ def test_support_extend_matches_scattered_dirichlet_solve(problem):
     assert np.linalg.norm(u - reference) <= bound
     # read back on the support, it is the restricted apply up to rounding
     assert np.linalg.norm(u.reshape(-1)[nodes] - solve.apply(v)) <= 2 * bound
+
+
+@pytest.mark.parametrize("shift", [0.0, 50.0])
+@pytest.mark.parametrize("d, n, c", [(2, 20, 4), (2, 20, 5), (3, 12, 3), (3, 12, 4)])
+def test_band_normal_to_last_axis_matches_scattered_dirichlet_solve(d, n, c, shift):
+    # c layers normal to the last axis: c * c <= n takes the per-mode
+    # Green's blocks, c * c > n the spectral block
+    block = np.arange(n**d).reshape((n,) * d)
+    nodes = block[..., 2 : 2 + c].reshape(-1)
+    nodes.sort()
+    h = 1.0 / (n + 1)
+    v = np.random.default_rng(d * n + c).standard_normal(nodes.size)
+    b = np.zeros(n**d)
+    b[nodes] = v
+    reference = dirichlet_solve(b.reshape((n,) * d), h, shift).reshape(-1)[nodes]
+    solve = SupportSolve(nodes, n, d, h, shift)
+    assert (solve._kernel is not None) == (c * c <= n)
+    u = solve.apply(v)
+    smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    bound = 8 * d * n * EPS64 * np.linalg.norm(v) / smallest
+    assert np.linalg.norm(u - reference) <= bound
+    assert np.linalg.norm(solve.extend(v).reshape(-1)[nodes] - u) <= 2 * bound
+
+
+def test_apply_on_a_one_node_slab_holds_no_grid_array():
+    n = 63
+    nodes = np.arange(n**3).reshape(n, n, n)[:, :, 31].reshape(-1)
+    solve = SupportSolve(nodes, n, 3, 1.0 / (n + 1))
+    v = np.ones(nodes.size)
+    tracemalloc.start()
+    try:
+        solve.apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n**3 * 8
 
 
 def test_support_solve_rejects_bad_supports():
