@@ -89,13 +89,20 @@ def _transform_back(q: Array, cols: Array, out: Array) -> None:
         np.matmul(q, cols[start : start + step].T, out=out[:, start : start + step])
 
 
+def _mode_sums(lam: Array, k: int) -> Array:
+    """``lam_i1 + ... + lam_ik`` over the ``n^k`` modes of ``k`` axes."""
+    n = lam.size
+    total = np.zeros((n,) * k)
+    for ax in range(k):
+        total += lam.reshape((n,) + (1,) * (k - 1 - ax))
+    return total
+
+
 def _denominators(n: int, d: int, lam: Array, shift: float):
     """Yield ``(i, shift + lam_i + lam_k2 + ... + lam_kd)`` for each
     axis-0 slab ``i`` of a spectral ``n^d`` block, in one reused slab
     array, so no ``n^d`` denominator is held."""
-    tail = np.zeros((n,) * (d - 1))
-    for ax in range(d - 1):
-        tail += lam.reshape((n,) + (1,) * (d - 2 - ax))
+    tail = _mode_sums(lam, d - 1)
     slab = np.empty_like(tail)
     for i in range(n):
         np.add(tail, shift + lam[i], out=slab)
@@ -201,10 +208,7 @@ def _line_kernel(rows: Array, lam: Array, d: int, shift: float) -> Array:
     about ``_GEMM_BLOCK`` values of scratch.
     """
     c, n = rows.shape
-    mu = np.full((1,) * (d - 1), shift)
-    for ax in range(d - 1):
-        mu = mu + lam.reshape((n,) + (1,) * (d - 2 - ax))
-    mu = mu.reshape(-1)
+    mu = _mode_sums(lam, d - 1).reshape(-1) + shift
     pairs = (rows[:, None, :] * rows[None, :, :]).reshape(c * c, n)  # Q_ak Q_bk
     kernel = np.empty((c * c, mu.size))
     scratch = np.empty((min(mu.size, max(1, _GEMM_BLOCK // n)), n))
