@@ -115,14 +115,10 @@ def _hminus1_norm(nu: Array, grid: Grid, overwrite: bool) -> float:
     return math.sqrt(max(pairing, 0.0))
 
 
-def capacity_density_field(
-    holes: HoleFamily, spec: TilingSpec, grid: Grid
-) -> Array:
-    """Nodal field ``sum_i cap(K_i)/|A_i| 1_{A_i}`` on the grid.
-
-    Every interior node lies in exactly one cell; nodes whose cell has no
-    hole in ``holes`` get zero.
-    """
+def _cell_densities(holes: HoleFamily, spec: TilingSpec, grid: Grid) -> tuple[Array, Array]:
+    """``cap(K_i)/|A_i|`` on the cells meeting the grid, as a dense array
+    over their ordinals, and the cell ordinal of each node coordinate
+    along one axis (the same on every axis)."""
     if spec.dim != grid.dim:
         raise InvalidParameterError("tiling and grid dimensions differ")
     measure = (2.0 * spec.epsilon) ** spec.dim
@@ -135,6 +131,18 @@ def capacity_density_field(
     pos = (holes.index - lo) // 2
     keep = np.all((pos >= 0) & (pos < count), axis=1)
     dense[tuple(pos[keep].T)] = capacity_ball(spec.dim, holes.radii[keep]).value / measure
+    return dense, ords
+
+
+def capacity_density_field(
+    holes: HoleFamily, spec: TilingSpec, grid: Grid
+) -> Array:
+    """Nodal field ``sum_i cap(K_i)/|A_i| 1_{A_i}`` on the grid.
+
+    Every interior node lies in exactly one cell; nodes whose cell has no
+    hole in ``holes`` get zero.
+    """
+    dense, ords = _cell_densities(holes, spec, grid)
     return dense[np.ix_(*([ords] * grid.dim))]
 
 
@@ -147,12 +155,21 @@ def ldc_deviation(
     """``H^-1`` distance between the capacity density and the lumped target.
 
     ``lumped`` is the target potential on ``grid`` from
-    :func:`~perfhom.solver.lump_measure`.  Under the capacity-matched
-    construction this isolates the cell-averaging error of the target.
+    :func:`~perfhom.solver.lump_measure`, and is overwritten: the
+    deviation ``capacity density - lumped`` is built in it one axis-0
+    slab at a time and, when it is C-contiguous, transformed there, so
+    no other grid array is made (pass a copy to keep the target).  Under
+    the capacity-matched construction this isolates the cell-averaging
+    error of the target.
     """
-    field = capacity_density_field(holes, spec, grid)
-    field -= lumped
-    return _hminus1_norm(field, grid, overwrite=True)
+    if lumped.shape != grid.shape:
+        raise InvalidParameterError("lumped measure shape does not match grid")
+    dense, ords = _cell_densities(holes, spec, grid)
+    tail = np.ix_(*([ords] * (grid.dim - 1)))
+    for i, cell in enumerate(ords):
+        slab = lumped[i : i + 1]
+        np.subtract(dense[cell][tail], slab, out=slab)
+    return _hminus1_norm(lumped, grid, overwrite=True)
 
 
 def _check_test_function(g: Callable[[Array], Array], grid: Grid) -> None:

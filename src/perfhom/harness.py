@@ -5,9 +5,12 @@ is solved once on the finest grid and injected onto each row's grid, so
 row errors compare against one fixed limit field.  The solves at shift
 0 on one grid (each row's, and the limit's when its measure has minimum
 0) share one exact solve of ``f``, made by the first of them that reads
-it; a grid's fields go after its last row.  Rows are computed
-sequentially with fixed-order reductions, which makes reports
-reproducible bit for bit for a given configuration.
+it.  Each grid array goes at its last read: a grid's lumped measure in
+the ldc of its last row, which builds the capacity-density deviation in
+it; its ``f`` and ``A^-1 f`` after that row's perforated solve.  A row
+on the finest grid compares against the limit field itself, not a
+copy.  Rows are computed sequentially with fixed-order reductions,
+which makes reports reproducible bit for bit for a given configuration.
 """
 
 from __future__ import annotations
@@ -481,8 +484,9 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         finally:
             phase[name] = phase.get(name, 0.0) + time.perf_counter() - start
 
-    # each grid's right-hand side, its A^-1 f (solved by the first solve
-    # that reads it) and its lumped measure live until the grid's last row
+    # each grid's right-hand side and its A^-1 f (solved by the first solve
+    # that reads it) live until the grid's last perforated solve, and its
+    # lumped measure until that row's ldc
     last_row = {n: k for k, n in enumerate(cfg.grids)}
     rhs, lumped = {}, {}
 
@@ -519,7 +523,14 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         )
         if n not in lumped:
             lumped[n] = stage("lump_measure", eps, lambda: lump_measure(cfg.potential, grid))
-        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped[n], spec, grid))
+        # the ldc builds its deviation in the measure it is handed: the
+        # grid's own at its last row, its last read, else a copy
+        last = last_row[n] == k
+        ldc = stage(
+            "ldc",
+            eps,
+            lambda: ldc_deviation(holes, lumped.pop(n) if last else lumped[n].copy(), spec, grid),
+        )
         radii = holes.nonempty.radii
         if radii.size and radii.max() < seps.R:
             # only the norm is reported; the field is not kept
@@ -536,9 +547,12 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
             eps,
             lambda: solve_perforated(rhs[n][0], holes, grid, cfg.tol, base=rhs[n][1]),
         )
-        if last_row[n] == k:
-            del rhs[n], lumped[n]
-        u_ref = stage("restrict", eps, lambda: restrict(u_limit, fine_grid, grid))
+        if last:
+            del rhs[n]
+        if n == finest_n:
+            u_ref = u_limit  # the limit field itself, not a copy
+        else:
+            u_ref = stage("restrict", eps, lambda: restrict(u_limit, fine_grid, grid))
         ref_norm = l2_norm(u_ref, grid)
         # one error field, built in the solution's array, serves the L2
         # error and every witness

@@ -316,7 +316,9 @@ def _capacitance_solve(
         r = neg_laplacian(u, h)
         r -= f
         if shift:
-            r += shift * u
+            # slab by slab: shift * u whole would be one more grid array
+            for i in range(grid.n):
+                r[i] += shift * u[i]
         residual = math.sqrt(dot(r, r)) / norm_b
         if not residual <= tol:
             raise SolverError(
@@ -636,7 +638,8 @@ def write_field(path, grid: Grid, u: Array) -> None:
         raise InvalidParameterError("field shape does not match grid")
     with open(path, "wb") as fh:
         fh.write(f"{grid.dim} {grid.n} {grid.h!r}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
+        # from the array's own buffer: no bytes copy of the field
+        fh.write(np.ascontiguousarray(u, dtype="<f8"))
 
 
 def read_field(path) -> tuple[Grid, Array]:

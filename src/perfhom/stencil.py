@@ -11,6 +11,13 @@ a diagonal scaling and the same transforms again (``Q`` is symmetric
 and orthogonal).  The energy ``<b, (-Delta_h + c)^-1 b>`` needs only
 the first half: the squared spectrum over the eigenvalues.
 
+Full-block transforms run in place in the one array they are given,
+with scratch of about ``_GEMM_BLOCK`` values: every axis but the last
+two is transformed in GEMM chunks copied back over their input, and
+each batch of planes of the last two axes is transformed, scaled and
+transformed back while it is in cache.  A solve therefore holds only
+its output, and an energy with ``overwrite_b`` nothing beyond ``b``.
+
 :class:`SupportSolve` is the same solve for an input that is zero off a
 node set ``S``: each forward transform runs only over the lines that
 hold a node of ``S`` and contracts only over the coordinates ``S``
@@ -21,8 +28,9 @@ around a surface normal to it) the last transform, the scaling and its
 transpose become one small Green's block per mode of the other axes,
 built once (matrix decomposition, Buzbee, Golub and Nielson 1970), so
 such an iteration never forms the ``n^d`` spectral block.  Read back on
-the whole block, the backward half is that of the full solve, which
-turns a capacitance charge into the grid solution.
+the whole block, the backward half is that of the full solve, in place
+in the spectral block, which turns a capacitance charge into the grid
+solution.
 """
 
 from __future__ import annotations
@@ -98,37 +106,69 @@ def _mode_sums(lam: Array, k: int) -> Array:
     return total
 
 
-def _denominators(n: int, d: int, lam: Array, shift: float):
-    """Yield ``(i, shift + lam_i + lam_k2 + ... + lam_kd)`` for each
-    axis-0 slab ``i`` of a spectral ``n^d`` block, in one reused slab
-    array, so no ``n^d`` denominator is held."""
-    tail = _mode_sums(lam, d - 1)
-    slab = np.empty_like(tail)
-    for i in range(n):
-        np.add(tail, shift + lam[i], out=slab)
-        yield i, slab
+def _scratch(n: int, d: int) -> Array:
+    """The one scratch array of the in-place transforms of an ``n^d``
+    block: ``_GEMM_BLOCK`` values, or two trailing planes if more."""
+    return np.empty(max(_GEMM_BLOCK, 2 * n ** min(d, 2)))
 
 
-def _scale_spectral(x: Array, lam: Array, shift: float) -> None:
-    """Divide a spectral ``n^d`` block by its denominators, slab by slab."""
-    for i, slab in _denominators(x.shape[0], x.ndim, lam, shift):
-        x[i] /= slab
+def _transform_leading(x: Array, q: Array, scratch: Array) -> None:
+    """Transform every axis of the ``n^d`` block ``x`` but the last two by
+    ``Q``, in place.
 
-
-def _sweep(src: Array, bufs: tuple[Array, Array], q: Array) -> Array:
-    """Transform every axis of the ``n^d`` block ``src`` by ``Q`` once.
-
-    Each transform runs along axis 0 and makes it the last axis, so ``d``
-    of them restore the axis order.  They write ``bufs[0]``, ``bufs[1]``,
-    ``bufs[0]``, ... in turn; ``src`` is read only by the first, so it may
-    be ``bufs[1]``.  Returns the buffer that holds the result.
+    Each GEMM takes about ``_GEMM_BLOCK`` values, columns of one slab
+    normal to the axis or whole slabs when they are smaller, writes them
+    to ``scratch`` and is copied back over its input.
     """
     n = q.shape[0]
-    for step in range(src.ndim):
-        dst = bufs[step % 2]
-        _transform(src.reshape(n, -1).T, q, dst.reshape(-1, n))
-        src = dst
-    return src
+    cols = max(1, _GEMM_BLOCK // n)
+    for ax in range(x.ndim - 2):
+        inner = n ** (x.ndim - 1 - ax)
+        slabs = x.reshape(-1, n, inner)
+        batch = max(1, cols // inner)
+        for start in range(0, slabs.shape[0], batch):
+            for col in range(0, inner, cols):
+                part = slabs[start : start + batch, :, col : col + cols]
+                work = scratch[: part.size].reshape(part.shape)
+                np.matmul(q, part, out=work)
+                part[...] = work
+
+
+def _plane_batches(x: Array, lam: Array, shift: float, scratch: Array):
+    """Yield ``(part, den, work)`` over batches of the trailing planes of
+    the ``n^d`` block ``x`` (its last two axes; for ``d = 1`` one plane
+    of one line), about ``_GEMM_BLOCK / 2`` values each.
+
+    ``part`` is a view into ``x``; ``den`` holds ``shift`` plus the
+    eigenvalue sums of the modes of ``part``'s entries, and ``work`` is
+    free.  Both are views of ``scratch``, refilled batch by batch.
+    """
+    n, d = lam.size, x.ndim
+    planes = x.reshape(-1, n if d > 1 else 1, n)
+    lead = _mode_sums(lam, max(d - 2, 0)).reshape(-1) + shift
+    tail = _mode_sums(lam, min(d, 2))
+    step = max(1, _GEMM_BLOCK // (2 * planes[0].size))
+    for start in range(0, planes.shape[0], step):
+        part = planes[start : start + step]
+        den, work = scratch[: 2 * part.size].reshape((2,) + part.shape)
+        np.add(tail, lead[start : start + part.shape[0], None, None], out=den)
+        yield part, den, work
+
+
+def _transform_planes(part: Array, q: Array, work: Array) -> None:
+    """Transform the two trailing axes of a plane batch by ``Q`` in place:
+    the last axis into ``work``, the other one back into ``part``."""
+    n = q.shape[0]
+    np.matmul(part.reshape(-1, n), q, out=work.reshape(-1, n))
+    if part.shape[1] == 1:
+        part[...] = work
+    else:
+        np.matmul(q, work, out=part)
+
+
+def _check_cube(b: Array) -> None:
+    if b.shape != (b.shape[0],) * b.ndim:
+        raise InvalidParameterError(f"sine solve needs a cubic block, got shape {b.shape}")
 
 
 def dirichlet_solve(
@@ -139,25 +179,29 @@ def dirichlet_solve(
     ``b`` must have equal extents on every axis; ``h`` is the spacing of
     the stencil and ``shift >= 0`` a constant added to its diagonal.
     ``out`` (C-contiguous, same shape as ``b``, may be ``b`` itself)
-    receives the solution.  Works in one scratch array of ``b``'s size;
-    only the ``n x n`` basis and the eigenvalues are cached.
+    receives the solution; without it a new array does.  The solve runs
+    in place in that array, with one scratch array of ``_GEMM_BLOCK``
+    values (two trailing planes when they are more): the leading axes
+    are transformed one at a time, and each batch of trailing planes is
+    transformed, scaled and transformed back while it is in cache.  Only
+    the ``n x n`` basis and the eigenvalues are cached.
     """
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    d = b.ndim
-    if b.shape != (n,) * d:
-        raise InvalidParameterError(f"sine solve needs a cubic block, got shape {b.shape}")
+    _check_cube(b)
     if out is None:
-        out = np.empty(b.shape)
+        out = np.array(b, order="C")
     elif out.shape != b.shape or not out.flags.c_contiguous:
         raise InvalidParameterError("sine solve output must be C-contiguous and match b")
-    q, lam = _sine_basis(n, float(h))
-    # the forward half lands in scratch for odd d and in out for even d;
-    # the backward half writes the other array first, so it ends in out
-    scratch = np.empty(b.shape)
-    spectrum = _sweep(b, (scratch, out), q)
-    _scale_spectral(spectrum, lam, shift)
-    _sweep(spectrum, (out if spectrum is scratch else scratch, spectrum), q)
+    elif out is not b:
+        np.copyto(out, b)
+    q, lam = _sine_basis(b.shape[0], float(h))
+    scratch = _scratch(q.shape[0], out.ndim)
+    _transform_leading(out, q, scratch)
+    for part, den, work in _plane_batches(out, lam, shift, scratch):
+        _transform_planes(part, q, work)
+        part /= den
+        _transform_planes(part, q, work)
+    _transform_leading(out, q, scratch)
     return out
 
 
@@ -166,20 +210,21 @@ def dirichlet_energy(b: Array, h: float, shift: float = 0.0, *, overwrite_b: boo
 
     The energy of :func:`dirichlet_solve`'s solution from its forward
     half alone: ``d`` transforms, not ``2d``, and no solution array.
-    Summed slab by slab in a fixed order.  With ``overwrite_b`` a
-    C-contiguous ``b`` serves as one of the two scratch arrays and is
-    left holding transform values.
+    Summed plane batch by plane batch in a fixed order.  With
+    ``overwrite_b`` a C-contiguous ``b`` is transformed in place and left
+    holding transform values, so no array of its size is made; otherwise
+    one copy of it is.
     """
     b = np.asarray(b, dtype=float)
-    n, d = b.shape[0], b.ndim
-    if b.shape != (n,) * d:
-        raise InvalidParameterError(f"sine solve needs a cubic block, got shape {b.shape}")
-    q, lam = _sine_basis(n, float(h))
-    scratch = b if overwrite_b and b.flags.c_contiguous else np.empty(b.shape)
-    spectrum = _sweep(b, (np.empty(b.shape), scratch), q)
+    _check_cube(b)
+    q, lam = _sine_basis(b.shape[0], float(h))
+    x = b if overwrite_b and b.flags.c_contiguous else np.array(b, order="C")
+    scratch = _scratch(q.shape[0], x.ndim)
+    _transform_leading(x, q, scratch)
     total = 0.0
-    for i, slab in _denominators(n, d, lam, shift):
-        total += dot(spectrum[i], spectrum[i] / slab)
+    for part, den, work in _plane_batches(x, lam, shift, scratch):
+        _transform_planes(part, q, work)
+        total += dot(part, np.divide(part, den, out=work))
     return total
 
 
@@ -245,7 +290,8 @@ class SupportSolve:
     whole spectral block, which is scaled slab by slab, and an apply holds
     it and at most one block of the same size.  The index sets are
     O(|S|) and built once.  :meth:`extend` reads the solution back on the
-    whole block instead, always through the spectral block.
+    whole block instead, always through the spectral block, which its
+    backward half transforms in place.
     """
 
     def __init__(self, nodes: Array, n: int, d: int, h: float, shift: float = 0.0):
@@ -317,7 +363,8 @@ class SupportSolve:
         """The forward half and the scaling: the scaled spectral ``n^d``
         block of ``E_S v``."""
         x = self._forward(v, self._steps).reshape((self.n,) * self.d)
-        _scale_spectral(x, self.lam, self.shift)
+        for part, den, _ in _plane_batches(x, self.lam, self.shift, _scratch(self.n, self.d)):
+            part /= den
         return x
 
     def apply(self, v: Array) -> Array:
@@ -330,7 +377,13 @@ class SupportSolve:
 
     def extend(self, v: Array) -> Array:
         """Return ``(neg_laplacian + shift)^-1 E_S v`` on the whole block:
-        the sparse forward half, then the full backward half of
-        :func:`dirichlet_solve`, in the spectral block and one more array."""
-        x = self._spectrum(v)
-        return _sweep(x, (np.empty_like(x), x), self.q)
+        the sparse forward half, then the scaling and the backward half of
+        :func:`dirichlet_solve` in place in the spectral block, the one
+        ``n^d`` array it makes."""
+        x = self._forward(v, self._steps).reshape((self.n,) * self.d)
+        scratch = _scratch(self.n, self.d)
+        for part, den, work in _plane_batches(x, self.lam, self.shift, scratch):
+            part /= den
+            _transform_planes(part, self.q, work)
+        _transform_leading(x, self.q, scratch)
+        return x

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ def test_ldc_deviation_zero_for_empty_problem():
     grid = Grid(3, 15)
     holes = HoleFamily.from_holes([Hole(c.center, 0.0, c.index) for c in cells_intersecting(spec, unit_box(3))], 3)
     assert ldc_deviation(holes, lump_measure(make_constant(3, 0.0), grid), spec, grid) == 0.0
+
+
+@pytest.mark.parametrize("d, n", [(3, 63), (4, 7)])
+def test_ldc_deviation_builds_the_deviation_in_the_lumped_measure(d, n):
+    mu = make_box(d, 1.0)
+    spec = TilingSpec(d, 0.25)
+    holes = construct_holes(mu, spec, unit_box(d)).holes
+    grid = Grid(d, n)
+    lumped = lump_measure(mu, grid)
+    expected = hminus1_norm(capacity_density_field(holes, spec, grid) - lumped, grid)
+    target = lumped.copy()
+    tracemalloc.start()
+    try:
+        assert ldc_deviation(holes, target, spec, grid) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the target is used up, and no second grid array was made
+    assert not np.array_equal(target, lumped)
+    if d == 3:
+        assert peak < 0.5 * 8 * grid.size
 
 
 def test_ldc_deviation_small_for_constant_density():

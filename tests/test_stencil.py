@@ -97,6 +97,60 @@ def test_dirichlet_solve_rejects_bad_shapes():
         dirichlet_solve(np.ones((3, 3)), 0.25, out=np.empty((3, 3)).T)
 
 
+def dense_operator(n, d, h, shift):
+    """``neg_laplacian + shift`` on ``n^d`` as a dense matrix, column by
+    column from the unit vectors."""
+    size = n**d
+    columns = [neg_laplacian(e.reshape((n,) * d), h).reshape(-1) for e in np.eye(size)]
+    return np.stack(columns, axis=1) + shift * np.eye(size)
+
+
+@pytest.mark.parametrize("shift", [0.0, 7.5])
+@pytest.mark.parametrize("d, n", [(1, 9), (1, 10), (2, 7), (2, 8), (3, 5), (3, 6), (4, 3), (4, 4)])
+def test_in_place_transforms_match_dense_eigendecomposition(d, n, shift):
+    h = 1.0 / (n + 1)
+    b = np.random.default_rng(10 * d + n).standard_normal((n,) * d)
+    eigenvalues, vectors = np.linalg.eigh(dense_operator(n, d, h, shift))
+    reference = (vectors @ ((vectors.T @ b.reshape(-1)) / eigenvalues)).reshape(b.shape)
+    smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    bound = 8 * d * n * EPS64 * np.linalg.norm(b) / smallest
+    # a new output, b itself and a separate buffer give the same bits
+    kept = b.copy()
+    u = dirichlet_solve(b, h, shift)
+    np.testing.assert_array_equal(b, kept)
+    assert np.linalg.norm(u - reference) <= bound
+    separate = np.full(b.shape, np.nan)
+    assert dirichlet_solve(b, h, shift, out=separate) is separate
+    np.testing.assert_array_equal(b, kept)
+    np.testing.assert_array_equal(separate, u)
+    assert dirichlet_solve(b, h, shift, out=b) is b
+    np.testing.assert_array_equal(b, u)
+    # the energy, in a copy or in place, is the pairing with the solution
+    energy = dirichlet_energy(kept, h, shift)
+    norm2 = float(np.dot(kept.reshape(-1), kept.reshape(-1)))
+    pairing = float(np.dot(kept.reshape(-1), reference.reshape(-1)))
+    assert abs(energy - pairing) <= 16 * d * n * EPS64 * norm2 / smallest
+    assert dirichlet_energy(kept, h, shift, overwrite_b=True) == energy
+
+
+def test_in_place_transforms_allocate_under_half_a_grid_array():
+    n = 63
+    h = 1.0 / (n + 1)
+    b = np.random.default_rng(0).standard_normal((n,) * 3)
+    dirichlet_solve(np.ones((n,) * 3), h)  # cache the basis outside the trace
+    tracemalloc.start()
+    try:
+        dirichlet_solve(b, h, out=b)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dirichlet_energy(b, h, overwrite_b=True)
+        energy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve_peak < 0.5 * 8 * n**3
+    assert energy_peak < 0.5 * 8 * n**3
+
+
 @st.composite
 def supports(draw):
     """A node set on an ``n^d`` block: one node, one line along an axis,
