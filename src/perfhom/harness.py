@@ -73,9 +73,11 @@ def _rhs_constant(dim: int, c: float) -> Callable[[Array], Array]:
 
 
 def _rhs_sine(dim: int, *m: float) -> Callable[[Array], Array]:
-    mode = [int(v) for v in (m or (1,) * dim)]
+    mode = m or (1,) * dim
     if len(mode) != dim:
         raise InvalidParameterError(f"sine needs {dim} modes, got {len(mode)}")
+    if any(v != int(v) or v < 1 for v in mode):
+        raise InvalidParameterError(f"sine modes must be positive integers, got {mode}")
     return sine_mode(mode)
 
 
@@ -84,12 +86,9 @@ RHS_CONSTRUCTORS = {"constant": _rhs_constant, "sine": _rhs_sine}
 
 def parse_rhs(text: str, dim: int) -> Callable[[Array], Array]:
     """Parse a right-hand-side spec such as ``constant(1)`` or ``sine(1,1,1)``."""
-    try:
-        rhs = parse_spec(text, RHS_CONSTRUCTORS, dim, "rhs")
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    rhs = parse_spec(text, RHS_CONSTRUCTORS, dim, "rhs")
     if not callable(rhs):
-        raise ConfigError(f"rhs spec {text!r} is not a right-hand side")
+        raise InvalidParameterError(f"rhs spec {text!r} is not a right-hand side")
     return rhs
 
 
@@ -120,22 +119,37 @@ class TrendSpec:
 
 @dataclass
 class StudyConfig:
-    """Everything a study needs; see :func:`load_config` for the file format."""
+    """Everything a study needs, as a config file states it (see
+    :func:`load_config`), with the defaults of an absent key.
 
-    dim: int
-    epsilons: tuple[float, ...]
-    grids: tuple[int, ...]
-    potential: Potential
-    potential_spec: str
-    rhs: Callable[[Array], Array]
-    rhs_spec: str
+    ``potential`` and ``rhs`` are parsed from ``potential_spec`` and
+    ``rhs_spec``; a spec that does not parse is a :class:`ConfigError`.
+    Empty ``witness_modes`` are :data:`DEFAULT_WITNESS_MODES` for
+    ``dim`` 3 and the all-ones mode above.
+    """
+
+    dim: int = 3
+    epsilons: tuple[float, ...] = ()
+    grids: tuple[int, ...] = ()
+    potential_spec: str = "zero()"
+    rhs_spec: str = "constant(1)"
     tol: float = 1e-8
-    witness_modes: tuple[tuple[int, ...], ...] = DEFAULT_WITNESS_MODES
+    witness_modes: tuple[tuple[int, ...], ...] = ()
     out_dir: Optional[str] = None
     allow_oversized_holes: bool = False
     trends: tuple[TrendSpec, ...] = ()
+    # the specs say all there is to compare or show of these
+    potential: Potential = field(init=False, compare=False, repr=False)
+    rhs: Callable[[Array], Array] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        try:
+            self.potential = parse_potential(self.potential_spec, self.dim)
+            self.rhs = parse_rhs(self.rhs_spec, self.dim)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not self.witness_modes:
+            self.witness_modes = DEFAULT_WITNESS_MODES if self.dim == 3 else ((1,) * self.dim,)
         if len(self.epsilons) != len(self.grids):
             raise ConfigError("epsilons and grids must have the same length")
         if not self.epsilons:
@@ -172,28 +186,42 @@ class StudyConfig:
             raise ConfigError("trends need at least 2 epsilons")
 
 
-def _parse_number(text: str) -> float:
-    """Accept plain floats and exact fractions like ``1/8``."""
-    text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+def _read_modes(text: str) -> tuple[tuple[int, ...], ...]:
+    """``(1,1,1) (3,1,1)``, parentheses optional, as integer tuples."""
+    groups = text.replace("(", " ").replace(")", " ").split()
+    return tuple(tuple(int(v) for v in grp.split(",")) for grp in groups if grp.strip(","))
 
 
-STUDY_KEYS = (
-    "dim", "epsilons", "grids", "potential", "f", "tol", "witness_modes", "out",
-    "allow_oversized_holes",
-)
+def _read_boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# each [study] key: the StudyConfig field it sets and the reader of its text
+STUDY_KEYS = {
+    "dim": ("dim", int),
+    "epsilons": (
+        "epsilons",
+        lambda text: tuple(float(Fraction(t) if "/" in t else t) for t in text.split()),
+    ),
+    "grids": ("grids", lambda text: tuple(int(tok) for tok in text.split())),
+    "potential": ("potential_spec", str),
+    "f": ("rhs_spec", str),
+    "tol": ("tol", float),
+    "witness_modes": ("witness_modes", _read_modes),
+    "out": ("out_dir", str),
+    "allow_oversized_holes": ("allow_oversized_holes", _read_boolean),
+}
 
 
 def load_config(path) -> StudyConfig:
     """Read a study configuration from a flat key = value file.
 
-    Sections: ``[study]`` with keys ``dim``, ``epsilons``, ``grids``,
-    ``potential``, ``f``, and optional ``tol`` (in ``(0, 1)``),
-    ``witness_modes``, ``out``, ``allow_oversized_holes``
-    (:data:`STUDY_KEYS`; any other key is a :class:`ConfigError`);
-    optional ``[trends]`` with lines
+    Sections: ``[study]``, whose keys are those of :data:`STUDY_KEYS`
+    (any other key is a :class:`ConfigError`; an absent key takes the
+    :class:`StudyConfig` default); optional ``[trends]`` with lines
     ``name = column mode [param [param2]]``, each mode taking the
     parameters :attr:`TrendSpec.MODES` gives it.  Values are read
     literally; ``%`` is not special.
@@ -219,25 +247,9 @@ def load_config(path) -> StudyConfig:
     if unknown:
         raise ConfigError(f"unknown [study] key {unknown[0]!r} in {path}")
     try:
-        dim = section.getint("dim", 3)
-        epsilons = tuple(_parse_number(tok) for tok in section.get("epsilons", "").split())
-        grids = tuple(int(tok) for tok in section.get("grids", "").split())
-        potential_spec = section.get("potential", "zero()")
-        rhs_spec = section.get("f", "constant(1)")
-        tol = float(section.get("tol", "1e-8"))
-        out_dir = section.get("out", fallback=None)
-        allow_oversized = section.getboolean("allow_oversized_holes", fallback=False)
-        modes_raw = section.get("witness_modes", fallback=None)
-        if modes_raw:
-            witness_modes = tuple(
-                tuple(int(v) for v in grp.split(","))
-                for grp in modes_raw.replace("(", " ").replace(")", " ").split()
-                if grp.strip(",")
-            )
-        else:
-            witness_modes = tuple(m[:dim] for m in DEFAULT_WITNESS_MODES) if dim <= 3 else (
-                tuple([1] * dim),
-            )
+        values = {
+            name: read(section[key]) for key, (name, read) in STUDY_KEYS.items() if key in section
+        }
         trends = []
         for name, value in parser["trends"].items() if "trends" in parser else ():
             tokens = value.split()
@@ -246,27 +258,7 @@ def load_config(path) -> StudyConfig:
             trends.append(TrendSpec(name, *tokens[:2], *(float(t) for t in tokens[2:])))
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid value in {path}: {exc}") from exc
-
-    try:
-        potential = parse_potential(potential_spec, dim)
-        rhs = parse_rhs(rhs_spec, dim)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return StudyConfig(
-        dim=dim,
-        epsilons=epsilons,
-        grids=grids,
-        potential=potential,
-        potential_spec=potential_spec,
-        rhs=rhs,
-        rhs_spec=rhs_spec,
-        tol=tol,
-        witness_modes=witness_modes,
-        out_dir=out_dir,
-        allow_oversized_holes=allow_oversized,
-        trends=tuple(trends),
-    )
+    return StudyConfig(**values, trends=tuple(trends))
 
 
 def _witness_column(mode: Sequence[int]) -> str:

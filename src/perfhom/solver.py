@@ -268,7 +268,6 @@ def _capacitance_solve(
     f: Array,
     grid: Grid,
     tol: float,
-    maxiter: Optional[int],
     clamped: Optional[Array] = None,
     weights: Optional[Array] = None,
     base: Optional[Callable[[], Array]] = None,
@@ -282,7 +281,7 @@ def _capacitance_solve(
     else one full sine solve.  When only the surface layer of the clamped
     nodes is unknown the start is ``A^-1`` of ``f`` zeroed on them, and
     ``base`` is not called.  CG runs at most ``max(2000, 60 n)``
-    iterations by default.  The reported residual is that of ``u`` off
+    iterations.  The reported residual is that of ``u`` off
     the clamped nodes, relative to ``||f||`` there.  A ``tol`` outside
     ``(0, 1)`` raises :class:`InvalidParameterError`: at 1 or more the
     zero charge already passes and no iteration runs.
@@ -387,7 +386,7 @@ def _capacitance_solve(
 
     y, iterations, res = pcg(
         apply_op, g, tol=tol, precond=precond, residual=residual,
-        maxiter=max(2000, 60 * grid.n) if maxiter is None else maxiter,
+        maxiter=max(2000, 60 * grid.n),
     )
     del g  # pcg took it over as its residual
     # u = start - A^-1 E_Y (sigma + f_X), with sigma = D^1/2 y on W
@@ -423,7 +422,6 @@ def solve_perforated(
     grid: Grid,
     tol: float = 1e-8,
     *,
-    maxiter: Optional[int] = None,
     base: Optional[Callable[[], Array]] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
@@ -436,7 +434,7 @@ def solve_perforated(
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise InvalidParameterError("right-hand side shape does not match grid")
-    return _capacitance_solve(f, grid, tol, maxiter, clamped=hole_mask(grid, holes), base=base)
+    return _capacitance_solve(f, grid, tol, clamped=hole_mask(grid, holes), base=base)
 
 
 def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
@@ -512,7 +510,6 @@ def solve_limit(
     grid: Grid,
     tol: float = 1e-8,
     *,
-    maxiter: Optional[int] = None,
     base: Optional[Callable[[], Array]] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
@@ -533,7 +530,7 @@ def solve_limit(
     # min and max propagate NaN
     if not (0.0 <= weights.min() and weights.max() < math.inf):
         raise InvalidParameterError("lumped measure must be finite and nonnegative")
-    return _capacitance_solve(f, grid, tol, maxiter, weights=weights, base=base)
+    return _capacitance_solve(f, grid, tol, weights=weights, base=base)
 
 
 def _cutoff(t: Array) -> Array:
@@ -643,12 +640,20 @@ def write_field(path, grid: Grid, u: Array) -> None:
 
 
 def read_field(path) -> tuple[Grid, Array]:
-    """Read a field written by :func:`write_field`."""
+    """Read a field written by :func:`write_field`.
+
+    A header that is not ``d n h`` or a value count that does not match
+    it raises :class:`InvalidParameterError` naming the file.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        dim, n = int(header[0]), int(header[1])
-        grid = Grid(dim, n)
+        header = fh.readline().decode("ascii", "replace").split()
+        try:
+            dim, n, h = header
+            grid = Grid(int(dim), int(n))
+            float(h)  # implied by n; only checked to be a number
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}: not a field header 'd n h': {header}") from exc
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != grid.size:
-        raise InvalidParameterError(f"field file has {data.size} values, expected {grid.size}")
+        raise InvalidParameterError(f"{path}: {data.size} values, expected {grid.size}")
     return grid, data.reshape(grid.shape).copy()

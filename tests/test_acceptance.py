@@ -20,7 +20,7 @@ from perfhom.diagnostics import (
     hminus1_norm,
     ldc_deviation,
 )
-from perfhom.harness import StudyConfig, parse_rhs, run_study, sine_mode
+from perfhom.harness import StudyConfig, run_study, sine_mode
 from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom.potential import (
@@ -31,7 +31,6 @@ from perfhom.potential import (
     make_sine_density,
     make_sum,
     max_cell_mass_scaling,
-    parse_potential,
 )
 from perfhom.solver import (
     Grid,
@@ -273,10 +272,7 @@ def _homogenization_study(potential_spec):
         dim=3,
         epsilons=(0.25, 0.125),
         grids=(63, 63),
-        potential=parse_potential(potential_spec, 3),
         potential_spec=potential_spec,
-        rhs=parse_rhs("constant(1)", 3),
-        rhs_spec="constant(1)",
         tol=1e-9,
         allow_oversized_holes=True,
     )

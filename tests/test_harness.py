@@ -1,7 +1,9 @@
+import configparser
 import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +14,15 @@ import perfhom
 import perfhom.cli
 from perfhom.errors import ConfigError, InvalidParameterError, StudyError
 from perfhom.harness import (
+    STUDY_KEYS,
     StudyConfig,
     TrendSpec,
     construct_study_holes,
     load_config,
-    parse_rhs,
     run_study,
     sine_mode,
     trend_check,
 )
-from perfhom.potential import parse_potential
 from perfhom.solver import Grid, field_from_callable, hole_mask, sine_mode_field
 from perfhom.tiling import cells_intersecting
 
@@ -92,6 +93,11 @@ def test_config_validation_errors(tmp_path):
     short_mode = BASE.replace("f = constant(1)", "f = sine(1, 1)")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path / "f.cfg", short_mode))
+    # a fractional or nonpositive mode is not rounded into a different f
+    for modes in ("1.5, 1, 1", "0, 1, 1"):
+        bad_mode = BASE.replace("f = constant(1)", f"f = sine({modes})")
+        with pytest.raises(ConfigError, match="positive integers"):
+            load_config(write_config(tmp_path / "g.cfg", bad_mode))
 
 
 @pytest.mark.parametrize(
@@ -116,15 +122,49 @@ def test_bad_trend_lines_fail_at_load(tmp_path, line, epsilons):
         load_config(write_config(tmp_path / "t.cfg", body))
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_text():
+    return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_names_every_study_key():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(readme_config_text())
+    assert set(parser["study"]) == set(STUDY_KEYS)
+
+
+def test_readme_config_equals_its_python_call(tmp_path):
+    cfg = load_config(write_config(tmp_path / "readme.cfg", readme_config_text()))
+    assert cfg == StudyConfig(
+        epsilons=(0.25, 0.125),
+        grids=(63, 63),
+        potential_spec="constant(40)",
+        tol=1e-9,
+        out_dir="results",
+        allow_oversized_holes=True,
+        trends=(
+            TrendSpec("error_drop", "rel_l2_error", "min_ratio", 1.2),
+            TrendSpec("witness_drop", "witness_1_1_1", "abs_decrease"),
+        ),
+    )
+
+
+def test_default_witness_modes_follow_dim(tmp_path):
+    # one rule for a file and for Python: three modes in 3-D, the all-ones
+    # mode above
+    assert StudyConfig(dim=4, epsilons=(0.25,), grids=(7,)).witness_modes == ((1, 1, 1, 1),)
+    assert StudyConfig(epsilons=(0.25,), grids=(7,)).witness_modes == ((1, 1, 1), (3, 1, 1), (1, 3, 3))
+    cfg = load_config(write_config(tmp_path / "s.cfg", BASE + "witness_modes =\n"))
+    assert cfg.witness_modes == ((1, 1, 1), (3, 1, 1), (1, 3, 3))
+
+
 def zero_study_config(out_dir=None):
     return StudyConfig(
         dim=3,
         epsilons=(0.25, 0.125),
         grids=(15, 15),
-        potential=parse_potential("zero()", 3),
-        potential_spec="zero()",
-        rhs=parse_rhs("constant(1)", 3),
-        rhs_spec="constant(1)",
         tol=1e-10,
         out_dir=str(out_dir) if out_dir else None,
     )
@@ -167,10 +207,7 @@ def test_study_of_two_surface_layer_rows_never_solves_the_shared_base(full_solve
         dim=3,
         epsilons=(0.25, 0.2),
         grids=(39, 39),
-        potential=parse_potential("constant(40)", 3),
         potential_spec="constant(40)",
-        rhs=parse_rhs("constant(1)", 3),
-        rhs_spec="constant(1)",
         tol=1e-8,
         allow_oversized_holes=True,
     )
@@ -201,10 +238,7 @@ def test_study_is_deterministic(tmp_path):
         dim=3,
         epsilons=(0.25, 0.125),
         grids=(15, 63),
-        potential=parse_potential("plane(0.5, 8)", 3),
         potential_spec="plane(0.5, 8)",
-        rhs=parse_rhs("constant(1)", 3),
-        rhs_spec="constant(1)",
         tol=1e-9,
     )
     first = run_study(cfg)
@@ -225,10 +259,7 @@ def test_study_aborts_with_partial_rows():
         dim=3,
         epsilons=(0.25, 0.125),
         grids=(15, 15),
-        potential=parse_potential("plane(0.5, 8)", 3),
         potential_spec="plane(0.5, 8)",
-        rhs=parse_rhs("constant(1)", 3),
-        rhs_spec="constant(1)",
         tol=1e-9,
     )
     # at eps = 1/8 the straddling holes have radius 0.0398 < 2h = 0.125
@@ -244,10 +275,7 @@ def test_oversized_row_keeps_nan_corrector():
         dim=3,
         epsilons=(0.25,),
         grids=(31,),
-        potential=parse_potential("constant(40)", 3),
         potential_spec="constant(40)",
-        rhs=parse_rhs("constant(1)", 3),
-        rhs_spec="constant(1)",
         tol=1e-8,
         allow_oversized_holes=True,
     )
@@ -288,10 +316,6 @@ def test_trend_check_modes():
             dim=3,
             epsilons=(0.25,),
             grids=(15,),
-            potential=parse_potential("zero()", 3),
-            potential_spec="zero()",
-            rhs=parse_rhs("constant(1)", 3),
-            rhs_spec="constant(1)",
         )
     )
     with pytest.raises(InvalidParameterError):

@@ -249,13 +249,13 @@ def test_nonfinite_rhs_rejected_before_iterating():
     f = np.ones(grid.shape)
     f[3, 4, 5] = np.nan
     with pytest.raises(EvaluationError):
-        solve_perforated(f, HoleFamily.from_holes([], 3), grid, maxiter=5)
+        solve_perforated(f, HoleFamily.from_holes([], 3), grid)
     f[3, 4, 5] = np.inf
     with pytest.raises(EvaluationError):
-        solve_limit(f, np.zeros(grid.shape), grid, maxiter=5)
+        solve_limit(f, np.zeros(grid.shape), grid)
     # finite, but the norm overflows: no iterate could be trusted
     with pytest.raises(EvaluationError):
-        solve_perforated(np.full(grid.shape, 1e300), HoleFamily.from_holes([], 3), grid, maxiter=5)
+        solve_perforated(np.full(grid.shape, 1e300), HoleFamily.from_holes([], 3), grid)
 
 
 def test_pcg_aborts_when_residual_turns_nonfinite():
@@ -414,6 +414,14 @@ def test_field_io_round_trip(tmp_path):
     np.testing.assert_array_equal(back, field)
     header = path.read_bytes().split(b"\n", 1)[0].decode()
     assert header.split()[:2] == ["3", "9"]
+
+
+@pytest.mark.parametrize("content", [b"", b"three 9 0.1\n"])
+def test_field_header_not_d_n_h_names_the_file(tmp_path, content):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(InvalidParameterError, match="bad.bin: not a field header"):
+        read_field(path)
 
 
 def test_four_dimensional_solves():
