@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .capacity import capacity_ball, capacity_extrapolate, capacity_variational
@@ -98,8 +99,7 @@ def _load(args):
     cfg = load_config(args.config)
     out = args.out or Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    cfg.out_dir = str(out)
-    return cfg, out
+    return replace(cfg, out_dir=str(out)), out
 
 
 def _variational(d, a, L, h):

@@ -117,13 +117,15 @@ class TrendSpec:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     """Everything a study needs, as a config file states it (see
     :func:`load_config`), with the defaults of an absent key.
 
     ``potential`` and ``rhs`` are parsed from ``potential_spec`` and
     ``rhs_spec``; a spec that does not parse is a :class:`ConfigError`.
+    It is frozen, so they always match the specs: :func:`dataclasses.replace`
+    parses and checks a changed config again.
     Empty ``witness_modes`` are :data:`DEFAULT_WITNESS_MODES` for
     ``dim`` 3 and the all-ones mode above.
     """
@@ -144,12 +146,13 @@ class StudyConfig:
 
     def __post_init__(self):
         try:
-            self.potential = parse_potential(self.potential_spec, self.dim)
-            self.rhs = parse_rhs(self.rhs_spec, self.dim)
+            object.__setattr__(self, "potential", parse_potential(self.potential_spec, self.dim))
+            object.__setattr__(self, "rhs", parse_rhs(self.rhs_spec, self.dim))
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
         if not self.witness_modes:
-            self.witness_modes = DEFAULT_WITNESS_MODES if self.dim == 3 else ((1,) * self.dim,)
+            default = DEFAULT_WITNESS_MODES if self.dim == 3 else ((1,) * self.dim,)
+            object.__setattr__(self, "witness_modes", default)
         if len(self.epsilons) != len(self.grids):
             raise ConfigError("epsilons and grids must have the same length")
         if not self.epsilons:
@@ -176,7 +179,7 @@ class StudyConfig:
         if not 0.0 < self.tol < 1.0:
             raise ConfigError(f"tolerance must lie in (0, 1), got {self.tol}")
         for mode in self.witness_modes:
-            if len(mode) != self.dim or any(int(m) < 1 for m in mode):
+            if len(mode) != self.dim or any(m != int(m) or m < 1 for m in mode):
                 raise ConfigError(f"bad witness mode {mode}")
         columns = {f.name for f in fields(StudyRow)} | set(map(_witness_column, self.witness_modes))
         for trend in self.trends:

@@ -156,27 +156,25 @@ def l2_distance(u1: Array, u2: Array, grid: Grid) -> float:
     return l2_norm(u1 - u2, grid)
 
 
-def _node_box(grid: Grid, center, radius: float):
-    """Index slices of nodes within ``radius`` of ``center`` (bounding box)."""
+def _hole_node_boxes(grid: Grid, centers: Array, reach):
+    """Per center ``k``, ``(k, slices, r2)``: the node bounding box of the
+    ball of radius ``reach`` (one per center, or one for all) about it and
+    the squared distances of its nodes to the center.  Centers whose box
+    holds no node are skipped."""
     h = grid.h
-    slices = []
-    for c in center:
-        lo = max(0, math.ceil((c - radius) / h - 1.0))
-        hi = min(grid.n - 1, math.floor((c + radius) / h - 1.0))
-        if hi < lo:
-            return None
-        slices.append(slice(lo, hi + 1))
-    return tuple(slices)
-
-
-def _box_radii2(grid: Grid, slices, center) -> Array:
     xs = grid.axis()
-    r2 = np.zeros(tuple(s.stop - s.start for s in slices))
-    for ax, (s, c) in enumerate(zip(slices, center)):
-        view = [None] * len(slices)
-        view[ax] = slice(None)
-        r2 = r2 + (xs[s] - c)[tuple(view)] ** 2
-    return r2
+    reaches = np.broadcast_to(reach, len(centers)).tolist()
+    for k, (center, rho) in enumerate(zip(centers.tolist(), reaches)):
+        slices = []
+        for c in center:
+            lo = max(0, math.ceil((c - rho) / h - 1.0))
+            hi = min(grid.n - 1, math.floor((c + rho) / h - 1.0))
+            if hi < lo:
+                break
+            slices.append(slice(lo, hi + 1))
+        else:
+            offsets = np.ix_(*[xs[s] - c for s, c in zip(slices, center)])
+            yield k, tuple(slices), sum(x**2 for x in offsets)
 
 
 def hole_mask(grid: Grid, holes: HoleFamily) -> Array:
@@ -197,13 +195,9 @@ def hole_mask(grid: Grid, holes: HoleFamily) -> Array:
         raise ResolutionError(
             f"hole radius {holes.radii[tiny][0]:.6g} < 2h = {2 * h:.6g}; refine the grid"
         )
-    for center, radius in zip(holes.centers.tolist(), holes.radii.tolist()):
-        masked_radius = radius + BALL_MASK_INFLATION * h
-        slices = _node_box(grid, center, masked_radius)
-        if slices is None:
-            continue
-        r2 = _box_radii2(grid, slices, center)
-        mask[slices] |= r2 <= masked_radius**2
+    reach = (holes.radii + BALL_MASK_INFLATION * h).tolist()
+    for k, slices, r2 in _hole_node_boxes(grid, holes.centers, reach):
+        mask[slices] |= r2 <= reach[k] ** 2
     return mask
 
 
@@ -571,17 +565,12 @@ def corrector_field(
             f">= separation radius {R:.6g}; cutoff margin is empty"
         )
     deviation = grid.zeros()
-    for center, radius in zip(holes.centers.tolist(), holes.radii.tolist()):
-        slices = _node_box(grid, center, R)
-        if slices is None:
-            continue
-        r = np.sqrt(_box_radii2(grid, slices, center))
-        inside = r < R
-        if not np.any(inside):
-            continue
-        phi = _cutoff((r - radius) / seps.margin(radius))
-        pot = ball_potential_radial(r, radius, d)
-        deviation[slices] += np.where(inside, phi * pot, 0.0)
+    radii = holes.radii.tolist()
+    for k, slices, r2 in _hole_node_boxes(grid, holes.centers, R):
+        r, a = np.sqrt(r2), radii[k]
+        # no inside mask: r >= R gives t >= 1, where the cutoff is exactly 0.0
+        t = (r - a) / seps.margin(a)
+        deviation[slices] += _cutoff(t) * ball_potential_radial(r, a, d)
     v_norm = l2_norm(deviation, grid)
     np.subtract(1.0, deviation, out=deviation)
     return deviation, v_norm
@@ -606,6 +595,9 @@ def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
     """
     if e.shape != grid.shape or len(mode) != grid.dim:
         raise InvalidParameterError("field or mode does not match grid")
+    # a fractional sine has no zero trace, so the eigenvalue identity fails
+    if any(m != int(m) or m < 1 for m in mode):
+        raise InvalidParameterError(f"witness modes must be positive integers, got {mode}")
     h = grid.h
     eigenvalue = sum(4.0 / (h * h) * math.sin(0.5 * math.pi * m * h) ** 2 for m in mode)
     return eigenvalue * dot(e, sine_mode_field(grid, mode)) * h**grid.dim

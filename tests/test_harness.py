@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -160,6 +161,26 @@ def test_default_witness_modes_follow_dim(tmp_path):
     assert cfg.witness_modes == ((1, 1, 1), (3, 1, 1), (1, 3, 3))
 
 
+def test_fractional_witness_mode_rejected():
+    # it would be paired under the column of (1, 1, 1)
+    with pytest.raises(ConfigError, match="bad witness mode"):
+        StudyConfig(epsilons=(0.25,), grids=(7,), witness_modes=((1.5, 1, 1),))
+
+
+def test_study_config_is_frozen():
+    cfg = StudyConfig(epsilons=(0.25, 0.125), grids=(7, 7), potential_spec="constant(40)")
+    pts = np.full((1, 3), 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.potential_spec = "zero()"
+    # a replaced spec is parsed again, so the potential follows it
+    zero = dataclasses.replace(cfg, potential_spec="zero()")
+    assert zero.potential.f(pts).tolist() == [0.0]
+    assert cfg.potential.f(pts).tolist() == [40.0]
+    # and a replaced trend is checked again
+    with pytest.raises(ConfigError, match="unknown column 'no_such_column'"):
+        dataclasses.replace(cfg, trends=(TrendSpec("x", "no_such_column", "strict_decrease"),))
+
+
 def zero_study_config(out_dir=None):
     return StudyConfig(
         dim=3,
@@ -287,9 +308,9 @@ def test_oversized_row_keeps_nan_corrector():
 
 
 def test_report_files_and_trends(tmp_path):
-    cfg = zero_study_config(out_dir=tmp_path / "out")
     # zero columns are not strictly decreasing: this trend fails
-    cfg.trends = (TrendSpec("drop", "sum_A6", "strict_decrease"),)
+    trend = TrendSpec("drop", "sum_A6", "strict_decrease")
+    cfg = dataclasses.replace(zero_study_config(out_dir=tmp_path / "out"), trends=(trend,))
     report = run_study(cfg)
     assert not trend_check(report, cfg.trends[0]).passed
     assert [r.passed for r in report.trend_results] == [False]

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfhom import solver
+from perfhom.capacity import ball_potential_radial
 from perfhom.cg import pcg
 from perfhom.errors import (
     EvaluationError,
@@ -309,6 +311,34 @@ def test_corrector_plateau_values():
     assert 0.0 < v_norm < 1.0
 
 
+def test_corrector_matches_per_hole_sum():
+    # a centered lattice with radii from 0 to near R on the corners, edges,
+    # faces and center of the cube, and one valid cell outside it whose
+    # node box is empty: against 1 - sum_i cutoff_i H_i over every node
+    seps = SeparationParams(c1=0.8, epsilon=0.25)
+    R = seps.R
+    index = [(i, j, k) for i in (0, 2, 4) for j in (0, 2, 4) for k in (0, 2, 4)] + [(-2, 2, 2)]
+    radii = np.random.default_rng(5).uniform(0.0, 0.95 * R, len(index))
+    radii[0] = 0.0
+    holes = HoleFamily.from_holes(
+        [Hole(tuple(seps.epsilon * np.array(i)), a, i) for i, a in zip(index, radii)], 3
+    )
+    grid = Grid(3, 24)
+    w, v_norm = corrector_field(holes, seps, grid)
+    pts = np.stack(np.meshgrid(*[grid.axis()] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    deviation = np.zeros(len(pts))
+    for center, a in zip(holes.centers, holes.radii):
+        if a > 0.0:
+            r = np.sqrt(((pts - center) ** 2).sum(axis=1))
+            deviation += solver._cutoff((r - a) / (R - a)) * ball_potential_radial(r, a, 3)
+    np.testing.assert_allclose(w.ravel(), 1.0 - deviation, rtol=0.0, atol=4096 * EPS64)
+    assert v_norm == pytest.approx(math.sqrt((deviation**2).sum() * grid.h**3), rel=4096 * EPS64)
+    # the corrector adds the cutoff over a whole node box: it must vanish
+    # exactly from t = 1 on
+    for t in (1.0, 1.5, 1e300):
+        assert solver._cutoff(np.array([t])).tolist() == [0.0]
+
+
 def test_corrector_norm_decreases_with_epsilon():
     grid = Grid(3, 24)
     norms = []
@@ -347,6 +377,9 @@ def test_weak_witness_identities():
     assert weak_witness(sine_mode_field(grid, mode), mode, grid) > 0.0
     with pytest.raises(InvalidParameterError):
         weak_witness(e, (1, 1), grid)
+    # a fractional sine has no zero trace: the eigenvalue identity is false
+    with pytest.raises(InvalidParameterError, match="positive integers"):
+        weak_witness(e, (1.5, 1, 1), grid)
 
 
 def pad_and_diff_witness(e, g, grid):
