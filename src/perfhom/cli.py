@@ -34,7 +34,7 @@ from .errors import (
 from .harness import construct_study_holes, load_config, run_study
 from .holes import SeparationParams, read_holes_csv
 from .inverse import C1
-from .solver import Grid, field_from_callable, lump_measure, shared_base, solve_limit
+from .solver import Grid, field_from_callable, lump_measure, rhs_spectrum, solve_limit
 from .solver import solve_perforated, write_field
 from .tiling import TilingSpec, cells_intersecting, unit_box
 
@@ -168,14 +168,14 @@ def _cmd_solve(args) -> int:
     n = cfg.grids[0]
     grid = Grid(cfg.dim, n)
     construction = construct_study_holes(cfg, eps)
-    f = field_from_callable(grid, cfg.rhs)
-    base = shared_base(f, grid)
-    u_eps, stats_eps = solve_perforated(f, construction.holes, grid, cfg.tol, base=base)
+    # both solves read one spectrum of f, made in f's array
+    rhs = rhs_spectrum(field_from_callable(grid, cfg.rhs), grid)
+    u_eps, stats_eps = solve_perforated(rhs, construction.holes, grid, cfg.tol)
     # written and dropped before the limit problem's arrays exist
     write_field(out / "u_perforated.bin", grid, u_eps)
     del u_eps
     weights = lump_measure(cfg.potential, grid)
-    u_lim, stats_lim = solve_limit(f, weights, grid, cfg.tol, base=base)
+    u_lim, stats_lim = solve_limit(rhs, weights, grid, cfg.tol)
     write_field(out / "u_limit.bin", grid, u_lim)
     stats = {
         "epsilon": eps,

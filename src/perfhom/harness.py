@@ -2,12 +2,12 @@
 
 A study runs a strictly decreasing list of epsilons.  The limit problem
 is solved once on the finest grid and injected onto each row's grid, so
-row errors compare against one fixed limit field.  The solves at shift
-0 on one grid (each row's, and the limit's when its measure has minimum
-0) share one exact solve of ``f``, made by the first of them that reads
-it.  Each grid array goes at its last read: a grid's lumped measure in
-the ldc of its last row, which builds the capacity-density deviation in
-it; its ``f`` and ``A^-1 f`` after that row's perforated solve.  A row
+row errors compare against one fixed limit field.  Each grid holds one
+right-hand-side array, the sine spectrum ``Q^d f`` that all its solves
+read (:func:`~perfhom.solver.rhs_spectrum`), made in the array ``f`` is
+evaluated in.  Each grid array goes at its last read: a grid's lumped
+measure in the ldc of its last row, which builds the capacity-density
+deviation in it; its spectrum after that row's perforated solve.  A row
 on the finest grid compares against the limit field itself, not a
 copy.  Rows are computed sequentially with fixed-order reductions,
 which makes reports reproducible bit for bit for a given configuration.
@@ -42,7 +42,7 @@ from .solver import (
     l2_norm,
     lump_measure,
     restrict,
-    shared_base,
+    rhs_spectrum,
     solve_limit,
     solve_perforated,
     weak_witness,
@@ -76,7 +76,7 @@ def _rhs_sine(dim: int, *m: float) -> Callable[[Array], Array]:
     mode = m or (1,) * dim
     if len(mode) != dim:
         raise InvalidParameterError(f"sine needs {dim} modes, got {len(mode)}")
-    if any(v != int(v) or v < 1 for v in mode):
+    if any(v % 1 != 0 or not v >= 1 for v in mode):
         raise InvalidParameterError(f"sine modes must be positive integers, got {mode}")
     return sine_mode(mode)
 
@@ -179,7 +179,7 @@ class StudyConfig:
         if not 0.0 < self.tol < 1.0:
             raise ConfigError(f"tolerance must lie in (0, 1), got {self.tol}")
         for mode in self.witness_modes:
-            if len(mode) != self.dim or any(m != int(m) or m < 1 for m in mode):
+            if len(mode) != self.dim or any(m % 1 != 0 or not m >= 1 for m in mode):
                 raise ConfigError(f"bad witness mode {mode}")
         columns = {f.name for f in fields(StudyRow)} | set(map(_witness_column, self.witness_modes))
         for trend in self.trends:
@@ -479,25 +479,21 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         finally:
             phase[name] = phase.get(name, 0.0) + time.perf_counter() - start
 
-    # each grid's right-hand side and its A^-1 f (solved by the first solve
-    # that reads it) live until the grid's last perforated solve, and its
-    # lumped measure until that row's ldc
+    # each grid's right-hand-side spectrum lives until the grid's last
+    # perforated solve, and its lumped measure until that row's ldc
     last_row = {n: k for k, n in enumerate(cfg.grids)}
     rhs, lumped = {}, {}
 
-    def rhs_fields(grid):
-        f = field_from_callable(grid, cfg.rhs)
-        return f, shared_base(f, grid)
+    def spectrum_of(grid):
+        return rhs_spectrum(field_from_callable(grid, cfg.rhs), grid)
 
     start = time.perf_counter()
     lumped[finest_n] = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid))
-    rhs[finest_n] = stage("rhs", None, lambda: rhs_fields(fine_grid))
+    rhs[finest_n] = stage("rhs", None, lambda: spectrum_of(fine_grid))
     u_limit, limit_stats = stage(
         "solve_limit",
         None,
-        lambda: solve_limit(
-            rhs[finest_n][0], lumped[finest_n], fine_grid, cfg.tol, base=rhs[finest_n][1]
-        ),
+        lambda: solve_limit(rhs[finest_n], lumped[finest_n], fine_grid, cfg.tol),
     )
     metadata["limit_solver"] = {"n": finest_n, **limit_stats.__dict__}
 
@@ -536,11 +532,11 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
             # oversized holes leave no cutoff annulus; metric undefined
             v_l2 = math.nan
         if n not in rhs:
-            rhs[n] = stage("rhs", eps, lambda: rhs_fields(grid))
+            rhs[n] = stage("rhs", eps, lambda: spectrum_of(grid))
         u_eps, stats = stage(
             "solve_perforated",
             eps,
-            lambda: solve_perforated(rhs[n][0], holes, grid, cfg.tol, base=rhs[n][1]),
+            lambda: solve_perforated(rhs[n], holes, grid, cfg.tol),
         )
         if last:
             del rhs[n]

@@ -12,15 +12,15 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
   node spacing and axis for surface measures.
 
 Both are "a grid Laplacian plus a charge on a small node set", and
-both rest on the exact sine-basis Poisson solve
-(:func:`~perfhom.stencil.dirichlet_solve`).  Where it is the exact
-inverse (no hole nodes; a constant lumped measure, as a shift) it is
-applied once, not iterated.  Otherwise both are one capacitance-matrix
-solve: at most one full sine solve, conjugate gradients on vectors
-indexed by the node set with one support-restricted sine solve
+both rest on the exact sine-basis Poisson inverse: a right-hand side is
+held as its spectrum ``S = Q^d f`` (:func:`rhs_spectrum`, made in place
+in ``f``'s array), which every solve of ``f`` on one grid shares.  Where
+the inverse is exact (no hole nodes; a constant lumped measure, as a
+shift) it is applied once to ``S``, not iterated.  Otherwise both are
+one capacitance-matrix solve: conjugate gradients on vectors indexed by
+the node set with one support-restricted sine solve
 (:class:`~perfhom.stencil.SupportSolve`) per iteration, then the grid
-solution from the charge by the sparse-in, full-out half of a sine
-solve (:meth:`~perfhom.stencil.SupportSolve.extend`).
+solution by one backward transform.
 
 * With ``L`` the zero-Dirichlet grid Laplacian and node weights ``w``
   (none for the perforated problem), ``A = L + min w`` is inverted
@@ -30,13 +30,19 @@ solve (:meth:`~perfhom.stencil.SupportSolve.extend`).
   ``(D^-1 + A^-1_YY) sigma = (A^-1 b)_Y``, ``b`` the right-hand side
   zeroed on holes, with the rows of ``W`` scaled by ``D^1/2``; then
   ``u = A^-1 b - A^-1 E_Y sigma`` is the zero extension of the solution.
-  Every solve starts from ``A^-1 f``, its one full solve: with ``f_X``
-  the values of ``f`` on ``X``, ``b = f - E_X f_X``, so
-  ``(A^-1 b)_Y = (A^-1 f)_Y - A^-1_YY f_X`` is one restricted solve and
-  ``u = A^-1 f - A^-1 E_Y (sigma + f_X)``.  Solves of one ``f`` at shift
-  0 on one grid can share ``A^-1 f`` (:func:`shared_base`).  When only
-  the surface layer of the holes is in ``X`` (below), the start is
-  ``A^-1 b`` instead, and ``f_X`` is not used.
+  Every solve reads its start from ``S``: with ``f_X`` the values of
+  ``f`` on ``X``, ``b = f - E_X f_X``, so ``(A^-1 b)_Y = (A^-1 f)_Y -
+  A^-1_YY f_X``, where ``(A^-1 f)_Y`` and ``f_X`` are sparse read-backs
+  of ``S`` scaled by ``1 / (lambda + min w)`` and unscaled
+  (:meth:`~perfhom.stencil.SupportSolve.read`); ``||b||^2 = ||f||^2 -
+  ||f_X||^2`` unless that loses more than half of ``||f||^2``, when
+  ``b`` is recovered by a backward transform.  The solution is one
+  backward transform of ``(S - Q^d E_Y (sigma + f_X)) / (lambda + min w)``
+  (:meth:`~perfhom.stencil.SupportSolve.finish`).  When only the surface
+  layer of the holes is in ``X`` (below), ``f`` on the inner hole nodes
+  reaches no unknown: the solve recovers ``f``, zeroes every hole node
+  and transforms ``b`` forward for its own spectrum, and ``f_X`` is not
+  used.
   The stencil restricted to ``X`` preconditions the clamped block; the
   scaled block of ``W`` is the identity plus a matrix with the spectrum
   of the grid operator preconditioned by ``A``.  CG stops on the grid
@@ -51,7 +57,6 @@ witnesses, and the flat binary field export.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -72,7 +77,7 @@ from .potential import (
     bin_footprint,
     box_quadrature,
 )
-from .stencil import SupportSolve, dirichlet_solve, neg_laplacian
+from .stencil import SupportSolve, neg_laplacian, sine_transform, spectral_solve
 
 Array = np.ndarray
 
@@ -258,61 +263,123 @@ def _hole_stencil(clamped: Array, nodes: Array) -> tuple[Array, Array, Array, in
     return neighbours, np.concatenate(edge_x), edge_f, ids.size
 
 
+@dataclass(frozen=True, eq=False)
+class RhsSpectrum:
+    """A right-hand side ``f`` on ``grid`` as the solves read it: its sine
+    spectrum ``values = Q^d f`` (read-only) and ``norm = ||f||``.  Every
+    solve of ``f`` on ``grid`` can share one (see :func:`rhs_spectrum`)."""
+
+    grid: Grid
+    values: Array
+    norm: float
+
+
+def rhs_spectrum(f: Array, grid: Grid) -> RhsSpectrum:
+    """The :class:`RhsSpectrum` of ``f``, made in place in ``f``'s array.
+
+    ``f`` is a C-contiguous float array of ``grid.shape`` that the caller
+    gives up: its norm is checked by :func:`~perfhom.cg.rhs_norm` (a
+    non-finite ``f`` raises :class:`~perfhom.errors.EvaluationError`),
+    then it is sine transformed in place and left read-only.
+    """
+    if f.shape != grid.shape:
+        raise InvalidParameterError("right-hand side shape does not match grid")
+    norm = rhs_norm(f)
+    sine_transform(f, grid.h)
+    f.flags.writeable = False
+    return RhsSpectrum(grid, f, norm)
+
+
+def _as_rhs(f, grid: Grid) -> RhsSpectrum:
+    """``f`` itself if it is an :class:`RhsSpectrum` on ``grid``, else the
+    spectrum of a copy of the array ``f``."""
+    if isinstance(f, RhsSpectrum):
+        if f.grid != grid:
+            raise InvalidParameterError("right-hand side spectrum is not on this grid")
+        return f
+    return rhs_spectrum(np.array(f, dtype=float, order="C"), grid)
+
+
+def _off_clamped(spectrum: Array, clamped: Array, grid: Grid) -> Array:
+    """``b``, the ``f`` of ``spectrum`` zeroed on the clamped nodes: ``f``
+    recovered by one sine transform of a copy, in that copy."""
+    b = sine_transform(spectrum.copy(), grid.h)
+    b[clamped] = 0.0
+    return b
+
+
 def _capacitance_solve(
-    f: Array,
+    rhs: RhsSpectrum,
     grid: Grid,
     tol: float,
     clamped: Optional[Array] = None,
     weights: Optional[Array] = None,
-    base: Optional[Callable[[], Array]] = None,
 ) -> tuple[Array, SolveStats]:
     """Solve ``(L + w) u = f`` off the ``clamped`` nodes, with ``u = 0`` on them.
 
-    The charge lives on the clamped unknowns of :func:`_clamped_unknowns`
+    ``f`` comes as its :class:`RhsSpectrum`, which is only read.  The
+    charge lives on the clamped unknowns of :func:`_clamped_unknowns`
     and on the unclamped nodes with ``w > min w`` (see the module notes);
-    without either it is one exact solve.  The start is ``A^-1 f`` at the
-    shift ``min w``: ``base()`` when ``base`` is given and the shift is 0,
-    else one full sine solve.  When only the surface layer of the clamped
-    nodes is unknown the start is ``A^-1`` of ``f`` zeroed on them, and
-    ``base`` is not called.  CG runs at most ``max(2000, 60 n)``
-    iterations.  The reported residual is that of ``u`` off
-    the clamped nodes, relative to ``||f||`` there.  A ``tol`` outside
-    ``(0, 1)`` raises :class:`InvalidParameterError`: at 1 or more the
-    zero charge already passes and no iteration runs.
+    without either it is one exact solve.  When only the surface layer of
+    the clamped nodes is unknown the solve makes the spectrum of ``f``
+    zeroed on them.  CG runs at most ``max(2000, 60 n)`` iterations.  The
+    reported residual is that of ``u`` off the clamped nodes, relative to
+    ``||f||`` there.  A ``tol`` outside ``(0, 1)`` raises
+    :class:`InvalidParameterError`: at 1 or more the zero charge already
+    passes and no iteration runs.
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tolerance must lie in (0, 1), got {tol}")
     t0 = time.perf_counter()
+
+    def zero():
+        return np.zeros(grid.shape), SolveStats(0, 0.0, time.perf_counter() - t0)
+
     h, shift = grid.h, 0.0
     unknowns = None if clamped is None else _clamped_unknowns(clamped)
     surface = unknowns is not clamped
+    root = on_w = f_x = None
     if weights is not None:
         shift = float(weights.min())
         weighted = weights > shift
         unknowns = weighted if unknowns is None else unknowns | weighted
-    b = f if clamped is None else np.where(clamped, 0.0, f)
-    norm_b = rhs_norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(f), SolveStats(0, 0.0, time.perf_counter() - t0)
-    shared = base is not None and shift == 0.0 and not surface
-    if surface:
-        # f on the inner hole nodes reaches no unknown: start from A^-1 b
-        start = dirichlet_solve(b, h, shift, out=b)
-    else:
-        del b  # only its norm was needed
-        start = base() if shared else dirichlet_solve(f, h, shift)
+        del weighted
+        # the scaling D^1/2 on W, 1 on X
+        root = np.sqrt(weights[unknowns] - shift)
+        if clamped is not None:
+            on_w = ~clamped[unknowns]
+            root[~on_w] = 1.0
     nodes = np.flatnonzero(unknowns).astype(np.int32 if grid.size < 2**31 else np.int64)
+    del unknowns
+    spectrum, norm_b = rhs.values, rhs.norm
+    if surface and norm_b:
+        # f on the inner hole nodes reaches no unknown: solve for b, f
+        # zeroed on every clamped node, from its own spectrum
+        b = _off_clamped(spectrum, clamped, grid)
+        norm_b = rhs_norm(b)
+        spectrum = sine_transform(b, h)
+        del b
+    if norm_b == 0.0:
+        return zero()
     if nodes.size == 0:
-        # no clamped or weighted node: the start is the solution, the exact
-        # preconditioner applied once, and one stencil apply checks it
-        u = start.copy() if shared else start
+        # no clamped or weighted node: A^-1 f is the solution, the exact
+        # preconditioner applied once.  One stencil apply checks it in the
+        # sine basis, where Q^d (L + shift) u must give the spectrum back.
+        # u is solved again, in the residual's array, so that the check's
+        # transform holds no grid array beside the residual
+        u = spectral_solve(spectrum.copy(), h, shift)
         r = neg_laplacian(u, h)
-        r -= f
         if shift:
             # slab by slab: shift * u whole would be one more grid array
             for i in range(grid.n):
                 r[i] += shift * u[i]
+        del u
+        r = sine_transform(r, h)
+        r -= spectrum
         residual = math.sqrt(dot(r, r)) / norm_b
+        np.copyto(r, spectrum)
+        u = spectral_solve(r, h, shift)
+        del r
         if not residual <= tol:
             raise SolverError(
                 f"exact sine solve left relative residual {residual:.3e} above "
@@ -323,21 +390,21 @@ def _capacitance_solve(
     if clamped is not None:
         neighbours, edge_x, edge_f, count = _hole_stencil(clamped, nodes)
     solve = SupportSolve(nodes, grid.n, grid.dim, h, shift)  # A^-1_YY
-    root = on_w = f_x = None
-    if weights is not None:
-        # the scaling D^1/2 on W, 1 on X
-        root = np.sqrt(weights[unknowns] - shift)
-        if clamped is not None:
-            on_w = ~clamped[unknowns]
-            root[~on_w] = 1.0
+    del nodes
     if clamped is not None and not surface:
-        # b = f - E_X f_X, so A^-1 b = start - A^-1 E_X f_X
-        f_x = f.reshape(-1)[nodes]
+        # b = f - E_X f_X: (A^-1 b)_Y = (A^-1 f)_Y - A^-1_YY f_X, and
+        # ||b||^2 = ||f||^2 - ||f_X||^2 unless that cancels
+        f_x = solve.read(spectrum, scaled=False)
         if on_w is not None:
             f_x[on_w] = 0.0
-    del unknowns
-    g = start.reshape(-1)[nodes]
-    del nodes
+        lost = dot(f_x, f_x)
+        if 2.0 * lost <= norm_b * norm_b:
+            norm_b = math.sqrt(norm_b * norm_b - lost)
+        else:
+            norm_b = rhs_norm(_off_clamped(spectrum, clamped, grid))
+            if norm_b == 0.0:
+                return zero()
+    g = solve.read(spectrum)
     if f_x is not None:
         g -= solve.apply(f_x)
     if root is not None:
@@ -383,52 +450,30 @@ def _capacitance_solve(
         maxiter=max(2000, 60 * grid.n),
     )
     del g  # pcg took it over as its residual
-    # u = start - A^-1 E_Y (sigma + f_X), with sigma = D^1/2 y on W
+    # u = A^-1 (f - E_Y (sigma + f_X)), with sigma = D^1/2 y on W
     if root is not None:
         y *= root
     if f_x is not None:
         y += f_x
-    u = solve.extend(y)
+    u = solve.finish(spectrum, y)
     del y
-    np.subtract(start, u, out=u)
     if clamped is not None:
         u[clamped] = 0.0
     return u, SolveStats(iterations, res, time.perf_counter() - t0)
 
 
-def shared_base(f: Array, grid: Grid) -> Callable[[], Array]:
-    """The ``base`` of the solves of ``f`` at shift 0 on ``grid``: a
-    zero-argument callable returning ``A^-1 f = dirichlet_solve(f, grid.h)``,
-    read-only.  It solves at its first call and holds the result."""
-
-    @functools.cache
-    def base():
-        u = dirichlet_solve(f, grid.h)
-        u.flags.writeable = False
-        return u
-
-    return base
-
-
 def solve_perforated(
-    f: Array,
-    holes: HoleFamily,
-    grid: Grid,
-    tol: float = 1e-8,
-    *,
-    base: Optional[Callable[[], Array]] = None,
+    f: Array | RhsSpectrum, holes: HoleFamily, grid: Grid, tol: float = 1e-8
 ) -> tuple[Array, SolveStats]:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
 
-    The output is the zero extension: it is exactly zero on hole nodes.
-    The reported residual is the relative residual on the free nodes.
-    ``base``, if given, is a :func:`shared_base` of ``f`` on ``grid``; it
-    is not called when the holes fill more than half the grid.
+    ``f`` is the node array, or its :func:`rhs_spectrum` on ``grid``,
+    which solves of one ``f`` share and which is only read.  The output
+    is the zero extension: it is exactly zero on hole nodes.  The
+    reported residual is the relative residual on the free nodes.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape:
-        raise InvalidParameterError("right-hand side shape does not match grid")
-    return _capacitance_solve(f, grid, tol, clamped=hole_mask(grid, holes), base=base)
+    rhs = _as_rhs(f, grid)
+    return _capacitance_solve(rhs, grid, tol, clamped=hole_mask(grid, holes))
 
 
 def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
@@ -499,32 +544,25 @@ def _lump(mu: Potential, grid: Grid) -> Array:
 
 
 def solve_limit(
-    f: Array,
-    weights: Array,
-    grid: Grid,
-    tol: float = 1e-8,
-    *,
-    base: Optional[Callable[[], Array]] = None,
+    f: Array | RhsSpectrum, weights: Array, grid: Grid, tol: float = 1e-8
 ) -> tuple[Array, SolveStats]:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
 
-    ``weights`` are the finite nonnegative dual-cell densities from
-    :func:`lump_measure`; zero weights reduce to the plain Poisson solve.
-    A constant measure is one exact sine solve; otherwise conjugate
-    gradients run on the nodes where the weight exceeds its minimum (see
-    the module notes).  The reported residual is the grid residual
-    ``||f - (L + W) u|| / ||f||``.  ``base``, if given, is a
-    :func:`shared_base` of ``f`` on ``grid``; it is called only when the
-    smallest weight is zero.
+    ``f`` is the node array or its :func:`rhs_spectrum` on ``grid``, as
+    for :func:`solve_perforated`.  ``weights`` are the finite nonnegative
+    dual-cell densities from :func:`lump_measure`; zero weights reduce to
+    the plain Poisson solve.  A constant measure is one exact sine solve;
+    otherwise conjugate gradients run on the nodes where the weight
+    exceeds its minimum (see the module notes).  The reported residual is
+    the grid residual ``||f - (L + W) u|| / ||f||``.
     """
-    f = np.asarray(f, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if f.shape != grid.shape or weights.shape != grid.shape:
+    if weights.shape != grid.shape:
         raise InvalidParameterError("field shapes do not match grid")
     # min and max propagate NaN
     if not (0.0 <= weights.min() and weights.max() < math.inf):
         raise InvalidParameterError("lumped measure must be finite and nonnegative")
-    return _capacitance_solve(f, grid, tol, weights=weights, base=base)
+    return _capacitance_solve(_as_rhs(f, grid), grid, tol, weights=weights)
 
 
 def _cutoff(t: Array) -> Array:
@@ -596,7 +634,7 @@ def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
     if e.shape != grid.shape or len(mode) != grid.dim:
         raise InvalidParameterError("field or mode does not match grid")
     # a fractional sine has no zero trace, so the eigenvalue identity fails
-    if any(m != int(m) or m < 1 for m in mode):
+    if any(m % 1 != 0 or not m >= 1 for m in mode):
         raise InvalidParameterError(f"witness modes must be positive integers, got {mode}")
     h = grid.h
     eigenvalue = sum(4.0 / (h * h) * math.sin(0.5 * math.pi * m * h) ** 2 for m in mode)

@@ -14,23 +14,27 @@ the first half: the squared spectrum over the eigenvalues.
 Full-block transforms run in place in the one array they are given,
 with scratch of about ``_GEMM_BLOCK`` values: every axis but the last
 two is transformed in GEMM chunks copied back over their input, and
-each batch of planes of the last two axes is transformed, scaled and
-transformed back while it is in cache.  A solve therefore holds only
-its output, and an energy with ``overwrite_b`` nothing beyond ``b``.
+the last two in batches of planes.  A solve is two halves:
+:func:`sine_transform` makes the spectrum ``Q^d b``, and
+:func:`spectral_solve` scales each batch of planes and transforms it
+back while it is in cache, then the other axes.  One spectrum serves
+several solves of one ``b``.  A solve holds only its output, and an
+energy with ``overwrite_b`` nothing beyond ``b``.
 
 :class:`SupportSolve` is the same solve for an input that is zero off a
 node set ``S``: each forward transform runs only over the lines that
 hold a node of ``S`` and contracts only over the coordinates ``S``
 occupies.  Read back on ``S`` only, the backward transforms shrink the
 same way; capacitance-matrix iterations, whose unknowns live on a small
-node set, use that.  When ``S`` is thin along the last axis (a layer
-around a surface normal to it) the last transform, the scaling and its
+node set, use that, and so does the read-back of a whole spectrum on
+``S``.  When ``S`` is thin along the last axis (a layer around a
+surface normal to it) the last transform, the scaling and its
 transpose become one small Green's block per mode of the other axes,
 built once (matrix decomposition, Buzbee, Golub and Nielson 1970), so
 such an iteration never forms the ``n^d`` spectral block.  Read back on
 the whole block, the backward half is that of the full solve, in place
-in the spectral block, which turns a capacitance charge into the grid
-solution.
+in the spectral block, which turns a capacitance charge and the
+spectrum of the right-hand side into the grid solution.
 """
 
 from __future__ import annotations
@@ -179,30 +183,67 @@ def dirichlet_solve(
     ``b`` must have equal extents on every axis; ``h`` is the spacing of
     the stencil and ``shift >= 0`` a constant added to its diagonal.
     ``out`` (C-contiguous, same shape as ``b``, may be ``b`` itself)
-    receives the solution; without it a new array does.  The solve runs
-    in place in that array, with one scratch array of ``_GEMM_BLOCK``
-    values (two trailing planes when they are more): the leading axes
-    are transformed one at a time, and each batch of trailing planes is
-    transformed, scaled and transformed back while it is in cache.  Only
-    the ``n x n`` basis and the eigenvalues are cached.
+    receives the solution; without it a new array does.  The solve is
+    :func:`sine_transform` and :func:`spectral_solve` in place in that
+    array.
     """
     b = np.asarray(b, dtype=float)
-    _check_cube(b)
     if out is None:
         out = np.array(b, order="C")
-    elif out.shape != b.shape or not out.flags.c_contiguous:
-        raise InvalidParameterError("sine solve output must be C-contiguous and match b")
+    elif out.shape != b.shape:
+        raise InvalidParameterError("sine solve output must match b")
     elif out is not b:
         np.copyto(out, b)
-    q, lam = _sine_basis(b.shape[0], float(h))
-    scratch = _scratch(q.shape[0], out.ndim)
-    _transform_leading(out, q, scratch)
-    for part, den, work in _plane_batches(out, lam, shift, scratch):
-        _transform_planes(part, q, work)
+    return spectral_solve(sine_transform(out, h), h, shift)
+
+
+def _inverse_half(x: Array, q: Array, lam: Array, shift: float) -> Array:
+    """``x <- Q^d (x / (shift + lambda))`` in place: each batch of
+    trailing planes scaled and transformed, then the leading axes."""
+    scratch = _scratch(q.shape[0], x.ndim)
+    for part, den, work in _plane_batches(x, lam, shift, scratch):
         part /= den
         _transform_planes(part, q, work)
-    _transform_leading(out, q, scratch)
-    return out
+    _transform_leading(x, q, scratch)
+    return x
+
+
+def _check_in_place(x: Array) -> None:
+    _check_cube(x)
+    if x.dtype != np.float64 or not x.flags.c_contiguous or not x.flags.writeable:
+        raise InvalidParameterError("in-place sine transform needs a writable C-contiguous float block")
+
+
+def sine_transform(x: Array, h: float) -> Array:
+    """Apply ``Q^d`` to the ``n^d`` block ``x`` in place and return it:
+    the spectrum of ``x``, the first half of :func:`dirichlet_solve`.
+
+    The leading axes first, then each batch of trailing planes, with one
+    scratch array of ``_GEMM_BLOCK`` values (two trailing planes when
+    they are more).  ``Q^d`` is symmetric and orthogonal, so a second
+    transform gives ``x`` back up to rounding.  ``h`` only keys the
+    cached basis.
+    """
+    _check_in_place(x)
+    q, lam = _sine_basis(x.shape[0], float(h))
+    scratch = _scratch(q.shape[0], x.ndim)
+    _transform_leading(x, q, scratch)
+    for part, _, work in _plane_batches(x, lam, 0.0, scratch):
+        _transform_planes(part, q, work)
+    return x
+
+
+def spectral_solve(x: Array, h: float, shift: float = 0.0) -> Array:
+    """Turn the spectrum ``x = Q^d b`` (:func:`sine_transform`) into the
+    solution of ``(neg_laplacian + shift) u = b``, in place, and return it.
+
+    The second half of :func:`dirichlet_solve`, with the scratch of
+    :func:`sine_transform`: each batch of trailing planes is scaled and
+    transformed while it is in cache, then the leading axes.
+    """
+    _check_in_place(x)
+    q, lam = _sine_basis(x.shape[0], float(h))
+    return _inverse_half(x, q, lam, shift)
 
 
 def dirichlet_energy(b: Array, h: float, shift: float = 0.0, *, overwrite_b: bool = False) -> float:
@@ -240,6 +281,14 @@ def _rows(block: Array) -> Array:
     numpy's boolean row selection copies row by row, which is slow for
     rows of one value."""
     return block.reshape(-1) if block.shape[1] == 1 else block
+
+
+def _lines(w: Array, count: int, where: Optional[Array]) -> Array:
+    """The lines a backward step's output ``w`` (one row per coordinate
+    of the step, ``count`` lines of the next step's product each) holds
+    for the next step: the product itself, or the lines ``where`` marks."""
+    w = w.reshape(w.shape[0] * count, -1)
+    return w if where is None else _rows(w)[where].reshape(-1, w.shape[1])
 
 
 def _line_kernel(rows: Array, lam: Array, d: int, shift: float) -> Array:
@@ -289,9 +338,10 @@ class SupportSolve:
     ``c^2 n^(d-1) <= n^d``.  Otherwise the last transform yields the
     whole spectral block, which is scaled slab by slab, and an apply holds
     it and at most one block of the same size.  The index sets are
-    O(|S|) and built once.  :meth:`extend` reads the solution back on the
-    whole block instead, always through the spectral block, which its
-    backward half transforms in place.
+    O(|S|) and built once.  :meth:`read` runs the backward half alone on
+    a given spectrum, and :meth:`finish` reads a solution back on the
+    whole block instead, through the spectral block, which its backward
+    half transforms in place.
     """
 
     def __init__(self, nodes: Array, n: int, d: int, h: float, shift: float = 0.0):
@@ -354,8 +404,7 @@ class SupportSolve:
             w = np.empty((rows.shape[0], cols.shape[0]))
             _transform_back(rows, cols, w)
             del x, cols
-            w = w.reshape(rows.shape[0] * count, -1)
-            x = w if where is None else _rows(w)[where].reshape(-1, w.shape[1])
+            x = _lines(w, count, where)
             del w
         return x.reshape(-1)
 
@@ -375,15 +424,42 @@ class SupportSolve:
         x = self._forward(v, inner).reshape(self._kernel.shape[0], -1)
         return self._backward(np.einsum("abk,ak->bk", self._kernel, x), inner)
 
-    def extend(self, v: Array) -> Array:
-        """Return ``(neg_laplacian + shift)^-1 E_S v`` on the whole block:
-        the sparse forward half, then the scaling and the backward half of
-        :func:`dirichlet_solve` in place in the spectral block, the one
-        ``n^d`` array it makes."""
+    def read(self, spectrum: Array, scaled: bool = True) -> Array:
+        """For the spectrum ``Q^d b`` of an ``n^d`` block ``b``, return
+        ``((neg_laplacian + shift)^-1 b)_S``, or ``b_S`` when not ``scaled``,
+        as a new vector.
+
+        The backward half of :meth:`apply` on the whole spectrum: the
+        last-axis contraction runs over chunks of ``spectrum``'s lines of
+        about ``_GEMM_BLOCK`` values, each scaled in scratch of that size,
+        so no ``n^d`` array is made beside the contraction's output of
+        ``c n^(d-1)`` values.
+        """
+        n = self.n
+        spectrum = np.asarray(spectrum, dtype=float)
+        if spectrum.size != n**self.d:
+            raise InvalidParameterError("spectrum does not match the block")
+        lines = spectrum.reshape(-1, n)
+        rows, count, where = self._steps[-1]
+        x = np.empty((rows.shape[0], lines.shape[0]))
+        step = max(1, _GEMM_BLOCK // n)
+        mu = _mode_sums(self.lam, self.d - 1).reshape(-1) + self.shift
+        scratch = np.empty((min(step, lines.shape[0]), n))
+        for start in range(0, lines.shape[0], step):
+            part = lines[start : start + step]
+            if scaled:
+                den = scratch[: part.shape[0]]
+                np.add.outer(mu[start : start + step], self.lam, out=den)
+                part = np.divide(part, den, out=den)
+            np.matmul(rows, part.T, out=x[:, start : start + step])
+        return self._backward(_lines(x, count, where), self._steps[:-1])
+
+    def finish(self, spectrum: Array, v: Array) -> Array:
+        """Return ``(neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
+        block, for the spectrum ``Q^d b`` of ``b``: the sparse forward half
+        of ``E_S v``, subtracted from ``spectrum``, then the scaling and the
+        backward half of :func:`dirichlet_solve` in place in the block the
+        forward half makes, the one ``n^d`` array it makes."""
         x = self._forward(v, self._steps).reshape((self.n,) * self.d)
-        scratch = _scratch(self.n, self.d)
-        for part, den, work in _plane_batches(x, self.lam, self.shift, scratch):
-            part /= den
-            _transform_planes(part, self.q, work)
-        _transform_leading(x, self.q, scratch)
-        return x
+        np.subtract(spectrum, x, out=x)
+        return _inverse_half(x, self.q, self.lam, self.shift)

@@ -156,9 +156,10 @@ tol = 1e-9
     assert float(abs(u_eps - u_lim).max()) > 0.0
 
 
-def test_solve_shares_one_full_solve_between_its_two_solves(tmp_path, capsys, full_solves):
-    # the plane's lumped measure has minimum 0 and its eps 1/8 holes fill
-    # less than half the grid, so both solves read one A^-1 f
+def test_solve_shares_one_full_solve_between_its_two_solves(tmp_path, capsys, transforms):
+    # both solves read one spectrum of f, the one full transform: the plane's
+    # lumped measure is not constant and its eps 1/8 holes fill less than
+    # half the grid, so neither solve recovers f
     cfg = write(
         tmp_path / "solve.cfg",
         """
@@ -174,7 +175,7 @@ allow_oversized_holes = true
     )
     code, _, _ = run_cli(capsys, "solve", cfg, "--out", str(tmp_path / "out"))
     assert code == 0
-    assert full_solves == [47]
+    assert transforms == [("sine_transform", 47)]
 
 
 def test_study_assert_zero_config_passes(tmp_path, capsys):

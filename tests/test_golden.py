@@ -18,11 +18,12 @@ Every column except the wall-clock ``solver_seconds`` is compared:
   the limit solve's, must be positive and at most the count the
   capacitance solve takes today (the golden files' counts are older).
 
-Each study also counts its full sine solves (``dirichlet_solve``, through
-the ``full_solves`` fixture): one ``A^-1 f`` per grid, solved by the
-first solve at shift 0 that reads it and shared with the others, one for
-a limit at a positive shift, and one of its own for a row whose holes
-fill more than half the grid, which never reads ``A^-1 f``.
+Each study also counts its whole-grid sine transforms (through the
+``transforms`` fixture): one spectrum of ``f`` per grid, which every
+solve on the grid reads, one for the residual check of an exact solve,
+and two for a row whose holes fill more than half the grid, which
+recovers ``f`` and transforms it zeroed on the holes.  No full sine
+solve (``dirichlet_solve``) runs.
 """
 
 import csv
@@ -79,32 +80,35 @@ def read_rows(path):
         return reader.fieldnames, list(reader)
 
 
-def test_readme_study_matches_golden_report(tmp_path, full_solves, monkeypatch):
-    # a constant measure: the limit is one exact solve at shift 40; the
-    # eps 1/4 holes fill more than half the grid, so that row solves its
-    # own hole-zeroed f, and the eps 1/8 row, the only solve that reads
-    # the grid's A^-1 f, solves it: not the limit phase, not row 0
+def test_readme_study_matches_golden_report(tmp_path, transforms, monkeypatch):
+    # a constant measure: the limit is one exact solve at shift 40 from
+    # the grid's spectrum, checked by one transform; the eps 1/4 holes
+    # fill more than half the grid, so that row recovers f and transforms
+    # its hole-zeroed f, and the eps 1/8 row only reads the spectrum
     solve = harness.solve_perforated
 
     def spied(*args, **kwargs):
-        full_solves.append("solve_perforated")
+        transforms.append("solve_perforated")
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_perforated", spied)
     assert_study_matches_golden(
         tmp_path, README_CONFIG, GOLDEN_DIR / "readme_study.csv", (8, 16), 1
     )
-    assert full_solves == [63, "solve_perforated", 63, "solve_perforated", 63]
+    forward = ("sine_transform", 63)
+    assert transforms == [forward, forward, "solve_perforated", forward, forward, "solve_perforated"]
 
 
-def test_plane_study_matches_golden_report(tmp_path, full_solves):
-    # the limit and the eps 1/16 row share A^-1 f on 95^3; the eps 1/8
-    # row is the only solve on 47^3.  There were eight full solves when
-    # each capacitance solve made two and the H^-1 norm one
+def test_plane_study_matches_golden_report(tmp_path, transforms):
+    # the limit and the eps 1/16 row read one spectrum on 95^3, the eps
+    # 1/8 row one on 47^3, and nothing else is transformed.  There were
+    # eight full solves when each capacitance solve made two and the
+    # H^-1 norm one, and two when solves shared A^-1 f and ended by a
+    # half solve of the charge
     assert_study_matches_golden(
         tmp_path, PLANE_CONFIG, GOLDEN_DIR / "plane_study.csv", (19, 18), 10
     )
-    assert full_solves == [95, 47]
+    assert transforms == [("sine_transform", 95), ("sine_transform", 47)]
 
 
 def assert_study_matches_golden(tmp_path, config_text, golden_path, iterations, limit_iterations):

@@ -13,7 +13,7 @@ from perfhom.cg import dot, pcg
 from perfhom.errors import InvalidParameterError, SolverError
 from perfhom import solver
 from perfhom.potential import parse_potential
-from perfhom.solver import Grid, lump_measure, shared_base, solve_limit
+from perfhom.solver import Grid, lump_measure, rhs_spectrum, solve_limit
 from perfhom.stencil import dirichlet_solve, neg_laplacian
 
 EPS64 = 2.0**-52
@@ -162,42 +162,48 @@ def test_random_measures_match_grid_cg(problem):
     check_against_oracle(grid, weights, f, tol, drift=0.1, count=capacitance_cg, slack=0.2)
 
 
+def shared_and_own(f, weights, grid, transforms):
+    """A limit solve of the shared spectrum of ``f`` and one of ``f``
+    itself, whose results must agree; the shared spectrum must come back
+    unchanged.  Returns the transforms of the shared solve."""
+    rhs = rhs_spectrum(f.copy(), grid)
+    kept = rhs.values.copy()
+    transforms.clear()
+    u, stats = solve_limit(rhs, weights, grid, 1e-9)
+    made = list(transforms)
+    own, own_stats = solve_limit(f, weights, grid, 1e-9)
+    assert not rhs.values.flags.writeable
+    np.testing.assert_array_equal(rhs.values, kept)
+    assert np.linalg.norm(u - own) <= 1e-12 * np.linalg.norm(own)
+    assert stats.iterations == own_stats.iterations
+    assert stats.residual <= 1e-9 and own_stats.residual <= 1e-9
+    return made
+
+
 @pytest.mark.parametrize("spec", ["plane(0.5, 20)", "sine_density(2)"])
-def test_shared_base_matches_own_base(spec):
-    # a measure with minimum 0 reads the caller's A^-1 f once, and gives
-    # the bits of the solve that makes A^-1 f itself.  sine_density's
-    # minimum is positive; zeroing one node leaves every other node in Y
+def test_shared_base_matches_own_base(spec, transforms):
+    # a measure with minimum 0 only reads the shared base, the caller's
+    # spectrum of f, and transforms nothing on the grid.  sine_density's minimum is positive;
+    # zeroing one node leaves every other node in Y
     grid = Grid(3, 31)
     weights = weights_for(spec, grid)
     weights[0, 0, 0] = 0.0
     assert weights.min() == 0.0
     f = 1.0 + np.random.default_rng(3).standard_normal(grid.shape)
-    shared, calls = shared_base(f, grid), []
-
-    def base():
-        calls.append(1)
-        return shared()
-
-    u, stats = solve_limit(f, weights, grid, 1e-9, base=base)
-    own, own_stats = solve_limit(f, weights, grid, 1e-9)
-    assert calls == [1]
-    np.testing.assert_array_equal(u, own)
-    assert stats.iterations == own_stats.iterations
-    assert stats.residual == own_stats.residual <= 1e-9
+    assert shared_and_own(f, weights, grid, transforms) == []
 
 
 @pytest.mark.parametrize("spec", ["sine_density(2)", "constant(40)"])
-def test_positive_minimum_never_calls_the_base(spec):
-    # a positive minimum shifts A, so A^-1 f at shift 0 is of no use
+def test_positive_minimum_shares_the_spectrum(spec, transforms):
+    # a positive minimum shifts A; the read-back scales the spectrum by
+    # the shifted eigenvalues, so the spectrum of f serves it too.  A
+    # constant measure is the exact solve, checked by one transform
     grid = Grid(3, 15)
     weights = weights_for(spec, grid)
     assert weights.min() > 0.0
-
-    def base():
-        pytest.fail("a limit solve at a positive shift called its base")
-
-    u, _ = solve_limit(np.ones(grid.shape), weights, grid, 1e-9, base=base)
-    np.testing.assert_array_equal(u, solve_limit(np.ones(grid.shape), weights, grid, 1e-9)[0])
+    f = 1.0 + np.random.default_rng(6).standard_normal(grid.shape)
+    exact = int(weights.min() == weights.max())
+    assert shared_and_own(f, weights, grid, transforms) == [("sine_transform", 15)] * exact
 
 
 def test_one_iteration_cap_raises(monkeypatch):
@@ -235,14 +241,15 @@ PEAK_ARRAYS = {"plane(0.5, 20)": 3.25, "graph(0.5, 0.1, 2, 20)": 3.3, "sine_dens
 
 @pytest.mark.parametrize("spec", PEAK_ARRAYS)
 def test_limit_solve_peak_memory(spec):
-    # the start A^-1 f and the extension's spectral block, both built in
-    # place, are the grid arrays; the transforms' scratch of 2^16 values
-    # is 0.63 of one at 47^3.  The iterations hold O(|Y|) vectors and the
-    # restricted solve's blocks (3.05 and 3.19 arrays measured).
-    # sine_density's Y is every node but one, so its CG vectors, the
-    # D^1/2 scaling and the restricted solve's blocks are grid sized
-    # (8.32 arrays measured, in the iterations).  The grid CG it replaced
-    # peaked at 6.0 grid arrays on all three
+    # the spectrum of the copy of f and the final solve's block, both
+    # built in place, are the grid arrays; the transforms' scratch of
+    # 2^16 values is 0.63 of one at 47^3.  The iterations hold O(|Y|)
+    # vectors and the restricted solve's blocks (2.92 and 3.07 arrays
+    # measured; 3.05 and 3.19 when the start was A^-1 f).  sine_density's
+    # Y is every node but one, so its CG vectors, the D^1/2 scaling and
+    # the restricted solve's blocks are grid sized (8.20 arrays measured,
+    # in the iterations).  The grid CG it replaced peaked at 6.0 grid
+    # arrays on all three
     grid = Grid(3, 47)
     weights = weights_for(spec, grid)
     f = np.ones(grid.shape)

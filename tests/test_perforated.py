@@ -19,11 +19,11 @@ from perfhom.solver import (
     Grid,
     _capacitance_solve,
     hole_mask,
-    shared_base,
+    rhs_spectrum,
     solve_limit,
     solve_perforated,
 )
-from perfhom.stencil import dirichlet_solve, neg_laplacian
+from perfhom.stencil import dirichlet_solve, neg_laplacian, sine_transform
 from perfhom.tiling import TilingSpec, unit_box
 
 EPS64 = 2.0**-52
@@ -102,7 +102,8 @@ def check_against_oracle(grid, holes, seed, tol, weights=None):
     if weights is None:
         u, stats = solve_perforated(f, holes, grid, tol)
     else:
-        u, stats = _capacitance_solve(f, grid, tol, clamped=mask, weights=weights)
+        rhs = rhs_spectrum(f.copy(), grid)
+        u, stats = _capacitance_solve(rhs, grid, tol, clamped=mask, weights=weights)
     assert np.all(u[mask] == 0.0)
     if mask.all():
         assert np.all(u == 0.0) and stats.iterations == 0
@@ -180,9 +181,27 @@ def test_iterations_match_masked_cg(spec, eps):
     assert abs(stats.iterations - iterations) <= 1
 
 
-def test_shared_base_matches_own_base():
-    # a perforated row handed A^-1 f reads it once, and gives the bits of
-    # the solve that makes A^-1 f itself
+def shared_and_own(f, holes, grid, tol, transforms):
+    """A solve of the shared spectrum of ``f`` and one of ``f`` itself:
+    ``(u, stats, own, own_stats)``.  The shared spectrum must come back
+    unchanged; ``transforms`` then holds the shared solve's transforms."""
+    rhs = rhs_spectrum(f.copy(), grid)
+    kept = rhs.values.copy()
+    transforms.clear()
+    u, stats = solve_perforated(rhs, holes, grid, tol)
+    made = list(transforms)
+    own, own_stats = solve_perforated(f, holes, grid, tol)
+    assert not rhs.values.flags.writeable
+    np.testing.assert_array_equal(rhs.values, kept)
+    transforms[:] = made
+    assert np.linalg.norm(u - own) <= 1e-12 * np.linalg.norm(own)
+    return u, stats, own, own_stats
+
+
+def test_shared_base_matches_own_base(transforms):
+    # the base the solves of f share is the spectrum of f.  A perforated
+    # row handed it only reads it, transforms nothing on the grid, and
+    # gives the result of the solve that makes its own
     grid = Grid(3, 31)
     holes = construct_holes(
         parse_potential("plane(0.5, 20)", 3), TilingSpec(3, 0.125), unit_box(3), strict=False
@@ -190,46 +209,54 @@ def test_shared_base_matches_own_base():
     mask = hole_mask(grid, holes)
     assert 0 < 2 * int(mask.sum()) <= grid.size
     f = 1.0 + np.random.default_rng(8).standard_normal(grid.shape)
-    shared, calls = shared_base(f, grid), []
-
-    def base():
-        calls.append(1)
-        return shared()
-
-    u, stats = solve_perforated(f, holes, grid, 1e-9, base=base)
-    own, own_stats = solve_perforated(f, holes, grid, 1e-9)
-    assert calls == [1]
-    np.testing.assert_array_equal(u, own)
+    u, stats, _, own_stats = shared_and_own(f, holes, grid, 1e-9, transforms)
+    assert transforms == []
     assert np.all(u[mask] == 0.0)
     assert stats.iterations == own_stats.iterations
-    assert stats.residual == own_stats.residual <= 1e-9
+    assert stats.residual <= 1e-9 and own_stats.residual <= 1e-9
 
 
-def test_surface_layer_row_ignores_the_base():
+def test_surface_layer_row_ignores_the_base(transforms):
     # with only the surface layer unknown, f on the inner hole nodes would
-    # enter through A^-1 f: the solve must not ask for it
+    # enter through the shared spectrum of f: the solve does not start
+    # from it, but recovers f, zeroes the hole nodes and makes its own
+    # spectrum, two transforms
     grid = Grid(3, 11)
     holes = family([[0.5, 0.5, 0.5]], [0.55])
     assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
     f = 1.0 + np.random.default_rng(9).standard_normal(grid.shape)
-
-    def base():
-        pytest.fail("a surface-layer solve called its base")
-
-    u, stats = solve_perforated(f, holes, grid, 1e-9, base=base)
-    own, own_stats = solve_perforated(f, holes, grid, 1e-9)
-    np.testing.assert_array_equal(u, own)
+    _, stats, _, own_stats = shared_and_own(f, holes, grid, 1e-9, transforms)
+    assert transforms == [("sine_transform", 11)] * 2
     assert stats.iterations == own_stats.iterations
 
 
-def test_empty_mask_with_a_shared_base_returns_a_writable_copy():
-    # the exact path returns the shared A^-1 f itself only as a copy
+def test_holes_holding_most_of_f_recover_the_norm_of_b(transforms):
+    # f is 30 on the hole nodes and 1 off them, so ||f_X||^2 is most of
+    # ||f||^2 and ||b|| comes from f recovered, not from the difference
+    grid = Grid(3, 15)
+    holes = family([[0.5, 0.5, 0.5]], [0.3])
+    mask = hole_mask(grid, holes)
+    assert 0 < 2 * int(mask.sum()) <= grid.size
+    f = np.where(mask, 30.0, 1.0)
+    u, stats, _, _ = shared_and_own(f, holes, grid, 1e-9, transforms)
+    assert transforms == [("sine_transform", 15)]
+    assert stats.residual <= 1e-9
+    assert abs(stats.residual - free_residual(f, mask, u, grid.h)) <= (
+        8.0 * (stats.iterations + 1) * kappa(grid) * EPS64
+    )
+
+
+def test_empty_mask_with_a_shared_base_returns_a_writable_copy(transforms):
+    # the exact path solves in a copy of the shared spectrum and checks
+    # the result by one forward transform of its residual
     grid = Grid(3, 15)
     f = 1.0 + np.random.default_rng(4).standard_normal(grid.shape)
-    base = shared_base(f, grid)
-    u, stats = solve_perforated(f, family(np.zeros((0, 3)), []), grid, tol=1e-10, base=base)
-    assert u.flags.writeable and u is not base()
-    np.testing.assert_array_equal(u, base())
+    rhs = rhs_spectrum(f.copy(), grid)
+    transforms.clear()
+    u, stats = solve_perforated(rhs, family(np.zeros((0, 3)), []), grid, tol=1e-10)
+    assert transforms == [("sine_transform", 15)]
+    assert u.flags.writeable and not np.shares_memory(u, rhs.values)
+    np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
     assert stats.iterations == 1
 
 
@@ -248,8 +275,14 @@ def test_empty_mask_is_one_exact_sine_solve():
     u, stats = solve_perforated(f, family(np.zeros((0, 3)), []), grid, tol=1e-10)
     np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
     assert stats.iterations == 1
+    # the residual is checked in the sine basis, against the spectrum of
+    # f: Q^d (L u) - Q^d f, which is the grid residual up to the rounding
+    # of the two transforms, a few ulps of ||f||
+    spectral = sine_transform(neg_laplacian(u, grid.h), grid.h) - sine_transform(f.copy(), grid.h)
+    norm_f = math.sqrt(dot(f, f))
+    assert stats.residual == pytest.approx(math.sqrt(dot(spectral, spectral)) / norm_f, rel=1e-12)
     no_mask = np.zeros(grid.shape, dtype=bool)
-    assert stats.residual == pytest.approx(free_residual(f, no_mask, u, grid.h), rel=1e-12)
+    assert abs(stats.residual - free_residual(f, no_mask, u, grid.h)) <= 8 * 3 * grid.n * EPS64
     assert stats.residual <= 1e-10
 
 

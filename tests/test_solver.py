@@ -38,14 +38,14 @@ from perfhom.solver import (
     lump_measure,
     read_field,
     restrict,
-    shared_base,
+    rhs_spectrum,
     solve_limit,
     sine_mode_field,
     solve_perforated,
     weak_witness,
     write_field,
 )
-from perfhom.stencil import dirichlet_solve
+from perfhom.stencil import sine_transform
 from perfhom.tiling import TilingSpec, unit_box
 
 EPS64 = np.finfo(float).eps
@@ -231,19 +231,38 @@ def test_limit_reduces_to_poisson_for_zero_measure():
     np.testing.assert_array_equal(u_limit, u_plain)
 
 
-def test_shared_base_is_one_read_only_solve(full_solves):
-    # nothing is solved until the first call; later calls return the same
-    # array, which no caller can modify
+def test_shared_base_is_one_read_only_solve(transforms):
+    # the base the solves of f share is its spectrum: one forward
+    # transform, half a solve, in f's own array, which no caller can
+    # modify afterwards; a second transform gives f back
     grid = Grid(3, 15)
     f = field_from_callable(grid, lambda x: 1.0 + x[:, 0])
-    base = shared_base(f, grid)
-    assert full_solves == []
-    u = base()
-    assert base() is u and full_solves == [15]
-    assert not u.flags.writeable
+    kept = f.copy()
+    rhs = rhs_spectrum(f, grid)
+    assert transforms == [("sine_transform", 15)]
+    assert rhs.values is f and rhs.grid == grid
+    assert rhs.norm == math.sqrt(float(np.dot(kept.reshape(-1), kept.reshape(-1))))
+    assert not rhs.values.flags.writeable
     with pytest.raises(ValueError):
-        u[0, 0, 0] = 1.0
-    np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
+        rhs.values[0, 0, 0] = 1.0
+    np.testing.assert_array_equal(rhs.values, sine_transform(kept.copy(), grid.h))
+    back = sine_transform(rhs.values.copy(), grid.h)
+    assert np.linalg.norm(back - kept) <= 1e-14 * np.linalg.norm(kept)
+
+
+def test_rhs_spectrum_checks_f_before_transforming():
+    grid = Grid(3, 7)
+    with pytest.raises(InvalidParameterError):
+        rhs_spectrum(np.ones((7, 7)), grid)
+    f = np.ones(grid.shape)
+    f[1, 2, 3] = np.nan
+    with pytest.raises(EvaluationError):
+        rhs_spectrum(f, grid)
+    assert np.isnan(f[1, 2, 3]) and f.flags.writeable
+    # a spectrum is read on its own grid only
+    rhs = rhs_spectrum(np.ones(grid.shape), grid)
+    with pytest.raises(InvalidParameterError):
+        solve_limit(rhs, np.zeros((5, 5, 5)), Grid(3, 5))
 
 
 def test_nonfinite_rhs_rejected_before_iterating():
@@ -378,8 +397,9 @@ def test_weak_witness_identities():
     with pytest.raises(InvalidParameterError):
         weak_witness(e, (1, 1), grid)
     # a fractional sine has no zero trace: the eigenvalue identity is false
-    with pytest.raises(InvalidParameterError, match="positive integers"):
-        weak_witness(e, (1.5, 1, 1), grid)
+    for bad in (1.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="positive integers"):
+            weak_witness(e, (bad, 1, 1), grid)
 
 
 def pad_and_diff_witness(e, g, grid):

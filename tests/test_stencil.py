@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from perfhom.cg import pcg
 from perfhom.errors import InvalidParameterError
-from perfhom.stencil import SupportSolve, dirichlet_energy, dirichlet_solve, neg_laplacian
+from perfhom.stencil import (
+    SupportSolve,
+    dirichlet_energy,
+    dirichlet_solve,
+    neg_laplacian,
+    sine_transform,
+    spectral_solve,
+)
 
 EPS64 = np.finfo(float).eps
 # largest n per dimension that keeps a CG reference solve cheap
@@ -95,6 +102,14 @@ def test_dirichlet_solve_rejects_bad_shapes():
         dirichlet_solve(np.ones((3, 4)), 0.25)
     with pytest.raises(InvalidParameterError):
         dirichlet_solve(np.ones((3, 3)), 0.25, out=np.empty((3, 3)).T)
+    # the halves run in place: a transposed, read-only or integer block
+    # would be copied or refused by numpy, not transformed
+    kept = np.ones((3, 3))
+    kept.flags.writeable = False
+    for bad in (np.ones((3, 4)), np.ones((3, 3)).T[:, :2], kept, np.ones((3, 3), dtype=int)):
+        for half in (sine_transform, spectral_solve):
+            with pytest.raises(InvalidParameterError):
+                half(bad, 0.25)
 
 
 def dense_operator(n, d, h, shift):
@@ -123,6 +138,12 @@ def test_in_place_transforms_match_dense_eigendecomposition(d, n, shift):
     assert dirichlet_solve(b, h, shift, out=separate) is separate
     np.testing.assert_array_equal(b, kept)
     np.testing.assert_array_equal(separate, u)
+    # the two halves apart give the same bits, and a second forward
+    # transform gives the block back
+    spectrum = sine_transform(kept.copy(), h)
+    assert np.linalg.norm(sine_transform(spectrum.copy(), h) - kept) <= 8 * d * n * EPS64 * np.linalg.norm(kept)
+    assert spectral_solve(spectrum, h, shift) is spectrum
+    np.testing.assert_array_equal(spectrum, u)
     assert dirichlet_solve(b, h, shift, out=b) is b
     np.testing.assert_array_equal(b, u)
     # the energy, in a copy or in place, is the pairing with the solution
@@ -141,6 +162,8 @@ def test_in_place_transforms_allocate_under_half_a_grid_array():
     tracemalloc.start()
     try:
         dirichlet_solve(b, h, out=b)
+        sine_transform(b, h)
+        spectral_solve(b, h)
         solve_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         dirichlet_energy(b, h, overwrite_b=True)
@@ -203,22 +226,69 @@ def test_support_solve_matches_scattered_dirichlet_solve(problem):
 
 @settings(max_examples=150, deadline=None)
 @given(supports())
-def test_support_extend_matches_scattered_dirichlet_solve(problem):
+def test_support_read_and_finish_match_scattered_dirichlet_solve(problem):
     d, n, nodes, h, shift, seed = problem
-    v = np.random.default_rng(seed).standard_normal(nodes.size)
-    b = np.zeros(n**d)
-    b[nodes] = v
-    reference = dirichlet_solve(b.reshape((n,) * d), h, shift)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n,) * d)
+    v = rng.standard_normal(nodes.size)
+    spectrum = sine_transform(f.copy(), h)
+    spectrum.flags.writeable = False
+    kept = spectrum.copy()
     solve = SupportSolve(nodes, n, d, h, shift)
-    u = solve.extend(v)
-    assert u.shape == (n,) * d
-    np.testing.assert_array_equal(v, b[nodes])
-    # the bound of the restricted apply, over the whole block
+    # the bound of the restricted apply, on ||f|| and ||v|| together
     smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
-    bound = 8 * d * n * EPS64 * np.linalg.norm(v) / smallest
-    assert np.linalg.norm(u - reference) <= bound
-    # read back on the support, it is the restricted apply up to rounding
-    assert np.linalg.norm(u.reshape(-1)[nodes] - solve.apply(v)) <= 2 * bound
+    size = np.linalg.norm(f) + np.linalg.norm(v)
+    bound = 8 * d * n * EPS64 * size / smallest
+    read = solve.read(spectrum)
+    assert read.shape == v.shape
+    assert np.linalg.norm(read - dirichlet_solve(f, h, shift).reshape(-1)[nodes]) <= bound
+    values = solve.read(spectrum, scaled=False)
+    assert np.linalg.norm(values - f.reshape(-1)[nodes]) <= 8 * d * n * EPS64 * size
+    b = f.copy().reshape(-1)
+    b[nodes] -= v
+    u = solve.finish(spectrum, v)
+    assert u.shape == (n,) * d
+    assert np.linalg.norm(u - dirichlet_solve(b.reshape(f.shape), h, shift)) <= bound
+    # read back on the support, the finish of a zero spectrum is minus
+    # the restricted apply up to rounding
+    zero = np.zeros((n,) * d)
+    assert np.linalg.norm(solve.finish(zero, v).reshape(-1)[nodes] + solve.apply(v)) <= 2 * bound
+    np.testing.assert_array_equal(spectrum, kept)
+
+
+@pytest.mark.parametrize("shift", [0.0, 50.0])
+@pytest.mark.parametrize("thin", [True, False])
+def test_read_back_and_finish_match_full_solves(thin, shift):
+    # a node layer normal to the last axis takes the per-mode Green's
+    # blocks; a ball of nodes occupies 17 coordinates there, over 31
+    n, d = 31, 3
+    h = 1.0 / (n + 1)
+    block = np.arange(n**d).reshape((n,) * d)
+    if thin:
+        nodes = block[:, :, 15].reshape(-1)
+    else:
+        x = (np.arange(n) + 1.0) * h - 0.5
+        ball = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2 <= 0.3**2
+        nodes = block[ball]
+    nodes.sort()
+    solve = SupportSolve(nodes, n, d, h, shift)
+    assert (solve._kernel is not None) == thin
+    rng = np.random.default_rng(int(thin) + int(shift))
+    f = 1.0 + rng.standard_normal((n,) * d)
+    v = rng.standard_normal(nodes.size)
+    spectrum = sine_transform(f.copy(), h)
+    full = dirichlet_solve(f, h, shift)
+    reference = full.reshape(-1)[nodes]
+    assert np.linalg.norm(solve.read(spectrum) - reference) <= 1e-13 * np.linalg.norm(reference)
+    on_nodes = f.reshape(-1)[nodes]
+    values = solve.read(spectrum, scaled=False)
+    assert np.linalg.norm(values - on_nodes) <= 1e-13 * np.linalg.norm(on_nodes)
+    # the finish is the full solve minus the extension of v
+    extension = np.zeros(n**d)
+    extension[nodes] = v
+    reference = full - dirichlet_solve(extension.reshape(f.shape), h, shift)
+    u = solve.finish(spectrum, v)
+    assert np.linalg.norm(u - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("shift", [0.0, 50.0])
@@ -240,7 +310,8 @@ def test_band_normal_to_last_axis_matches_scattered_dirichlet_solve(d, n, c, shi
     smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
     bound = 8 * d * n * EPS64 * np.linalg.norm(v) / smallest
     assert np.linalg.norm(u - reference) <= bound
-    assert np.linalg.norm(solve.extend(v).reshape(-1)[nodes] - u) <= 2 * bound
+    extended = -solve.finish(np.zeros((n,) * d), v)
+    assert np.linalg.norm(extended.reshape(-1)[nodes] - u) <= 2 * bound
 
 
 def test_apply_on_a_one_node_slab_holds_no_grid_array():
@@ -263,3 +334,5 @@ def test_support_solve_rejects_bad_supports():
             SupportSolve(np.asarray(nodes, dtype=np.int64), 3, 3, 0.25)
     with pytest.raises(InvalidParameterError):
         SupportSolve(np.arange(4), 3, 3, 0.25).apply(np.ones(5))
+    with pytest.raises(InvalidParameterError):
+        SupportSolve(np.arange(4), 3, 3, 0.25).read(np.ones((2, 2, 2)))
