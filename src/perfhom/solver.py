@@ -365,8 +365,11 @@ def _capacitance_solve(
         # no clamped or weighted node: A^-1 f is the solution, the exact
         # preconditioner applied once.  One stencil apply checks it in the
         # sine basis, where Q^d (L + shift) u must give the spectrum back.
-        # u is solved again, in the residual's array, so that the check's
-        # transform holds no grid array beside the residual
+        # u is solved again after the check, so that the check's transform
+        # holds no grid array beside the residual.  The new array reuses the
+        # first one's memory; kept in the residual's array instead, the field
+        # would sit above a freed grid array, and the heap of a process that
+        # runs the study again grows by about one array
         u = spectral_solve(spectrum.copy(), h, shift)
         r = neg_laplacian(u, h)
         if shift:
@@ -377,9 +380,8 @@ def _capacitance_solve(
         r = sine_transform(r, h)
         r -= spectrum
         residual = math.sqrt(dot(r, r)) / norm_b
-        np.copyto(r, spectrum)
-        u = spectral_solve(r, h, shift)
         del r
+        u = spectral_solve(spectrum.copy(), h, shift)
         if not residual <= tol:
             raise SolverError(
                 f"exact sine solve left relative residual {residual:.3e} above "

@@ -138,24 +138,27 @@ def _transform_leading(x: Array, q: Array, scratch: Array) -> None:
                 part[...] = work
 
 
-def _plane_batches(x: Array, lam: Array, shift: float, scratch: Array):
+def _plane_batches(x: Array, lam: Array, shift: Optional[float], scratch: Array):
     """Yield ``(part, den, work)`` over batches of the trailing planes of
     the ``n^d`` block ``x`` (its last two axes; for ``d = 1`` one plane
     of one line), about ``_GEMM_BLOCK / 2`` values each.
 
     ``part`` is a view into ``x``; ``den`` holds ``shift`` plus the
-    eigenvalue sums of the modes of ``part``'s entries, and ``work`` is
-    free.  Both are views of ``scratch``, refilled batch by batch.
+    eigenvalue sums of the modes of ``part``'s entries (not filled when
+    ``shift`` is None), and ``work`` is free.  Both are views of
+    ``scratch``, refilled batch by batch.
     """
     n, d = lam.size, x.ndim
     planes = x.reshape(-1, n if d > 1 else 1, n)
-    lead = _mode_sums(lam, max(d - 2, 0)).reshape(-1) + shift
-    tail = _mode_sums(lam, min(d, 2))
+    if shift is not None:
+        lead = _mode_sums(lam, max(d - 2, 0)).reshape(-1) + shift
+        tail = _mode_sums(lam, min(d, 2))
     step = max(1, _GEMM_BLOCK // (2 * planes[0].size))
     for start in range(0, planes.shape[0], step):
         part = planes[start : start + step]
         den, work = scratch[: 2 * part.size].reshape((2,) + part.shape)
-        np.add(tail, lead[start : start + part.shape[0], None, None], out=den)
+        if shift is not None:
+            np.add(tail, lead[start : start + part.shape[0], None, None], out=den)
         yield part, den, work
 
 
@@ -228,7 +231,7 @@ def sine_transform(x: Array, h: float) -> Array:
     q, lam = _sine_basis(x.shape[0], float(h))
     scratch = _scratch(q.shape[0], x.ndim)
     _transform_leading(x, q, scratch)
-    for part, _, work in _plane_batches(x, lam, 0.0, scratch):
+    for part, _, work in _plane_batches(x, lam, None, scratch):
         _transform_planes(part, q, work)
     return x
 
@@ -452,7 +455,8 @@ class SupportSolve:
                 np.add.outer(mu[start : start + step], self.lam, out=den)
                 part = np.divide(part, den, out=den)
             np.matmul(rows, part.T, out=x[:, start : start + step])
-        return self._backward(_lines(x, count, where), self._steps[:-1])
+        x = _lines(x, count, where)  # the lines alone outlive this step
+        return self._backward(x, self._steps[:-1])
 
     def finish(self, spectrum: Array, v: Array) -> Array:
         """Return ``(neg_laplacian + shift)^-1 (b - E_S v)`` on the whole

@@ -182,9 +182,10 @@ def test_iterations_match_masked_cg(spec, eps):
 
 
 def shared_and_own(f, holes, grid, tol, transforms):
-    """A solve of the shared spectrum of ``f`` and one of ``f`` itself:
-    ``(u, stats, own, own_stats)``.  The shared spectrum must come back
-    unchanged; ``transforms`` then holds the shared solve's transforms."""
+    """A solve of the shared spectrum of ``f`` and one of ``f`` itself,
+    which makes its own spectrum the same way and so gives the same bits:
+    ``(u, stats)``.  The shared spectrum must come back unchanged;
+    ``transforms`` then holds the shared solve's transforms."""
     rhs = rhs_spectrum(f.copy(), grid)
     kept = rhs.values.copy()
     transforms.clear()
@@ -194,8 +195,9 @@ def shared_and_own(f, holes, grid, tol, transforms):
     assert not rhs.values.flags.writeable
     np.testing.assert_array_equal(rhs.values, kept)
     transforms[:] = made
-    assert np.linalg.norm(u - own) <= 1e-12 * np.linalg.norm(own)
-    return u, stats, own, own_stats
+    np.testing.assert_array_equal(u, own)
+    assert (stats.iterations, stats.residual) == (own_stats.iterations, own_stats.residual)
+    return u, stats
 
 
 def test_shared_base_matches_own_base(transforms):
@@ -209,11 +211,10 @@ def test_shared_base_matches_own_base(transforms):
     mask = hole_mask(grid, holes)
     assert 0 < 2 * int(mask.sum()) <= grid.size
     f = 1.0 + np.random.default_rng(8).standard_normal(grid.shape)
-    u, stats, _, own_stats = shared_and_own(f, holes, grid, 1e-9, transforms)
+    u, stats = shared_and_own(f, holes, grid, 1e-9, transforms)
     assert transforms == []
     assert np.all(u[mask] == 0.0)
-    assert stats.iterations == own_stats.iterations
-    assert stats.residual <= 1e-9 and own_stats.residual <= 1e-9
+    assert stats.residual <= 1e-9
 
 
 def test_surface_layer_row_ignores_the_base(transforms):
@@ -225,9 +226,8 @@ def test_surface_layer_row_ignores_the_base(transforms):
     holes = family([[0.5, 0.5, 0.5]], [0.55])
     assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
     f = 1.0 + np.random.default_rng(9).standard_normal(grid.shape)
-    _, stats, _, own_stats = shared_and_own(f, holes, grid, 1e-9, transforms)
+    shared_and_own(f, holes, grid, 1e-9, transforms)
     assert transforms == [("sine_transform", 11)] * 2
-    assert stats.iterations == own_stats.iterations
 
 
 def test_holes_holding_most_of_f_recover_the_norm_of_b(transforms):
@@ -238,7 +238,7 @@ def test_holes_holding_most_of_f_recover_the_norm_of_b(transforms):
     mask = hole_mask(grid, holes)
     assert 0 < 2 * int(mask.sum()) <= grid.size
     f = np.where(mask, 30.0, 1.0)
-    u, stats, _, _ = shared_and_own(f, holes, grid, 1e-9, transforms)
+    u, stats = shared_and_own(f, holes, grid, 1e-9, transforms)
     assert transforms == [("sine_transform", 15)]
     assert stats.residual <= 1e-9
     assert abs(stats.residual - free_residual(f, mask, u, grid.h)) <= (
