@@ -65,6 +65,7 @@ from .potential import (
 )
 from .solver import (
     Grid,
+    RhsSpectrum,
     SolveStats,
     corrector_field,
     field_from_callable,
@@ -73,6 +74,7 @@ from .solver import (
     lump_measure,
     read_field,
     restrict,
+    rhs_spectrum,
     solve_limit,
     solve_perforated,
     weak_witness,
