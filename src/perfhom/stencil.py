@@ -446,8 +446,9 @@ class SupportSolve:
         rows, count, where = self._steps[-1]
         x = np.empty((rows.shape[0], lines.shape[0]))
         step = max(1, _GEMM_BLOCK // n)
-        mu = _mode_sums(self.lam, self.d - 1).reshape(-1) + self.shift
-        scratch = np.empty((min(step, lines.shape[0]), n))
+        if scaled:
+            mu = _mode_sums(self.lam, self.d - 1).reshape(-1) + self.shift
+            scratch = np.empty((min(step, lines.shape[0]), n))
         for start in range(0, lines.shape[0], step):
             part = lines[start : start + step]
             if scaled:
