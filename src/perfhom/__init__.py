@@ -60,6 +60,7 @@ from .potential import (
     SurfaceGraph,
     cell_average_field,
     cell_mass,
+    cell_masses,
     max_cell_mass_scaling,
     parse_potential,
 )

@@ -141,8 +141,11 @@ def disjointness_check(holes: HoleFamily, seps: SeparationParams) -> Disjointnes
     slack = INCLUSION_ULPS * np.finfo(float).eps * (np.abs(index) + 1.0)
     local = np.abs(centers / seps.epsilon - index) + seps.c1
     outside = np.any(local > 1.0 + slack, axis=1)
-    _, owner, count = np.unique(index, axis=0, return_inverse=True, return_counts=True)
-    shared = count[owner.reshape(-1)] > 1
+    # holes whose index row equals a neighbour's in lexicographic order
+    order = np.lexsort(index.T)
+    repeat = np.flatnonzero((index[order[1:]] == index[order[:-1]]).all(axis=1))
+    shared = np.zeros(len(holes), dtype=bool)
+    shared[order[repeat]] = shared[order[repeat + 1]] = True
     suspect = outside | shared | np.any(index % 2 != 0, axis=1)
     limit = (2.0 * seps.R) ** 2
     pairs = set()

@@ -1,16 +1,26 @@
 """Nonnegative target potentials and their cell masses.
 
 A potential is a nonnegative Borel measure given in one of three forms:
-a density (``L^p`` with ``p >= d``), a weighted surface measure of a
-Lipschitz graph ``x_d = s(x')``, or a finite sum of such parts.  The
-central operation is the mass ``mu(A_i)`` of a lattice cell, evaluated
-by fixed rules: tensor Gauss quadrature of order
+a product density (``L^p`` with ``p >= d``), a weighted surface measure
+of a product graph ``x_d = s(x')``, or a finite sum of such parts.  Each
+part is held as its 1-D factors, callables that take a 1-D array of
+coordinates along one axis and return an array of the same shape:
+
+* a :class:`Density` is ``f(x) = prod_k f_k(x_k)``, one nonnegative
+  factor per axis;
+* a :class:`SurfaceGraph` is the graph of ``s(x') = offset + amplitude *
+  prod_k s_k(x'_k)``, one factor and its derivative per footprint axis,
+  with a scalar weight.
+
+The central operation is the mass ``mu(A_i)`` of a lattice cell, evaluated
+by fixed rules: the tensor Gauss rule of order
 :data:`CELL_MASS_GAUSS_ORDER` for densities, and midpoint quadrature of
 ``weight * sqrt(1 + |grad s|^2)`` over the cell footprint,
 :data:`SURFACE_MIDPOINTS` midpoints per cell width and axis, for graphs.
-
-All callables are vectorised: they take points of shape ``(N, k)`` and
-return shape ``(N,)`` (or ``(N, k)`` for gradients).
+Both run per axis: a tensor rule on a product factors exactly into 1-D
+rules, so each density factor is integrated once per cell interval on
+its axis, and graph heights and gradients are broadcast products of
+factor values, each factor evaluated once per footprint coordinate.
 """
 
 from __future__ import annotations
@@ -30,25 +40,40 @@ CELL_MASS_GAUSS_ORDER = 4
 # Footprint midpoints per cell width (node spacing, in lumping) and axis: resolve the area element.
 SURFACE_MIDPOINTS = 16
 
+Factor = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class Density:
-    """Absolutely continuous part ``f(x) dx`` with nonnegative ``f``."""
+    """Absolutely continuous part ``f(x) dx`` with the product density
+    ``f(x) = prod_k factors[k](x_k)``: one nonnegative factor per axis."""
 
-    f: Callable[[np.ndarray], np.ndarray]
+    factors: tuple[Factor, ...]
 
 
 @dataclass(frozen=True)
 class SurfaceGraph:
-    """Weighted surface measure of the graph ``x_d = height(x')``.
+    """Weighted surface measure of the graph ``x_d = s(x')``, with
+    ``s(x') = offset + amplitude * prod_k factors[k](x'_k)``.
 
-    ``grad`` must return the gradient of ``height`` (shape ``(N, d-1)``),
-    and ``weight`` is a bounded nonnegative function of ``x'`` (or a scalar).
+    ``slopes[k]`` is the derivative of ``factors[k]``, so ``d_k s =
+    amplitude * slopes[k](x'_k) * prod_{j != k} factors[j](x'_j)``;
+    ``weight`` is a finite nonnegative scalar.
     """
 
-    height: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    weight: Union[float, Callable[[np.ndarray], np.ndarray]] = 1.0
+    offset: float
+    amplitude: float
+    factors: tuple[Factor, ...]
+    slopes: tuple[Factor, ...]
+    weight: float = 1.0
+
+    def __post_init__(self):
+        if len(self.slopes) != len(self.factors):
+            raise InvalidParameterError(
+                f"graph has {len(self.factors)} factors but {len(self.slopes)} slopes"
+            )
+        if not 0.0 <= self.weight < math.inf:
+            raise InvalidParameterError("surface weight must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,33 +90,56 @@ class SumPotential:
 Potential = Union[Density, SurfaceGraph, SumPotential]
 
 
-def eval_checked(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorised callable and reject non-finite output."""
-    values = np.asarray(f(points), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("potential callable returned non-finite values")
+def _check_factor_count(mu: Union[Density, SurfaceGraph], dim: int) -> None:
+    """A density needs ``dim`` factors, a graph ``dim - 1``."""
+    want = dim if isinstance(mu, Density) else dim - 1
+    if len(mu.factors) != want:
+        kind = type(mu).__name__
+        raise InvalidParameterError(
+            f"{kind} in {dim} dimensions needs {want} factors, got {len(mu.factors)}"
+        )
+
+
+def _factor_values(factor: Factor, t: np.ndarray, nonnegative: bool = False) -> np.ndarray:
+    """``factor`` on the 1-D coordinates ``t``, checked: finite, of
+    ``t``'s shape and, for a density (``nonnegative``), nonnegative."""
+    values = np.asarray(factor(t), dtype=float)
+    if values.shape != t.shape:
+        raise InvalidParameterError(
+            f"potential factor returned shape {values.shape} for {t.shape} coordinates"
+        )
+    if not np.isfinite(values).all():
+        raise EvaluationError("potential factor returned non-finite values")
+    if nonnegative and (values < 0.0).any():
+        raise InvalidParameterError("density must be nonnegative")
     return values
 
 
-def box_quadrature(f, centers: np.ndarray, half: float, order: int) -> np.ndarray:
-    """Tensor Gauss integrals of a nonnegative density ``f`` over the boxes
-    of half-width ``half`` centered at the rows of ``centers``.
+def factor_averages(
+    mu: Density, centers: Sequence[np.ndarray], half: float, order: int
+) -> list[np.ndarray]:
+    """Gauss averages of each factor of a density over 1-D intervals.
 
-    One pass per Gauss node evaluates ``f`` at all shifted centers.
+    Entry ``k`` holds, for each coordinate ``c`` of ``centers[k]``, the
+    order-``order`` Gauss average of ``factors[k]`` over ``(c - half,
+    c + half)``: the weights are halved Gauss weights, summing to one, so
+    at order 2 (weights 1/2 and 1/2) a constant factor averages to itself
+    exactly.  Each factor is evaluated once, on ``order`` points per
+    center.  By Fubini the density's tensor Gauss average over a box is
+    the product of its axes' averages.
     """
-    dim = centers.shape[1]
+    _check_factor_count(mu, len(centers))
     ref_x, ref_w = np.polynomial.legendre.leggauss(order)
-    offsets = np.meshgrid(*([half * ref_x] * dim), indexing="ij")
-    qweights = half * ref_w
-    for _ in range(dim - 1):
-        qweights = np.multiply.outer(qweights, half * ref_w)
-    acc = np.zeros(centers.shape[0])
-    for offset, qweight in zip(np.stack([g.ravel() for g in offsets], axis=-1), qweights.ravel()):
-        values = eval_checked(f, centers + offset)
-        if np.any(values < 0.0):
-            raise InvalidParameterError("density must be nonnegative")
-        acc += qweight * values
-    return acc
+    weights = (0.5 * ref_w).tolist()
+    out = []
+    for factor, c in zip(mu.factors, centers):
+        points = np.asarray(c, dtype=float)[:, None] + half * ref_x
+        values = _factor_values(factor, points.ravel(), nonnegative=True).reshape(points.shape)
+        average = weights[0] * values[:, 0]
+        for g in range(1, order):
+            average += weights[g] * values[:, g]
+        out.append(average)
+    return out
 
 
 def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axis_index, shape):
@@ -106,39 +154,45 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
 
     Everything separable is done once per axis: the footprint axes are
     binned (and their out-of-range coordinates dropped) once, as 1-D
-    arrays.  The axis-0 samples then split into runs sharing one axis-0
-    bin.  Each run evaluates the callables on its own points, bins only
-    the lifted heights and fills its slab ``dense[i0]`` with one
-    ``np.bincount``, so scratch stays at one run of samples,
-    ``O(n^(d-1))``.  No two runs share a bin and ``bincount`` adds in
-    input order, so every bin adds its samples in footprint order, as one
-    ``np.add.at`` pass over the whole footprint would.
+    arrays, and each factor and slope is evaluated once per kept
+    coordinate.  The axis-0 samples then split into runs sharing one
+    axis-0 bin.  Each run forms its heights ``offset + amplitude *
+    (s_0 s_1 ...)`` and gradient components ``(amplitude s'_k) prod_{j !=
+    k} s_j`` as broadcast products of those values, in axis order, sums
+    ``|grad s|^2`` component by component, bins only the lifted heights
+    and fills its slab ``dense[i0]`` with one ``np.bincount``, so scratch
+    stays at one run of samples, ``O(n^(d-1))``.  No two runs share a bin
+    and ``bincount`` adds in input order, so every bin adds its samples in
+    footprint order, as one ``np.add.at`` pass over the whole footprint
+    would.  A height that overflows raises :class:`EvaluationError`.
     """
+    _check_factor_count(mu, len(shape))
     dense = np.zeros(shape)
-    coords, idx = [], []
+    idx, values, slopes = [], [], []
     for k, axis in enumerate(axes):
         c = np.ravel(axis)
         i = axis_index(k, c)
         keep = (i >= 0) & (i < shape[k])
-        coords.append(c[keep])
+        c = c[keep]
         idx.append(i[keep])
+        values.append(_factor_values(mu.factors[k], c))
+        slopes.append(mu.amplitude * _factor_values(mu.slopes[k], c))
     # flat position in a slab of each sample over the axes 1..d-2, before the height bin
     base = np.ravel_multi_index(np.meshgrid(*idx[1:], indexing="ij"), shape[1:-1]).ravel()
     base *= shape[-1]
     starts = np.flatnonzero(np.diff(idx[0])) + 1
-    for i0, run in zip(idx[0][np.r_[0, starts]], np.split(coords[0], starts)):
-        mesh = np.meshgrid(run, *coords[1:], indexing="ij")
-        points = np.stack([g.ravel() for g in mesh], axis=-1)
-        heights = eval_checked(mu.height, points)
-        grads = np.asarray(mu.grad(points), dtype=float).reshape(len(points), -1)
-        norm2 = grads[:, 0] * grads[:, 0]
-        for k in range(1, grads.shape[1]):
-            norm2 += grads[:, k] * grads[:, k]
-        weight = eval_checked(mu.weight, points) if callable(mu.weight) else float(mu.weight)
-        if np.any(weight < 0.0):
-            raise InvalidParameterError("surface weight must be nonnegative")
-        mass = weight * np.sqrt(1.0 + norm2) * area
-        iz = axis_index(len(axes), heights)
+    runs = zip(idx[0][np.r_[0, starts]], np.split(values[0], starts), np.split(slopes[0], starts))
+    for i0, run, slope in runs:
+        factors, derivatives = [run, *values[1:]], [slope, *slopes[1:]]
+        heights = mu.offset + mu.amplitude * math.prod(np.ix_(*factors))
+        if not np.isfinite(heights).all():
+            raise EvaluationError("graph height is not finite; it overflows or is undefined")
+        norm2 = 0.0
+        for k, derivative in enumerate(derivatives):
+            grad = math.prod(np.ix_(*factors[:k], derivative, *factors[k + 1 :]))
+            norm2 += grad * grad
+        mass = (mu.weight * np.sqrt(1.0 + norm2) * area).ravel()
+        iz = axis_index(len(axes), heights.ravel())
         lin = (base + iz.reshape(len(run), -1)).ravel()
         keep = (iz >= 0) & (iz < shape[-1])
         if not keep.all():
@@ -150,22 +204,40 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
 def cell_masses(mu: Potential, cells: CellFamily) -> np.ndarray:
     """Masses ``mu(A_i)`` of a cell family, shape ``(N,)``, in index order.
 
-    Densities use tensor Gauss quadrature of order
+    Densities use the tensor Gauss rule of order
     :data:`CELL_MASS_GAUSS_ORDER` over each cell box (exact for
-    constants).  Surface graphs sample the footprints of the family's
-    cell columns once, :data:`SURFACE_MIDPOINTS` midpoints per cell width
-    and axis, and credit each sample's weighted area element to the cell
+    constants), as 1-D rules: each factor is integrated over the cell
+    intervals present on its axis (:func:`factor_averages`, 4 points per
+    distinct index), and a cell's mass is the product of its axes'
+    integrals.  Surface graphs sample the footprints of the family's cell
+    columns once, :data:`SURFACE_MIDPOINTS` midpoints per cell width and
+    axis, and credit each sample's weighted area element to the cell
     holding its lifted point (half-open convention), by
     :func:`bin_footprint`: the column of each footprint coordinate is
     found once per axis, and one ``np.bincount`` per axis-0 column fills
-    the masses of that column's cells.  Sums add exactly.
+    the masses of that column's cells.  Sums add exactly.  A mass that
+    overflows raises :class:`EvaluationError`; an empty family has no
+    masses.
     """
+    if not len(cells):
+        return np.zeros(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = _cell_masses(mu, cells)
+    if not np.isfinite(masses).all():
+        raise EvaluationError("cell mass overflows")
+    return masses
+
+
+def _cell_masses(mu: Potential, cells: CellFamily) -> np.ndarray:
     if isinstance(mu, SumPotential):
-        return sum(cell_masses(part, cells) for part in mu.parts)
+        return sum(_cell_masses(part, cells) for part in mu.parts)
     eps = cells.epsilon
     index = cells.index
     if isinstance(mu, Density):
-        return box_quadrature(mu.f, eps * index, eps, CELL_MASS_GAUSS_ORDER)
+        columns = [np.unique(index[:, k], return_inverse=True) for k in range(index.shape[1])]
+        averages = factor_averages(mu, [eps * c for c, _ in columns], eps, CELL_MASS_GAUSS_ORDER)
+        # each cell's axis integrals, multiplied in axis order
+        return math.prod(((2.0 * eps) * a)[at] for a, (_, at) in zip(averages, columns))
     if isinstance(mu, SurfaceGraph):
         spec = TilingSpec(index.shape[1], eps)
         lo = index.min(axis=0)
@@ -257,62 +329,48 @@ def max_cell_mass_scaling(
 # ---------------------------------------------------------------------------
 
 
-def _column_product(values: np.ndarray) -> np.ndarray:
-    """Row products of an ``(N, k)`` array, one column at a time: the
-    factors multiply in the order of ``np.prod(values, axis=1)``."""
-    out = values[:, 0]
-    for k in range(1, values.shape[1]):
-        out = out * values[:, k]
-    return out
+def _indicator(lo: float, hi: float, inside: Factor) -> Factor:
+    """The factor ``inside(t)`` on ``(lo, hi)``, zero outside."""
+    return lambda t: np.where((t > lo) & (t < hi), inside(t), 0.0)
 
 
-def _inside(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Rows of ``x`` inside the open box ``(lo, hi)^k``, one column at a time."""
-    inside = (x[:, 0] > lo) & (x[:, 0] < hi)
-    for k in range(1, x.shape[1]):
-        inside &= (x[:, k] > lo) & (x[:, k] < hi)
-    return inside
+def _constant(c: float) -> Factor:
+    return lambda t: np.full(t.shape, c)
 
 
 def make_constant(dim: int, c: float) -> Density:
-    """Uniform density ``c`` on all of R^d."""
+    """Uniform density ``c`` on all of R^d: factors ``c, 1, ..., 1``."""
     if c < 0.0:
         raise InvalidParameterError("constant density must be nonnegative")
-    return Density(f=lambda x: np.full(x.shape[0], float(c)))
+    return Density((_constant(float(c)),) + (_constant(1.0),) * (dim - 1))
 
 
 def make_box(dim: int, c: float, lo: float = 0.0, hi: float = 1.0) -> Density:
-    """Uniform density ``c`` on the box ``(lo, hi)^d``, zero outside."""
+    """Uniform density ``c`` on the box ``(lo, hi)^d``, zero outside:
+    factors ``c 1_(lo,hi), 1_(lo,hi), ...``."""
     if c < 0.0:
         raise InvalidParameterError("box density must be nonnegative")
     if lo >= hi:
         raise InvalidParameterError("box needs lo < hi")
-
-    def f(x):
-        return np.where(_inside(x, lo, hi), float(c), 0.0)
-
-    return Density(f=f)
+    first = _indicator(lo, hi, _constant(float(c)))
+    return Density((first,) + (_indicator(lo, hi, _constant(1.0)),) * (dim - 1))
 
 
 def make_sine_density(dim: int, amplitude: float) -> Density:
-    """Density ``amplitude * prod_k sin(pi x_k)`` on the unit cube, zero outside."""
+    """Density ``amplitude * prod_k sin(pi x_k)`` on the unit cube, zero
+    outside: factors ``a sin(pi t) 1_(0,1), sin(pi t) 1_(0,1), ...``."""
     if amplitude < 0.0:
         raise InvalidParameterError("sine density amplitude must be nonnegative")
-
-    def f(x):
-        return np.where(_inside(x, 0.0, 1.0), amplitude * _column_product(np.sin(np.pi * x)), 0.0)
-
-    return Density(f=f)
+    first = _indicator(0.0, 1.0, lambda t: amplitude * np.sin(np.pi * t))
+    return Density((first,) + (_indicator(0.0, 1.0, lambda t: np.sin(np.pi * t)),) * (dim - 1))
 
 
 def make_plane(dim: int, z0: float, weight: float = 1.0) -> SurfaceGraph:
-    """Weighted surface measure of the hyperplane ``x_d = z0``."""
+    """Weighted surface measure of the hyperplane ``x_d = z0``: amplitude 0."""
     if weight < 0.0:
         raise InvalidParameterError("plane weight must be nonnegative")
     return SurfaceGraph(
-        height=lambda xp: np.full(xp.shape[0], float(z0)),
-        grad=lambda xp: np.zeros_like(xp),
-        weight=float(weight),
+        float(z0), 0.0, (_constant(1.0),) * (dim - 1), (_constant(0.0),) * (dim - 1), float(weight)
     )
 
 
@@ -323,25 +381,9 @@ def make_graph(
     if weight < 0.0:
         raise InvalidParameterError("graph weight must be nonnegative")
     omega = 2.0 * math.pi * frequency
-
-    def height(xp):
-        return z0 + amplitude * _column_product(np.sin(omega * xp))
-
-    def grad(xp):
-        s = np.sin(omega * xp)
-        c = np.cos(omega * xp)
-        prod = _column_product(s)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(s != 0.0, prod / s, 0.0)
-        # recompute columns that contain a zero factor explicitly
-        bad = np.nonzero((s == 0.0).any(axis=1))[0]
-        for row in bad:
-            for k in range(xp.shape[1]):
-                others = np.delete(s[row], k)
-                ratio[row, k] = np.prod(others)
-        return amplitude * omega * c * ratio
-
-    return SurfaceGraph(height=height, grad=grad, weight=float(weight))
+    factors = (lambda t: np.sin(omega * t),) * (dim - 1)
+    slopes = (lambda t: omega * np.cos(omega * t),) * (dim - 1)
+    return SurfaceGraph(float(z0), float(amplitude), factors, slopes, float(weight))
 
 
 def make_sum(dim: int, parts: Sequence[Potential]) -> SumPotential:

@@ -7,7 +7,8 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
 * the limit problem ``(-Delta + mu) u = f`` with the measure ``mu``
   lumped onto node dual cells by fixed rules: order-2 tensor Gauss
   quadrature for densities, whose O(h^4) dual-cell error is below the
-  O(h^2) error of the grid, and
+  O(h^2) error of the grid, run per axis on the density's factors and
+  multiplied out as one outer product, and
   :data:`~perfhom.potential.SURFACE_MIDPOINTS` footprint midpoints per
   node spacing and axis for surface measures.
 
@@ -75,7 +76,7 @@ from .potential import (
     SumPotential,
     SurfaceGraph,
     bin_footprint,
-    box_quadrature,
+    factor_averages,
 )
 from .stencil import SupportSolve, neg_laplacian, sine_transform, spectral_solve
 
@@ -396,7 +397,7 @@ def _capacitance_solve(
     if clamped is not None and not surface:
         # b = f - E_X f_X: (A^-1 b)_Y = (A^-1 f)_Y - A^-1_YY f_X, and
         # ||b||^2 = ||f||^2 - ||f_X||^2 unless that cancels
-        f_x = solve.read(spectrum, scaled=False)
+        f_x, g = solve.read(spectrum, both=True)
         if on_w is not None:
             f_x[on_w] = 0.0
         lost = dot(f_x, f_x)
@@ -406,7 +407,8 @@ def _capacitance_solve(
             norm_b = rhs_norm(_off_clamped(spectrum, clamped, grid))
             if norm_b == 0.0:
                 return zero()
-    g = solve.read(spectrum)
+    else:
+        g = solve.read(spectrum)
     if f_x is not None:
         g -= solve.apply(f_x)
     if root is not None:
@@ -499,9 +501,13 @@ def lump_measure(mu: Potential, grid: Grid) -> Array:
     ``V_j`` is the half-open h-cube centered at node ``j`` (consistent
     with the tiling convention).  Densities use order-2 tensor Gauss
     quadrature over each dual cell: the 2-point rule has an O(h^4)
-    dual-cell error, below the O(h^2) error of the grid, and lumps a
-    constant density to itself at every node (construction's cell masses
-    use :data:`~perfhom.potential.CELL_MASS_GAUSS_ORDER`).  Surface
+    dual-cell error, below the O(h^2) error of the grid (construction's
+    cell masses use :data:`~perfhom.potential.CELL_MASS_GAUSS_ORDER`).
+    On a product density the rule is the product of 1-D rules, so each
+    factor is averaged over the ``n`` dual-cell intervals of its axis
+    (:func:`~perfhom.potential.factor_averages`, ``2n`` evaluations, with
+    weights 1/2 and 1/2) and ``w`` is the outer product of those
+    averages: a constant density lumps to itself exactly.  Surface
     measures deposit footprint samples of the weighted area element,
     :data:`~perfhom.potential.SURFACE_MIDPOINTS` per node spacing and
     axis, into the dual cell holding the lifted point; samples in the
@@ -512,7 +518,8 @@ def lump_measure(mu: Potential, grid: Grid) -> Array:
     ``out[i]`` per ``np.bincount``, with ``O(n^(d-1))`` scratch.
 
     Raises :class:`InvalidParameterError` if a lumped value is not finite,
-    such as a mass that overflows once divided by ``h^d``.
+    such as a product of finite factors or a mass divided by ``h^d`` that
+    overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = _lump(mu, grid)
@@ -528,10 +535,10 @@ def _lump(mu: Potential, grid: Grid) -> Array:
         for part in mu.parts:
             out += _lump(part, grid)
         return out
-    h = grid.h
     if isinstance(mu, Density):
-        out = field_from_callable(grid, lambda pts: box_quadrature(mu.f, pts, 0.5 * h, 2))
-    elif isinstance(mu, SurfaceGraph):
+        # the dual-cell averages of the factors, one outer product
+        return math.prod(np.ix_(*factor_averages(mu, [grid.axis()] * grid.dim, 0.5 * grid.h, 2)))
+    if isinstance(mu, SurfaceGraph):
         m = (grid.n + 1) * SURFACE_MIDPOINTS
         step = 1.0 / m
         rows = ((np.arange(m) + 0.5) * step).reshape(grid.n + 1, SURFACE_MIDPOINTS)
@@ -539,10 +546,9 @@ def _lump(mu: Potential, grid: Grid) -> Array:
             mu, [rows] * (grid.dim - 1), step ** (grid.dim - 1),
             lambda k, coords: _dual_cell_indices(grid, coords), grid.shape,
         )
-    else:
-        raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
-    out /= h**grid.dim
-    return out
+        out /= grid.h**grid.dim
+        return out
+    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
 
 
 def solve_limit(

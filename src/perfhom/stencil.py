@@ -427,16 +427,18 @@ class SupportSolve:
         x = self._forward(v, inner).reshape(self._kernel.shape[0], -1)
         return self._backward(np.einsum("abk,ak->bk", self._kernel, x), inner)
 
-    def read(self, spectrum: Array, scaled: bool = True) -> Array:
+    def read(self, spectrum: Array, scaled: bool = True, both: bool = False):
         """For the spectrum ``Q^d b`` of an ``n^d`` block ``b``, return
         ``((neg_laplacian + shift)^-1 b)_S``, or ``b_S`` when not ``scaled``,
-        as a new vector.
+        as a new vector; with ``both``, the pair ``(b_S, ((neg_laplacian +
+        shift)^-1 b)_S)`` from one pass over ``spectrum``, each bit for bit
+        its own read.
 
         The backward half of :meth:`apply` on the whole spectrum: the
         last-axis contraction runs over chunks of ``spectrum``'s lines of
         about ``_GEMM_BLOCK`` values, each scaled in scratch of that size,
         so no ``n^d`` array is made beside the contraction's output of
-        ``c n^(d-1)`` values.
+        ``c n^(d-1)`` values (two with ``both``).
         """
         n = self.n
         spectrum = np.asarray(spectrum, dtype=float)
@@ -444,20 +446,25 @@ class SupportSolve:
             raise InvalidParameterError("spectrum does not match the block")
         lines = spectrum.reshape(-1, n)
         rows, count, where = self._steps[-1]
-        x = np.empty((rows.shape[0], lines.shape[0]))
+        # the unscaled and the scaled contraction, as asked
+        kinds = (False, True) if both else (scaled,)
+        outs = [np.empty((rows.shape[0], lines.shape[0])) for _ in kinds]
         step = max(1, _GEMM_BLOCK // n)
-        if scaled:
+        if kinds[-1]:
             mu = _mode_sums(self.lam, self.d - 1).reshape(-1) + self.shift
             scratch = np.empty((min(step, lines.shape[0]), n))
         for start in range(0, lines.shape[0], step):
             part = lines[start : start + step]
-            if scaled:
-                den = scratch[: part.shape[0]]
-                np.add.outer(mu[start : start + step], self.lam, out=den)
-                part = np.divide(part, den, out=den)
-            np.matmul(rows, part.T, out=x[:, start : start + step])
-        x = _lines(x, count, where)  # the lines alone outlive this step
-        return self._backward(x, self._steps[:-1])
+            for kind, x in zip(kinds, outs):
+                if kind:  # the last kind: the chunk is scaled in scratch
+                    den = scratch[: part.shape[0]]
+                    np.add.outer(mu[start : start + step], self.lam, out=den)
+                    part = np.divide(part, den, out=den)
+                np.matmul(rows, part.T, out=x[:, start : start + step])
+        reads = []
+        while outs:  # the lines alone outlive this step
+            reads.append(self._backward(_lines(outs.pop(0), count, where), self._steps[:-1]))
+        return tuple(reads) if both else reads[0]
 
     def finish(self, spectrum: Array, v: Array) -> Array:
         """Return ``(neg_laplacian + shift)^-1 (b - E_S v)`` on the whole

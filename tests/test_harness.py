@@ -26,6 +26,7 @@ from perfhom.harness import (
 )
 from perfhom.solver import Grid, field_from_callable, hole_mask, sine_mode_field
 from perfhom.tiling import cells_intersecting
+from pointwise import density_at
 
 
 def write_config(path, body):
@@ -176,8 +177,8 @@ def test_study_config_is_frozen():
         cfg.potential_spec = "zero()"
     # a replaced spec is parsed again, so the potential follows it
     zero = dataclasses.replace(cfg, potential_spec="zero()")
-    assert zero.potential.f(pts).tolist() == [0.0]
-    assert cfg.potential.f(pts).tolist() == [40.0]
+    assert density_at(zero.potential, pts).tolist() == [0.0]
+    assert density_at(cfg.potential, pts).tolist() == [40.0]
     # and a replaced trend is checked again
     with pytest.raises(ConfigError, match="unknown column 'no_such_column'"):
         dataclasses.replace(cfg, trends=(TrendSpec("x", "no_such_column", "strict_decrease"),))

@@ -247,3 +247,35 @@ def test_pairs_match_all_pairs_scan():
     )
     assert expected
     assert disjointness_check(holes, seps).overlapping_pairs == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("base", [-(2**40), -6, 2**40 - 8])
+def test_shared_indices_found_far_apart_in_family_order(dim, base):
+    # even indices, centers inside their cells and c1 = 1/2, so distinct
+    # cells never overlap: the only pairs are holes sharing an index row,
+    # found however far apart they sit in family order and whatever the
+    # size or sign of the index
+    rng = np.random.default_rng(dim)
+    seps = SeparationParams(c1=0.5, epsilon=0.25)
+    index = base + 2 * np.stack(
+        np.meshgrid(*([np.arange(4)] * dim), indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    index = rng.permutation(index)
+    # rows repeated at the far end of the family, and one right after itself
+    index = np.concatenate([index, index[[0, len(index) // 2, 0]]])
+    index = np.insert(index, 6, index[5], axis=0)
+    centers = seps.epsilon * index + rng.uniform(-0.01, 0.01, index.shape)
+    holes = HoleFamily(centers, np.full(len(index), 0.01), index)
+    n = len(holes)
+    expected = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if float(np.sum((centers[i] - centers[j]) ** 2)) < (2.0 * seps.R) ** 2
+    )
+    assert len(expected) >= 4 and any(j - i > n // 2 for i, j in expected)
+    assert all(np.array_equal(index[i], index[j]) for i, j in expected)
+    report = disjointness_check(holes, seps)
+    assert report.overlapping_pairs == expected
+    assert report.inclusion_ok and not report.disjoint

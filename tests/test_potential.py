@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,18 @@ from perfhom.potential import (
     parse_potential,
 )
 from perfhom.solver import Grid, lump_measure
-from perfhom.tiling import Box, Cell, TilingSpec, cell_axis_indices, cells_intersecting, unit_box
+from perfhom.tiling import (
+    Box,
+    Cell,
+    CellFamily,
+    TilingSpec,
+    cell_axis_indices,
+    cells_intersecting,
+    unit_box,
+)
+from pointwise import box_quadrature, density_at, graph_at
+
+EPS64 = np.finfo(float).eps
 
 
 def gauss_oracle_lp_distance(field, mu, p, order=4):
@@ -46,7 +58,7 @@ def gauss_oracle_lp_distance(field, mu, p, order=4):
         grids = np.meshgrid(*axes_x, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         w = np.multiply.outer(np.multiply.outer(axes_w[0], axes_w[1]), axes_w[2]).ravel()
-        total += float((np.abs(value - mu.f(pts)) ** p) @ w)
+        total += float((np.abs(value - density_at(mu, pts)) ** p) @ w)
     return total ** (1.0 / p)
 
 
@@ -92,12 +104,22 @@ def test_additivity_of_sums_is_exact():
     assert cell_mass(total, cell) == cell_mass(parts[0], cell) + cell_mass(parts[1], cell)
 
 
-def test_weighted_surface_bounded_by_sup_weight():
-    flat = make_plane(3, 0.5, 1.0)
-    weight_fn = lambda xp: 0.5 + 0.5 * np.sin(np.pi * xp[:, 0]) ** 2
-    weighted = SurfaceGraph(height=flat.height, grad=flat.grad, weight=weight_fn)
-    cell = Cell((2, 2, 4), 0.125)
-    assert cell_mass(weighted, cell) <= 1.0 * cell_mass(flat, cell) + 1e-15
+def test_surface_mass_is_linear_in_scalar_weight():
+    # the weight multiplies every sample's area element, so masses and
+    # lumped values scale with it; by a power of two, bit for bit
+    graph = make_graph(3, 0.5, 0.1, 2.0)
+    cells = cells_intersecting(TilingSpec(3, 1 / 8), unit_box(3))
+    grid = Grid(3, 23)
+    unit = cell_masses(graph, cells), lump_measure(graph, grid)
+    for weight in (0.0, 0.25, 4.0):
+        scaled = dataclasses.replace(graph, weight=weight)
+        assert np.array_equal(cell_masses(scaled, cells), weight * unit[0])
+        assert np.array_equal(lump_measure(scaled, grid), weight * unit[1])
+    # otherwise within the rounding of a sum of n = 16^2 samples per bin
+    scaled = dataclasses.replace(graph, weight=3.7)
+    bound = 2 * SURFACE_MIDPOINTS**2 * EPS64
+    np.testing.assert_allclose(cell_masses(scaled, cells), 3.7 * unit[0], rtol=bound, atol=0)
+    np.testing.assert_allclose(lump_measure(scaled, grid), 3.7 * unit[1], rtol=bound, atol=0)
 
 
 def test_partition_consistency_constant_density():
@@ -196,12 +218,12 @@ def test_graph_gradient_matches_finite_differences():
     pts = rng.uniform(0.0, 1.0, size=(40, 2))
     # include points where one sine factor vanishes exactly
     pts = np.vstack([pts, [[0.5, 0.3], [1.0 / 3.0, 2.0 / 3.0]]])
-    analytic = graph.grad(pts)
+    analytic = graph_at(graph, pts)[1]
     delta = 1e-6
     for axis in range(2):
         shift = np.zeros(2)
         shift[axis] = delta
-        fd = (graph.height(pts + shift) - graph.height(pts - shift)) / (2 * delta)
+        fd = (graph_at(graph, pts + shift)[0] - graph_at(graph, pts - shift)[0]) / (2 * delta)
         np.testing.assert_allclose(analytic[:, axis], fd, atol=1e-6)
     # gradient bounded by |A| omega sqrt(d-1)
     omega = 2.0 * math.pi * 1.5
@@ -209,16 +231,24 @@ def test_graph_gradient_matches_finite_differences():
     assert np.all(np.sqrt((analytic**2).sum(axis=1)) <= lip + 1e-12)
 
 
+def ones(t):
+    return np.ones_like(t)
+
+
 def test_nonfinite_density_raises():
-    bad = Density(f=lambda x: np.full(x.shape[0], np.inf))
+    bad = Density((ones, lambda t: np.full(t.shape, np.inf), ones))
     with pytest.raises(EvaluationError):
         cell_mass(bad, Cell((0, 0, 0), 0.25))
+    with pytest.raises(EvaluationError):
+        lump_measure(bad, Grid(3, 7))
 
 
 def test_negative_density_rejected():
-    bad = Density(f=lambda x: -np.ones(x.shape[0]))
-    with pytest.raises(InvalidParameterError):
+    bad = Density((ones, ones, lambda t: -np.ones_like(t)))
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
         cell_mass(bad, Cell((0, 0, 0), 0.25))
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        lump_measure(bad, Grid(3, 7))
 
 
 def test_parse_potential_constructors():
@@ -254,13 +284,13 @@ def reference_cell_mass(mu, cell):
         axes = [0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * ref_x for k in range(3)]
         w = [0.5 * (hi[k] - lo[k]) * ref_w for k in range(3)]
         pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        return float(mu.f(pts) @ np.einsum("i,j,k->ijk", *w).ravel())
+        return float(density_at(mu, pts) @ np.einsum("i,j,k->ijk", *w).ravel())
     refine = SURFACE_MIDPOINTS
     axes = [lo[k] + (hi[k] - lo[k]) * (np.arange(refine) + 0.5) / refine for k in range(2)]
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    z = mu.height(pts)
+    z, grads = graph_at(mu, pts)
     keep = (lo[2] < z) & (z <= hi[2])
-    element = np.sqrt(1.0 + (mu.grad(pts[keep]) ** 2).sum(axis=1))
+    element = np.sqrt(1.0 + (grads[keep] ** 2).sum(axis=1))
     return float(mu.weight * element.sum() * np.prod((hi[:2] - lo[:2]) / refine))
 
 
@@ -292,14 +322,14 @@ def assert_bits_equal(got, want):
 def add_at_footprint(mu, axes, area, bins, shape):
     """Reference binning: every sample of the footprint ``product(axes)``
     at once, ``weight * sqrt(1 + |grad|^2) * area`` added by ``np.add.at``
-    in footprint order into the bin of ``bins(k, coords)`` on each axis."""
+    in footprint order into the bin of ``bins(k, coords)`` on each axis.
+    Heights and gradients are the factor products of ``graph_at``."""
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    grads = mu.grad(pts)
+    heights, grads = graph_at(mu, pts)
     norm2 = sum(grads[:, k] * grads[:, k] for k in range(grads.shape[1]))
-    weight = mu.weight(pts) if callable(mu.weight) else mu.weight
-    mass = weight * np.sqrt(1.0 + norm2) * area
+    mass = mu.weight * np.sqrt(1.0 + norm2) * area
     idx = [bins(k, pts[:, k]) for k in range(pts.shape[1])]
-    idx.append(bins(len(idx), mu.height(pts)))
+    idx.append(bins(len(idx), heights))
     keep = np.logical_and.reduce([(i >= 0) & (i < n) for i, n in zip(idx, shape)])
     dense = np.zeros(shape)
     np.add.at(dense, tuple(i[keep] for i in idx), mass[keep])
@@ -351,13 +381,16 @@ def binned_cell_masses(bin_samples, mu, cells, refine):
 
 
 def tilted_sheet(dim):
-    """A graph with a callable weight that leaves the unit cube through its
-    top face, so part of its footprint lifts out of every binning."""
-    slope = np.linspace(0.3, 0.6, dim - 1)
+    """A weighted product graph ``0.3 + 0.5 prod_k (1 + a_k x_k)`` that
+    leaves the unit cube through its top face, so part of its footprint
+    lifts out of every binning."""
+    slopes = np.linspace(0.3, 0.6, dim - 1).tolist()
     return SurfaceGraph(
-        height=lambda xp: 0.6 + xp @ slope,
-        grad=lambda xp: np.broadcast_to(slope, xp.shape),
-        weight=lambda xp: 1.0 + np.cos(3.0 * xp[:, 0]),
+        0.3,
+        0.5,
+        tuple((lambda t, a=a: 1.0 + a * t) for a in slopes),
+        tuple((lambda t, a=a: np.full(t.shape, a)) for a in slopes),
+        weight=1.7,
     )
 
 
@@ -406,19 +439,6 @@ def test_cell_masses_bin_as_add_at_over_whole_footprint(dim, eps, domain, refine
         assert_bits_equal(got, binned_cell_masses(add_at_footprint, mu, cells, refine))
 
 
-def old_graph_grad(xp, amplitude, omega):
-    """``make_graph``'s gradient written with axis reductions."""
-    s = np.sin(omega * xp)
-    c = np.cos(omega * xp)
-    prod = np.prod(s, axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(s != 0.0, prod / s, 0.0)
-    for row in np.nonzero((s == 0.0).any(axis=1))[0]:
-        for k in range(xp.shape[1]):
-            ratio[row, k] = np.prod(np.delete(s[row], k))
-    return amplitude * omega * c * ratio
-
-
 @pytest.mark.parametrize("dim", [3, 4])
 def test_registry_callables_match_axis_reductions(dim):
     # points inside and outside the unit cube, on its faces, and with
@@ -433,14 +453,175 @@ def test_registry_callables_match_axis_reductions(dim):
     inside = np.all((x > 0.0) & (x < 1.0), axis=1)
     assert inside.any() and not inside.all()
 
-    sine = make_sine_density(dim, 2.5).f(x)
-    assert_bits_equal(sine, np.where(inside, 2.5 * np.prod(np.sin(np.pi * x), axis=1), 0.0))
+    # the factor products against the pointwise formulas: equal support,
+    # values within the rounding of a d-fold product
+    sine = density_at(make_sine_density(dim, 2.5), x)
+    want = np.where(inside, 2.5 * np.prod(np.sin(np.pi * x), axis=1), 0.0)
+    np.testing.assert_array_equal(sine == 0.0, want == 0.0)
+    np.testing.assert_allclose(sine, want, rtol=2 * dim * EPS64, atol=0)
     in_box = np.all((x > 0.2) & (x < 0.7), axis=1)
-    assert_bits_equal(make_box(dim, 3.0, 0.2, 0.7).f(x), np.where(in_box, 3.0, 0.0))
+    assert_bits_equal(density_at(make_box(dim, 3.0, 0.2, 0.7), x), np.where(in_box, 3.0, 0.0))
+    assert_bits_equal(density_at(make_constant(dim, 4.5), x), np.full(len(x), 4.5))
 
     xp = x[:, :-1]
     for z0, amplitude, frequency in ((0.5, 0.1, 2.0), (0.3, -0.25, 1.5)):
         graph = make_graph(dim, z0, amplitude, frequency)
         omega = 2.0 * math.pi * frequency
-        assert_bits_equal(graph.height(xp), z0 + amplitude * np.prod(np.sin(omega * xp), axis=1))
-        assert_bits_equal(graph.grad(xp), old_graph_grad(xp, amplitude, omega))
+        heights, grads = graph_at(graph, xp)
+        s, c = np.sin(omega * xp), np.cos(omega * xp)
+        assert_bits_equal(heights, z0 + amplitude * np.prod(s, axis=1))
+        for k in range(dim - 1):
+            want = amplitude * omega * c[:, k] * np.prod(np.delete(s, k, axis=1), axis=1)
+            scale = abs(amplitude) * omega
+            assert np.all(np.abs(grads[:, k] - want) <= 2 * dim * EPS64 * scale)
+    plane = make_plane(dim, 0.4, 2.0)
+    heights, grads = graph_at(plane, xp)
+    assert_bits_equal(heights, np.full(len(x), 0.4))
+    assert np.array_equal(grads, np.zeros_like(xp))
+
+
+def lattice_cells(dim, eps, per_axis):
+    """The cells with even indices ``0, 2, ..., 2 (per_axis - 1)`` on each
+    axis; built directly, so that ``dim = 2`` is possible."""
+    axis = 2 * np.arange(per_axis)
+    index = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    return CellFamily(index, eps)
+
+
+def node_points(grid):
+    return np.stack(np.meshgrid(*([grid.axis()] * grid.dim), indexing="ij"), axis=-1).reshape(
+        -1, grid.dim
+    )
+
+
+@pytest.mark.parametrize("dim, n", [(2, 29), (3, 13), (4, 7)])
+def test_factor_rules_match_pointwise_tensor_gauss(dim, n):
+    # cell masses (order 4) and lumped values (order 2) against the tensor
+    # Gauss rule evaluated point by point.  Both sides round sums of
+    # nonnegative terms and a dim-fold product, so they agree within
+    # 4 dim ulps (5.6 at most seen, in 4D); the box's faces fall inside
+    # cells and dual cells, so some Gauss points of each miss it
+    eps = 1.0 / 6.0
+    cells = lattice_cells(dim, eps, 4)
+    grid = Grid(dim, n)
+    h = grid.h
+    bound = 4 * dim * EPS64
+    densities = make_constant(dim, 2.5), make_box(dim, 3.0, 0.23, 0.71), make_sine_density(dim, 1.7)
+    for mu in densities:
+        pointwise = lambda x: density_at(mu, x)  # noqa: E731
+        masses = box_quadrature(pointwise, eps * cells.index, eps, 4)
+        lumped = box_quadrature(pointwise, node_points(grid), 0.5 * h, 2) / h**dim
+        for got, want in (
+            (cell_masses(mu, cells), masses),
+            (lump_measure(mu, grid).ravel(), lumped),
+        ):
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= bound * want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("c", [0.0, 1.0 / 3.0, 40.0, 80.0, 1e300])
+def test_constant_lumps_to_itself_exactly(dim, c):
+    # factor averages with weights 1/2 and 1/2 keep a constant, and the
+    # other factors are 1
+    lumped = lump_measure(make_constant(dim, c), Grid(dim, 9))
+    assert lumped.shape == (9,) * dim and np.all(lumped == c)
+
+
+class CountedFactor:
+    """A factor that records how many coordinates each call receives."""
+
+    def __init__(self, factor):
+        self.factor, self.sizes = factor, []
+
+    def __call__(self, t):
+        assert t.ndim == 1
+        self.sizes.append(t.size)
+        return self.factor(t)
+
+
+def counted(mu):
+    if isinstance(mu, Density):
+        return Density(tuple(map(CountedFactor, mu.factors)))
+    return dataclasses.replace(
+        mu,
+        factors=tuple(map(CountedFactor, mu.factors)),
+        slopes=tuple(map(CountedFactor, mu.slopes)),
+    )
+
+
+def test_factors_are_evaluated_per_axis_not_per_point():
+    # lumping on n^3 evaluates each density factor on 2n coordinates; cell
+    # masses on 4 per cell index present on its axis; a graph factor or
+    # slope on each footprint coordinate at most once.  Evaluation point
+    # by point would take n^3, 4^3 per cell or the whole footprint
+    n = 15
+    density = counted(make_sine_density(3, 2.0))
+    lump_measure(density, Grid(3, n))
+    assert [sum(f.sizes) for f in density.factors] == [2 * n] * 3
+
+    cells = cells_intersecting(TilingSpec(3, 1.0 / 12.0), Box((0.1, 0.0, 0.2), (0.9, 1.0, 0.5)))
+    density = counted(make_box(3, 1.0, 0.2, 0.8))
+    cell_masses(density, cells)
+    distinct = [np.unique(cells.index[:, k]).size for k in range(3)]
+    assert [sum(f.sizes) for f in density.factors] == [4 * m for m in distinct]
+
+    graph = counted(make_graph(3, 0.5, 0.1, 2.0))
+    lump_measure(graph, Grid(3, n))
+    footprint = (n + 1) * SURFACE_MIDPOINTS
+    for f in graph.factors + graph.slopes:
+        assert 0 < sum(f.sizes) <= footprint
+    graph = counted(make_graph(3, 0.5, 0.1, 2.0))
+    cell_masses(graph, cells)
+    for k, f in enumerate(graph.factors + graph.slopes):
+        assert 0 < sum(f.sizes) <= distinct[k % 2] * SURFACE_MIDPOINTS
+
+
+def test_factor_errors_keep_their_types():
+    cell = Cell((0, 0, 0), 0.25)
+    grid = Grid(3, 7)
+    flat = make_plane(3, 0.1)
+    # a non-finite graph factor or slope
+    for field in ("factors", "slopes"):
+        bad = dataclasses.replace(flat, **{field: (ones, lambda t: np.full(t.shape, np.nan))})
+        with pytest.raises(EvaluationError):
+            cell_mass(bad, cell)
+        with pytest.raises(EvaluationError):
+            lump_measure(bad, grid)
+    # a negative or non-finite weight
+    for weight in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="weight"):
+            dataclasses.replace(flat, weight=weight)
+    # finite factors whose product overflows
+    huge = Density((lambda t: np.full(t.shape, 1e200),) * 3)
+    with pytest.raises(EvaluationError, match="overflows"):
+        cell_mass(huge, cell)
+    with pytest.raises(InvalidParameterError, match="lumped measure must be finite"):
+        lump_measure(huge, grid)
+    big = (lambda t: np.full(t.shape, 1e200),) * 2
+    high = SurfaceGraph(0.1, 1.0, big, (ones, ones))  # the height overflows
+    steep = SurfaceGraph(-0.9, 1.0, (ones, ones), big)  # |grad s|^2 overflows
+    for mu in (high, steep):
+        with pytest.raises(EvaluationError, match="overflows"):
+            cell_mass(mu, cell)
+    with pytest.raises(EvaluationError, match="overflows"):
+        lump_measure(high, grid)
+    with pytest.raises(InvalidParameterError, match="lumped measure must be finite"):
+        lump_measure(dataclasses.replace(steep, offset=-0.5), grid)
+    # a factor count other than d for densities and d - 1 for graphs
+    three = dataclasses.replace(flat, factors=(ones,) * 3, slopes=(ones,) * 3)
+    for mu in (Density((ones, ones)), three):
+        with pytest.raises(InvalidParameterError, match="factors"):
+            cell_mass(mu, cell)
+        with pytest.raises(InvalidParameterError, match="factors"):
+            lump_measure(mu, grid)
+    with pytest.raises(InvalidParameterError, match="slopes"):
+        dataclasses.replace(flat, slopes=(ones,))
+    # a factor that does not keep the shape of its coordinates
+    with pytest.raises(InvalidParameterError, match="shape"):
+        lump_measure(Density((ones, ones, lambda t: 1.0)), grid)
+    # an empty family has no masses
+    empty = CellFamily(np.zeros((0, 3), dtype=np.int64), 0.25)
+    for mu in (make_sine_density(3, 1.0), flat, SumPotential((flat, make_constant(3, 1.0)))):
+        masses = cell_masses(mu, empty)
+        assert masses.shape == (0,) and masses.dtype == np.float64

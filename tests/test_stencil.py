@@ -283,6 +283,10 @@ def test_read_back_and_finish_match_full_solves(thin, shift):
     on_nodes = f.reshape(-1)[nodes]
     values = solve.read(spectrum, scaled=False)
     assert np.linalg.norm(values - on_nodes) <= 1e-13 * np.linalg.norm(on_nodes)
+    # one pass for both reads gives each bit for bit
+    pair = solve.read(spectrum, both=True)
+    assert pair[0].tobytes() == values.tobytes()
+    assert pair[1].tobytes() == solve.read(spectrum).tobytes()
     # the finish is the full solve minus the extension of v
     extension = np.zeros(n**d)
     extension[nodes] = v
