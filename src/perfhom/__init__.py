@@ -39,7 +39,6 @@ from .harness import (
     StudyReport,
     load_config,
     run_study,
-    sine_mode,
     trend_check,
 )
 from .holes import (

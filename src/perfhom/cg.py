@@ -31,13 +31,16 @@ def dot(a: Array, b: Array) -> float:
     return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
 
 
-def rhs_norm(b: Array) -> float:
+def rhs_norm(*factors: Array) -> float:
     """``||b||`` of a right-hand side, checked before any iteration.
 
-    Raises :class:`EvaluationError` if ``b`` has a non-finite entry or a
-    norm that overflows: no iterate built from it could be trusted.
+    ``b`` is one array, or the outer product of several: its squared norm
+    is the product of theirs, which overflows when the sum of ``b^2`` over
+    all entries does.  Raises :class:`EvaluationError` if ``b`` has a
+    non-finite entry or a norm that overflows: no iterate built from it
+    could be trusted.
     """
-    norm_b = math.sqrt(dot(b, b))
+    norm_b = math.sqrt(math.prod(dot(b, b) for b in factors))
     if not np.isfinite(norm_b):
         raise EvaluationError("right-hand side is not finite or its norm overflows")
     return norm_b

@@ -2,12 +2,12 @@
 
 A study runs a strictly decreasing list of epsilons.  The limit problem
 is solved once on the finest grid and injected onto each row's grid, so
-row errors compare against one fixed limit field.  Each grid holds one
-right-hand-side array, the sine spectrum ``Q^d f`` that all its solves
-read (:func:`~perfhom.solver.rhs_spectrum`), made in the array ``f`` is
-evaluated in.  Each grid array goes at its last read: a grid's lumped
-measure in the ldc of its last row, which builds the capacity-density
-deviation in it; its spectrum after that row's perforated solve.  A row
+row errors compare against one fixed limit field.  A right-hand side
+is ``d`` signed 1-D factors, ``f(x) = prod_k f_k(x_k)``, so each grid
+holds it as the 1-D spectra ``Q f_k`` that all its solves read
+(:func:`~perfhom.solver.rhs_spectrum`), never as a grid array.  Each
+grid array goes at its last read: a grid's lumped measure in the ldc of
+its last row, which builds the capacity-density deviation in it.  A row
 on the finest grid compares against the limit field itself, not a
 copy.  Rows are computed sequentially with fixed-order reductions,
 which makes reports reproducible bit for bit for a given configuration.
@@ -25,19 +25,19 @@ import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .diagnostics import assumption_quantities, ldc_deviation
 from .errors import ConfigError, InvalidParameterError, StudyError
 from .inverse import ConstructionReport, construct_holes
-from .potential import Potential, parse_potential, parse_spec
+from .potential import Factor, Potential, parse_potential, parse_spec
 from .solver import (
     CUTOFF_NAME,
     Grid,
     corrector_field,
-    field_from_callable,
+    field_from_callable,  # noqa: F401  (perfbench/tracing.py wraps harness.field_from_callable)
     l2_distance,  # noqa: F401  (perfbench/tracing.py wraps harness.l2_distance)
     l2_norm,
     lump_measure,
@@ -57,37 +57,32 @@ Array = np.ndarray
 DEFAULT_WITNESS_MODES = ((1, 1, 1), (3, 1, 1), (1, 3, 3))
 
 
-def sine_mode(mode: Sequence[int]) -> Callable[[Array], Array]:
-    """Zero-trace test function ``prod_k sin(pi m_k x_k)``."""
-    m = np.asarray(mode, dtype=float)
-
-    def g(x):
-        return np.prod(np.sin(np.pi * m * x), axis=1)
-
-    return g
-
-
-def _rhs_constant(dim: int, c: float) -> Callable[[Array], Array]:
+def _constant_rhs(dim: int, c: float) -> tuple[Factor, ...]:
+    """``constant(c)``: the factors ``c, 1, ..., 1``."""
     value = float(c)
-    return lambda x: np.full(x.shape[0], value)
+    return (lambda t: np.full(t.shape, value),) + (lambda t: np.ones(t.shape),) * (dim - 1)
 
 
-def _rhs_sine(dim: int, *m: float) -> Callable[[Array], Array]:
+def _sine_rhs(dim: int, *m: float) -> tuple[Factor, ...]:
+    """``sine(m_1, ..., m_d)``: the factors ``sin(pi m_k t)``, every
+    ``m_k`` 1 when none is given."""
     mode = m or (1,) * dim
     if len(mode) != dim:
         raise InvalidParameterError(f"sine needs {dim} modes, got {len(mode)}")
     if any(v % 1 != 0 or not v >= 1 for v in mode):
         raise InvalidParameterError(f"sine modes must be positive integers, got {mode}")
-    return sine_mode(mode)
+    frequencies = (np.pi * np.asarray(mode, dtype=float)).tolist()
+    return tuple((lambda t, k=k: np.sin(k * t)) for k in frequencies)
 
 
-RHS_CONSTRUCTORS = {"constant": _rhs_constant, "sine": _rhs_sine}
+RHS_CONSTRUCTORS = {"constant": _constant_rhs, "sine": _sine_rhs}
 
 
-def parse_rhs(text: str, dim: int) -> Callable[[Array], Array]:
-    """Parse a right-hand-side spec such as ``constant(1)`` or ``sine(1,1,1)``."""
+def parse_rhs(text: str, dim: int) -> tuple[Factor, ...]:
+    """Parse a right-hand-side spec such as ``constant(1)`` or
+    ``sine(1,1,1)`` into its ``dim`` factors."""
     rhs = parse_spec(text, RHS_CONSTRUCTORS, dim, "rhs")
-    if not callable(rhs):
+    if not isinstance(rhs, tuple):
         raise InvalidParameterError(f"rhs spec {text!r} is not a right-hand side")
     return rhs
 
@@ -142,7 +137,7 @@ class StudyConfig:
     trends: tuple[TrendSpec, ...] = ()
     # the specs say all there is to compare or show of these
     potential: Potential = field(init=False, compare=False, repr=False)
-    rhs: Callable[[Array], Array] = field(init=False, compare=False, repr=False)
+    rhs: tuple[Factor, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -479,17 +474,14 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         finally:
             phase[name] = phase.get(name, 0.0) + time.perf_counter() - start
 
-    # each grid's right-hand-side spectrum lives until the grid's last
-    # perforated solve, and its lumped measure until that row's ldc
+    # each grid's right-hand side is its 1-D spectra, kept to the end, and
+    # its lumped measure lives until that row's ldc
     last_row = {n: k for k, n in enumerate(cfg.grids)}
     rhs, lumped = {}, {}
 
-    def spectrum_of(grid):
-        return rhs_spectrum(field_from_callable(grid, cfg.rhs), grid)
-
     start = time.perf_counter()
     lumped[finest_n] = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid))
-    rhs[finest_n] = stage("rhs", None, lambda: spectrum_of(fine_grid))
+    rhs[finest_n] = stage("rhs", None, lambda: rhs_spectrum(cfg.rhs, fine_grid))
     u_limit, limit_stats = stage(
         "solve_limit",
         None,
@@ -532,14 +524,12 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
             # oversized holes leave no cutoff annulus; metric undefined
             v_l2 = math.nan
         if n not in rhs:
-            rhs[n] = stage("rhs", eps, lambda: spectrum_of(grid))
+            rhs[n] = stage("rhs", eps, lambda: rhs_spectrum(cfg.rhs, grid))
         u_eps, stats = stage(
             "solve_perforated",
             eps,
             lambda: solve_perforated(rhs[n], holes, grid, cfg.tol),
         )
-        if last:
-            del rhs[n]
         if n == finest_n:
             u_ref = u_limit  # the limit field itself, not a copy
         else:

@@ -166,17 +166,31 @@ def _csv_header(dim: int) -> list[str]:
     return [f"i{k + 1}" for k in range(dim)] + [f"cx{k + 1}" for k in range(dim)] + ["radius"]
 
 
+def _formatted(column: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for every value of ``column``, as an object array,
+    formatting each distinct value once.  Values are told apart by their
+    bits, so ``-0.0`` and ``0.0`` keep their own strings."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = [fmt % v for v in keys.view(column.dtype).tolist()]
+    return np.array(text, dtype=object)[inverse.reshape(-1)]
+
+
 def write_holes_csv(holes: HoleFamily, path) -> None:
-    """Serialise holes as CSV with 17-significant-digit decimals."""
+    """Serialise holes as CSV with 17-significant-digit decimals.
+
+    Lattice families repeat few distinct values per column (a row of
+    cells shares its center coordinates), so each column formats its
+    distinct values once and the rows are joined from those strings.
+    """
     if not holes:
         raise InvalidParameterError("refusing to write an empty hole family")
     d = holes.centers.shape[1]
-    row = ",".join(["%d"] * d + ["%.17g"] * (d + 1)) + "\r\n"
-    # one float table; the index columns stay exact up to 2**53
-    table = np.column_stack([holes.index, holes.centers, holes.radii])
+    columns = [_formatted(holes.index[:, k], "%d") for k in range(d)]
+    columns += [_formatted(holes.centers[:, k], "%.17g") for k in range(d)]
+    columns.append(_formatted(holes.radii, "%.17g"))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_csv_header(d)) + "\r\n")
-        fh.write((row * len(holes)) % tuple(table.ravel().tolist()))
+        fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_holes_csv(path) -> HoleFamily:

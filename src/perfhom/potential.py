@@ -165,6 +165,15 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
     and ``bincount`` adds in input order, so every bin adds its samples in
     footprint order, as one ``np.add.at`` pass over the whole footprint
     would.  A height that overflows raises :class:`EvaluationError`.
+
+    A flat graph (``amplitude == 0``, a ``plane``) takes no per-sample
+    work: every sample has the height ``offset`` and the mass ``x =
+    weight * 1.0 * area``, and a bin holds ``prod_k c_k`` samples, ``c_k``
+    the samples of its bin on footprint axis ``k``.  Its value is entry
+    ``prod_k c_k`` of the running sums ``0, x, x + x, ...``, which
+    ``np.add.accumulate`` makes in the order ``bincount`` adds, so bit for
+    bit the sum of the general path.  The heights overflow exactly when
+    the product of the factors' largest magnitudes does.
     """
     _check_factor_count(mu, len(shape))
     dense = np.zeros(shape)
@@ -177,6 +186,19 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
         idx.append(i[keep])
         values.append(_factor_values(mu.factors[k], c))
         slopes.append(mu.amplitude * _factor_values(mu.slopes[k], c))
+    if not all(i.size for i in idx):
+        return dense
+    if mu.amplitude == 0.0:
+        peak = math.prod(float(np.abs(v).max()) for v in values)
+        if not math.isfinite(mu.offset + mu.amplitude * peak):
+            raise EvaluationError("graph height is not finite; it overflows or is undefined")
+        iz = int(axis_index(len(axes), np.array([mu.offset]))[0])
+        if 0 <= iz < shape[-1]:
+            counts = math.prod(np.ix_(*(np.bincount(i, minlength=n) for i, n in zip(idx, shape))))
+            sums = np.zeros(int(counts.max()) + 1)
+            np.add.accumulate(np.full(sums.size - 1, mu.weight * 1.0 * area), out=sums[1:])
+            dense[..., iz] = sums[counts]
+        return dense
     # flat position in a slab of each sample over the axes 1..d-2, before the height bin
     base = np.ravel_multi_index(np.meshgrid(*idx[1:], indexing="ij"), shape[1:-1]).ravel()
     base *= shape[-1]

@@ -14,10 +14,14 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
 
 Both are "a grid Laplacian plus a charge on a small node set", and
 both rest on the exact sine-basis Poisson inverse: a right-hand side is
-held as its spectrum ``S = Q^d f`` (:func:`rhs_spectrum`, made in place
-in ``f``'s array), which every solve of ``f`` on one grid shares.  Where
-the inverse is exact (no hole nodes; a constant lumped measure, as a
-shift) it is applied once to ``S``, not iterated.  Otherwise both are
+held as its spectrum ``S = Q^d f`` (:func:`rhs_spectrum`), which every
+solve of ``f`` on one grid shares.  A product ``f = prod_k f_k(x_k)``
+holds ``S`` as the ``d`` 1-D spectra ``Q f_k``, whose outer product it
+is, and no grid array: each reader multiplies out only the chunk it
+needs.  A node array ``f`` is transformed in place into its own block.
+Where the inverse is exact (no hole nodes; a constant lumped measure, as
+a shift) it is applied once to ``S``, built in the solution's array, not
+iterated.  Otherwise both are
 one capacitance-matrix solve: conjugate gradients on vectors indexed by
 the node set with one support-restricted sine solve
 (:class:`~perfhom.stencil.SupportSolve`) per iteration, then the grid
@@ -37,13 +41,14 @@ solution by one backward transform.
   of ``S`` scaled by ``1 / (lambda + min w)`` and unscaled
   (:meth:`~perfhom.stencil.SupportSolve.read`); ``||b||^2 = ||f||^2 -
   ||f_X||^2`` unless that loses more than half of ``||f||^2``, when
-  ``b`` is recovered by a backward transform.  The solution is one
-  backward transform of ``(S - Q^d E_Y (sigma + f_X)) / (lambda + min w)``
+  ``b`` is built from the factors of ``f`` (recovered from a block by a
+  backward transform).  The solution is one backward transform of
+  ``(S - Q^d E_Y (sigma + f_X)) / (lambda + min w)``
   (:meth:`~perfhom.stencil.SupportSolve.finish`).  When only the surface
   layer of the holes is in ``X`` (below), ``f`` on the inner hole nodes
-  reaches no unknown: the solve recovers ``f``, zeroes every hole node
-  and transforms ``b`` forward for its own spectrum, and ``f_X`` is not
-  used.
+  reaches no unknown: the solve builds ``f`` the same way, zeroes every
+  hole node and transforms ``b`` forward for its own spectrum, and
+  ``f_X`` is not used.
   The stencil restricted to ``X`` preconditions the clamped block; the
   scaled block of ``W`` is the identity plus a matrix with the spectrum
   of the grid operator preconditioned by ``A``.  CG stops on the grid
@@ -78,7 +83,16 @@ from .potential import (
     bin_footprint,
     factor_averages,
 )
-from .stencil import SupportSolve, neg_laplacian, sine_transform, spectral_solve
+from .stencil import (
+    SupportSolve,
+    line_spectrum,
+    neg_laplacian,
+    outer,
+    sine_transform,
+    spectral_solve,
+    spectrum_block,
+    subtract_from_spectrum,
+)
 
 Array = np.ndarray
 
@@ -267,22 +281,47 @@ def _hole_stencil(clamped: Array, nodes: Array) -> tuple[Array, Array, Array, in
 @dataclass(frozen=True, eq=False)
 class RhsSpectrum:
     """A right-hand side ``f`` on ``grid`` as the solves read it: its sine
-    spectrum ``values = Q^d f`` (read-only) and ``norm = ||f||``.  Every
-    solve of ``f`` on ``grid`` can share one (see :func:`rhs_spectrum`)."""
+    spectrum ``Q^d f`` and ``norm = ||f||``.  Every solve of ``f`` on
+    ``grid`` can share one (see :func:`rhs_spectrum`).
+
+    For a product ``f(x) = prod_k f_k(x_k)`` it holds no grid array:
+    ``values`` are the ``d`` 1-D spectra ``Q f_k``, whose outer product is
+    the spectrum, and ``factors`` the node values of the ``f_k``.  For a
+    node array ``values`` is the ``n^d`` block ``Q^d f`` and ``factors``
+    is None.  All arrays are read-only.
+    """
 
     grid: Grid
-    values: Array
+    values: Array | tuple[Array, ...]
     norm: float
+    factors: Optional[tuple[Array, ...]] = None
 
 
-def rhs_spectrum(f: Array, grid: Grid) -> RhsSpectrum:
-    """The :class:`RhsSpectrum` of ``f``, made in place in ``f``'s array.
+def rhs_spectrum(f, grid: Grid) -> RhsSpectrum:
+    """The :class:`RhsSpectrum` of ``f``: a node array or ``d`` factors.
 
-    ``f`` is a C-contiguous float array of ``grid.shape`` that the caller
-    gives up: its norm is checked by :func:`~perfhom.cg.rhs_norm` (a
-    non-finite ``f`` raises :class:`~perfhom.errors.EvaluationError`),
-    then it is sine transformed in place and left read-only.
+    The ``d`` factors are callables that take the 1-D array of node
+    coordinates along one axis and return ``f_k`` there; each is
+    evaluated once, and its spectrum ``Q f_k`` is one 1-D transform
+    (:func:`~perfhom.stencil.line_spectrum`), so no grid array is made.
+    A node array is a C-contiguous float array of ``grid.shape`` that the
+    caller gives up: it is sine transformed in place and left read-only.
+    The norm is checked first by :func:`~perfhom.cg.rhs_norm`, for a
+    product from the factors' norms: a non-finite ``f`` or a norm that
+    overflows raises :class:`~perfhom.errors.EvaluationError`.
     """
+    if not isinstance(f, np.ndarray):
+        if len(f) != grid.dim:
+            raise InvalidParameterError(f"right-hand side needs {grid.dim} factors, got {len(f)}")
+        xs = grid.axis()
+        factors = tuple(np.asarray(fk(xs), dtype=float) for fk in f)
+        if any(v.shape != xs.shape for v in factors):
+            raise InvalidParameterError("right-hand side factor does not match the grid axis")
+        norm = rhs_norm(*factors)
+        values = tuple(line_spectrum(v, grid.h) for v in factors)
+        for v in (*factors, *values):
+            v.flags.writeable = False
+        return RhsSpectrum(grid, values, norm, factors)
     if f.shape != grid.shape:
         raise InvalidParameterError("right-hand side shape does not match grid")
     norm = rhs_norm(f)
@@ -301,10 +340,14 @@ def _as_rhs(f, grid: Grid) -> RhsSpectrum:
     return rhs_spectrum(np.array(f, dtype=float, order="C"), grid)
 
 
-def _off_clamped(spectrum: Array, clamped: Array, grid: Grid) -> Array:
-    """``b``, the ``f`` of ``spectrum`` zeroed on the clamped nodes: ``f``
-    recovered by one sine transform of a copy, in that copy."""
-    b = sine_transform(spectrum.copy(), grid.h)
+def _off_clamped(rhs: RhsSpectrum, clamped: Array) -> Array:
+    """``b``, the ``f`` of ``rhs`` zeroed on the clamped nodes, a new array:
+    ``f`` built from its factors, or recovered from a block spectrum by
+    one sine transform of a copy."""
+    if rhs.factors is not None:
+        b = outer(rhs.factors)
+    else:
+        b = sine_transform(rhs.values.copy(), rhs.grid.h)
     b[clamped] = 0.0
     return b
 
@@ -356,7 +399,7 @@ def _capacitance_solve(
     if surface and norm_b:
         # f on the inner hole nodes reaches no unknown: solve for b, f
         # zeroed on every clamped node, from its own spectrum
-        b = _off_clamped(spectrum, clamped, grid)
+        b = _off_clamped(rhs, clamped)
         norm_b = rhs_norm(b)
         spectrum = sine_transform(b, h)
         del b
@@ -364,25 +407,19 @@ def _capacitance_solve(
         return zero()
     if nodes.size == 0:
         # no clamped or weighted node: A^-1 f is the solution, the exact
-        # preconditioner applied once.  One stencil apply checks it in the
-        # sine basis, where Q^d (L + shift) u must give the spectrum back.
-        # u is solved again after the check, so that the check's transform
-        # holds no grid array beside the residual.  The new array reuses the
-        # first one's memory; kept in the residual's array instead, the field
-        # would sit above a freed grid array, and the heap of a process that
-        # runs the study again grows by about one array
-        u = spectral_solve(spectrum.copy(), h, shift)
+        # preconditioner applied once, in the spectrum built in its own
+        # array.  One stencil apply checks it in the sine basis, where
+        # Q^d (L + shift) u must give the spectrum back, subtracted slab by
+        # slab; the check's transform runs in the residual's array
+        u = spectral_solve(spectrum_block(spectrum), h, shift)
         r = neg_laplacian(u, h)
         if shift:
             # slab by slab: shift * u whole would be one more grid array
             for i in range(grid.n):
                 r[i] += shift * u[i]
-        del u
-        r = sine_transform(r, h)
-        r -= spectrum
+        r = subtract_from_spectrum(spectrum, sine_transform(r, h))
         residual = math.sqrt(dot(r, r)) / norm_b
         del r
-        u = spectral_solve(spectrum.copy(), h, shift)
         if not residual <= tol:
             raise SolverError(
                 f"exact sine solve left relative residual {residual:.3e} above "
@@ -404,7 +441,7 @@ def _capacitance_solve(
         if 2.0 * lost <= norm_b * norm_b:
             norm_b = math.sqrt(norm_b * norm_b - lost)
         else:
-            norm_b = rhs_norm(_off_clamped(spectrum, clamped, grid))
+            norm_b = rhs_norm(_off_clamped(rhs, clamped))
             if norm_b == 0.0:
                 return zero()
     else:
@@ -622,14 +659,6 @@ def corrector_field(
     return deviation, v_norm
 
 
-def sine_mode_field(grid: Grid, mode: Sequence[int]) -> Array:
-    """The product sine mode ``prod_k sin(pi m_k x_k)`` on the nodes, as a
-    broadcast product of 1-D sine vectors (bit for bit the pointwise
-    product, evaluated once per axis)."""
-    factors = [np.sin(k * grid.axis()) for k in np.pi * np.asarray(mode, dtype=float)]
-    return math.prod(np.ix_(*factors))
-
-
 def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
     """Discrete ``H_0^1`` pairing of ``e`` against the product sine mode ``g_m``.
 
@@ -637,7 +666,11 @@ def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
     zero-extended fields, boundary jumps included, which by summation by
     parts is ``<e, -Delta_h g_m> h^d``.  ``g_m`` is an eigenvector of
     ``-Delta_h`` with eigenvalue ``lambda_m = sum_k 4/h^2 sin^2(pi m_k h / 2)``,
-    so the pairing is ``lambda_m <e, g_m> h^d``: one dot, no stencil.
+    so the pairing is ``lambda_m <e, g_m> h^d``: no stencil.  ``g_m`` is
+    never formed: ``e`` is contracted with the 1-D sine vectors
+    ``sin(pi m_k x_k)`` one axis at a time, the last first, by
+    ``np.einsum`` in a fixed order with no BLAS, with ``O(n^(d-1))``
+    scratch.
     """
     if e.shape != grid.shape or len(mode) != grid.dim:
         raise InvalidParameterError("field or mode does not match grid")
@@ -646,7 +679,10 @@ def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
         raise InvalidParameterError(f"witness modes must be positive integers, got {mode}")
     h = grid.h
     eigenvalue = sum(4.0 / (h * h) * math.sin(0.5 * math.pi * m * h) ** 2 for m in mode)
-    return eigenvalue * dot(e, sine_mode_field(grid, mode)) * h**grid.dim
+    pairing = e
+    for k in reversed(np.pi * np.asarray(mode, dtype=float)):
+        pairing = np.einsum("...j,j->...", pairing, np.sin(k * grid.axis()))
+    return eigenvalue * float(pairing) * h**grid.dim
 
 
 def restrict(u_fine: Array, fine: Grid, coarse: Grid) -> Array:

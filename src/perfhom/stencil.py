@@ -35,6 +35,12 @@ such an iteration never forms the ``n^d`` spectral block.  Read back on
 the whole block, the backward half is that of the full solve, in place
 in the spectral block, which turns a capacitance charge and the
 spectrum of the right-hand side into the grid solution.
+
+A spectrum these solves read is an ``n^d`` block, or the ``d`` 1-D
+spectra ``Q f_k`` of a product ``f = prod_k f_k(x_k)``: ``Q^d`` is the
+Kronecker product of ``Q`` with itself, so the block is their outer
+product (:func:`outer`, axis by axis), and a reader builds only the
+piece it needs, a chunk of lines or of slabs at a time.
 """
 
 from __future__ import annotations
@@ -171,6 +177,58 @@ def _transform_planes(part: Array, q: Array, work: Array) -> None:
         part[...] = work
     else:
         np.matmul(q, work, out=part)
+
+
+def outer(vectors) -> Array:
+    """``((v_0 v_1) v_2) ...``: the outer product of 1-D arrays, multiplied
+    in axis order, as a new array (``1.0`` as a 0-d array for none)."""
+    out = np.ones(())
+    for v in vectors:
+        out = np.multiply.outer(out, v)
+    return out
+
+
+def line_spectrum(v: Array, h: float) -> Array:
+    """``Q v`` for one line ``v`` of ``n`` values, a new array: a 1-D
+    factor of a product spectrum.  Summed in a fixed order by
+    ``np.einsum``, which calls no BLAS, so it does not depend on the BLAS
+    thread count.  ``h`` only keys the cached basis."""
+    q, _ = _sine_basis(v.shape[0], float(h))
+    return np.einsum("jk,j->k", q, v)
+
+
+def spectrum_block(spectrum) -> Array:
+    """A spectrum as a new C-contiguous ``n^d`` block: a copy of a block,
+    or the outer product of 1-D spectra."""
+    if isinstance(spectrum, np.ndarray):
+        return np.array(spectrum, dtype=float, order="C")
+    return outer(spectrum)
+
+
+def subtract_from_spectrum(spectrum, x: Array) -> Array:
+    """``x <- spectrum - x`` in place on the ``n^d`` block ``x``, a chunk
+    of slabs along the first axis, about ``_GEMM_BLOCK`` values, at a
+    time: a product spectrum is multiplied out only chunk by chunk, and
+    each value is that of :func:`outer`."""
+    n = x.shape[0]
+    step = max(1, _GEMM_BLOCK // (x.size // n))
+    for start in range(0, n, step):
+        part = x[start : start + step]
+        if isinstance(spectrum, np.ndarray):
+            np.subtract(spectrum[start : start + step], part, out=part)
+        else:
+            first, *rest = spectrum
+            np.subtract(outer((first[start : start + step], *rest)), part, out=part)
+    return x
+
+
+def _check_spectrum(spectrum, n: int, d: int) -> None:
+    if isinstance(spectrum, np.ndarray):
+        ok = spectrum.shape == (n,) * d
+    else:
+        ok = len(spectrum) == d and all(np.shape(v) == (n,) for v in spectrum)
+    if not ok:
+        raise InvalidParameterError("spectrum does not match the block")
 
 
 def _check_cube(b: Array) -> None:
@@ -427,7 +485,7 @@ class SupportSolve:
         x = self._forward(v, inner).reshape(self._kernel.shape[0], -1)
         return self._backward(np.einsum("abk,ak->bk", self._kernel, x), inner)
 
-    def read(self, spectrum: Array, scaled: bool = True, both: bool = False):
+    def read(self, spectrum, scaled: bool = True, both: bool = False):
         """For the spectrum ``Q^d b`` of an ``n^d`` block ``b``, return
         ``((neg_laplacian + shift)^-1 b)_S``, or ``b_S`` when not ``scaled``,
         as a new vector; with ``both``, the pair ``(b_S, ((neg_laplacian +
@@ -438,23 +496,32 @@ class SupportSolve:
         last-axis contraction runs over chunks of ``spectrum``'s lines of
         about ``_GEMM_BLOCK`` values, each scaled in scratch of that size,
         so no ``n^d`` array is made beside the contraction's output of
-        ``c n^(d-1)`` values (two with ``both``).
+        ``c n^(d-1)`` values (two with ``both``).  The spectrum is an
+        ``n^d`` block or the ``d`` 1-D spectra of a product, whose chunks
+        are multiplied out (as by :func:`outer`) in one more scratch
+        array of that size, from the ``n^(d-1)`` products of the leading
+        axes.
         """
-        n = self.n
-        spectrum = np.asarray(spectrum, dtype=float)
-        if spectrum.size != n**self.d:
-            raise InvalidParameterError("spectrum does not match the block")
-        lines = spectrum.reshape(-1, n)
+        n, d = self.n, self.d
+        _check_spectrum(spectrum, n, d)
+        step = max(1, _GEMM_BLOCK // n)
+        if isinstance(spectrum, np.ndarray):
+            lines, last = np.asarray(spectrum, dtype=float).reshape(-1, n), None
+        else:
+            *lead, last = spectrum
+            lines = outer(lead).reshape(-1, 1)  # the leading product of each line
+            product = np.empty((min(step, lines.shape[0]), n))
         rows, count, where = self._steps[-1]
         # the unscaled and the scaled contraction, as asked
         kinds = (False, True) if both else (scaled,)
         outs = [np.empty((rows.shape[0], lines.shape[0])) for _ in kinds]
-        step = max(1, _GEMM_BLOCK // n)
         if kinds[-1]:
-            mu = _mode_sums(self.lam, self.d - 1).reshape(-1) + self.shift
+            mu = _mode_sums(self.lam, d - 1).reshape(-1) + self.shift
             scratch = np.empty((min(step, lines.shape[0]), n))
         for start in range(0, lines.shape[0], step):
             part = lines[start : start + step]
+            if last is not None:
+                part = np.multiply(part, last, out=product[: part.shape[0]])
             for kind, x in zip(kinds, outs):
                 if kind:  # the last kind: the chunk is scaled in scratch
                     den = scratch[: part.shape[0]]
@@ -466,12 +533,15 @@ class SupportSolve:
             reads.append(self._backward(_lines(outs.pop(0), count, where), self._steps[:-1]))
         return tuple(reads) if both else reads[0]
 
-    def finish(self, spectrum: Array, v: Array) -> Array:
+    def finish(self, spectrum, v: Array) -> Array:
         """Return ``(neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
-        block, for the spectrum ``Q^d b`` of ``b``: the sparse forward half
-        of ``E_S v``, subtracted from ``spectrum``, then the scaling and the
-        backward half of :func:`dirichlet_solve` in place in the block the
-        forward half makes, the one ``n^d`` array it makes."""
+        block, for the spectrum ``Q^d b`` of ``b`` (a block or 1-D spectra,
+        as for :meth:`read`): the sparse forward half of ``E_S v``,
+        subtracted from ``spectrum`` (:func:`subtract_from_spectrum`), then
+        the scaling and the backward half of :func:`dirichlet_solve` in
+        place in the block the forward half makes, the one ``n^d`` array
+        it makes."""
+        _check_spectrum(spectrum, self.n, self.d)
         x = self._forward(v, self._steps).reshape((self.n,) * self.d)
-        np.subtract(spectrum, x, out=x)
+        subtract_from_spectrum(spectrum, x)
         return _inverse_half(x, self.q, self.lam, self.shift)

@@ -1,4 +1,5 @@
-"""Point-by-point evaluation of product potentials: the test oracles.
+"""Point-by-point evaluation of product potentials and sine modes: the test
+oracles.
 
 The package evaluates a potential per axis, from its 1-D factors.  These
 helpers evaluate the same potentials at explicit points, multiplying the
@@ -42,3 +43,17 @@ def box_quadrature(f, centers, half, order):
     for offset, qweight in zip(np.stack([g.ravel() for g in offsets], axis=-1), qweights.ravel()):
         acc += qweight * f(centers + offset)
     return acc
+
+
+def sine_mode(mode):
+    """The zero-trace product sine ``prod_k sin(pi m_k x_k)`` at the rows
+    of ``x``, a pointwise callable."""
+    m = np.asarray(mode, dtype=float)
+    return lambda x: np.prod(np.sin(np.pi * m * x), axis=1)
+
+
+def sine_mode_field(grid, mode):
+    """:func:`sine_mode` on the nodes of ``grid``, as a broadcast product
+    of 1-D sine vectors."""
+    factors = [np.sin(k * grid.axis()) for k in np.pi * np.asarray(mode, dtype=float)]
+    return math.prod(np.ix_(*factors))

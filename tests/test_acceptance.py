@@ -20,7 +20,7 @@ from perfhom.diagnostics import (
     hminus1_norm,
     ldc_deviation,
 )
-from perfhom.harness import StudyConfig, run_study, sine_mode
+from perfhom.harness import StudyConfig, run_study
 from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom.potential import (
@@ -41,7 +41,7 @@ from perfhom.solver import (
     solve_perforated,
 )
 from perfhom.tiling import TilingSpec, cells_intersecting, unit_box
-from pointwise import density_at
+from pointwise import density_at, sine_mode
 
 SWEEP = (0.25, 0.125, 0.0625, 0.03125)
 

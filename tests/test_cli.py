@@ -157,9 +157,10 @@ tol = 1e-9
 
 
 def test_solve_shares_one_full_solve_between_its_two_solves(tmp_path, capsys, transforms):
-    # both solves read one spectrum of f, the one full transform: the plane's
-    # lumped measure is not constant and its eps 1/8 holes fill less than
-    # half the grid, so neither solve recovers f
+    # both solves read the 1-D spectra of f, and nothing is transformed on
+    # the grid (one transform when the spectrum of f was a grid array): the
+    # plane's lumped measure is not constant and its eps 1/8 holes fill
+    # less than half the grid, so neither solve builds f
     cfg = write(
         tmp_path / "solve.cfg",
         """
@@ -175,7 +176,7 @@ allow_oversized_holes = true
     )
     code, _, _ = run_cli(capsys, "solve", cfg, "--out", str(tmp_path / "out"))
     assert code == 0
-    assert transforms == [("sine_transform", 47)]
+    assert transforms == []
 
 
 def test_study_assert_zero_config_passes(tmp_path, capsys):
@@ -338,6 +339,19 @@ f = constant(1)
     code, _, err = run_cli(capsys, "solve", cfg, "--out", str(tmp_path / "o"))
     assert code == 2
     assert "< 2h" in err
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e160", "-1e160"])
+def test_study_with_an_overflowing_rhs_fails_in_the_rhs_stage(tmp_path, capsys, value):
+    # every value of constant(1e160) is finite but its square is not: the
+    # product of the factors' squared norms must overflow as the sum of
+    # f^2 over the nodes does, before any solve
+    body = ZERO_CFG.replace("zero()", "plane(0.5, 20)").replace("constant(1)", f"constant({value})")
+    cfg = write(tmp_path / "overflow.cfg", body)
+    code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "study failed in stage 'rhs' at epsilon=None" in err
+    assert err.rstrip().endswith("right-hand side is not finite or its norm overflows")
 
 
 THREADS_CFG = """

@@ -12,12 +12,12 @@ from perfhom.diagnostics import (
     ldc_deviation,
 )
 from perfhom.errors import InvalidParameterError
-from perfhom.harness import sine_mode
 from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
 from perfhom.potential import cell_average_field, make_box, make_constant, make_plane
 from perfhom.solver import Grid, field_from_callable, lump_measure
 from perfhom.tiling import TilingSpec, cell_axis_indices, cells_intersecting, unit_box
+from pointwise import sine_mode
 
 
 def build(mu, eps):

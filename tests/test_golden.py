@@ -19,11 +19,11 @@ Every column except the wall-clock ``solver_seconds`` is compared:
   capacitance solve takes today (the golden files' counts are older).
 
 Each study also counts its whole-grid sine transforms (through the
-``transforms`` fixture): one spectrum of ``f`` per grid, which every
-solve on the grid reads, one for the residual check of an exact solve,
-and two for a row whose holes fill more than half the grid, which
-recovers ``f`` and transforms it zeroed on the holes.  No full sine
-solve (``dirichlet_solve``) runs.
+``transforms`` fixture).  ``f`` is a product, held as the 1-D spectra of
+its factors, so it takes none: one transform is made for the residual
+check of an exact solve, and one for a row whose holes fill more than
+half the grid, which builds ``f`` from its factors and transforms it
+zeroed on the holes.  No full sine solve (``dirichlet_solve``) runs.
 """
 
 import csv
@@ -83,8 +83,10 @@ def read_rows(path):
 def test_readme_study_matches_golden_report(tmp_path, transforms, monkeypatch):
     # a constant measure: the limit is one exact solve at shift 40 from
     # the grid's spectrum, checked by one transform; the eps 1/4 holes
-    # fill more than half the grid, so that row recovers f and transforms
-    # its hole-zeroed f, and the eps 1/8 row only reads the spectrum
+    # fill more than half the grid, so that row transforms its hole-zeroed
+    # f, and the eps 1/8 row only reads the 1-D spectra.  Before f was
+    # held as factors, a spectrum of f on 63^3 and the recovery of f in
+    # the eps 1/4 row took two transforms more
     solve = harness.solve_perforated
 
     def spied(*args, **kwargs):
@@ -96,19 +98,19 @@ def test_readme_study_matches_golden_report(tmp_path, transforms, monkeypatch):
         tmp_path, README_CONFIG, GOLDEN_DIR / "readme_study.csv", (8, 16), 1
     )
     forward = ("sine_transform", 63)
-    assert transforms == [forward, forward, "solve_perforated", forward, forward, "solve_perforated"]
+    assert transforms == [forward, "solve_perforated", forward, "solve_perforated"]
 
 
 def test_plane_study_matches_golden_report(tmp_path, transforms):
-    # the limit and the eps 1/16 row read one spectrum on 95^3, the eps
-    # 1/8 row one on 47^3, and nothing else is transformed.  There were
-    # eight full solves when each capacitance solve made two and the
-    # H^-1 norm one, and two when solves shared A^-1 f and ended by a
-    # half solve of the charge
+    # every solve reads the 1-D spectra of f, and nothing is transformed
+    # on a whole grid.  There were eight full solves when each
+    # capacitance solve made two and the H^-1 norm one, two when solves
+    # shared A^-1 f and ended by a half solve of the charge, and two
+    # transforms (95^3 and 47^3) when each grid held the spectrum of f
     assert_study_matches_golden(
         tmp_path, PLANE_CONFIG, GOLDEN_DIR / "plane_study.csv", (19, 18), 10
     )
-    assert transforms == [("sine_transform", 95), ("sine_transform", 47)]
+    assert transforms == []
 
 
 def assert_study_matches_golden(tmp_path, config_text, golden_path, iterations, limit_iterations):

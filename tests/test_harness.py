@@ -20,13 +20,14 @@ from perfhom.harness import (
     TrendSpec,
     construct_study_holes,
     load_config,
+    parse_rhs,
     run_study,
-    sine_mode,
     trend_check,
 )
-from perfhom.solver import Grid, field_from_callable, hole_mask, sine_mode_field
+from perfhom.solver import Grid, field_from_callable, hole_mask, rhs_spectrum
+from perfhom.stencil import outer
 from perfhom.tiling import cells_intersecting
-from pointwise import density_at
+from pointwise import density_at, sine_mode
 
 
 def write_config(path, body):
@@ -208,7 +209,7 @@ def test_unread_trend_tokens_fail_before_any_stage(tmp_path, monkeypatch, capsys
     # a parameter a mode never reads, or a token past the last one, is a
     # config error naming the trend, not a silently dropped value
     ran = []
-    for name in ("lump_measure", "field_from_callable", "solve_limit"):
+    for name in ("lump_measure", "rhs_spectrum", "solve_limit"):
         monkeypatch.setattr(perfhom.harness, name, lambda *a, _name=name, **k: ran.append(_name))
     path = write_config(tmp_path / "t.cfg", BASE + "\n[trends]\n" + line + "\n")
     with pytest.raises(ConfigError, match="trend 'a'"):
@@ -225,10 +226,11 @@ def test_slope_trend_takes_a_tolerance(tmp_path):
 
 
 def test_study_of_two_surface_layer_rows_never_solves_the_shared_base(transforms):
-    # one spectrum of f on 39^3, the shared base; the limit at shift 40 is
-    # the exact solve, checked by one transform, and both rows' holes
-    # fill more than half the grid, so neither starts from the shared
-    # spectrum: each recovers f and transforms its hole-zeroed f
+    # the limit at shift 40 is the exact solve from the 1-D spectra of f,
+    # checked by one transform, and both rows' holes fill more than half
+    # the grid, so neither starts from the shared spectra: each builds f
+    # from its factors and transforms its hole-zeroed f (six transforms
+    # when the grid held the spectrum of f and each row recovered f)
     cfg = StudyConfig(
         dim=3,
         epsilons=(0.25, 0.2),
@@ -243,7 +245,7 @@ def test_study_of_two_surface_layer_rows_never_solves_the_shared_base(transforms
         assert 2 * int(hole_mask(grid, holes).sum()) > grid.size
     report = run_study(cfg)
     assert len(report.rows) == 2
-    assert transforms == [("sine_transform", 39)] * 6
+    assert transforms == [("sine_transform", 39)] * 3
 
 
 def test_zero_potential_study_is_exact():
@@ -349,9 +351,17 @@ def test_trend_check_modes():
 
 
 def test_sine_mode_vectorisation():
-    g = sine_mode((1, 2, 1))
+    # one factor per axis, sin(pi m_k t), whose product is the mode
+    factors = parse_rhs("sine(1, 2, 1)", 3)
     pts = np.array([[0.5, 0.25, 0.5], [0.5, 0.5, 0.5]])
-    np.testing.assert_allclose(g(pts), [1.0, np.sin(np.pi)], atol=1e-12)
+    values = math.prod(f(pts[:, k]) for k, f in enumerate(factors))
+    np.testing.assert_allclose(values, [1.0, np.sin(np.pi)], atol=1e-12)
+    constant = parse_rhs("constant(-2.5)", 3)
+    values = [f(pts[:, 0]) for f in constant]
+    np.testing.assert_array_equal(values, [[-2.5] * 2, [1.0] * 2, [1.0] * 2])
+    for bad in ("sine(1, 2)", "sine(1.5, 1, 1)", "sine(0, 1, 1)", "2.5"):
+        with pytest.raises(InvalidParameterError):
+            parse_rhs(bad, 3)
 
 
 @st.composite
@@ -367,9 +377,12 @@ def grids_and_modes(draw):
 @example((3, 63, (3, 1, 1))).via("the default witness modes at the README study size")
 @example((3, 63, (1, 3, 3))).via("the default witness modes at the README study size")
 def test_sine_mode_field_is_bit_equal_to_pointwise_evaluation(case):
+    # the node values of f, the product of the factors multiplied in axis
+    # order, as a surface-layer solve builds them
     d, n, mode = case
     grid = Grid(d, n)
-    field = sine_mode_field(grid, mode)
+    rhs = rhs_spectrum(parse_rhs(f"sine({', '.join(map(str, mode))})", d), grid)
+    field = outer(rhs.factors)
     assert field.shape == grid.shape
     assert field.tobytes() == field_from_callable(grid, sine_mode(mode)).tobytes()
 
@@ -389,26 +402,29 @@ allow_oversized_holes = true
 @pytest.mark.parametrize(
     "potential, epsilons, grids, bound",
     [
-        ("plane(0.5, 20)", "1/4 1/8", "23 47", 5.25),
-        ("plane(0.5, 20)", "1/8 1/16", "47 95", 3.75),
-        ("constant(40)", "1/4 1/8", "63 63", 6.0),
+        ("plane(0.5, 20)", "1/4 1/8", "23 47", 4.0),
+        ("plane(0.5, 20)", "1/8 1/16", "47 95", 2.7),
+        ("constant(40)", "1/4 1/8", "63 63", 5.0),
     ],
 )
 def test_study_peak_memory_in_finest_grid_arrays(tmp_path, potential, epsilons, grids, bound):
-    # each grid holds one right-hand-side array, the spectrum of f, which
-    # every solve on it reads.  The limit field and the finest grid's
-    # spectrum and lumped measure live through the coarse row; the finest
-    # row's ldc builds its deviation in the lumped measure, its last read,
-    # which frees it, and compares against the limit field itself.  Sine
-    # transforms and the final solve work in place in their one array.
-    # The plane studies measured 4.89 and 3.56 arrays (5.89 and 4.60 when
-    # a grid also kept f and A^-1 f; 6.86 and 6.47 with two-buffer
-    # transforms, a separate capacity-density field and measures kept to
-    # the end of the row).  The README study measured 5.83, in row 0,
-    # whose surface-layer solve makes its own spectrum of the hole-zeroed
-    # f and whose applies hold two blocks while the limit field, the
-    # spectrum and the lumped measure wait for row 1.  At 47^3 the
-    # transforms' scratch is 0.63 of an array, at 63^3 0.26
+    # f is a product, held as the 1-D spectra of its factors, so no grid
+    # holds a right-hand-side array, and a witness contracts the error
+    # with 1-D sine vectors, building no mode field.  The limit field and
+    # the finest grid's lumped measure live through the coarse row; the
+    # finest row's ldc builds its deviation in the lumped measure, its
+    # last read, which frees it, and compares against the limit field
+    # itself.  Sine transforms and the final solve work in place in their
+    # one array.  The plane studies measured 3.88 and 2.56 arrays (4.89
+    # and 3.56 when each grid held the spectrum of f and a witness its
+    # mode field; 5.89 and 4.60 when a grid also kept f and A^-1 f; 6.86
+    # and 6.47 with two-buffer transforms, a separate capacity-density
+    # field and measures kept to the end of the row).  The README study
+    # measured 4.83 (5.83 with the spectrum of f), in row 0, whose
+    # surface-layer solve makes its own spectrum of the hole-zeroed f and
+    # whose applies hold two blocks while the limit field and the lumped
+    # measure wait for row 1.  At 47^3 the transforms' scratch is 0.63 of
+    # an array, at 63^3 0.26
     body = PEAK_STUDY.format(potential=potential, epsilons=epsilons, grids=grids)
     cfg = load_config(write_config(tmp_path / "s.cfg", body))
     tracemalloc.start()
@@ -462,7 +478,7 @@ def test_unusable_pitch_fails_before_any_stage(tmp_path, monkeypatch, capsys):
     # a pitch the cell enumeration cannot index is a config error: no
     # limit-phase stage runs before it is reported
     ran = []
-    for name in ("lump_measure", "field_from_callable", "solve_limit"):
+    for name in ("lump_measure", "rhs_spectrum", "solve_limit"):
         monkeypatch.setattr(perfhom.harness, name, lambda *a, _name=name, **k: ran.append(_name))
     for eps in ("1e-300", "1e-6"):
         body = BASE.replace("1/4 1/8", eps).replace("15 15", "191")
@@ -487,7 +503,7 @@ def test_unknown_study_key_fails_before_any_stage(tmp_path, monkeypatch, capsys,
     # a removed option or a misspelt one is a config error at load, not a
     # late failure or a silently ignored setting
     ran = []
-    for name in ("lump_measure", "field_from_callable", "solve_limit"):
+    for name in ("lump_measure", "rhs_spectrum", "solve_limit"):
         monkeypatch.setattr(perfhom.harness, name, lambda *a, _name=name, **k: ran.append(_name))
     key = line.split()[0]
     path = write_config(tmp_path / "unknown.cfg", BASE + line + "\n")

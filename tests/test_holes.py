@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from perfhom.capacity import BALL_MASK_INFLATION, capacity_ball
 from perfhom.diagnostics import capacity_density_field, dprime_pairing
 from perfhom.errors import InvalidParameterError, ResolutionError
-from perfhom.harness import sine_mode
 from perfhom.holes import (
     Hole,
     HoleFamily,
@@ -18,9 +17,10 @@ from perfhom.holes import (
     write_holes_csv,
 )
 from perfhom.inverse import construct_holes
-from perfhom.potential import make_constant
+from perfhom.potential import make_constant, make_plane
 from perfhom.solver import Grid, hole_mask
 from perfhom.tiling import TilingSpec, cell_axis_indices, cells_intersecting, unit_box
+from pointwise import sine_mode
 
 
 def test_hole_basics():
@@ -207,6 +207,51 @@ def test_csv_round_trip_property(tmp_path_factory, family):
         assert got.dtype == want.dtype and got.shape == want.shape
         # bit for bit, so a signed zero must come back signed
         assert got.tobytes() == want.tobytes()
+
+
+def one_format_csv(holes):
+    """The reference CSV text: one ``%`` format over the whole table, the
+    index columns through floats, as the writer did before it formatted
+    each distinct value once."""
+    d = holes.centers.shape[1]
+    header = [f"i{k + 1}" for k in range(d)] + [f"cx{k + 1}" for k in range(d)] + ["radius"]
+    row = ",".join(["%d"] * d + ["%.17g"] * (d + 1)) + "\r\n"
+    table = np.column_stack([holes.index, holes.centers, holes.radii])
+    return ",".join(header) + "\r\n" + (row * len(holes)) % tuple(table.ravel().tolist())
+
+
+def signed_zero_family(dim, seed):
+    """Random holes whose centers, radii and indices repeat values,
+    including both zeros, subnormals and huge coordinates."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((300, dim))
+    centers[::7] = 0.0
+    centers[1::9] = -0.0
+    centers[2::5, 0] = 1e-310
+    centers[3::11, -1] = -1e300
+    centers[4::6] = centers[5::6]
+    radii = np.abs(rng.standard_normal(300))
+    radii[::3] = 0.0
+    radii[1::13] = 5e-324
+    index = rng.integers(-(2**40), 2**40, size=(300, dim))
+    index[::4] = 0
+    return HoleFamily(centers, radii, index)
+
+
+@pytest.mark.parametrize("case", ["constant", "plane", "random3", "random4"])
+def test_csv_is_byte_identical_to_one_format(tmp_path, case):
+    if case.startswith("random"):
+        families = [signed_zero_family(int(case[-1]), seed) for seed in range(3)]
+    else:
+        mu = make_constant(3, 40.0) if case == "constant" else make_plane(3, 0.37, 20.0)
+        families = [
+            construct_holes(mu, TilingSpec(3, eps), unit_box(3), strict=False).holes
+            for eps in (1 / 8, 1 / 14)
+        ]
+    for k, holes in enumerate(families):
+        path = tmp_path / f"holes_{k}.csv"
+        write_holes_csv(holes, path)
+        assert path.read_bytes() == one_format_csv(holes).encode("ascii")
 
 
 def test_csv_rejects_empty_list(tmp_path):

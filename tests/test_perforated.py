@@ -15,15 +15,18 @@ from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom import solver
 from perfhom.potential import parse_potential
+from perfhom.harness import parse_rhs
 from perfhom.solver import (
     Grid,
+    RhsSpectrum,
     _capacitance_solve,
     hole_mask,
+    lump_measure,
     rhs_spectrum,
     solve_limit,
     solve_perforated,
 )
-from perfhom.stencil import dirichlet_solve, neg_laplacian, sine_transform
+from perfhom.stencil import dirichlet_solve, neg_laplacian, outer, sine_transform
 from perfhom.tiling import TilingSpec, unit_box
 
 EPS64 = 2.0**-52
@@ -258,6 +261,42 @@ def test_empty_mask_with_a_shared_base_returns_a_writable_copy(transforms):
     assert u.flags.writeable and not np.shares_memory(u, rhs.values)
     np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
     assert stats.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["hole nodes", "surface layer", "plane limit", "constant limit", "no hole"],
+)
+def test_product_spectrum_solves_as_its_block(case, transforms):
+    # a product f held as 1-D spectra: each reader multiplies out only the
+    # piece it needs, with the values of the whole outer product, so the
+    # solve gives the bits of one handed that block.  Against f as a node
+    # array, whose spectrum is one rounded transform, it agrees within the
+    # solver's tolerance.  Only an exact solve's residual check and a
+    # surface-layer row's hole-zeroed f are transformed on the grid
+    grid = Grid(3, 15)
+    rhs = rhs_spectrum(parse_rhs("sine(1, 2, 1)", 3), grid)
+    block = RhsSpectrum(grid, outer(rhs.values), rhs.norm, rhs.factors)
+    if case.endswith("limit"):
+        spec = {"plane limit": "plane(0.5, 20)", "constant limit": "constant(20)"}[case]
+        weights = lump_measure(parse_potential(spec, 3), grid)
+        solve = lambda f: solve_limit(f, weights, grid, 1e-10)
+    else:
+        radius = {"hole nodes": 0.3, "surface layer": 0.45, "no hole": 0.0}[case]
+        holes = family([[0.5, 0.5, 0.5]], [radius])
+        filled = 2 * int(hole_mask(grid, holes).sum()) > grid.size
+        assert filled == (case == "surface layer")
+        solve = lambda f: solve_perforated(f, holes, grid, 1e-10)
+    transforms.clear()
+    u, stats = solve(rhs)
+    made = list(transforms)
+    transformed = case in ("surface layer", "constant limit", "no hole")
+    assert made == [("sine_transform", 15)] * transformed
+    same, same_stats = solve(block)
+    np.testing.assert_array_equal(u, same)
+    assert (stats.iterations, stats.residual) == (same_stats.iterations, same_stats.residual)
+    node, _ = solve(outer(rhs.factors))
+    assert np.abs(u - node).max() <= 3 * kappa(grid) * 1e-10 * np.abs(node).max()
 
 
 def test_surface_layer_examples_fill_more_than_half():

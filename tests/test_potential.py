@@ -439,6 +439,68 @@ def test_cell_masses_bin_as_add_at_over_whole_footprint(dim, eps, domain, refine
         assert_bits_equal(got, binned_cell_masses(add_at_footprint, mu, cells, refine))
 
 
+def flat_sheet(dim, z0):
+    """A flat graph that is no ``plane``: amplitude 0 over factors that are
+    not constant, weight 1.3."""
+    return SurfaceGraph(
+        z0,
+        0.0,
+        tuple((lambda t, a=a: 1.0 + a * t) for a in range(1, dim)),
+        tuple((lambda t, a=a: np.full(t.shape, float(a))) for a in range(1, dim)),
+        weight=1.3,
+    )
+
+
+# flat sheets off the node and cell planes, on them, and outside the cube
+FLAT_HEIGHTS = (0.503, 0.37, 0.5, 0.25, 1.2, -0.3, 1.0)
+
+
+@pytest.mark.parametrize("z0", FLAT_HEIGHTS)
+@pytest.mark.parametrize("n, refine", [(47, 16), (15, 16), (23, 5)])
+def test_flat_lump_measure_bins_as_add_at_over_whole_footprint(z0, n, refine):
+    # the counted flat path against add.at over every sample
+    grid = Grid(3, n)
+    for mu in (make_plane(3, z0, 20.0), flat_sheet(3, z0)):
+        if refine == SURFACE_MIDPOINTS:
+            got = lump_measure(mu, grid)
+        else:
+            got = binned_lump(bin_footprint, mu, grid, refine)
+        assert_bits_equal(got, binned_lump(add_at_footprint, mu, grid, refine))
+        assert (got.sum() > 0.0) == (0.0 < z0 < 1.0)
+
+
+@pytest.mark.parametrize("z0", FLAT_HEIGHTS)
+@pytest.mark.parametrize(
+    "dim, eps, domain, refine",
+    [
+        (3, 1 / 12, None, 16),
+        (3, 1 / 8, Box((-0.3, -0.2, -0.4), (1.3, 1.1, 1.4)), 7),
+        (4, 1 / 4, Box((-0.3,) * 4, (1.2,) * 4), 6),
+    ],
+)
+def test_flat_cell_masses_bin_as_add_at_over_whole_footprint(z0, dim, eps, domain, refine):
+    cells = cells_intersecting(TilingSpec(dim, eps), domain or unit_box(dim))
+    for mu in (make_plane(dim, z0, 3.7), flat_sheet(dim, z0)):
+        if refine == SURFACE_MIDPOINTS:
+            got = cell_masses(mu, cells)
+        else:
+            got = binned_cell_masses(bin_footprint, mu, cells, refine)
+        assert_bits_equal(got, binned_cell_masses(add_at_footprint, mu, cells, refine))
+
+
+def test_flat_sheet_heights_overflow_as_the_samples_do():
+    # amplitude 0 times an overflowing factor product is NaN, sample by
+    # sample, so the counted flat path must refuse the sheet too
+    huge = SurfaceGraph(
+        0.5, 0.0, (lambda t: np.full(t.shape, 1e200),) * 2, (lambda t: np.zeros(t.shape),) * 2
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        heights, _ = graph_at(huge, np.full((1, 2), 0.5))
+    assert np.isnan(heights).all()
+    with pytest.raises(EvaluationError, match="graph height"):
+        lump_measure(huge, Grid(3, 15))
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_registry_callables_match_axis_reductions(dim):
     # points inside and outside the unit cube, on its faces, and with

@@ -39,13 +39,12 @@ from perfhom.solver import (
     restrict,
     rhs_spectrum,
     solve_limit,
-    sine_mode_field,
     solve_perforated,
     weak_witness,
     write_field,
 )
-from pointwise import box_quadrature, density_at, graph_at
-from perfhom.stencil import sine_transform
+from pointwise import box_quadrature, density_at, graph_at, sine_mode_field
+from perfhom.stencil import outer, sine_transform
 from perfhom.tiling import TilingSpec, unit_box
 
 EPS64 = np.finfo(float).eps
@@ -248,6 +247,38 @@ def test_shared_base_is_one_read_only_solve(transforms):
     np.testing.assert_array_equal(rhs.values, sine_transform(kept.copy(), grid.h))
     back = sine_transform(rhs.values.copy(), grid.h)
     assert np.linalg.norm(back - kept) <= 1e-14 * np.linalg.norm(kept)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 40), (2, 17), (3, 15), (4, 6)])
+def test_product_rhs_spectrum_is_the_transform_of_its_node_field(dim, n, transforms):
+    # Q^d is a Kronecker product: the spectrum of prod_k f_k is the outer
+    # product of the 1-D spectra Q f_k, and ||f|| the product of the
+    # factors' norms.  No grid array is transformed or kept
+    grid = Grid(dim, n)
+    rng = np.random.default_rng(dim)
+    tables = [rng.standard_normal(n) for _ in range(dim)]
+    rhs = rhs_spectrum([(lambda t, v=v: v + 0.0 * t) for v in tables], grid)
+    assert transforms == []
+    assert all(v.shape == (n,) and not v.flags.writeable for v in (*rhs.values, *rhs.factors))
+    field = outer(rhs.factors)
+    np.testing.assert_array_equal(field, math.prod(np.ix_(*tables)))
+    block = sine_transform(field.copy(), grid.h)
+    assert np.abs(outer(rhs.values) - block).max() <= 8 * dim * n * EPS64 * rhs.norm
+    assert rhs.norm == pytest.approx(rhs_norm(field), rel=4 * dim * n * EPS64)
+
+
+def test_product_rhs_spectrum_checks_its_factors():
+    grid = Grid(3, 7)
+    one = lambda t: np.ones(t.shape)
+    with pytest.raises(InvalidParameterError, match="needs 3 factors"):
+        rhs_spectrum([one, one], grid)
+    with pytest.raises(InvalidParameterError, match="factor does not match"):
+        rhs_spectrum([one, one, lambda t: np.ones(3)], grid)
+    with pytest.raises(EvaluationError):
+        rhs_spectrum([one, lambda t: np.full(t.shape, np.nan), one], grid)
+    # each value is finite, but the sum of f^2 over the nodes overflows
+    with pytest.raises(EvaluationError, match="overflows"):
+        rhs_spectrum([lambda t: np.full(t.shape, 1e160), one, one], grid)
 
 
 def test_rhs_spectrum_checks_f_before_transforming():

@@ -13,6 +13,7 @@ from perfhom.stencil import (
     dirichlet_energy,
     dirichlet_solve,
     neg_laplacian,
+    outer,
     sine_transform,
     spectral_solve,
 )
@@ -254,6 +255,12 @@ def test_support_read_and_finish_match_scattered_dirichlet_solve(problem):
     zero = np.zeros((n,) * d)
     assert np.linalg.norm(solve.finish(zero, v).reshape(-1)[nodes] + solve.apply(v)) <= 2 * bound
     np.testing.assert_array_equal(spectrum, kept)
+    # the spectrum of a product, given as its 1-D spectra, reads and
+    # finishes bit for bit as the block of their outer product does
+    lines = tuple(rng.standard_normal(n) for _ in range(d))
+    for got, want in zip(solve.read(lines, both=True), solve.read(outer(lines), both=True)):
+        assert got.tobytes() == want.tobytes()
+    assert solve.finish(lines, v).tobytes() == solve.finish(outer(lines), v).tobytes()
 
 
 @pytest.mark.parametrize("shift", [0.0, 50.0])
