@@ -167,14 +167,22 @@ def capacity_variational(
     )
 
 
+def check_truncations(L1: float, L2: float) -> None:
+    """The rule :func:`capacity_extrapolate` puts on its truncation pair,
+    checkable before either solve: a finite ``L2 >= 2 L1``."""
+    if not 2.0 * L1 <= L2 < math.inf:
+        raise InvalidParameterError(f"need finite L2 >= 2 L1, got L1={L1}, L2={L2}")
+
+
 def capacity_extrapolate(first: CapacityResult, second: CapacityResult) -> CapacityResult:
     """Remove the truncation bias from two variational results.
 
     Fits the condenser law ``1/cap_L = 1/cap_inf - beta / L^(d-2)`` to the
     pair and returns ``cap_inf``.  For concentric spheres the law is exact
     (``beta = 1 / ((d-2) S_d)``); for the cube truncation the fitted
-    ``beta`` absorbs the shape factor.  Requires ``L2 >= 2 L1`` and
-    values decreasing in ``L``; equal values are a fixed point.
+    ``beta`` absorbs the shape factor.  Requires ``L2 >= 2 L1``
+    (:func:`check_truncations`) and values decreasing in ``L``; equal
+    values are a fixed point.
     """
     if first.dim != second.dim:
         raise InvalidParameterError("cannot extrapolate across dimensions")
@@ -182,8 +190,7 @@ def capacity_extrapolate(first: CapacityResult, second: CapacityResult) -> Capac
         raise InvalidParameterError("extrapolation needs truncated results")
     d = first.dim
     L1, L2 = first.truncation, second.truncation
-    if L2 < 2.0 * L1:
-        raise InvalidParameterError(f"need L2 >= 2 L1, got L1={L1}, L2={L2}")
+    check_truncations(L1, L2)
     c1, c2 = first.value, second.value
     if c2 > c1:
         raise ExtrapolationError(

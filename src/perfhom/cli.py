@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .capacity import capacity_ball, capacity_extrapolate, capacity_variational
+from .capacity import capacity_ball, capacity_extrapolate, capacity_variational, check_truncations
 from .diagnostics import assumption_quantities
 from .errors import (
     ConstructionError,
@@ -119,6 +119,8 @@ def _cmd_capacity(args) -> int:
     print(repr(exact.value))
     if args.numeric:
         L, h = args.numeric
+        if args.extrapolate is not None:
+            check_truncations(L, args.extrapolate)
         first = _variational(args.dim, args.radius, L, h)
         if args.extrapolate is not None:
             second = _variational(args.dim, args.radius, args.extrapolate, h)

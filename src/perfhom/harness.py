@@ -110,6 +110,11 @@ class TrendSpec:
                 f"trend {self.name!r}: {self.mode} takes {('no', '1', '1 or 2')[reads]} "
                 f"parameter(s), got {given}"
             )
+        finite = all(math.isfinite(p) for p in (self.param, self.param2) if p is not None)
+        if not finite or (self.param2 or 0.0) < 0.0:
+            raise InvalidParameterError(
+                f"trend {self.name!r}: parameters must be finite, the slope tolerance >= 0"
+            )
 
 
 @dataclass(frozen=True)

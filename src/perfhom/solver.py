@@ -15,10 +15,11 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
 Both are "a grid Laplacian plus a charge on a small node set", and
 both rest on the exact sine-basis Poisson inverse: a right-hand side is
 held as its spectrum ``S = Q^d f`` (:func:`rhs_spectrum`), which every
-solve of ``f`` on one grid shares.  A product ``f = prod_k f_k(x_k)``
-holds ``S`` as the ``d`` 1-D spectra ``Q f_k``, whose outer product it
-is, and no grid array: each reader multiplies out only the chunk it
-needs.  A node array ``f`` is transformed in place into its own block.
+solve of ``f`` on one grid shares.  ``S`` is always a tuple of factors
+whose outer product it is: for a product ``f = prod_k f_k(x_k)`` the
+``d`` 1-D spectra ``Q f_k``, and no grid array; for a node array ``f``
+the one factor ``(S,)``, ``f`` transformed in place into its own block.
+Each reader multiplies out only the chunk it needs, by one path for both.
 Where the inverse is exact (no hole nodes; a constant lumped measure, as
 a shift) it is applied once to ``S``, built in the solution's array, not
 iterated.  Otherwise both are
@@ -90,7 +91,6 @@ from .stencil import (
     outer,
     sine_transform,
     spectral_solve,
-    spectrum_block,
     subtract_from_spectrum,
 )
 
@@ -284,15 +284,15 @@ class RhsSpectrum:
     spectrum ``Q^d f`` and ``norm = ||f||``.  Every solve of ``f`` on
     ``grid`` can share one (see :func:`rhs_spectrum`).
 
-    For a product ``f(x) = prod_k f_k(x_k)`` it holds no grid array:
-    ``values`` are the ``d`` 1-D spectra ``Q f_k``, whose outer product is
-    the spectrum, and ``factors`` the node values of the ``f_k``.  For a
-    node array ``values`` is the ``n^d`` block ``Q^d f`` and ``factors``
-    is None.  All arrays are read-only.
+    ``values`` is a tuple whose outer product (:func:`~perfhom.stencil.outer`)
+    is the spectrum: for a product ``f(x) = prod_k f_k(x_k)`` the ``d`` 1-D
+    spectra ``Q f_k``, with ``factors`` the node values of the ``f_k``, and
+    no grid array; for a node array the one factor ``(Q^d f,)``, an ``n^d``
+    block, with ``factors`` None.  All arrays are read-only.
     """
 
     grid: Grid
-    values: Array | tuple[Array, ...]
+    values: tuple[Array, ...]
     norm: float
     factors: Optional[tuple[Array, ...]] = None
 
@@ -327,7 +327,7 @@ def rhs_spectrum(f, grid: Grid) -> RhsSpectrum:
     norm = rhs_norm(f)
     sine_transform(f, grid.h)
     f.flags.writeable = False
-    return RhsSpectrum(grid, f, norm)
+    return RhsSpectrum(grid, (f,), norm)
 
 
 def _as_rhs(f, grid: Grid) -> RhsSpectrum:
@@ -342,12 +342,12 @@ def _as_rhs(f, grid: Grid) -> RhsSpectrum:
 
 def _off_clamped(rhs: RhsSpectrum, clamped: Array) -> Array:
     """``b``, the ``f`` of ``rhs`` zeroed on the clamped nodes, a new array:
-    ``f`` built from its factors, or recovered from a block spectrum by
-    one sine transform of a copy."""
+    ``f`` built from its factors, or recovered from a one-factor spectrum
+    by one sine transform of a copy."""
     if rhs.factors is not None:
         b = outer(rhs.factors)
     else:
-        b = sine_transform(rhs.values.copy(), rhs.grid.h)
+        b = sine_transform(outer(rhs.values), rhs.grid.h)
     b[clamped] = 0.0
     return b
 
@@ -401,7 +401,7 @@ def _capacitance_solve(
         # zeroed on every clamped node, from its own spectrum
         b = _off_clamped(rhs, clamped)
         norm_b = rhs_norm(b)
-        spectrum = sine_transform(b, h)
+        spectrum = (sine_transform(b, h),)
         del b
     if norm_b == 0.0:
         return zero()
@@ -411,7 +411,7 @@ def _capacitance_solve(
         # array.  One stencil apply checks it in the sine basis, where
         # Q^d (L + shift) u must give the spectrum back, subtracted slab by
         # slab; the check's transform runs in the residual's array
-        u = spectral_solve(spectrum_block(spectrum), h, shift)
+        u = spectral_solve(outer(spectrum), h, shift)
         r = neg_laplacian(u, h)
         if shift:
             # slab by slab: shift * u whole would be one more grid array

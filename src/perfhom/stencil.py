@@ -36,11 +36,13 @@ the whole block, the backward half is that of the full solve, in place
 in the spectral block, which turns a capacitance charge and the
 spectrum of the right-hand side into the grid solution.
 
-A spectrum these solves read is an ``n^d`` block, or the ``d`` 1-D
-spectra ``Q f_k`` of a product ``f = prod_k f_k(x_k)``: ``Q^d`` is the
-Kronecker product of ``Q`` with itself, so the block is their outer
-product (:func:`outer`, axis by axis), and a reader builds only the
-piece it needs, a chunk of lines or of slabs at a time.
+A spectrum these solves read is a tuple of factors whose outer product
+(:func:`outer`, in axis order) is ``Q^d f``: ``Q^d`` is the Kronecker
+product of ``Q`` with itself, so a product ``f = prod_k f_k(x_k)`` has
+the ``d`` 1-D factors ``Q f_k``, and any other ``f`` the one factor
+``(Q^d f,)``, an ``n^d`` block that spans every axis.  A reader builds
+only the piece it needs, a chunk of lines or of slabs at a time, and has
+one path for both.
 """
 
 from __future__ import annotations
@@ -197,37 +199,24 @@ def line_spectrum(v: Array, h: float) -> Array:
     return np.einsum("jk,j->k", q, v)
 
 
-def spectrum_block(spectrum) -> Array:
-    """A spectrum as a new C-contiguous ``n^d`` block: a copy of a block,
-    or the outer product of 1-D spectra."""
-    if isinstance(spectrum, np.ndarray):
-        return np.array(spectrum, dtype=float, order="C")
-    return outer(spectrum)
-
-
 def subtract_from_spectrum(spectrum, x: Array) -> Array:
-    """``x <- spectrum - x`` in place on the ``n^d`` block ``x``, a chunk
-    of slabs along the first axis, about ``_GEMM_BLOCK`` values, at a
-    time: a product spectrum is multiplied out only chunk by chunk, and
-    each value is that of :func:`outer`."""
+    """``x <- outer(spectrum) - x`` in place on the ``n^d`` block ``x``, a
+    chunk of slabs along the first axis, about ``_GEMM_BLOCK`` values, at
+    a time: the spectrum is multiplied out only chunk by chunk, and each
+    value is that of :func:`outer`."""
     n = x.shape[0]
     step = max(1, _GEMM_BLOCK // (x.size // n))
+    first, *rest = spectrum
     for start in range(0, n, step):
         part = x[start : start + step]
-        if isinstance(spectrum, np.ndarray):
-            np.subtract(spectrum[start : start + step], part, out=part)
-        else:
-            first, *rest = spectrum
-            np.subtract(outer((first[start : start + step], *rest)), part, out=part)
+        np.subtract(outer((first[start : start + step], *rest)), part, out=part)
     return x
 
 
 def _check_spectrum(spectrum, n: int, d: int) -> None:
-    if isinstance(spectrum, np.ndarray):
-        ok = spectrum.shape == (n,) * d
-    else:
-        ok = len(spectrum) == d and all(np.shape(v) == (n,) for v in spectrum)
-    if not ok:
+    """A spectrum is ``d`` factors of shape ``(n,)`` or one of ``(n,) * d``."""
+    shapes = [np.shape(v) for v in spectrum]
+    if shapes not in ([(n,)] * d, [(n,) * d]):
         raise InvalidParameterError("spectrum does not match the block")
 
 
@@ -485,49 +474,40 @@ class SupportSolve:
         x = self._forward(v, inner).reshape(self._kernel.shape[0], -1)
         return self._backward(np.einsum("abk,ak->bk", self._kernel, x), inner)
 
-    def read(self, spectrum, scaled: bool = True, both: bool = False):
+    def read(self, spectrum, both: bool = False):
         """For the spectrum ``Q^d b`` of an ``n^d`` block ``b``, return
-        ``((neg_laplacian + shift)^-1 b)_S``, or ``b_S`` when not ``scaled``,
-        as a new vector; with ``both``, the pair ``(b_S, ((neg_laplacian +
-        shift)^-1 b)_S)`` from one pass over ``spectrum``, each bit for bit
-        its own read.
+        ``((neg_laplacian + shift)^-1 b)_S`` as a new vector; with
+        ``both``, the pair ``(b_S, ((neg_laplacian + shift)^-1 b)_S)`` from
+        one pass over ``spectrum``, the second bit for bit the lone read.
 
         The backward half of :meth:`apply` on the whole spectrum: the
-        last-axis contraction runs over chunks of ``spectrum``'s lines of
-        about ``_GEMM_BLOCK`` values, each scaled in scratch of that size,
-        so no ``n^d`` array is made beside the contraction's output of
-        ``c n^(d-1)`` values (two with ``both``).  The spectrum is an
-        ``n^d`` block or the ``d`` 1-D spectra of a product, whose chunks
-        are multiplied out (as by :func:`outer`) in one more scratch
-        array of that size, from the ``n^(d-1)`` products of the leading
-        axes.
+        last-axis contraction runs over chunks of the spectrum's lines of
+        about ``_GEMM_BLOCK`` values, each multiplied out (as by
+        :func:`outer`, the product of the leading factors times the last
+        one) and scaled in scratch of that size, so no ``n^d`` array is
+        made beside the contraction's output of ``c n^(d-1)`` values (two
+        with ``both``).
         """
         n, d = self.n, self.d
         _check_spectrum(spectrum, n, d)
+        *lead, last = spectrum
+        # the leading product of each line beside the line's last factor
+        lead, last = np.broadcast_arrays(outer(lead).reshape(-1, 1), last.reshape(-1, n))
         step = max(1, _GEMM_BLOCK // n)
-        if isinstance(spectrum, np.ndarray):
-            lines, last = np.asarray(spectrum, dtype=float).reshape(-1, n), None
-        else:
-            *lead, last = spectrum
-            lines = outer(lead).reshape(-1, 1)  # the leading product of each line
-            product = np.empty((min(step, lines.shape[0]), n))
+        product, scratch = np.empty((2, min(step, last.shape[0]), n))
+        mu = _mode_sums(self.lam, d - 1).reshape(-1) + self.shift
         rows, count, where = self._steps[-1]
-        # the unscaled and the scaled contraction, as asked
-        kinds = (False, True) if both else (scaled,)
-        outs = [np.empty((rows.shape[0], lines.shape[0])) for _ in kinds]
-        if kinds[-1]:
-            mu = _mode_sums(self.lam, d - 1).reshape(-1) + self.shift
-            scratch = np.empty((min(step, lines.shape[0]), n))
-        for start in range(0, lines.shape[0], step):
-            part = lines[start : start + step]
-            if last is not None:
-                part = np.multiply(part, last, out=product[: part.shape[0]])
-            for kind, x in zip(kinds, outs):
-                if kind:  # the last kind: the chunk is scaled in scratch
-                    den = scratch[: part.shape[0]]
-                    np.add.outer(mu[start : start + step], self.lam, out=den)
-                    part = np.divide(part, den, out=den)
-                np.matmul(rows, part.T, out=x[:, start : start + step])
+        # the unscaled contraction if asked, then the scaled one
+        outs = [np.empty((rows.shape[0], last.shape[0])) for _ in range(1 + both)]
+        for start in range(0, last.shape[0], step):
+            part = product[: min(step, last.shape[0] - start)]
+            np.multiply(lead[start : start + step], last[start : start + step], out=part)
+            if both:
+                np.matmul(rows, part.T, out=outs[0][:, start : start + step])
+            den = scratch[: part.shape[0]]
+            np.add.outer(mu[start : start + step], self.lam, out=den)
+            np.divide(part, den, out=den)
+            np.matmul(rows, den.T, out=outs[-1][:, start : start + step])
         reads = []
         while outs:  # the lines alone outlive this step
             reads.append(self._backward(_lines(outs.pop(0), count, where), self._steps[:-1]))
@@ -535,8 +515,8 @@ class SupportSolve:
 
     def finish(self, spectrum, v: Array) -> Array:
         """Return ``(neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
-        block, for the spectrum ``Q^d b`` of ``b`` (a block or 1-D spectra,
-        as for :meth:`read`): the sparse forward half of ``E_S v``,
+        block, for the spectrum ``Q^d b`` of ``b`` (factors as for
+        :meth:`read`): the sparse forward half of ``E_S v``,
         subtracted from ``spectrum`` (:func:`subtract_from_spectrum`), then
         the scaling and the backward half of :func:`dirichlet_solve` in
         place in the block the forward half makes, the one ``n^d`` array

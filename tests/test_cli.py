@@ -75,6 +75,17 @@ def test_capacity_bad_input_exits_with_message(capsys, argv, code, prefix):
     assert err.startswith(prefix)
 
 
+@pytest.mark.parametrize("second", ["1.5", "nan"])
+def test_capacity_bad_truncation_pair_fails_before_any_solve(capsys, second):
+    # L2 < 2 L1 or a NaN L2 cannot be extrapolated: no variational solve runs
+    code, out, err = run_cli(
+        capsys, "capacity", "3", "0.25", "--numeric", "1", "0.0625", "--extrapolate", second
+    )
+    assert code == 1
+    assert err.startswith("error:") and "L2 >= 2 L1" in err
+    assert "variational" not in out
+
+
 def test_capacity_numeric_flag(capsys):
     code, out, _ = run_cli(
         capsys, "capacity", "3", "1", "--numeric", "3", "0.25", "--extrapolate", "6"

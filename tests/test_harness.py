@@ -114,6 +114,8 @@ def test_config_validation_errors(tmp_path):
         ("x = l2_error slope", "1/4 1/8"),
         ("x = l2_error max_abs", "1/4 1/8"),
         ("x = l2_error min_ratio abc", "1/4 1/8"),
+        ("x = rel_l2_error min_ratio nan", "1/4 1/8"),
+        ("x = rel_l2_error slope 2 -0.5", "1/4 1/8"),
         ("x = l2_error strict_decrease", "1/4"),
     ],
 )

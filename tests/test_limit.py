@@ -168,13 +168,13 @@ def shared_and_own(f, weights, grid, transforms):
     same bits; the shared spectrum must come back unchanged.  Returns the
     transforms of the shared solve."""
     rhs = rhs_spectrum(f.copy(), grid)
-    kept = rhs.values.copy()
+    kept = rhs.values[0].copy()
     transforms.clear()
     u, stats = solve_limit(rhs, weights, grid, 1e-9)
     made = list(transforms)
     own, own_stats = solve_limit(f, weights, grid, 1e-9)
-    assert not rhs.values.flags.writeable
-    np.testing.assert_array_equal(rhs.values, kept)
+    assert not rhs.values[0].flags.writeable
+    np.testing.assert_array_equal(rhs.values[0], kept)
     np.testing.assert_array_equal(u, own)
     assert stats.iterations == own_stats.iterations
     assert stats.residual == own_stats.residual <= 1e-9

@@ -190,13 +190,13 @@ def shared_and_own(f, holes, grid, tol, transforms):
     ``(u, stats)``.  The shared spectrum must come back unchanged;
     ``transforms`` then holds the shared solve's transforms."""
     rhs = rhs_spectrum(f.copy(), grid)
-    kept = rhs.values.copy()
+    kept = rhs.values[0].copy()
     transforms.clear()
     u, stats = solve_perforated(rhs, holes, grid, tol)
     made = list(transforms)
     own, own_stats = solve_perforated(f, holes, grid, tol)
-    assert not rhs.values.flags.writeable
-    np.testing.assert_array_equal(rhs.values, kept)
+    assert not rhs.values[0].flags.writeable
+    np.testing.assert_array_equal(rhs.values[0], kept)
     transforms[:] = made
     np.testing.assert_array_equal(u, own)
     assert (stats.iterations, stats.residual) == (own_stats.iterations, own_stats.residual)
@@ -258,7 +258,7 @@ def test_empty_mask_with_a_shared_base_returns_a_writable_copy(transforms):
     transforms.clear()
     u, stats = solve_perforated(rhs, family(np.zeros((0, 3)), []), grid, tol=1e-10)
     assert transforms == [("sine_transform", 15)]
-    assert u.flags.writeable and not np.shares_memory(u, rhs.values)
+    assert u.flags.writeable and not np.shares_memory(u, rhs.values[0])
     np.testing.assert_array_equal(u, dirichlet_solve(f, grid.h))
     assert stats.iterations == 1
 
@@ -276,7 +276,7 @@ def test_product_spectrum_solves_as_its_block(case, transforms):
     # surface-layer row's hole-zeroed f are transformed on the grid
     grid = Grid(3, 15)
     rhs = rhs_spectrum(parse_rhs("sine(1, 2, 1)", 3), grid)
-    block = RhsSpectrum(grid, outer(rhs.values), rhs.norm, rhs.factors)
+    block = RhsSpectrum(grid, (outer(rhs.values),), rhs.norm, rhs.factors)
     if case.endswith("limit"):
         spec = {"plane limit": "plane(0.5, 20)", "constant limit": "constant(20)"}[case]
         weights = lump_measure(parse_potential(spec, 3), grid)

@@ -240,27 +240,27 @@ def test_support_read_and_finish_match_scattered_dirichlet_solve(problem):
     smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
     size = np.linalg.norm(f) + np.linalg.norm(v)
     bound = 8 * d * n * EPS64 * size / smallest
-    read = solve.read(spectrum)
+    read = solve.read((spectrum,))
     assert read.shape == v.shape
     assert np.linalg.norm(read - dirichlet_solve(f, h, shift).reshape(-1)[nodes]) <= bound
-    values = solve.read(spectrum, scaled=False)
+    values = solve.read((spectrum,), both=True)[0]
     assert np.linalg.norm(values - f.reshape(-1)[nodes]) <= 8 * d * n * EPS64 * size
     b = f.copy().reshape(-1)
     b[nodes] -= v
-    u = solve.finish(spectrum, v)
+    u = solve.finish((spectrum,), v)
     assert u.shape == (n,) * d
     assert np.linalg.norm(u - dirichlet_solve(b.reshape(f.shape), h, shift)) <= bound
     # read back on the support, the finish of a zero spectrum is minus
     # the restricted apply up to rounding
     zero = np.zeros((n,) * d)
-    assert np.linalg.norm(solve.finish(zero, v).reshape(-1)[nodes] + solve.apply(v)) <= 2 * bound
+    assert np.linalg.norm(solve.finish((zero,), v).reshape(-1)[nodes] + solve.apply(v)) <= 2 * bound
     np.testing.assert_array_equal(spectrum, kept)
     # the spectrum of a product, given as its 1-D spectra, reads and
     # finishes bit for bit as the block of their outer product does
     lines = tuple(rng.standard_normal(n) for _ in range(d))
-    for got, want in zip(solve.read(lines, both=True), solve.read(outer(lines), both=True)):
+    for got, want in zip(solve.read(lines, both=True), solve.read((outer(lines),), both=True)):
         assert got.tobytes() == want.tobytes()
-    assert solve.finish(lines, v).tobytes() == solve.finish(outer(lines), v).tobytes()
+    assert solve.finish(lines, v).tobytes() == solve.finish((outer(lines),), v).tobytes()
 
 
 @pytest.mark.parametrize("shift", [0.0, 50.0])
@@ -286,19 +286,19 @@ def test_read_back_and_finish_match_full_solves(thin, shift):
     spectrum = sine_transform(f.copy(), h)
     full = dirichlet_solve(f, h, shift)
     reference = full.reshape(-1)[nodes]
-    assert np.linalg.norm(solve.read(spectrum) - reference) <= 1e-13 * np.linalg.norm(reference)
+    assert np.linalg.norm(solve.read((spectrum,)) - reference) <= 1e-13 * np.linalg.norm(reference)
     on_nodes = f.reshape(-1)[nodes]
-    values = solve.read(spectrum, scaled=False)
+    values = solve.read((spectrum,), both=True)[0]
     assert np.linalg.norm(values - on_nodes) <= 1e-13 * np.linalg.norm(on_nodes)
     # one pass for both reads gives each bit for bit
-    pair = solve.read(spectrum, both=True)
+    pair = solve.read((spectrum,), both=True)
     assert pair[0].tobytes() == values.tobytes()
-    assert pair[1].tobytes() == solve.read(spectrum).tobytes()
+    assert pair[1].tobytes() == solve.read((spectrum,)).tobytes()
     # the finish is the full solve minus the extension of v
     extension = np.zeros(n**d)
     extension[nodes] = v
     reference = full - dirichlet_solve(extension.reshape(f.shape), h, shift)
-    u = solve.finish(spectrum, v)
+    u = solve.finish((spectrum,), v)
     assert np.linalg.norm(u - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
@@ -321,7 +321,7 @@ def test_band_normal_to_last_axis_matches_scattered_dirichlet_solve(d, n, c, shi
     smallest = shift + d * 4.0 / h**2 * math.sin(math.pi / (2 * (n + 1))) ** 2
     bound = 8 * d * n * EPS64 * np.linalg.norm(v) / smallest
     assert np.linalg.norm(u - reference) <= bound
-    extended = -solve.finish(np.zeros((n,) * d), v)
+    extended = -solve.finish((np.zeros((n,) * d),), v)
     assert np.linalg.norm(extended.reshape(-1)[nodes] - u) <= 2 * bound
 
 
@@ -345,5 +345,15 @@ def test_support_solve_rejects_bad_supports():
             SupportSolve(np.asarray(nodes, dtype=np.int64), 3, 3, 0.25)
     with pytest.raises(InvalidParameterError):
         SupportSolve(np.arange(4), 3, 3, 0.25).apply(np.ones(5))
-    with pytest.raises(InvalidParameterError):
-        SupportSolve(np.arange(4), 3, 3, 0.25).read(np.ones((2, 2, 2)))
+    # a spectrum is d factors of shape (n,) or one of shape (n,) * d: a
+    # 2-D factor and a 1-D one, d - 1 factors, a block of another n
+    solve = SupportSolve(np.arange(4), 3, 3, 0.25)
+    for spectrum in (
+        (np.ones((3, 3)), np.ones(3)),
+        (np.ones(3), np.ones(3)),
+        (np.ones((2, 2, 2)),),
+    ):
+        with pytest.raises(InvalidParameterError):
+            solve.read(spectrum)
+        with pytest.raises(InvalidParameterError):
+            solve.finish(spectrum, np.ones(4))
