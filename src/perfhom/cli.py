@@ -6,8 +6,9 @@ capacity), ``construct`` (emit hole CSVs for a config), ``check``
 ``solve`` (one perforated/limit pair at the first epsilon), ``study``
 (the full sweep).
 
-Exit codes: 0 success, 1 validation, configuration or file error, 2
-numerical failure, 3 failed trend check under ``study --assert``.
+Exit codes: 0 success, 1 validation, configuration or file error, or an
+array too large to allocate, 2 numerical failure, 3 failed trend check
+under ``study --assert``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .solver import Grid, lump_measure, rhs_spectrum, solve_limit
 from .solver import solve_perforated, write_field
 from .tiling import TilingSpec, cells_intersecting, unit_box
 
-VALIDATION_ERRORS = (InvalidParameterError, ConstructionError, GeometryError)
+VALIDATION_ERRORS = (InvalidParameterError, ConstructionError, GeometryError, MemoryError)
 NUMERICAL_ERRORS = (SolverError, ResolutionError, ExtrapolationError, EvaluationError)
 
 

@@ -5,12 +5,13 @@ is solved once on the finest grid and injected onto each row's grid, so
 row errors compare against one fixed limit field.  A right-hand side
 is ``d`` signed 1-D factors, ``f(x) = prod_k f_k(x_k)``, so each grid
 holds it as the 1-D spectra ``Q f_k`` that all its solves read
-(:func:`~perfhom.solver.rhs_spectrum`), never as a grid array.  Each
-grid array goes at its last read: a grid's lumped measure in the ldc of
-its last row, which builds the capacity-density deviation in it.  A row
-on the finest grid compares against the limit field itself, not a
-copy.  Rows are computed sequentially with fixed-order reductions,
-which makes reports reproducible bit for bit for a given configuration.
+(:func:`~perfhom.solver.rhs_spectrum`), never as a grid array.  Only
+the limit field outlives its row: the limit phase and each row lump
+their own measure and build their own spectra, and a row's ldc builds
+the capacity-density deviation in its measure, its one read.  A row on
+the finest grid compares against the limit field itself, not a copy.
+Rows are computed sequentially with fixed-order reductions, which makes
+reports reproducible bit for bit for a given configuration.
 """
 
 from __future__ import annotations
@@ -367,8 +368,9 @@ class StudyReport:
                     "column": t.spec.column,
                     "mode": t.spec.mode,
                     "passed": t.passed,
-                    "values": list(t.values),
-                    "ratios": list(t.ratios),
+                    # strict JSON: a non-finite value or ratio is null
+                    "values": [v if math.isfinite(v) else None for v in t.values],
+                    "ratios": [r if math.isfinite(r) else None for r in t.ratios],
                     "detail": t.detail,
                 }
                 for t in self.trend_results
@@ -389,9 +391,8 @@ def trend_check(report: StudyReport, spec: TrendSpec) -> TrendResult:
     values = report.column(spec.column)
     if len(values) < 2:
         raise InvalidParameterError("trend check needs at least 2 rows")
-    ratios = tuple(
-        a / b if b != 0.0 else math.inf for a, b in zip(values, values[1:])
-    )
+    # a zero after a zero has no ratio (NaN), so no ``min_ratio`` passes on it
+    ratios = tuple(a / b if b else math.inf if a else math.nan for a, b in zip(values, values[1:]))
     mode, param = spec.mode, spec.param
     if mode == "strict_decrease":
         passed = all(a > b for a, b in zip(values, values[1:]))
@@ -466,8 +467,7 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
     seconds = report.stage_seconds
 
     def stage(name, eps, fn):
-        # the one instrumentation point: wall seconds per stage, summed
-        # when a stage runs twice in a phase
+        # the one instrumentation point: wall seconds per stage
         phase = seconds["limit"] if eps is None else seconds["rows"][-1]
         start = time.perf_counter()
         try:
@@ -477,24 +477,19 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         except Exception as exc:
             raise StudyError(name, eps, exc, partial=report) from exc
         finally:
-            phase[name] = phase.get(name, 0.0) + time.perf_counter() - start
-
-    # each grid's right-hand side is its 1-D spectra, kept to the end, and
-    # its lumped measure lives until that row's ldc
-    last_row = {n: k for k, n in enumerate(cfg.grids)}
-    rhs, lumped = {}, {}
+            phase[name] = time.perf_counter() - start
 
     start = time.perf_counter()
-    lumped[finest_n] = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid))
-    rhs[finest_n] = stage("rhs", None, lambda: rhs_spectrum(cfg.rhs, fine_grid))
+    lumped = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid))
+    rhs = stage("rhs", None, lambda: rhs_spectrum(cfg.rhs, fine_grid))
     u_limit, limit_stats = stage(
-        "solve_limit",
-        None,
-        lambda: solve_limit(rhs[finest_n], lumped[finest_n], fine_grid, cfg.tol),
+        "solve_limit", None, lambda: solve_limit(rhs, lumped, fine_grid, cfg.tol)
     )
+    # the limit field is the one grid array the rows share
+    del lumped
     metadata["limit_solver"] = {"n": finest_n, **limit_stats.__dict__}
 
-    for k, (eps, n) in enumerate(zip(cfg.epsilons, cfg.grids)):
+    for eps, n in zip(cfg.epsilons, cfg.grids):
         seconds["rows"].append({})
         grid = Grid(cfg.dim, n)
         spec = TilingSpec(cfg.dim, eps)
@@ -509,16 +504,10 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         assumptions = stage(
             "assumptions", eps, lambda: assumption_quantities(holes, seps, construction.cells)
         )
-        if n not in lumped:
-            lumped[n] = stage("lump_measure", eps, lambda: lump_measure(cfg.potential, grid))
-        # the ldc builds its deviation in the measure it is handed: the
-        # grid's own at its last row, its last read, else a copy
-        last = last_row[n] == k
-        ldc = stage(
-            "ldc",
-            eps,
-            lambda: ldc_deviation(holes, lumped.pop(n) if last else lumped[n].copy(), spec, grid),
-        )
+        # the ldc builds its deviation in the row's own measure, its one read
+        lumped = stage("lump_measure", eps, lambda: lump_measure(cfg.potential, grid))
+        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped, spec, grid))
+        del lumped
         radii = holes.nonempty.radii
         if radii.size and radii.max() < seps.R:
             # only the norm is reported; the field is not kept
@@ -528,12 +517,9 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         else:
             # oversized holes leave no cutoff annulus; metric undefined
             v_l2 = math.nan
-        if n not in rhs:
-            rhs[n] = stage("rhs", eps, lambda: rhs_spectrum(cfg.rhs, grid))
+        rhs = stage("rhs", eps, lambda: rhs_spectrum(cfg.rhs, grid))
         u_eps, stats = stage(
-            "solve_perforated",
-            eps,
-            lambda: solve_perforated(rhs[n], holes, grid, cfg.tol),
+            "solve_perforated", eps, lambda: solve_perforated(rhs, holes, grid, cfg.tol)
         )
         if n == finest_n:
             u_ref = u_limit  # the limit field itself, not a copy

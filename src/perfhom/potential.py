@@ -85,6 +85,9 @@ class SumPotential:
     def __post_init__(self):
         if not self.parts:
             raise InvalidParameterError("sum potential needs at least one part")
+        for part in self.parts:
+            if not isinstance(part, (Density, SurfaceGraph, SumPotential)):
+                raise InvalidParameterError(f"sum part is not a potential: {type(part).__name__}")
 
 
 Potential = Union[Density, SurfaceGraph, SumPotential]

@@ -63,6 +63,8 @@ BAD_CAPACITY_INPUT = [
     (["3", "1", "--numeric", "3", "0.25", "--extrapolate", "0"], 1, "error:"),
     (["3", "1", "--extrapolate", "0"], 1, "error:"),
     (["5", "1e200"], 2, "numerical failure:"),
+    # a 7.11 PiB hole mask: more than any address space holds
+    (["3", "0.25", "--numeric", "1", "0.00001"], 1, "error:"),
 ]
 
 
@@ -237,6 +239,7 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ("zero()", "constant(" + "9" * 400 + ")"),
         ("tol = 1e-10", "tol = inf"),
         ("tol = 1e-10", "tol = 1"),
+        ("zero()", "sum([plane(0.5, 20), 3])"),
         # files configparser cannot parse: a repeated key or section, no
         # header, a line that is no key = value
         ("tol = 1e-10", "tol = 1e-10\ntol = 1e-9"),
@@ -248,7 +251,7 @@ def test_bad_config_exits_one(tmp_path, capsys):
         code, _, err = run_cli(capsys, "study", cfg)
         assert code == 1
         assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "stage" not in err
         assert "PosixPath" not in err and err.count("bad.cfg") <= 1
     # a parse error names the file once, as given, with the line
     cfg = write(tmp_path / "dup.cfg", ZERO_CFG.replace("tol = 1e-10", "tol = 1e-10\ntol = 1e-9"))
@@ -257,6 +260,19 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "PosixPath" not in err
     assert err.count("dup.cfg") == 1
     assert "line 9: option 'tol' in section 'study' already exists" in err
+
+
+def test_study_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # an array too large to allocate is an input error: one line, exit 1
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(perfhom.harness, "lump_measure", oversized)
+    cfg = write(tmp_path / "zero.cfg", ZERO_CFG)
+    code, _, err = run_cli(capsys, "study", cfg, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error:") and "stage 'lump_measure'" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_config_values_are_literal(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from perfhom.harness import (
     run_study,
     trend_check,
 )
-from perfhom.solver import Grid, field_from_callable, hole_mask, rhs_spectrum
+from perfhom.solver import Grid, field_from_callable, hole_mask, lump_measure, rhs_spectrum
 from perfhom.stencil import outer
 from perfhom.tiling import cells_intersecting
 from pointwise import density_at, sine_mode
@@ -317,16 +318,27 @@ def test_oversized_row_keeps_nan_corrector():
 
 
 def test_report_files_and_trends(tmp_path):
-    # zero columns are not strictly decreasing: this trend fails
-    trend = TrendSpec("drop", "sum_A6", "strict_decrease")
-    cfg = dataclasses.replace(zero_study_config(out_dir=tmp_path / "out"), trends=(trend,))
+    # zero columns are not strictly decreasing, and a zero after a zero
+    # has no ratio (NaN): both trends fail
+    trends = (
+        TrendSpec("drop", "sum_A6", "strict_decrease"),
+        TrendSpec("ratio", "l2_error", "min_ratio", 1.2),
+    )
+    cfg = dataclasses.replace(zero_study_config(out_dir=tmp_path / "out"), trends=trends)
     report = run_study(cfg)
     assert not trend_check(report, cfg.trends[0]).passed
-    assert [r.passed for r in report.trend_results] == [False]
-    assert (tmp_path / "out" / "study.csv").exists()
-    assert (tmp_path / "out" / "summary.json").exists()
+    assert [r.passed for r in report.trend_results] == [False, False]
+    assert math.isnan(report.trend_results[1].ratios[0])
     text = (tmp_path / "out" / "study.csv").read_text()
     assert text.splitlines()[0].startswith("epsilon,")
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    # the summary is strict JSON: the NaN ratio is written as null
+    text = (tmp_path / "out" / "summary.json").read_text()
+    written = json.loads(text, parse_constant=refuse)["trends"]
+    assert written[1]["ratios"] == [None] and not written[1]["passed"]
 
 
 def test_trend_check_modes():
@@ -406,27 +418,20 @@ allow_oversized_holes = true
     [
         ("plane(0.5, 20)", "1/4 1/8", "23 47", 4.0),
         ("plane(0.5, 20)", "1/8 1/16", "47 95", 2.7),
-        ("constant(40)", "1/4 1/8", "63 63", 5.0),
+        ("constant(40)", "1/4 1/8", "63 63", 4.0),
     ],
 )
 def test_study_peak_memory_in_finest_grid_arrays(tmp_path, potential, epsilons, grids, bound):
-    # f is a product, held as the 1-D spectra of its factors, so no grid
-    # holds a right-hand-side array, and a witness contracts the error
-    # with 1-D sine vectors, building no mode field.  The limit field and
-    # the finest grid's lumped measure live through the coarse row; the
-    # finest row's ldc builds its deviation in the lumped measure, its
-    # last read, which frees it, and compares against the limit field
-    # itself.  Sine transforms and the final solve work in place in their
-    # one array.  The plane studies measured 3.88 and 2.56 arrays (4.89
-    # and 3.56 when each grid held the spectrum of f and a witness its
-    # mode field; 5.89 and 4.60 when a grid also kept f and A^-1 f; 6.86
-    # and 6.47 with two-buffer transforms, a separate capacity-density
-    # field and measures kept to the end of the row).  The README study
-    # measured 4.83 (5.83 with the spectrum of f), in row 0, whose
-    # surface-layer solve makes its own spectrum of the hole-zeroed f and
-    # whose applies hold two blocks while the limit field and the lumped
-    # measure wait for row 1.  At 47^3 the transforms' scratch is 0.63 of
-    # an array, at 63^3 0.26
+    # the limit field is the one grid array that outlives its row: the
+    # limit phase drops its lumped measure after the solve, and each row
+    # lumps its own measure just before the ldc, which builds its
+    # deviation in it.  f is held as the 1-D spectra of its factors and a
+    # witness contracts with 1-D sine vectors, so neither makes a grid
+    # array; sine transforms and the final solve work in place.  The
+    # plane studies measured 3.88 and 2.56 arrays, the README study 3.83,
+    # in row 0, whose surface-layer applies hold two blocks beside the
+    # limit field.  At 47^3 the transforms' scratch is 0.63 of an array,
+    # at 63^3 0.26
     body = PEAK_STUDY.format(potential=potential, epsilons=epsilons, grids=grids)
     cfg = load_config(write_config(tmp_path / "s.cfg", body))
     tracemalloc.start()
@@ -436,6 +441,34 @@ def test_study_peak_memory_in_finest_grid_arrays(tmp_path, potential, epsilons, 
     finally:
         tracemalloc.stop()
     assert peak < bound * 8 * max(cfg.grids) ** 3
+
+
+def test_study_rows_lump_and_transform_their_own_inputs(monkeypatch):
+    # the limit phase and each row lump their own measure and build their
+    # own spectra; the limit's measure is gone before any row starts
+    calls, measures = [], []
+
+    def lump(mu, grid):
+        calls.append(("lump_measure", grid.n))
+        measure = lump_measure(mu, grid)
+        measures.append(weakref.ref(measure))
+        return measure
+
+    def rhs(f, grid):
+        calls.append(("rhs_spectrum", grid.n))
+        return rhs_spectrum(f, grid)
+
+    def construct(cfg, eps):
+        assert measures[0]() is None
+        return construct_study_holes(cfg, eps)
+
+    monkeypatch.setattr(perfhom.harness, "lump_measure", lump)
+    monkeypatch.setattr(perfhom.harness, "rhs_spectrum", rhs)
+    monkeypatch.setattr(perfhom.harness, "construct_study_holes", construct)
+    run_study(dataclasses.replace(zero_study_config(), grids=(7, 15)))
+    assert calls == [("lump_measure", 15), ("rhs_spectrum", 15)] + [
+        (name, n) for n in (7, 15) for name in ("lump_measure", "rhs_spectrum")
+    ]
 
 
 def test_summary_records_stage_seconds(tmp_path):

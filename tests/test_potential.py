@@ -269,6 +269,8 @@ def test_parse_potential_constructors():
         parse_potential("unknown(1)", 3)
     with pytest.raises(InvalidParameterError):
         parse_potential("1 + 2", 3)
+    with pytest.raises(InvalidParameterError, match="sum part is not a potential: float"):
+        parse_potential("sum([plane(0.5, 20), 3])", 3)
 
 
 def reference_cell_mass(mu, cell):
