@@ -60,6 +60,7 @@ from .potential import (
     cell_average_field,
     cell_mass,
     cell_masses,
+    lump_measure,
     max_cell_mass_scaling,
     parse_potential,
 )
@@ -71,7 +72,6 @@ from .solver import (
     field_from_callable,
     l2_distance,
     l2_norm,
-    lump_measure,
     read_field,
     restrict,
     rhs_spectrum,

@@ -35,7 +35,8 @@ from .errors import (
 from .harness import construct_study_holes, load_config, run_study
 from .holes import SeparationParams, read_holes_csv
 from .inverse import C1
-from .solver import Grid, lump_measure, rhs_spectrum, solve_limit
+from .potential import lump_measure
+from .solver import Grid, rhs_spectrum, solve_limit
 from .solver import solve_perforated, write_field
 from .tiling import TilingSpec, cells_intersecting, unit_box
 

@@ -25,8 +25,8 @@ from .cg import dot
 from .cg import pcg  # noqa: F401  (perfbench/tracing.py wraps diagnostics.pcg)
 from .errors import InvalidParameterError
 from .holes import HoleFamily, SeparationParams
+from .potential import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
 from .solver import Grid
-from .solver import lump_measure  # noqa: F401  (perfbench/tracing.py wraps diagnostics.lump_measure)
 from .stencil import dirichlet_energy
 from .stencil import neg_laplacian  # noqa: F401  (perfbench/tracing.py wraps diagnostics.neg_laplacian)
 from .tiling import CellFamily, TilingSpec, cell_axis_indices
@@ -122,7 +122,7 @@ def _cell_densities(holes: HoleFamily, spec: TilingSpec, grid: Grid) -> tuple[Ar
     if spec.dim != grid.dim:
         raise InvalidParameterError("tiling and grid dimensions differ")
     measure = (2.0 * spec.epsilon) ** spec.dim
-    axis_cells = cell_axis_indices(spec, grid.axis())
+    axis_cells = cell_axis_indices(spec.epsilon, grid.axis())
     lo = int(axis_cells.min())
     hi = int(axis_cells.max())
     ords = (axis_cells - lo) // 2
@@ -155,7 +155,7 @@ def ldc_deviation(
     """``H^-1`` distance between the capacity density and the lumped target.
 
     ``lumped`` is the target potential on ``grid`` from
-    :func:`~perfhom.solver.lump_measure`, and is overwritten: the
+    :func:`~perfhom.potential.lump_measure`, and is overwritten: the
     deviation ``capacity density - lumped`` is built in it one axis-0
     slab at a time and, when it is C-contiguous, transformed there, so
     no other grid array is made (pass a copy to keep the target).  Under

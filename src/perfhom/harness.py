@@ -33,15 +33,15 @@ import numpy as np
 from .diagnostics import assumption_quantities, ldc_deviation
 from .errors import ConfigError, InvalidParameterError, StudyError
 from .inverse import ConstructionReport, construct_holes
-from .potential import Factor, Potential, parse_potential, parse_spec
+from .potential import Factor, Potential, lump_measure, parse_potential, parse_spec
 from .solver import (
     CUTOFF_NAME,
     Grid,
     corrector_field,
     field_from_callable,  # noqa: F401  (perfbench/tracing.py wraps harness.field_from_callable)
+    is_sine_mode,
     l2_distance,  # noqa: F401  (perfbench/tracing.py wraps harness.l2_distance)
     l2_norm,
-    lump_measure,
     restrict,
     rhs_spectrum,
     solve_limit,
@@ -70,7 +70,7 @@ def _sine_rhs(dim: int, *m: float) -> tuple[Factor, ...]:
     mode = m or (1,) * dim
     if len(mode) != dim:
         raise InvalidParameterError(f"sine needs {dim} modes, got {len(mode)}")
-    if any(v % 1 != 0 or not v >= 1 for v in mode):
+    if not is_sine_mode(mode):
         raise InvalidParameterError(f"sine modes must be positive integers, got {mode}")
     frequencies = (np.pi * np.asarray(mode, dtype=float)).tolist()
     return tuple((lambda t, k=k: np.sin(k * t)) for k in frequencies)
@@ -180,11 +180,11 @@ class StudyConfig:
         if not 0.0 < self.tol < 1.0:
             raise ConfigError(f"tolerance must lie in (0, 1), got {self.tol}")
         for mode in self.witness_modes:
-            if len(mode) != self.dim or any(m % 1 != 0 or not m >= 1 for m in mode):
+            if len(mode) != self.dim or not is_sine_mode(mode):
                 raise ConfigError(f"bad witness mode {mode}")
-        columns = {f.name for f in fields(StudyRow)} | set(map(_witness_column, self.witness_modes))
+        columns = _columns(self.witness_modes)
         for trend in self.trends:
-            if trend.column not in columns - {"witnesses"}:
+            if trend.column not in columns:
                 raise ConfigError(f"trend {trend.name!r} names unknown column {trend.column!r}")
         if self.trends and len(self.epsilons) < 2:
             raise ConfigError("trends need at least 2 epsilons")
@@ -269,6 +269,12 @@ def _witness_column(mode: Sequence[int]) -> str:
     return "witness_" + "_".join(str(int(m)) for m in mode)
 
 
+def _columns(modes: Sequence[Sequence[int]]) -> list[str]:
+    """Report columns: :class:`StudyRow`'s fields, ``witnesses`` one per mode."""
+    witness = list(map(_witness_column, modes))
+    return [c for f in fields(StudyRow) for c in (witness if f.name == "witnesses" else [f.name])]
+
+
 @dataclass
 class StudyRow:
     epsilon: float
@@ -314,26 +320,24 @@ class TrendResult:
     detail: str = ""
 
 
-def _no_stage_seconds() -> dict:
-    return {"limit": {}, "rows": []}
-
-
 @dataclass
 class StudyReport:
     """Rows, metadata and trend results of a study.
 
     ``stage_seconds`` holds the wall seconds of each harness stage: a
     ``limit`` dict for the limit phase and one dict per row in ``rows``.
-    It goes to ``summary.json``, not to the CSV report.
+    ``failure`` names the stage, epsilon and error of a failed study.
+    Both go to ``summary.json``, not to the CSV report.
     """
 
     rows: list[StudyRow]
     metadata: dict
     trend_results: list[TrendResult] = field(default_factory=list)
-    stage_seconds: dict = field(default_factory=_no_stage_seconds)
+    stage_seconds: dict = field(default_factory=lambda: {"limit": {}, "rows": []})
+    failure: Optional[dict] = field(default=None, init=False)
 
     def columns(self) -> list[str]:
-        return list(self.rows[0].as_dict().keys()) if self.rows else []
+        return _columns(self.metadata["witness_modes"])
 
     def column(self, name: str) -> list[float]:
         if not self.rows:
@@ -376,6 +380,8 @@ class StudyReport:
                 for t in self.trend_results
             ],
         }
+        if self.failure is not None:
+            summary["failure"] = self.failure
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 
@@ -431,9 +437,9 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     Stages per epsilon: construct holes, geometry and assumption checks,
     capacity-density deviation, corrector, perforated solve, errors
     against the injected limit field.  Any stage failure raises
-    :class:`StudyError` carrying the rows finished so far.
+    :class:`StudyError` carrying the rows finished so far, and writes this
+    run's report to ``out_dir``, rows or none, with the failure.
     """
-    rows: list[StudyRow] = []
     metadata = {
         "dim": cfg.dim,
         "potential": cfg.potential_spec,
@@ -446,25 +452,22 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         "numpy_version": np.__version__,
         "cpu_count": os.cpu_count(),
     }
-    report = StudyReport(rows, metadata)
+    report = StudyReport([], metadata)
 
     try:
         return _run_study_body(cfg, report)
-    except StudyError:
-        # emit the rows finished before the failure
-        if cfg.out_dir and report.rows:
+    except StudyError as exc:
+        # the rows finished, or the header alone: no earlier report survives
+        if cfg.out_dir:
+            report.failure = {"stage": exc.stage, "epsilon": exc.epsilon, "error": str(exc.cause)}
             report.write(cfg.out_dir)
         raise
 
 
 def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
-    rows = report.rows
-    metadata = report.metadata
-
+    rows, metadata, seconds = report.rows, report.metadata, report.stage_seconds
     finest_n = max(cfg.grids)
     fine_grid = Grid(cfg.dim, finest_n)
-
-    seconds = report.stage_seconds
 
     def stage(name, eps, fn):
         # the one instrumentation point: wall seconds per stage

@@ -1,4 +1,4 @@
-"""Nonnegative target potentials and their cell masses.
+"""Nonnegative target potentials, their cell masses and their lumping.
 
 A potential is a nonnegative Borel measure given in one of three forms:
 a product density (``L^p`` with ``p >= d``), a weighted surface measure
@@ -21,6 +21,11 @@ Both run per axis: a tensor rule on a product factors exactly into 1-D
 rules, so each density factor is integrated once per cell interval on
 its axis, and graph heights and gradients are broadcast products of
 factor values, each factor evaluated once per footprint coordinate.
+
+The limit problem carries the same measure lumped onto node dual cells
+(:func:`lump_measure`), by the same rules at order 2 and per node
+spacing.  A dual cell is a lattice cell of pitch ``h/2``, so both bin by
+:func:`~perfhom.tiling.cell_axis_indices`, through one dispatch.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EvaluationError, InvalidParameterError
+from .solver import Grid
 from .tiling import Box, Cell, CellFamily, TilingSpec, cell_axis_indices, cells_intersecting
 
 
@@ -226,61 +232,126 @@ def bin_footprint(mu: SurfaceGraph, axes: Sequence[np.ndarray], area: float, axi
     return dense
 
 
+def _integrate(mu: Potential, target, density: Callable, surface: Callable) -> np.ndarray:
+    """``mu`` integrated over ``target`` by its kind's rule, ``density(mu,
+    target)`` or ``surface(mu, target)``, a new array; a sum adds its parts'
+    arrays in order.  The one dispatch over the kinds of potential."""
+    if isinstance(mu, SumPotential):
+        total = 0.0  # 0.0 + the first array is a new array; the rest add in place
+        for part in mu.parts:
+            total += _integrate(part, target, density, surface)
+        return total
+    if isinstance(mu, Density):
+        return density(mu, target)
+    if isinstance(mu, SurfaceGraph):
+        return surface(mu, target)
+    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
+
+
 def cell_masses(mu: Potential, cells: CellFamily) -> np.ndarray:
     """Masses ``mu(A_i)`` of a cell family, shape ``(N,)``, in index order.
 
     Densities use the tensor Gauss rule of order
-    :data:`CELL_MASS_GAUSS_ORDER` over each cell box (exact for
-    constants), as 1-D rules: each factor is integrated over the cell
-    intervals present on its axis (:func:`factor_averages`, 4 points per
-    distinct index), and a cell's mass is the product of its axes'
-    integrals.  Surface graphs sample the footprints of the family's cell
+    :data:`CELL_MASS_GAUSS_ORDER` (exact for constants) as 1-D rules: each
+    factor is integrated over the cell intervals present on its axis
+    (:func:`factor_averages`), and a cell's mass is the product of its
+    axes' integrals.  Graphs sample the footprints of the family's cell
     columns once, :data:`SURFACE_MIDPOINTS` midpoints per cell width and
-    axis, and credit each sample's weighted area element to the cell
-    holding its lifted point (half-open convention), by
-    :func:`bin_footprint`: the column of each footprint coordinate is
-    found once per axis, and one ``np.bincount`` per axis-0 column fills
-    the masses of that column's cells.  Sums add exactly.  A mass that
-    overflows raises :class:`EvaluationError`; an empty family has no
-    masses.
+    axis, and :func:`bin_footprint` credits each sample's weighted area
+    element to the cell holding its lifted point (half-open convention),
+    one ``np.bincount`` per axis-0 column.  A mass that overflows raises
+    :class:`EvaluationError`; an empty family has no masses.
     """
     if not len(cells):
         return np.zeros(0)
     with np.errstate(over="ignore", invalid="ignore"):
-        masses = _cell_masses(mu, cells)
+        masses = _integrate(mu, cells, _density_cell_masses, _graph_cell_masses)
     if not np.isfinite(masses).all():
         raise EvaluationError("cell mass overflows")
     return masses
 
 
-def _cell_masses(mu: Potential, cells: CellFamily) -> np.ndarray:
-    if isinstance(mu, SumPotential):
-        return sum(_cell_masses(part, cells) for part in mu.parts)
-    eps = cells.epsilon
-    index = cells.index
-    if isinstance(mu, Density):
-        columns = [np.unique(index[:, k], return_inverse=True) for k in range(index.shape[1])]
-        averages = factor_averages(mu, [eps * c for c, _ in columns], eps, CELL_MASS_GAUSS_ORDER)
-        # each cell's axis integrals, multiplied in axis order
-        return math.prod(((2.0 * eps) * a)[at] for a, (_, at) in zip(averages, columns))
-    if isinstance(mu, SurfaceGraph):
-        spec = TilingSpec(index.shape[1], eps)
-        lo = index.min(axis=0)
-        shape = tuple((index.max(axis=0) - lo) // 2 + 1)
-        refine = SURFACE_MIDPOINTS
-        t = np.arange(refine) + 0.5
-        axes = []
-        for k in range(spec.dim - 1):
-            column = lo[k] + 2 * np.arange(shape[k])
-            low = eps * (column - 1)
-            high = eps * (column + 1)
-            axes.append(low[:, None] + (high - low)[:, None] * t / refine)
-        area = (2.0 * eps / refine) ** (spec.dim - 1)
-        dense = bin_footprint(
-            mu, axes, area, lambda k, coords: (cell_axis_indices(spec, coords) - lo[k]) // 2, shape
-        )
-        return dense[tuple(((index - lo) // 2).T)]
-    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
+def _density_cell_masses(mu: Density, cells: CellFamily) -> np.ndarray:
+    eps, index = cells.epsilon, cells.index
+    columns = [np.unique(index[:, k], return_inverse=True) for k in range(index.shape[1])]
+    averages = factor_averages(mu, [eps * c for c, _ in columns], eps, CELL_MASS_GAUSS_ORDER)
+    # each cell's axis integrals, multiplied in axis order
+    return math.prod(((2.0 * eps) * a)[at] for a, (_, at) in zip(averages, columns))
+
+
+def _graph_cell_masses(mu: SurfaceGraph, cells: CellFamily) -> np.ndarray:
+    eps, index = cells.epsilon, cells.index
+    dim = index.shape[1]
+    lo = index.min(axis=0)
+    shape = tuple((index.max(axis=0) - lo) // 2 + 1)
+    t = np.arange(SURFACE_MIDPOINTS) + 0.5
+    axes = []
+    for k in range(dim - 1):
+        column = lo[k] + 2 * np.arange(shape[k])
+        low, high = eps * (column - 1), eps * (column + 1)
+        axes.append(low[:, None] + (high - low)[:, None] * t / SURFACE_MIDPOINTS)
+    area = (2.0 * eps / SURFACE_MIDPOINTS) ** (dim - 1)
+    dense = bin_footprint(
+        mu, axes, area, lambda k, coords: (cell_axis_indices(eps, coords) - lo[k]) // 2, shape
+    )
+    return dense[tuple(((index - lo) // 2).T)]
+
+
+def lump_measure(mu: Potential, grid: Grid) -> np.ndarray:
+    """Lump a potential onto node dual cells: ``w_j = mu(V_j) / h^d``.
+
+    ``V_j`` is the half-open h-cube centered at node ``j``, the lattice
+    cell of pitch ``h/2`` and index ``2(j + 1)``.  Densities use order-2
+    tensor Gauss quadrature over each dual cell, whose O(h^4) error is
+    below the O(h^2) error of the grid: each factor is averaged over the
+    ``n`` dual-cell intervals of its axis (:func:`factor_averages`, ``2n``
+    evaluations, weights 1/2 and 1/2) and ``w`` is the outer product of
+    those averages, so a constant density lumps to itself exactly.
+    Surface measures deposit footprint samples of the weighted area
+    element, :data:`SURFACE_MIDPOINTS` per node spacing and axis, into the
+    dual cell holding the lifted point; samples in the half-spacing skin
+    along the boundary go to the outermost interior node, so the lumped
+    total is the full surface mass inside the domain.  :func:`bin_footprint`
+    fills one node slab ``out[i]`` per ``np.bincount``, with
+    ``O(n^(d-1))`` scratch.
+
+    Raises :class:`InvalidParameterError` if a lumped value is not finite,
+    such as a product of finite factors or a mass divided by ``h^d`` that
+    overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _integrate(mu, grid, _lump_density, _lump_graph)
+    # min and max propagate NaN
+    if not (-math.inf < out.min() and out.max() < math.inf):
+        raise InvalidParameterError("lumped measure must be finite; it overflows or is undefined")
+    return out
+
+
+def _lump_density(mu: Density, grid: Grid) -> np.ndarray:
+    # the dual-cell averages of the factors, one outer product
+    return math.prod(np.ix_(*factor_averages(mu, [grid.axis()] * grid.dim, 0.5 * grid.h, 2)))
+
+
+def _lump_graph(mu: SurfaceGraph, grid: Grid) -> np.ndarray:
+    m = (grid.n + 1) * SURFACE_MIDPOINTS
+    step = 1.0 / m
+    rows = ((np.arange(m) + 0.5) * step).reshape(grid.n + 1, SURFACE_MIDPOINTS)
+    out = bin_footprint(
+        mu, [rows] * (grid.dim - 1), step ** (grid.dim - 1),
+        lambda k, coords: _dual_cell_nodes(grid, coords), grid.shape,
+    )
+    out /= grid.h**grid.dim
+    return out
+
+
+def _dual_cell_nodes(grid: Grid, coords: np.ndarray) -> np.ndarray:
+    """Node of the dual cell holding each coordinate along one axis, its
+    pitch-``h/2`` cell index halved, less one, clipped to the interior
+    nodes (the end dual cells absorb the half-spacing skin); -1 outside
+    ``(0, 1)``."""
+    idx = np.clip(cell_axis_indices(0.5 * grid.h, coords) // 2, 1, grid.n) - 1
+    idx[(coords <= 0.0) | (coords >= 1.0)] = -1
+    return idx
 
 
 def cell_mass(mu: Potential, cell: Cell) -> float:

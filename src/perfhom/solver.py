@@ -5,12 +5,8 @@ Solves two Dirichlet problems on ``(0, 1)^d``:
 * the perforated Poisson problem, where nodes inside any closed hole
   ball are clamped to zero (the zero extension of the solution), and
 * the limit problem ``(-Delta + mu) u = f`` with the measure ``mu``
-  lumped onto node dual cells by fixed rules: order-2 tensor Gauss
-  quadrature for densities, whose O(h^4) dual-cell error is below the
-  O(h^2) error of the grid, run per axis on the density's factors and
-  multiplied out as one outer product, and
-  :data:`~perfhom.potential.SURFACE_MIDPOINTS` footprint midpoints per
-  node spacing and axis for surface measures.
+  given as its node weights, lumped onto node dual cells by
+  :func:`~perfhom.potential.lump_measure`.
 
 Both are "a grid Laplacian plus a charge on a small node set", and
 both rest on the exact sine-basis Poisson inverse: a right-hand side is
@@ -75,15 +71,6 @@ from .cg import dot, pcg, rhs_norm
 from .capacity import BALL_MASK_INFLATION, ball_potential_radial
 from .errors import GeometryError, InvalidParameterError, ResolutionError, SolverError
 from .holes import HoleFamily, SeparationParams, disjointness_check
-from .potential import (
-    SURFACE_MIDPOINTS,
-    Density,
-    Potential,
-    SumPotential,
-    SurfaceGraph,
-    bin_footprint,
-    factor_averages,
-)
 from .stencil import (
     SupportSolve,
     line_spectrum,
@@ -517,77 +504,6 @@ def solve_perforated(
     return _capacitance_solve(rhs, grid, tol, clamped=hole_mask(grid, holes))
 
 
-def _dual_cell_indices(grid: Grid, coords: Array) -> Array:
-    """Dual-cell node index along one axis; half-open ``((k-1/2)h, (k+1/2)h]``.
-
-    Indices clip to the first and last interior node, so the end dual
-    cells absorb the half-spacing skin next to the domain boundary;
-    coordinates outside ``(0, 1)`` return -1.
-    """
-    h = grid.h
-    k = np.ceil(coords / h - 0.5).astype(int)
-    k = np.clip(k, 1, grid.n)
-    idx = k - 1
-    idx[(coords <= 0.0) | (coords >= 1.0)] = -1
-    return idx
-
-
-def lump_measure(mu: Potential, grid: Grid) -> Array:
-    """Lump a potential onto node dual cells: ``w_j = mu(V_j) / h^d``.
-
-    ``V_j`` is the half-open h-cube centered at node ``j`` (consistent
-    with the tiling convention).  Densities use order-2 tensor Gauss
-    quadrature over each dual cell: the 2-point rule has an O(h^4)
-    dual-cell error, below the O(h^2) error of the grid (construction's
-    cell masses use :data:`~perfhom.potential.CELL_MASS_GAUSS_ORDER`).
-    On a product density the rule is the product of 1-D rules, so each
-    factor is averaged over the ``n`` dual-cell intervals of its axis
-    (:func:`~perfhom.potential.factor_averages`, ``2n`` evaluations, with
-    weights 1/2 and 1/2) and ``w`` is the outer product of those
-    averages: a constant density lumps to itself exactly.  Surface
-    measures deposit footprint samples of the weighted area element,
-    :data:`~perfhom.potential.SURFACE_MIDPOINTS` per node spacing and
-    axis, into the dual cell holding the lifted point; samples in the
-    half-spacing skin along the boundary go to the outermost interior
-    node, so the lumped total captures the full surface mass inside the
-    domain.  :func:`~perfhom.potential.bin_footprint` finds the dual cells
-    of the footprint coordinates once per axis and fills one node slab
-    ``out[i]`` per ``np.bincount``, with ``O(n^(d-1))`` scratch.
-
-    Raises :class:`InvalidParameterError` if a lumped value is not finite,
-    such as a product of finite factors or a mass divided by ``h^d`` that
-    overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _lump(mu, grid)
-    # min and max propagate NaN
-    if not (-math.inf < out.min() and out.max() < math.inf):
-        raise InvalidParameterError("lumped measure must be finite; it overflows or is undefined")
-    return out
-
-
-def _lump(mu: Potential, grid: Grid) -> Array:
-    if isinstance(mu, SumPotential):
-        out = grid.zeros()
-        for part in mu.parts:
-            out += _lump(part, grid)
-        return out
-    if isinstance(mu, Density):
-        # the dual-cell averages of the factors, one outer product
-        return math.prod(np.ix_(*factor_averages(mu, [grid.axis()] * grid.dim, 0.5 * grid.h, 2)))
-    if isinstance(mu, SurfaceGraph):
-        m = (grid.n + 1) * SURFACE_MIDPOINTS
-        step = 1.0 / m
-        rows = ((np.arange(m) + 0.5) * step).reshape(grid.n + 1, SURFACE_MIDPOINTS)
-        out = bin_footprint(
-            mu, [rows] * (grid.dim - 1), step ** (grid.dim - 1),
-            lambda k, coords: _dual_cell_indices(grid, coords), grid.shape,
-        )
-        out /= grid.h**grid.dim
-        return out
-    raise InvalidParameterError(f"unknown potential variant: {type(mu).__name__}")
-
-
 def solve_limit(
     f: Array | RhsSpectrum, weights: Array, grid: Grid, tol: float = 1e-8
 ) -> tuple[Array, SolveStats]:
@@ -595,11 +511,11 @@ def solve_limit(
 
     ``f`` is the node array or its :func:`rhs_spectrum` on ``grid``, as
     for :func:`solve_perforated`.  ``weights`` are the finite nonnegative
-    dual-cell densities from :func:`lump_measure`; zero weights reduce to
-    the plain Poisson solve.  A constant measure is one exact sine solve;
-    otherwise conjugate gradients run on the nodes where the weight
-    exceeds its minimum (see the module notes).  The reported residual is
-    the grid residual ``||f - (L + W) u|| / ||f||``.
+    dual-cell densities from :func:`~perfhom.potential.lump_measure`; zero
+    weights reduce to the plain Poisson solve.  A constant measure is one
+    exact sine solve; otherwise conjugate gradients run on the nodes where
+    the weight exceeds its minimum (see the module notes).  The reported
+    residual is the grid residual ``||f - (L + W) u|| / ||f||``.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != grid.shape:
@@ -659,6 +575,11 @@ def corrector_field(
     return deviation, v_norm
 
 
+def is_sine_mode(mode: Sequence[float]) -> bool:
+    """Whether every entry is a positive integer: a fractional sine has no zero trace."""
+    return all(m % 1 == 0 and m >= 1 for m in mode)
+
+
 def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
     """Discrete ``H_0^1`` pairing of ``e`` against the product sine mode ``g_m``.
 
@@ -674,8 +595,8 @@ def weak_witness(e: Array, mode: Sequence[int], grid: Grid) -> float:
     """
     if e.shape != grid.shape or len(mode) != grid.dim:
         raise InvalidParameterError("field or mode does not match grid")
-    # a fractional sine has no zero trace, so the eigenvalue identity fails
-    if any(m % 1 != 0 or not m >= 1 for m in mode):
+    # without a zero trace the eigenvalue identity fails
+    if not is_sine_mode(mode):
         raise InvalidParameterError(f"witness modes must be positive integers, got {mode}")
     h = grid.h
     eigenvalue = sum(4.0 / (h * h) * math.sin(0.5 * math.pi * m * h) ** 2 for m in mode)

@@ -114,6 +114,6 @@ def cells_intersecting(spec: TilingSpec, domain: Box) -> CellFamily:
     return CellFamily(index.reshape(-1, spec.dim), eps)
 
 
-def cell_axis_indices(spec: TilingSpec, coords: np.ndarray) -> np.ndarray:
-    """Cell index of each coordinate along one axis; upper faces included."""
-    return (2 * np.ceil((np.asarray(coords, dtype=float) / spec.epsilon - 1.0) / 2.0)).astype(int)
+def cell_axis_indices(epsilon: float, coords: np.ndarray) -> np.ndarray:
+    """Cell index at pitch ``epsilon`` of each coordinate along one axis; upper faces included."""
+    return (2 * np.ceil((np.asarray(coords, dtype=float) / epsilon - 1.0) / 2.0)).astype(int)

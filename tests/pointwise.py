@@ -1,5 +1,5 @@
-"""Point-by-point evaluation of product potentials and sine modes: the test
-oracles.
+"""Point-by-point evaluation of product potentials and sine modes, and the
+direct dual-cell formula: the test oracles.
 
 The package evaluates a potential per axis, from its 1-D factors.  These
 helpers evaluate the same potentials at explicit points, multiplying the
@@ -57,3 +57,14 @@ def sine_mode_field(grid, mode):
     of 1-D sine vectors."""
     factors = [np.sin(k * grid.axis()) for k in np.pi * np.asarray(mode, dtype=float)]
     return math.prod(np.ix_(*factors))
+
+
+def dual_cell_indices(grid, coords):
+    """Node index of the dual cell ``((k - 1/2) h, (k + 1/2) h]``, ``k`` the
+    1-based node, holding each coordinate: ``ceil(x / h - 1/2)`` clipped to
+    the interior nodes, less one, and -1 outside ``(0, 1)``: the reference
+    for lumping's binning by the tiling's cell rule."""
+    k = np.clip(np.ceil(coords / grid.h - 0.5).astype(int), 1, grid.n)
+    idx = k - 1
+    idx[(coords <= 0.0) | (coords >= 1.0)] = -1
+    return idx

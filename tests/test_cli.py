@@ -381,6 +381,32 @@ def test_study_with_an_overflowing_rhs_fails_in_the_rhs_stage(tmp_path, capsys, 
     assert err.rstrip().endswith("right-hand side is not finite or its norm overflows")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CFG = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_failed_study_replaces_the_previous_report(tmp_path, capsys):
+    # a study that fails before its first row writes its own report, the
+    # header alone and the failure, so no earlier run's report stays in out
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "study", write(tmp_path / "a.cfg", README_CFG), "--out", str(out))
+    assert code == 0
+    with open(out / "study.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    body = README_CFG.replace("constant(40)", "box(40, 0.25, 0.75)")
+    body = body.replace("1/4 1/8", "1/8 1/16").replace("63 63", "31 63")
+    code, _, err = run_cli(capsys, "study", write(tmp_path / "b.cfg", body), "--out", str(out))
+    assert code == 2 and "stage 'solve_perforated' at epsilon=0.125" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metadata"]["potential"] == "box(40, 0.25, 0.75)"
+    failure = summary["failure"]
+    assert (failure["stage"], failure["epsilon"]) == ("solve_perforated", 0.125)
+    assert "< 2h" in failure["error"]
+    assert "solve_perforated" in summary["stage_seconds"]["rows"][0]
+    with open(out / "study.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [header]
+
+
 THREADS_CFG = """
 [study]
 dim = 3

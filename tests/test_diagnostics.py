@@ -14,8 +14,8 @@ from perfhom.diagnostics import (
 from perfhom.errors import InvalidParameterError
 from perfhom.holes import Hole, HoleFamily, SeparationParams
 from perfhom.inverse import construct_holes
-from perfhom.potential import cell_average_field, make_box, make_constant, make_plane
-from perfhom.solver import Grid, field_from_callable, lump_measure
+from perfhom.potential import cell_average_field, lump_measure, make_box, make_constant, make_plane
+from perfhom.solver import Grid, field_from_callable
 from perfhom.tiling import TilingSpec, cell_axis_indices, cells_intersecting, unit_box
 from pointwise import sine_mode
 
@@ -127,7 +127,7 @@ def test_capacity_density_field_matches_cell_averages():
     for i in (0, 7, 14):
         for j in (0, 7, 14):
             for k in (0, 7, 14):
-                index = tuple(cell_axis_indices(spec, xs[[i, j, k]]).tolist())
+                index = tuple(cell_axis_indices(spec.epsilon, xs[[i, j, k]]).tolist())
                 assert field[i, j, k] == pytest.approx(averages[index], rel=1e-12)
 
 

@@ -25,7 +25,8 @@ from perfhom.harness import (
     run_study,
     trend_check,
 )
-from perfhom.solver import Grid, field_from_callable, hole_mask, lump_measure, rhs_spectrum
+from perfhom.potential import lump_measure
+from perfhom.solver import Grid, field_from_callable, hole_mask, rhs_spectrum
 from perfhom.stencil import outer
 from perfhom.tiling import cells_intersecting
 from pointwise import density_at, sine_mode

@@ -88,7 +88,7 @@ def test_family_matches_per_hole_references(seed, m, n):
         assert getattr(back, name).dtype == getattr(family, name).dtype
 
     # capacity density: each hole fills the nodes of its own cell
-    axis = cell_axis_indices(spec, grid.axis())
+    axis = cell_axis_indices(spec.epsilon, grid.axis())
     expected = np.zeros(grid.shape)
     for hole in holes:
         cell_nodes = np.ix_(*[axis == i for i in hole.cell_index])

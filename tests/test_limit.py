@@ -1,5 +1,6 @@
 """The capacitance-form limit solve against the sine-preconditioned grid
-CG it replaced, and its residual, memory and failure contracts."""
+CG it replaced and against the closed-form plane limit, and its residual,
+memory and failure contracts."""
 
 import math
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from perfhom.cg import dot, pcg
 from perfhom.errors import InvalidParameterError, SolverError
 from perfhom import solver
-from perfhom.potential import parse_potential
-from perfhom.solver import Grid, lump_measure, rhs_spectrum, solve_limit
+from perfhom.potential import lump_measure, make_plane, parse_potential
+from perfhom.solver import Grid, l2_norm, rhs_spectrum, solve_limit
 from perfhom.stencil import dirichlet_solve, neg_laplacian
 
 EPS64 = 2.0**-52
@@ -261,3 +262,54 @@ def test_limit_solve_peak_memory(spec):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_ARRAYS[spec] * 8 * grid.size
+
+
+# The plane limit in closed form: with f = sin(pi x) sin(pi y) sin(pi z),
+# (-Delta + w delta(z - z0)) u = f has u = sin(pi x) sin(pi y) phi(z), where
+# phi = phi_p + c sinh(k z)/sinh(k z0) below z0 and c sinh(k(1-z))/sinh(k(1-z0))
+# above, phi_p(z) = sin(pi z)/(3 pi^2) and k = sqrt(2) pi.  The jump
+# [phi'] = w phi(z0) gives c; w -> infinity gives c = -phi_p(z0), u = 0 on
+# the plane: two boxes with zero Dirichlet data.
+PLANE_K = math.sqrt(2.0) * math.pi
+# off the node planes the limit is first order: its relative L2 error
+# stays below this constant times the distance from z0 to the nearest
+# node plane (3.39 and 6.80 measured on 47^3 and 95^3)
+OFF_NODE_FLOOR = {20.0: 4.0, 1e4: 8.0}
+# the w = 1e4 limit lies within 15 / w of the w -> infinity form (1.35e-3
+# measured on the node plane, mostly the closed forms' own gap)
+INFINITE_WEIGHT_GAP = 15.0
+
+
+def plane_limit(grid, z0, w):
+    x = grid.axis()
+    phi_p = np.sin(np.pi * x) / (3.0 * np.pi**2)
+    at = math.sin(math.pi * z0) / (3.0 * math.pi**2)
+    coth = 1.0 / math.tanh(PLANE_K * z0) + 1.0 / math.tanh(PLANE_K * (1.0 - z0))
+    c = -at if math.isinf(w) else -w * at / (w + PLANE_K * coth)
+    below = np.sinh(PLANE_K * x) / math.sinh(PLANE_K * z0)
+    above = np.sinh(PLANE_K * (1.0 - x)) / math.sinh(PLANE_K * (1.0 - z0))
+    phi = phi_p + c * np.where(x <= z0, below, above)
+    return math.prod(np.ix_(np.sin(np.pi * x), np.sin(np.pi * x), phi))
+
+
+@pytest.mark.parametrize("w", OFF_NODE_FLOOR)
+@pytest.mark.parametrize("z0", [0.5, 0.5 + 1 / 144])
+def test_plane_limit_matches_closed_form(z0, w):
+    # z0 = 0.5 is a node plane of both grids, 1/144 = h_47 / 3 is not
+    errors, distances = [], []
+    for n in (47, 95):
+        grid = Grid(3, n)
+        rhs = rhs_spectrum((lambda t: np.sin(np.pi * t),) * 3, grid)
+        u, _ = solve_limit(rhs, lump_measure(make_plane(3, z0, w), grid), grid, tol=1e-11)
+        exact = plane_limit(grid, z0, w)
+        errors.append(l2_norm(u - exact, grid) / l2_norm(exact, grid))
+        distances.append(float(np.abs(grid.axis() - z0).min()))
+        if w == 1e4:
+            two_boxes = plane_limit(grid, z0, math.inf)
+            gap = l2_norm(u - two_boxes, grid) / l2_norm(two_boxes, grid)
+            assert gap <= errors[-1] + INFINITE_WEIGHT_GAP / w
+    if z0 == 0.5:
+        assert math.log2(errors[0] / errors[1]) >= 1.8
+    else:
+        for error, distance in zip(errors, distances):
+            assert 0.0 < distance and error <= OFF_NODE_FLOOR[w] * distance

@@ -14,14 +14,13 @@ from perfhom.errors import EvaluationError, InvalidParameterError, SolverError
 from perfhom.holes import HoleFamily
 from perfhom.inverse import construct_holes
 from perfhom import solver
-from perfhom.potential import parse_potential
+from perfhom.potential import lump_measure, parse_potential
 from perfhom.harness import parse_rhs
 from perfhom.solver import (
     Grid,
     RhsSpectrum,
     _capacitance_solve,
     hole_mask,
-    lump_measure,
     rhs_spectrum,
     solve_limit,
     solve_perforated,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfhom.errors import EvaluationError, InvalidParameterError
+from perfhom import potential
 from perfhom.potential import (
     CELL_MASS_GAUSS_ORDER,
     SURFACE_MIDPOINTS,
@@ -17,6 +18,7 @@ from perfhom.potential import (
     cell_average_field,
     cell_mass,
     cell_masses,
+    lump_measure,
     make_box,
     make_constant,
     make_graph,
@@ -25,7 +27,7 @@ from perfhom.potential import (
     max_cell_mass_scaling,
     parse_potential,
 )
-from perfhom.solver import Grid, lump_measure
+from perfhom.solver import Grid
 from perfhom.tiling import (
     Box,
     Cell,
@@ -35,7 +37,7 @@ from perfhom.tiling import (
     cells_intersecting,
     unit_box,
 )
-from pointwise import box_quadrature, density_at, graph_at
+from pointwise import box_quadrature, density_at, dual_cell_indices, graph_at
 
 EPS64 = np.finfo(float).eps
 
@@ -93,7 +95,7 @@ def test_plane_on_cell_face_counted_once():
     above = Cell((0, 0, 4), spec_eps)
     masses = [cell_mass(mu, c) for c in (below, above)]
     assert sum(m > 0 for m in masses) == 1
-    owner = cell_axis_indices(TilingSpec(3, spec_eps), 0.25)
+    owner = cell_axis_indices(spec_eps, 0.25)
     assert masses[0 if owner == 2 else 1] > 0
 
 
@@ -377,7 +379,7 @@ def binned_cell_masses(bin_samples, mu, cells, refine):
         axes.append((low[:, None] + (high - low)[:, None] * t / refine).ravel())
     area = (2.0 * eps / refine) ** (spec.dim - 1)
     dense = bin_samples(
-        mu, axes, area, lambda k, c: (cell_axis_indices(spec, c) - lo[k]) // 2, shape
+        mu, axes, area, lambda k, c: (cell_axis_indices(eps, c) - lo[k]) // 2, shape
     )
     return dense[tuple(((index - lo) // 2).T)]
 
@@ -469,6 +471,31 @@ def test_flat_lump_measure_bins_as_add_at_over_whole_footprint(z0, n, refine):
             got = binned_lump(bin_footprint, mu, grid, refine)
         assert_bits_equal(got, binned_lump(add_at_footprint, mu, grid, refine))
         assert (got.sum() > 0.0) == (0.0 < z0 < 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 47, 63, 95, 255])
+def test_dual_cell_binning_matches_the_direct_formula(n):
+    # lumping bins by the tiling's rule at pitch h/2, node j's dual cell
+    # being the cell of index 2(j + 1): the same node as the direct
+    # formula, bit for bit, on the faces (k + 1/2) h and their neighbours too
+    grid = Grid(3, n)
+    k = np.arange(-2, n + 3)
+    faces = np.concatenate([(k + 0.5) * grid.h, (k + 0.5) / (n + 1)])
+    ends = [0.0, -0.0, 1.0, 5e-324, -5e-324, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    outside = [-3.0, -1e6, 1.25, 7.5, 1e6]
+    draws = np.random.default_rng(n).uniform(-0.25, 1.25, 20000)
+    neighbours = [np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf)]
+    coords = np.concatenate([faces, *neighbours, k * grid.h, ends, outside, draws])
+    assert np.array_equal(potential._dual_cell_nodes(grid, coords), dual_cell_indices(grid, coords))
+
+
+def test_plane_lumps_in_two_dimensions():
+    # the dual cells are lattice cells of pitch h/2 in any dimension, though
+    # a TilingSpec needs d >= 3
+    grid = Grid(2, 15)
+    w = lump_measure(make_plane(2, 0.5, 20.0), grid)
+    assert np.all(np.delete(w, 7, axis=1) == 0.0)
+    assert w.sum() * grid.h**2 == 20.0
 
 
 @pytest.mark.parametrize("z0", FLAT_HEIGHTS)

@@ -24,6 +24,7 @@ from perfhom.potential import (
     make_constant,
     make_graph,
     make_plane,
+    lump_measure,
     make_sine_density,
     parse_potential,
 )
@@ -34,7 +35,6 @@ from perfhom.solver import (
     hole_mask,
     l2_distance,
     l2_norm,
-    lump_measure,
     read_field,
     restrict,
     rhs_spectrum,

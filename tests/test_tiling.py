@@ -67,15 +67,13 @@ def test_lexicographic_order_and_uniqueness():
 def test_cell_geometry_fields():
     cell = Cell((2, 0, -4), 0.25)
     assert cell.center == (0.5, 0.0, -1.0)
-    spec = TilingSpec(3, cell.epsilon)
-    assert tuple(cell_axis_indices(spec, cell.center).tolist()) == cell.index
+    assert tuple(cell_axis_indices(cell.epsilon, cell.center).tolist()) == cell.index
 
 
 def test_cell_axis_indices_half_open_convention():
-    spec = TilingSpec(3, 0.5)
     # upper faces belong to the lower cell
     coords = [0.0, 0.5, 0.5 + 1e-12, -0.5, -0.5 + 1e-12]
-    assert cell_axis_indices(spec, coords).tolist() == [0, 0, 2, -2, 0]
+    assert cell_axis_indices(0.5, coords).tolist() == [0, 0, 2, -2, 0]
 
 
 def test_partition_property_random_points():
@@ -88,7 +86,7 @@ def test_partition_property_random_points():
     for x in points:
         owners = np.flatnonzero(np.all((lows < x) & (x <= highs), axis=1))
         assert len(owners) == 1
-        assert cell_axis_indices(spec, x).tolist() == index[owners[0]].tolist()
+        assert cell_axis_indices(spec.epsilon, x).tolist() == index[owners[0]].tolist()
 
 
 def test_cell_count_brackets_domain_volume():
