@@ -41,7 +41,11 @@ solution by one backward transform.
   ``b`` is built from the factors of ``f`` (recovered from a block by a
   backward transform).  The solution is one backward transform of
   ``(S - Q^d E_Y (sigma + f_X)) / (lambda + min w)``
-  (:meth:`~perfhom.stencil.SupportSolve.finish`).  When only the surface
+  (:meth:`~perfhom.stencil.SupportSolve.finish`).  A limit result
+  carries the inputs of that step (:class:`~perfhom.stencil.FinalStep`);
+  a perforated solve handed it as ``minus`` builds ``u - u_lim`` from
+  both steps in the limit field's own array, so an error field never
+  sits beside a second grid field.  When only the surface
   layer of the holes is in ``X`` (below), ``f`` on the inner hole nodes
   reaches no unknown: the solve builds ``f`` the same way, zeroes every
   hole node and transforms ``b`` forward for its own spectrum, and
@@ -72,6 +76,7 @@ from .capacity import BALL_MASK_INFLATION, ball_potential_radial
 from .errors import GeometryError, InvalidParameterError, ResolutionError, SolverError
 from .holes import HoleFamily, SeparationParams, disjointness_check
 from .stencil import (
+    FinalStep,
     SupportSolve,
     line_spectrum,
     neg_laplacian,
@@ -126,6 +131,18 @@ class SolveStats:
     iterations: int
     residual: float
     seconds: float
+
+
+class SolveResult(tuple):
+    """``(u, stats)`` of a solve, a pair to unpack, and ``final``: the
+    inputs of the solve's final step (:class:`~perfhom.stencil.FinalStep`),
+    which :func:`solve_perforated` reads from a limit result as its
+    ``minus``, or None."""
+
+    def __new__(cls, u: Array, stats: SolveStats, final: Optional[FinalStep] = None):
+        result = super().__new__(cls, (u, stats))
+        result.final = final
+        return result
 
 
 _CHUNK_POINTS = 1 << 14  # keeps the scratch of callers O(n^(d-1)), a few MB
@@ -345,7 +362,8 @@ def _capacitance_solve(
     tol: float,
     clamped: Optional[Array] = None,
     weights: Optional[Array] = None,
-) -> tuple[Array, SolveStats]:
+    minus: Optional[SolveResult] = None,
+) -> SolveResult:
     """Solve ``(L + w) u = f`` off the ``clamped`` nodes, with ``u = 0`` on them.
 
     ``f`` comes as its :class:`RhsSpectrum`, which is only read.  The
@@ -357,16 +375,24 @@ def _capacitance_solve(
     reported residual is that of ``u`` off the clamped nodes, relative to
     ``||f||`` there.  A ``tol`` outside ``(0, 1)`` raises
     :class:`InvalidParameterError`: at 1 or more the zero charge already
-    passes and no iteration runs.
+    passes and no iteration runs.  The result carries its final step.
+    With ``minus``, a result on ``grid`` with its final step, the field
+    returned is ``u - u_2`` built in ``u_2 = minus[0]`` itself
+    (:meth:`~perfhom.stencil.SupportSolve.finish`), exactly ``-u_2`` on the
+    clamped nodes.
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tolerance must lie in (0, 1), got {tol}")
     t0 = time.perf_counter()
+    h, shift = grid.h, 0.0
+
+    def done(u, iterations, residual, final):
+        return SolveResult(u, SolveStats(iterations, residual, time.perf_counter() - t0), final)
 
     def zero():
-        return np.zeros(grid.shape), SolveStats(0, 0.0, time.perf_counter() - t0)
+        u = np.zeros(grid.shape) if minus is None else np.negative(minus[0], out=minus[0])
+        return done(u, 0, 0.0, FinalStep((np.zeros(grid.n),) * grid.dim, shift))
 
-    h, shift = grid.h, 0.0
     unknowns = None if clamped is None else _clamped_unknowns(clamped)
     surface = unknowns is not clamped
     root = on_w = f_x = None
@@ -412,7 +438,9 @@ def _capacitance_solve(
                 f"exact sine solve left relative residual {residual:.3e} above "
                 f"tol {tol:.1e}: the tolerance is below the rounding floor"
             )
-        return u, SolveStats(1, residual, time.perf_counter() - t0)
+        if minus is not None:
+            u = np.subtract(u, minus[0], out=minus[0])
+        return done(u, 1, residual, FinalStep(spectrum, shift))
     m, precond = nodes.size, None
     if clamped is not None:
         neighbours, edge_x, edge_f, count = _hole_stencil(clamped, nodes)
@@ -483,30 +511,54 @@ def _capacitance_solve(
         y *= root
     if f_x is not None:
         y += f_x
-    u = solve.finish(spectrum, y)
-    del y
+    if minus is None:
+        u, on_clamped = solve.finish(spectrum, y), 0.0
+    else:
+        # u_2 on the clamped nodes, saved before the final step overwrites it
+        on_clamped = np.negative(minus[0][clamped])
+        u = solve.finish(spectrum, y, minus.final, out=minus[0])
     if clamped is not None:
-        u[clamped] = 0.0
-    return u, SolveStats(iterations, res, time.perf_counter() - t0)
+        u[clamped] = on_clamped
+    return done(u, iterations, res, FinalStep(spectrum, shift, solve, y))
 
 
 def solve_perforated(
-    f: Array | RhsSpectrum, holes: HoleFamily, grid: Grid, tol: float = 1e-8
-) -> tuple[Array, SolveStats]:
+    f: Array | RhsSpectrum,
+    holes: HoleFamily,
+    grid: Grid,
+    tol: float = 1e-8,
+    *,
+    minus: Optional[SolveResult] = None,
+) -> SolveResult:
     """Solve ``-Delta u = f`` with zero values on holes and the boundary.
 
     ``f`` is the node array, or its :func:`rhs_spectrum` on ``grid``,
     which solves of one ``f`` share and which is only read.  The output
     is the zero extension: it is exactly zero on hole nodes.  The
     reported residual is the relative residual on the free nodes.
+    Returns ``(u, stats)``.
+
+    With ``minus``, a :func:`solve_limit` result ``(u_lim, stats)`` on
+    ``grid``, it returns ``(e, stats)`` instead: ``e = u - u_lim`` is
+    built in the array ``u_lim`` itself, which it overwrites, from the
+    two solves' final steps, so no second grid field is made; ``e`` is
+    exactly ``-u_lim`` on hole nodes.  The stats are those of the plain
+    solve.
     """
+    if minus is not None and (
+        getattr(minus, "final", None) is None or minus[0].shape != grid.shape
+    ):
+        raise InvalidParameterError("minus must be a solve_limit result on this grid")
     rhs = _as_rhs(f, grid)
-    return _capacitance_solve(rhs, grid, tol, clamped=hole_mask(grid, holes))
+    u, stats = _capacitance_solve(rhs, grid, tol, clamped=hole_mask(grid, holes), minus=minus)
+    # without its final step, which only a limit result is read for and
+    # which would keep the solve's index sets alive
+    return SolveResult(u, stats)
 
 
 def solve_limit(
     f: Array | RhsSpectrum, weights: Array, grid: Grid, tol: float = 1e-8
-) -> tuple[Array, SolveStats]:
+) -> SolveResult:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
 
     ``f`` is the node array or its :func:`rhs_spectrum` on ``grid``, as
@@ -515,7 +567,10 @@ def solve_limit(
     weights reduce to the plain Poisson solve.  A constant measure is one
     exact sine solve; otherwise conjugate gradients run on the nodes where
     the weight exceeds its minimum (see the module notes).  The reported
-    residual is the grid residual ``||f - (L + W) u|| / ||f||``.
+    residual is the grid residual ``||f - (L + W) u|| / ||f||``.  The
+    result ``(u, stats)`` also carries its final step, which holds the
+    spectrum of ``f`` and the charge on those nodes, for a later
+    :func:`solve_perforated` with ``minus``.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != grid.shape:

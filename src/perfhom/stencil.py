@@ -34,7 +34,10 @@ built once (matrix decomposition, Buzbee, Golub and Nielson 1970), so
 such an iteration never forms the ``n^d`` spectral block.  Read back on
 the whole block, the backward half is that of the full solve, in place
 in the spectral block, which turns a capacitance charge and the
-spectrum of the right-hand side into the grid solution.
+spectrum of the right-hand side into the grid solution; fed a second
+solve's charge and spectrum (:class:`FinalStep`) in the same block, it
+turns them into the difference of the two solutions, in an array the
+caller gives, with no second solution formed.
 
 A spectrum these solves read is a tuple of factors whose outer product
 (:func:`outer`, in axis order) is ``Q^d f``: ``Q^d`` is the Kronecker
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -388,10 +391,11 @@ class SupportSolve:
     ``c^2 n^(d-1) <= n^d``.  Otherwise the last transform yields the
     whole spectral block, which is scaled slab by slab, and an apply holds
     it and at most one block of the same size.  The index sets are
-    O(|S|) and built once.  :meth:`read` runs the backward half alone on
-    a given spectrum, and :meth:`finish` reads a solution back on the
-    whole block instead, through the spectral block, which its backward
-    half transforms in place.
+    O(|S|) and built once; an axis ``S`` fully occupies uses ``Q``
+    itself.  :meth:`read` runs the backward half alone on a given
+    spectrum, and :meth:`finish` reads a solution back on the whole block
+    instead, through the spectral block, which its backward half
+    transforms in place, less another solve on the block if given.
     """
 
     def __init__(self, nodes: Array, n: int, d: int, h: float, shift: float = 0.0):
@@ -420,7 +424,8 @@ class SupportSolve:
             if lines.size != coords.size * tails.size:
                 where = np.zeros(coords.size * tails.size, dtype=bool)
                 where[coord_rank[coord] * tails.size + tail_rank[rest]] = True
-            self._steps.append((np.ascontiguousarray(q[coords]), tails.size, where))
+            rows = q if coords.size == n else np.ascontiguousarray(q[coords])
+            self._steps.append((rows, tails.size, where))
             lines = tails
         last = self._steps[-1][0]
         thin = last.shape[0] ** 2 <= n
@@ -513,15 +518,100 @@ class SupportSolve:
             reads.append(self._backward(_lines(outs.pop(0), count, where), self._steps[:-1]))
         return tuple(reads) if both else reads[0]
 
-    def finish(self, spectrum, v: Array) -> Array:
-        """Return ``(neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
-        block, for the spectrum ``Q^d b`` of ``b`` (factors as for
-        :meth:`read`): the sparse forward half of ``E_S v``,
-        subtracted from ``spectrum`` (:func:`subtract_from_spectrum`), then
-        the scaling and the backward half of :func:`dirichlet_solve` in
-        place in the block the forward half makes, the one ``n^d`` array
-        it makes."""
-        _check_spectrum(spectrum, self.n, self.d)
-        x = self._forward(v, self._steps).reshape((self.n,) * self.d)
-        subtract_from_spectrum(spectrum, x)
-        return _inverse_half(x, self.q, self.lam, self.shift)
+    def _charge_lines(self, v: Array) -> tuple[Array, Array]:
+        """``(cols, rows)`` with ``cols @ rows = Q^d E_S v``, one row per line
+        along the last axis: ``E_S v`` through every forward step but the
+        last, whose lines are its coordinates, so it scatters nothing."""
+        rows = self._steps[-1][0]
+        x = self._forward(v, self._steps[:-1])
+        return x.reshape(rows.shape[0], -1).T, rows
+
+    def finish(
+        self, spectrum, v: Array, minus: Optional[FinalStep] = None, out: Optional[Array] = None
+    ) -> Array:
+        """Return ``u = (neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
+        block for the spectrum ``S = Q^d b`` (factors as for :meth:`read`),
+        or with ``minus``, the final step of a solve ``u_2`` on the block,
+        ``u - u_2``, in ``out`` (a writable C-contiguous float block, which
+        may be ``u_2``) or the one ``n^d`` array made.
+
+        The block ``C = (S - Q^d E_S v) - (lambda + shift) (S_2 - Q^d E_Y2
+        v_2) / (lambda + shift_2)`` is built one term at a time, the second
+        only with ``minus`` (:meth:`_subtract_step`); then the scaling and
+        the backward half of :func:`dirichlet_solve` run once, in place.
+        The first term is the sparse forward half of ``E_S v``, its last
+        GEMMs written in ``C``, subtracted from ``S``
+        (:func:`subtract_from_spectrum`)."""
+        n, d = self.n, self.d
+        _check_spectrum(spectrum, n, d)
+        cols, rows = self._charge_lines(v)
+        if out is None:
+            out = np.empty((n,) * d)
+        elif out.shape != (n,) * d:
+            raise InvalidParameterError("finish output does not match the block")
+        _check_in_place(out)
+        _transform(cols, rows, out.reshape(-1, n))
+        del cols
+        subtract_from_spectrum(spectrum, out)
+        if minus is not None:
+            self._subtract_step(out, minus)
+        return _inverse_half(out, self.q, self.lam, self.shift)
+
+    def _subtract_step(self, x: Array, step: FinalStep) -> None:
+        """``x -= (lambda + shift) T / (lambda + shift_step)`` for another
+        solve's final ``step`` on the block, whose block before its scaling
+        is ``T = S - Q^d E_Y v``; equal shifts skip the scaling.
+
+        A chunk of ``T``'s lines along the last axis, about ``_GEMM_BLOCK /
+        2`` values, is one GEMM of coefficients per line times rows: a
+        product spectrum's leading products times its last factor, and the
+        charge's lines before its last forward step
+        (:meth:`_charge_lines`) times minus that step's rows.  A spectrum
+        that is one block is added to it line by line.
+        """
+        n, d = self.n, self.d
+        _check_spectrum(step.spectrum, n, d)
+        lines = x.reshape(-1, n)
+        *lead, last = step.spectrum
+        block = last.reshape(-1, n) if last.ndim > 1 else None
+        # no columns at all for a one-block spectrum with no charge
+        coeffs, rows = [np.empty((lines.shape[0], 0))], [np.empty((0, n))]
+        if block is None:
+            coeffs.append(outer(lead).reshape(-1, 1))
+            rows.append(last.reshape(1, n))
+        if step.charge is not None:
+            cols, charge_rows = step.solve._charge_lines(step.charge)
+            coeffs.append(cols)
+            rows.append(-charge_rows)
+        rows = np.vstack(rows)
+        if step.shift != self.shift:
+            mu = _mode_sums(self.lam, d - 1).reshape(-1) + step.shift
+        # a product of rank one as a broadcast, which numpy runs faster
+        product = np.multiply if rows.shape[0] == 1 else np.matmul
+        size = max(1, _GEMM_BLOCK // (2 * n))
+        term, scratch = np.empty((2, min(size, lines.shape[0]), n))
+        for start in range(0, lines.shape[0], size):
+            chunk = slice(start, start + size)
+            part = term[: lines[chunk].shape[0]]
+            product(np.hstack([c[chunk] for c in coeffs]), rows, out=part)
+            if block is not None:
+                part += block[chunk]
+            if step.shift != self.shift:
+                den = scratch[: part.shape[0]]
+                np.add.outer(mu[chunk], self.lam, out=den)
+                part /= den
+                den += self.shift - step.shift  # lambda + shift
+                part *= den
+            lines[chunk] -= part
+
+
+class FinalStep(NamedTuple):
+    """The inputs of a solve's final step ``u = Q^d ((S - Q^d E_Y v) /
+    (lambda + shift))``: the spectrum ``S`` (factors as for
+    :meth:`SupportSolve.read`), the shift, and the restricted solve over
+    ``Y`` with the charge ``v``, both None for an exact solve."""
+
+    spectrum: tuple
+    shift: float
+    solve: Optional[SupportSolve] = None
+    charge: Optional[Array] = None

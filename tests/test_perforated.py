@@ -387,3 +387,72 @@ def test_perforated_solve_peak_memory(eps):
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 8 * grid.size
+
+
+@pytest.mark.parametrize("limit_f", ["factors", "node array"])
+@pytest.mark.parametrize("limit_spec", ["plane(0.5, 20)", "constant(40)"])
+@pytest.mark.parametrize("row", ["hole nodes", "surface layer", "no hole", "zero f"])
+def test_minus_builds_the_error_field_in_the_limit_field(limit_f, limit_spec, row, transforms):
+    # u_eps - u_lim from the two solves' final steps, in the limit field's
+    # array: against the two-array route it agrees within the solver's
+    # tolerance, equals -u_lim on the hole nodes bit for bit, and makes no
+    # whole-grid transform the plain solve does not.  The plane limit is a
+    # CG solve with a charge, the constant one an exact solve; a limit f
+    # given on the nodes has a spectrum that is one block
+    grid, tol = Grid(3, 15), 1e-10
+    weights = lump_measure(parse_potential(limit_spec, 3), grid)
+    if limit_f == "factors":
+        limit_rhs = rhs_spectrum(parse_rhs("sine(1, 2, 1)", 3), grid)
+    else:
+        limit_rhs = rhs_spectrum(np.random.default_rng(3).standard_normal(grid.shape), grid)
+    radius = {"hole nodes": 0.3, "surface layer": 0.45, "no hole": 0.0, "zero f": 0.3}[row]
+    holes = family([[0.5, 0.5, 0.5]], [radius])
+    mask = hole_mask(grid, holes)
+    assert (2 * int(mask.sum()) > grid.size) == (row == "surface layer")
+    rhs = rhs_spectrum(parse_rhs("constant(0)" if row == "zero f" else "sine(2, 1, 1)", 3), grid)
+    limit = solve_limit(limit_rhs, weights, grid, tol)
+    u_lim = limit[0].copy()
+    transforms.clear()
+    u_eps, stats = solve_perforated(rhs, holes, grid, tol)
+    plain = list(transforms)
+    transforms.clear()
+    e, e_stats = solve_perforated(rhs, holes, grid, tol, minus=limit)
+    assert transforms == plain
+    assert e is limit[0]
+    assert (e_stats.iterations, e_stats.residual) == (stats.iterations, stats.residual)
+    assert np.array_equal(e[mask], -u_lim[mask])
+    bound = 3 * kappa(grid) * tol * np.abs(u_lim).max()
+    assert np.abs(e - (u_eps - u_lim)).max() <= bound
+
+
+def test_minus_must_be_a_limit_result_on_the_grid():
+    grid = Grid(3, 15)
+    holes = family([[0.5, 0.5, 0.5]], [0.3])
+    weights = lump_measure(parse_potential("plane(0.5, 20)", 3), Grid(3, 7))
+    other = solve_limit(np.ones((7, 7, 7)), weights, Grid(3, 7))
+    for minus in (other, tuple(other), solve_perforated(np.ones(grid.shape), holes, grid)):
+        with pytest.raises(InvalidParameterError, match="minus"):
+            solve_perforated(np.ones(grid.shape), holes, grid, minus=minus)
+
+
+def test_last_row_solve_with_minus_peak_memory():
+    # the benchmark plane study's last row, eps 1/16 on 95^3: its error
+    # field is built in the limit field's array, so beside the limit field
+    # the solve holds its mask, index sets and scratch, not a second field
+    # (the plain solve's fresh block and the limit field are two arrays)
+    grid = Grid(3, 95)
+    plane = parse_potential("plane(0.5, 20)", 3)
+    tracemalloc.start()
+    try:
+        weights = lump_measure(plane, grid)
+        limit = solve_limit(rhs_spectrum(parse_rhs("constant(1)", 3), grid), weights, grid, 1e-9)
+        del weights
+        holes = construct_holes(plane, TilingSpec(3, 1 / 16), unit_box(3), strict=False).holes
+        rhs = rhs_spectrum(parse_rhs("constant(1)", 3), grid)
+        tracemalloc.reset_peak()
+        e, stats = solve_perforated(rhs, holes, grid, 1e-9, minus=limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e is limit[0] and stats.iterations > 0
+    assert peak < 1.8 * 8 * grid.size
