@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -194,9 +195,13 @@ class StudyConfig:
 
 
 def _read_modes(text: str) -> tuple[tuple[int, ...], ...]:
-    """``(1,1,1) (3,1,1)``, parentheses optional, as integer tuples."""
-    groups = text.replace("(", " ").replace(")", " ").split()
-    return tuple(tuple(int(v) for v in grp.split(",")) for grp in groups if grp.strip(","))
+    """``(1, 1, 1) (3,1,1)`` or ``1,1,1 3,1,1`` as integer tuples: each
+    parenthesised group whole, else each run of text without spaces."""
+    groups = [g.strip("()") for g in re.findall(r"\([^()]*\)|[^\s()]+", text)]
+    try:
+        return tuple(tuple(int(v) for v in g.split(",")) for g in groups if g.strip(", "))
+    except ValueError:
+        raise ValueError(f"witness_modes needs integer tuples such as (1,1,1), got {text!r}") from None
 
 
 def _read_boolean(text: str) -> bool:

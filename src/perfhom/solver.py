@@ -83,7 +83,7 @@ from .stencil import (
     outer,
     sine_transform,
     spectral_solve,
-    subtract_from_spectrum,
+    subtract_step,
 )
 
 Array = np.ndarray
@@ -422,15 +422,16 @@ def _capacitance_solve(
         # no clamped or weighted node: A^-1 f is the solution, the exact
         # preconditioner applied once, in the spectrum built in its own
         # array.  One stencil apply checks it in the sine basis, where
-        # Q^d (L + shift) u must give the spectrum back, subtracted slab by
-        # slab; the check's transform runs in the residual's array
+        # Q^d (L + shift) u less the spectrum must vanish (its norm reads no
+        # sign); the check's transform runs in the residual's array
+        step = FinalStep(spectrum, shift)
         u = spectral_solve(outer(spectrum), h, shift)
         r = neg_laplacian(u, h)
         if shift:
             # slab by slab: shift * u whole would be one more grid array
             for i in range(grid.n):
                 r[i] += shift * u[i]
-        r = subtract_from_spectrum(spectrum, sine_transform(r, h))
+        r = subtract_step(sine_transform(r, h), step, h, shift)
         residual = math.sqrt(dot(r, r)) / norm_b
         del r
         if not residual <= tol:
@@ -440,7 +441,7 @@ def _capacitance_solve(
             )
         if minus is not None:
             u = np.subtract(u, minus[0], out=minus[0])
-        return done(u, 1, residual, FinalStep(spectrum, shift))
+        return done(u, 1, residual, step)
     m, precond = nodes.size, None
     if clamped is not None:
         neighbours, edge_x, edge_f, count = _hole_stencil(clamped, nodes)
@@ -516,7 +517,7 @@ def _capacitance_solve(
     else:
         # u_2 on the clamped nodes, saved before the final step overwrites it
         on_clamped = np.negative(minus[0][clamped])
-        u = solve.finish(spectrum, y, minus.final, out=minus[0])
+        u = solve.finish(spectrum, y, (minus[0], minus.final))
     if clamped is not None:
         u[clamped] = on_clamped
     return done(u, iterations, res, FinalStep(spectrum, shift, solve, y))

@@ -34,10 +34,11 @@ built once (matrix decomposition, Buzbee, Golub and Nielson 1970), so
 such an iteration never forms the ``n^d`` spectral block.  Read back on
 the whole block, the backward half is that of the full solve, in place
 in the spectral block, which turns a capacitance charge and the
-spectrum of the right-hand side into the grid solution; fed a second
-solve's charge and spectrum (:class:`FinalStep`) in the same block, it
-turns them into the difference of the two solutions, in an array the
-caller gives, with no second solution formed.
+spectrum of the right-hand side into the grid solution.  One routine,
+:func:`subtract_step`, subtracts a solve's final step (:class:`FinalStep`)
+from a spectral block: the finish's own spectrum; a second solve's step,
+for the difference of two solutions in the second one's array with no
+second solution formed; and the exact solve's spectrum in its check.
 
 A spectrum these solves read is a tuple of factors whose outer product
 (:func:`outer`, in axis order) is ``Q^d f``: ``Q^d`` is the Kronecker
@@ -202,20 +203,6 @@ def line_spectrum(v: Array, h: float) -> Array:
     return np.einsum("jk,j->k", q, v)
 
 
-def subtract_from_spectrum(spectrum, x: Array) -> Array:
-    """``x <- outer(spectrum) - x`` in place on the ``n^d`` block ``x``, a
-    chunk of slabs along the first axis, about ``_GEMM_BLOCK`` values, at
-    a time: the spectrum is multiplied out only chunk by chunk, and each
-    value is that of :func:`outer`."""
-    n = x.shape[0]
-    step = max(1, _GEMM_BLOCK // (x.size // n))
-    first, *rest = spectrum
-    for start in range(0, n, step):
-        part = x[start : start + step]
-        np.subtract(outer((first[start : start + step], *rest)), part, out=part)
-    return x
-
-
 def _check_spectrum(spectrum, n: int, d: int) -> None:
     """A spectrum is ``d`` factors of shape ``(n,)`` or one of ``(n,) * d``."""
     shapes = [np.shape(v) for v in spectrum]
@@ -248,17 +235,6 @@ def dirichlet_solve(
     elif out is not b:
         np.copyto(out, b)
     return spectral_solve(sine_transform(out, h), h, shift)
-
-
-def _inverse_half(x: Array, q: Array, lam: Array, shift: float) -> Array:
-    """``x <- Q^d (x / (shift + lambda))`` in place: each batch of
-    trailing planes scaled and transformed, then the leading axes."""
-    scratch = _scratch(q.shape[0], x.ndim)
-    for part, den, work in _plane_batches(x, lam, shift, scratch):
-        part /= den
-        _transform_planes(part, q, work)
-    _transform_leading(x, q, scratch)
-    return x
 
 
 def _check_in_place(x: Array) -> None:
@@ -296,7 +272,12 @@ def spectral_solve(x: Array, h: float, shift: float = 0.0) -> Array:
     """
     _check_in_place(x)
     q, lam = _sine_basis(x.shape[0], float(h))
-    return _inverse_half(x, q, lam, shift)
+    scratch = _scratch(q.shape[0], x.ndim)
+    for part, den, work in _plane_batches(x, lam, shift, scratch):
+        part /= den
+        _transform_planes(part, q, work)
+    _transform_leading(x, q, scratch)
+    return x
 
 
 def dirichlet_energy(b: Array, h: float, shift: float = 0.0, *, overwrite_b: bool = False) -> float:
@@ -393,9 +374,8 @@ class SupportSolve:
     it and at most one block of the same size.  The index sets are
     O(|S|) and built once; an axis ``S`` fully occupies uses ``Q``
     itself.  :meth:`read` runs the backward half alone on a given
-    spectrum, and :meth:`finish` reads a solution back on the whole block
-    instead, through the spectral block, which its backward half
-    transforms in place, less another solve on the block if given.
+    spectrum; :meth:`finish` reads a solution back on the whole block, less
+    another solve on it if given, through the spectral block in place.
     """
 
     def __init__(self, nodes: Array, n: int, d: int, h: float, shift: float = 0.0):
@@ -405,7 +385,7 @@ class SupportSolve:
         if np.any(np.diff(nodes) <= 0):
             raise InvalidParameterError("support nodes must be strictly increasing")
         q, lam = _sine_basis(n, float(h))
-        self.n, self.d, self.q, self.lam, self.shift = n, d, q, lam, float(shift)
+        self.n, self.d, self.h, self.lam, self.shift = n, d, float(h), lam, float(shift)
         self.size = nodes.size
         # step t maps the lines L_t (flat indices of (i_t, ..., i_d-1) in
         # S) to L_t+1: ``rows`` are Q's rows at the coordinates occupied
@@ -518,7 +498,7 @@ class SupportSolve:
             reads.append(self._backward(_lines(outs.pop(0), count, where), self._steps[:-1]))
         return tuple(reads) if both else reads[0]
 
-    def _charge_lines(self, v: Array) -> tuple[Array, Array]:
+    def charge_lines(self, v: Array) -> tuple[Array, Array]:
         """``(cols, rows)`` with ``cols @ rows = Q^d E_S v``, one row per line
         along the last axis: ``E_S v`` through every forward step but the
         last, whose lines are its coordinates, so it scatters nothing."""
@@ -526,83 +506,31 @@ class SupportSolve:
         x = self._forward(v, self._steps[:-1])
         return x.reshape(rows.shape[0], -1).T, rows
 
-    def finish(
-        self, spectrum, v: Array, minus: Optional[FinalStep] = None, out: Optional[Array] = None
-    ) -> Array:
+    def finish(self, spectrum, v: Array, minus: Optional[tuple[Array, FinalStep]] = None) -> Array:
         """Return ``u = (neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
         block for the spectrum ``S = Q^d b`` (factors as for :meth:`read`),
-        or with ``minus``, the final step of a solve ``u_2`` on the block,
-        ``u - u_2``, in ``out`` (a writable C-contiguous float block, which
-        may be ``u_2``) or the one ``n^d`` array made.
+        a new array, or with ``minus = (u_2, step)``, a solve on the block
+        and its final step, ``u - u_2`` in ``u_2`` itself (C-contiguous).
 
         The block ``C = (S - Q^d E_S v) - (lambda + shift) (S_2 - Q^d E_Y2
-        v_2) / (lambda + shift_2)`` is built one term at a time, the second
-        only with ``minus`` (:meth:`_subtract_step`); then the scaling and
-        the backward half of :func:`dirichlet_solve` run once, in place.
-        The first term is the sparse forward half of ``E_S v``, its last
-        GEMMs written in ``C``, subtracted from ``S``
-        (:func:`subtract_from_spectrum`)."""
+        v_2) / (lambda + shift_2)`` is the sparse forward half of ``E_S v``,
+        its last GEMMs written in ``C``, less ``S`` and negated, less the
+        second term with ``minus`` (:func:`subtract_step`); then
+        :func:`spectral_solve` scales it and transforms it back in place."""
         n, d = self.n, self.d
         _check_spectrum(spectrum, n, d)
-        cols, rows = self._charge_lines(v)
-        if out is None:
-            out = np.empty((n,) * d)
-        elif out.shape != (n,) * d:
+        cols, rows = self.charge_lines(v)
+        out, step = (np.empty((n,) * d), None) if minus is None else minus
+        if out.shape != (n,) * d:
             raise InvalidParameterError("finish output does not match the block")
         _check_in_place(out)
         _transform(cols, rows, out.reshape(-1, n))
         del cols
-        subtract_from_spectrum(spectrum, out)
-        if minus is not None:
-            self._subtract_step(out, minus)
-        return _inverse_half(out, self.q, self.lam, self.shift)
-
-    def _subtract_step(self, x: Array, step: FinalStep) -> None:
-        """``x -= (lambda + shift) T / (lambda + shift_step)`` for another
-        solve's final ``step`` on the block, whose block before its scaling
-        is ``T = S - Q^d E_Y v``; equal shifts skip the scaling.
-
-        A chunk of ``T``'s lines along the last axis, about ``_GEMM_BLOCK /
-        2`` values, is one GEMM of coefficients per line times rows: a
-        product spectrum's leading products times its last factor, and the
-        charge's lines before its last forward step
-        (:meth:`_charge_lines`) times minus that step's rows.  A spectrum
-        that is one block is added to it line by line.
-        """
-        n, d = self.n, self.d
-        _check_spectrum(step.spectrum, n, d)
-        lines = x.reshape(-1, n)
-        *lead, last = step.spectrum
-        block = last.reshape(-1, n) if last.ndim > 1 else None
-        # no columns at all for a one-block spectrum with no charge
-        coeffs, rows = [np.empty((lines.shape[0], 0))], [np.empty((0, n))]
-        if block is None:
-            coeffs.append(outer(lead).reshape(-1, 1))
-            rows.append(last.reshape(1, n))
-        if step.charge is not None:
-            cols, charge_rows = step.solve._charge_lines(step.charge)
-            coeffs.append(cols)
-            rows.append(-charge_rows)
-        rows = np.vstack(rows)
-        if step.shift != self.shift:
-            mu = _mode_sums(self.lam, d - 1).reshape(-1) + step.shift
-        # a product of rank one as a broadcast, which numpy runs faster
-        product = np.multiply if rows.shape[0] == 1 else np.matmul
-        size = max(1, _GEMM_BLOCK // (2 * n))
-        term, scratch = np.empty((2, min(size, lines.shape[0]), n))
-        for start in range(0, lines.shape[0], size):
-            chunk = slice(start, start + size)
-            part = term[: lines[chunk].shape[0]]
-            product(np.hstack([c[chunk] for c in coeffs]), rows, out=part)
-            if block is not None:
-                part += block[chunk]
-            if step.shift != self.shift:
-                den = scratch[: part.shape[0]]
-                np.add.outer(mu[chunk], self.lam, out=den)
-                part /= den
-                den += self.shift - step.shift  # lambda + shift
-                part *= den
-            lines[chunk] -= part
+        # Q^d E_S v - S, negated: S - Q^d E_S v bit for bit
+        np.negative(subtract_step(out, FinalStep(spectrum, self.shift), self.h, self.shift), out=out)
+        if step is not None:
+            subtract_step(out, step, self.h, self.shift)
+        return spectral_solve(out, self.h, self.shift)
 
 
 class FinalStep(NamedTuple):
@@ -615,3 +543,54 @@ class FinalStep(NamedTuple):
     shift: float
     solve: Optional[SupportSolve] = None
     charge: Optional[Array] = None
+
+
+def subtract_step(x: Array, step: FinalStep, h: float, shift: float) -> Array:
+    """``x -= (lambda + shift) T / (lambda + shift_step)`` in place on the
+    ``n^d`` block ``x`` (``lambda`` the eigenvalues for spacing ``h``), and
+    return it, for a solve's final ``step``, whose block before its scaling
+    is ``T = S - Q^d E_Y v``; equal shifts skip the scaling.
+
+    A chunk of ``T``'s lines along the last axis, about ``_GEMM_BLOCK / 2``
+    values, is one GEMM of coefficients per line times rows: a product
+    spectrum's leading products times its last factor (as :func:`outer`)
+    and the charge's lines (:meth:`SupportSolve.charge_lines`) times minus
+    its last forward step's rows; a one-block spectrum is added line by line.
+    """
+    n, d = x.shape[0], x.ndim
+    _check_spectrum(step.spectrum, n, d)
+    lines = x.reshape(-1, n)
+    *lead, last = step.spectrum
+    block = last.reshape(-1, n) if last.ndim > 1 else None
+    # no columns at all for a one-block spectrum with no charge
+    coeffs, rows = [np.empty((lines.shape[0], 0))], [np.empty((0, n))]
+    if block is None:
+        coeffs.append(outer(lead).reshape(-1, 1))
+        rows.append(last.reshape(1, n))
+    if step.charge is not None:
+        cols, charge_rows = step.solve.charge_lines(step.charge)
+        coeffs.append(cols)
+        rows.append(-charge_rows)
+    rows = np.vstack(rows)
+    size = max(1, _GEMM_BLOCK // (2 * n))
+    term = np.empty((min(size, lines.shape[0]), n))
+    if step.shift != shift:
+        _, lam = _sine_basis(n, float(h))
+        mu = _mode_sums(lam, d - 1).reshape(-1) + step.shift
+        scratch = np.empty_like(term)
+    # a product of rank one as a broadcast, which numpy runs faster
+    product = np.multiply if rows.shape[0] == 1 else np.matmul
+    for start in range(0, lines.shape[0], size):
+        chunk = slice(start, start + size)
+        part = term[: lines[chunk].shape[0]]
+        product(np.hstack([c[chunk] for c in coeffs]), rows, out=part)
+        if block is not None:
+            part += block[chunk]
+        if step.shift != shift:
+            den = scratch[: part.shape[0]]
+            np.add.outer(mu[chunk], lam, out=den)
+            part /= den
+            den += shift - step.shift  # lambda + shift
+            part *= den
+        lines[chunk] -= part
+    return x

@@ -68,6 +68,10 @@ out = results
 err_drop = rel_l2_error min_ratio 1.2
 a6_flat = sum_A6 max_abs 0.5
 """
+    # parentheses optional, and spaces after the commas as Python prints a tuple
+    for modes in ("1,1,1 3,3,1", "(1,1,1)(3,3,1)", "(1, 1, 1) (3, 3, 1)"):
+        other = body.replace("(1,1,1) (3,3,1)", modes)
+        assert load_config(write_config(tmp_path / "m.cfg", other)).witness_modes == ((1, 1, 1), (3, 3, 1))
     cfg = load_config(write_config(tmp_path / "s.cfg", body))
     assert cfg.witness_modes == ((1, 1, 1), (3, 3, 1))
     assert cfg.allow_oversized_holes
@@ -98,6 +102,9 @@ def test_config_validation_errors(tmp_path):
     short_mode = BASE.replace("f = constant(1)", "f = sine(1, 1)")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path / "f.cfg", short_mode))
+    bad_witness = BASE + "witness_modes = (1, 1, x)\n"
+    with pytest.raises(ConfigError, match="witness_modes"):
+        load_config(write_config(tmp_path / "w.cfg", bad_witness))
     # a fractional or nonpositive mode is not rounded into a different f
     for modes in ("1.5, 1, 1", "0, 1, 1"):
         bad_mode = BASE.replace("f = constant(1)", f"f = sine({modes})")

@@ -2,7 +2,8 @@
 
 Each kind of potential has its rules (cell masses, lumping) in
 ``potential.py``, so only that module and the package's export list name
-a kind; and no module reaches into another's private names.
+a kind; and no module reaches into another's private names, by import
+or by attribute (``obj._name`` on anything but ``self`` or ``cls``).
 """
 
 import ast
@@ -44,5 +45,18 @@ def test_no_module_imports_a_private_name_of_another():
         for node in package_imports(tree)
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    private = [
+        (name, node.lineno, ast.unparse(node))
+        for name, tree in modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
     ]
     assert private == []

@@ -390,15 +390,18 @@ def test_perforated_solve_peak_memory(eps):
 
 
 @pytest.mark.parametrize("limit_f", ["factors", "node array"])
-@pytest.mark.parametrize("limit_spec", ["plane(0.5, 20)", "constant(40)"])
+@pytest.mark.parametrize(
+    "limit_spec", ["plane(0.5, 20)", "constant(40)", "sum([constant(3), plane(0.5, 20)])"]
+)
 @pytest.mark.parametrize("row", ["hole nodes", "surface layer", "no hole", "zero f"])
 def test_minus_builds_the_error_field_in_the_limit_field(limit_f, limit_spec, row, transforms):
     # u_eps - u_lim from the two solves' final steps, in the limit field's
     # array: against the two-array route it agrees within the solver's
     # tolerance, equals -u_lim on the hole nodes bit for bit, and makes no
     # whole-grid transform the plain solve does not.  The plane limit is a
-    # CG solve with a charge, the constant one an exact solve; a limit f
-    # given on the nodes has a spectrum that is one block
+    # CG solve with a charge, the constant one an exact solve, and the sum
+    # a charge at the nonzero shift 3, so its step is scaled to the row's
+    # shift 0; a limit f given on the nodes has a spectrum that is one block
     grid, tol = Grid(3, 15), 1e-10
     weights = lump_measure(parse_potential(limit_spec, 3), grid)
     if limit_f == "factors":
