@@ -69,6 +69,7 @@ from .solver import (
     RhsSpectrum,
     SolveStats,
     corrector_field,
+    corrector_norm,
     field_from_callable,
     l2_distance,
     l2_norm,

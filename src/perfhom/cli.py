@@ -179,7 +179,8 @@ def _cmd_solve(args) -> int:
     write_field(out / "u_perforated.bin", grid, u_eps)
     del u_eps
     weights = lump_measure(cfg.potential, grid)
-    u_lim, stats_lim = solve_limit(rhs, weights, grid, cfg.tol)
+    # the solve reads the measure only before it writes: build the field in its array
+    u_lim, stats_lim = solve_limit(rhs, weights, grid, cfg.tol, out=weights)
     write_field(out / "u_limit.bin", grid, u_lim)
     stats = {
         "epsilon": eps,

@@ -7,12 +7,16 @@ is ``d`` signed 1-D factors, ``f(x) = prod_k f_k(x_k)``, so each grid
 holds it as the 1-D spectra ``Q f_k`` that all its solves read
 (:func:`~perfhom.solver.rhs_spectrum`), never as a grid array.  Only
 the limit field outlives its row: the limit phase and each row lump
-their own measure and build their own spectra, and a row's ldc builds
-the capacity-density deviation in its measure, its one read.  A row on
-the finest grid compares against the limit field itself, not a copy,
-and the last row, if it is on the finest grid, builds its error field
-in the limit field's array (``solve_perforated``'s ``minus``), so no
-second finest-grid field is made.
+their own measure and build their own spectra.  The limit solve writes
+its field into the limit phase's measure (``solve_limit``'s ``out``).
+A row solves and reads its error field first, then runs its
+diagnostics: its ldc builds the capacity-density deviation in the row's
+own measure, its one read, and the corrector's norm is summed hole by
+hole with no grid field.  A row on the finest grid compares against the
+limit field itself, not a copy, and the last row, if it is on the
+finest grid, builds its error field in the limit field's array
+(``solve_perforated``'s ``minus``), so no second finest-grid field is
+made, and its ldc runs beside no other grid field.
 Rows are computed sequentially with fixed-order reductions, which makes
 reports reproducible bit for bit for a given configuration.
 """
@@ -41,7 +45,8 @@ from .potential import Factor, Potential, lump_measure, parse_potential, parse_s
 from .solver import (
     CUTOFF_NAME,
     Grid,
-    corrector_field,
+    corrector_field,  # noqa: F401  (perfbench/tracing.py wraps harness.corrector_field)
+    corrector_norm,
     field_from_callable,  # noqa: F401  (perfbench/tracing.py wraps harness.field_from_callable)
     is_sine_mode,
     l2_distance,  # noqa: F401  (perfbench/tracing.py wraps harness.l2_distance)
@@ -196,8 +201,12 @@ class StudyConfig:
 
 def _read_modes(text: str) -> tuple[tuple[int, ...], ...]:
     """``(1, 1, 1) (3,1,1)`` or ``1,1,1 3,1,1`` as integer tuples: each
-    parenthesised group whole, else each run of text without spaces."""
-    groups = [g.strip("()") for g in re.findall(r"\([^()]*\)|[^\s()]+", text)]
+    parenthesised group whole, less one trailing comma as in the 1-tuple
+    ``(1,)``, else each run of text without spaces."""
+    groups = [
+        g[1:-1].strip().removesuffix(",") if g.startswith("(") else g
+        for g in re.findall(r"\([^()]*\)|[^\s()]+", text)
+    ]
     try:
         return tuple(tuple(int(v) for v in g.split(",")) for g in groups if g.strip(", "))
     except ValueError:
@@ -443,8 +452,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the full sweep; deterministic for a fixed configuration.
 
     Stages per epsilon: construct holes, geometry and assumption checks,
-    capacity-density deviation, corrector, perforated solve, errors
-    against the injected limit field.  Any stage failure raises
+    perforated solve, errors against the injected limit field, then the
+    capacity-density deviation and the corrector.  Any stage failure raises
     :class:`StudyError` carrying the rows finished so far, and writes this
     run's report to ``out_dir``, rows or none, with the failure.
     """
@@ -493,8 +502,11 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
     start = time.perf_counter()
     lumped = stage("lump_measure", None, lambda: lump_measure(cfg.potential, fine_grid))
     rhs = stage("rhs", None, lambda: rhs_spectrum(cfg.rhs, fine_grid))
-    limit = stage("solve_limit", None, lambda: solve_limit(rhs, lumped, fine_grid, cfg.tol))
-    # the limit field is the one grid array the rows share
+    # the solve stops reading the measure before it writes: the limit
+    # field, built in the measure's array, is the one grid array the rows share
+    limit = stage(
+        "solve_limit", None, lambda: solve_limit(rhs, lumped, fine_grid, cfg.tol, out=lumped)
+    )
     del lumped
     u_limit, limit_stats = limit
     metadata["limit_solver"] = {"n": finest_n, **limit_stats.__dict__}
@@ -519,19 +531,6 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
         assumptions = stage(
             "assumptions", eps, lambda: assumption_quantities(holes, seps, construction.cells)
         )
-        # the ldc builds its deviation in the row's own measure, its one read
-        lumped = stage("lump_measure", eps, lambda: lump_measure(cfg.potential, grid))
-        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped, spec, grid))
-        del lumped
-        radii = holes.nonempty.radii
-        if radii.size and radii.max() < seps.R:
-            # only the norm is reported; the field is not kept
-            v_l2 = stage("corrector", eps, lambda: corrector_field(holes, seps, grid)[1])
-        elif not radii.size:
-            v_l2 = 0.0
-        else:
-            # oversized holes leave no cutoff annulus; metric undefined
-            v_l2 = math.nan
         rhs = stage("rhs", eps, lambda: rhs_spectrum(cfg.rhs, grid))
         # one error field serves the L2 error and every witness: the last
         # row's is built in the limit field's array, any other's in the
@@ -563,6 +562,22 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
                 for mode in cfg.witness_modes
             },
         )
+        # the diagnostics run once the error field is gone, so on the last
+        # row no other grid field sits beside the measure
+        del diff
+        # the ldc builds its deviation in the row's own measure, its one read
+        lumped = stage("lump_measure", eps, lambda: lump_measure(cfg.potential, grid))
+        ldc = stage("ldc", eps, lambda: ldc_deviation(holes, lumped, spec, grid))
+        del lumped
+        radii = holes.nonempty.radii
+        if radii.size and radii.max() < seps.R:
+            # only the norm is reported, summed hole by hole with no field
+            v_l2 = stage("corrector", eps, lambda: corrector_norm(holes, seps, grid))
+        elif not radii.size:
+            v_l2 = 0.0
+        else:
+            # oversized holes leave no cutoff annulus; metric undefined
+            v_l2 = math.nan
         rows.append(
             StudyRow(
                 epsilon=eps,
@@ -588,8 +603,6 @@ def _run_study_body(cfg: StudyConfig, report: StudyReport) -> StudyReport:
                 solver_seconds=stats.seconds,
             )
         )
-        # the next row's solves must not run beside this row's fields
-        del diff
     metadata["total_seconds"] = time.perf_counter() - start
 
     report.trend_results = [trend_check(report, spec) for spec in cfg.trends]

@@ -45,7 +45,9 @@ solution by one backward transform.
   carries the inputs of that step (:class:`~perfhom.stencil.FinalStep`);
   a perforated solve handed it as ``minus`` builds ``u - u_lim`` from
   both steps in the limit field's own array, so an error field never
-  sits beside a second grid field.  When only the surface
+  sits beside a second grid field.  The weights are read only before
+  the first write to the solution, so a limit solve can write its field
+  into the weights' own array (``out``).  When only the surface
   layer of the holes is in ``X`` (below), ``f`` on the inner hole nodes
   reaches no unknown: the solve builds ``f`` the same way, zeroes every
   hole node and transforms ``b`` forward for its own spectrum, and
@@ -58,8 +60,9 @@ solution by one backward transform.
   surface layer when the holes fill more than half the grid.
 
 The module also evaluates the oscillating corrector built from ball
-equilibrium potentials, the discrete pairings used as weak-convergence
-witnesses, and the flat binary field export.
+equilibrium potentials and its norm, hole by hole with no grid field,
+the discrete pairings used as weak-convergence witnesses, and the flat
+binary field export.
 """
 
 from __future__ import annotations
@@ -363,6 +366,7 @@ def _capacitance_solve(
     clamped: Optional[Array] = None,
     weights: Optional[Array] = None,
     minus: Optional[SolveResult] = None,
+    out: Optional[Array] = None,
 ) -> SolveResult:
     """Solve ``(L + w) u = f`` off the ``clamped`` nodes, with ``u = 0`` on them.
 
@@ -379,7 +383,9 @@ def _capacitance_solve(
     With ``minus``, a result on ``grid`` with its final step, the field
     returned is ``u - u_2`` built in ``u_2 = minus[0]`` itself
     (:meth:`~perfhom.stencil.SupportSolve.finish`), exactly ``-u_2`` on the
-    clamped nodes.
+    clamped nodes.  Without it, ``out``, a writable C-contiguous float
+    array of the grid's shape that ``weights`` may be, receives ``u``; it is
+    first written after the last read of ``weights``.
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError(f"tolerance must lie in (0, 1), got {tol}")
@@ -390,7 +396,13 @@ def _capacitance_solve(
         return SolveResult(u, SolveStats(iterations, residual, time.perf_counter() - t0), final)
 
     def zero():
-        u = np.zeros(grid.shape) if minus is None else np.negative(minus[0], out=minus[0])
+        if minus is not None:
+            u = np.negative(minus[0], out=minus[0])
+        elif out is not None:
+            u = out
+            u.fill(0.0)
+        else:
+            u = np.zeros(grid.shape)
         return done(u, 0, 0.0, FinalStep((np.zeros(grid.n),) * grid.dim, shift))
 
     unknowns = None if clamped is None else _clamped_unknowns(clamped)
@@ -421,11 +433,13 @@ def _capacitance_solve(
     if nodes.size == 0:
         # no clamped or weighted node: A^-1 f is the solution, the exact
         # preconditioner applied once, in the spectrum built in its own
-        # array.  One stencil apply checks it in the sine basis, where
+        # array (``out`` if given), the last factor multiplied in last as
+        # by ``outer``.  One stencil apply checks it in the sine basis, where
         # Q^d (L + shift) u less the spectrum must vanish (its norm reads no
         # sign); the check's transform runs in the residual's array
         step = FinalStep(spectrum, shift)
-        u = spectral_solve(outer(spectrum), h, shift)
+        *lead, last = spectrum
+        u = spectral_solve(np.multiply.outer(outer(lead), last, out=out), h, shift)
         r = neg_laplacian(u, h)
         if shift:
             # slab by slab: shift * u whole would be one more grid array
@@ -513,7 +527,7 @@ def _capacitance_solve(
     if f_x is not None:
         y += f_x
     if minus is None:
-        u, on_clamped = solve.finish(spectrum, y), 0.0
+        u, on_clamped = solve.finish(spectrum, y, None if out is None else (out, None)), 0.0
     else:
         # u_2 on the clamped nodes, saved before the final step overwrites it
         on_clamped = np.negative(minus[0][clamped])
@@ -558,7 +572,12 @@ def solve_perforated(
 
 
 def solve_limit(
-    f: Array | RhsSpectrum, weights: Array, grid: Grid, tol: float = 1e-8
+    f: Array | RhsSpectrum,
+    weights: Array,
+    grid: Grid,
+    tol: float = 1e-8,
+    *,
+    out: Optional[Array] = None,
 ) -> SolveResult:
     """Solve the limit problem ``(-Delta + mu) u = f`` with lumped ``mu``.
 
@@ -572,6 +591,12 @@ def solve_limit(
     result ``(u, stats)`` also carries its final step, which holds the
     spectrum of ``f`` and the charge on those nodes, for a later
     :func:`solve_perforated` with ``minus``.
+
+    ``out``, a writable C-contiguous float64 array of ``grid.shape``,
+    receives the solution, and ``u`` is ``out``; it may be ``weights``
+    itself, which the solve stops reading before it writes, so a caller
+    done with the measure holds one grid array fewer.  Without it a new
+    array does, and ``weights`` is left as it was.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != grid.shape:
@@ -579,7 +604,20 @@ def solve_limit(
     # min and max propagate NaN
     if not (0.0 <= weights.min() and weights.max() < math.inf):
         raise InvalidParameterError("lumped measure must be finite and nonnegative")
-    return _capacitance_solve(_as_rhs(f, grid), grid, tol, weights=weights)
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.shape == grid.shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InvalidParameterError(
+            "out must be a writable C-contiguous float64 array of the grid's shape"
+        )
+    rhs = _as_rhs(f, grid)
+    if out is not None and any(np.may_share_memory(out, v) for v in rhs.values):
+        raise InvalidParameterError("out must not hold the right-hand side's spectrum")
+    return _capacitance_solve(rhs, grid, tol, weights=weights, out=out)
 
 
 def _cutoff(t: Array) -> Array:
@@ -591,16 +629,17 @@ def _cutoff(t: Array) -> Array:
 CUTOFF_NAME = "quintic smoothstep on [1/2, 1]"
 
 
-def corrector_field(
-    holes: HoleFamily, seps: SeparationParams, grid: Grid
-) -> tuple[Array, float]:
-    """Oscillating corrector ``w = 1 - sum_i cutoff_i * H_i`` on the grid.
+def corrector_norm(
+    holes: HoleFamily, seps: SeparationParams, grid: Grid, into: Optional[Array] = None
+) -> float:
+    """Discrete L2 norm of the corrector's deviation ``V = 1 - w``
+    (:func:`corrector_field`), hole by hole, with no grid field.
 
-    ``H_i`` is the ball equilibrium potential and the cutoff ramps from 1
-    to 0 over the outer half of the annulus between the hole and its
-    separation ball.  Returns the nodal field and the discrete L2 norm of
-    the deviation ``V = 1 - w``.  The field is exactly zero on hole nodes
-    and exactly one outside all separation balls.
+    Each hole's piece ``cutoff_i * H_i`` lives on its node box; the
+    separation balls are disjoint and the cutoff is exactly 0 at
+    ``r >= R``, so the pieces never overlap and their squares add up to
+    ``||V||^2``.  With ``into``, a grid array, each piece is also added
+    into it.  Invalid geometry raises :class:`GeometryError`.
     """
     report = disjointness_check(holes, seps)
     if not report.ok:
@@ -610,7 +649,6 @@ def corrector_field(
             "cell-inclusion violation(s)"
         )
     R = seps.R
-    d = grid.dim
     holes = holes.nonempty
     closed = seps.margin(holes.radii) <= 0.0
     if closed.any():
@@ -619,14 +657,33 @@ def corrector_field(
             f"hole in cell {tuple(holes.index[i].tolist())} has radius {holes.radii[i]:.6g} "
             f">= separation radius {R:.6g}; cutoff margin is empty"
         )
-    deviation = grid.zeros()
+    total = 0.0
     radii = holes.radii.tolist()
     for k, slices, r2 in _hole_node_boxes(grid, holes.centers, R):
         r, a = np.sqrt(r2), radii[k]
         # no inside mask: r >= R gives t >= 1, where the cutoff is exactly 0.0
         t = (r - a) / seps.margin(a)
-        deviation[slices] += _cutoff(t) * ball_potential_radial(r, a, d)
-    v_norm = l2_norm(deviation, grid)
+        piece = _cutoff(t) * ball_potential_radial(r, a, grid.dim)
+        total += dot(piece, piece)
+        if into is not None:
+            into[slices] += piece
+    return math.sqrt(total * grid.h**grid.dim)
+
+
+def corrector_field(
+    holes: HoleFamily, seps: SeparationParams, grid: Grid
+) -> tuple[Array, float]:
+    """Oscillating corrector ``w = 1 - sum_i cutoff_i * H_i`` on the grid.
+
+    ``H_i`` is the ball equilibrium potential and the cutoff ramps from 1
+    to 0 over the outer half of the annulus between the hole and its
+    separation ball.  Returns the nodal field and the discrete L2 norm of
+    the deviation ``V = 1 - w`` (:func:`corrector_norm`, which builds the
+    field's pieces).  The field is exactly zero on hole nodes and exactly
+    one outside all separation balls.
+    """
+    deviation = grid.zeros()
+    v_norm = corrector_norm(holes, seps, grid, into=deviation)
     np.subtract(1.0, deviation, out=deviation)
     return deviation, v_norm
 

@@ -506,11 +506,14 @@ class SupportSolve:
         x = self._forward(v, self._steps[:-1])
         return x.reshape(rows.shape[0], -1).T, rows
 
-    def finish(self, spectrum, v: Array, minus: Optional[tuple[Array, FinalStep]] = None) -> Array:
+    def finish(
+        self, spectrum, v: Array, minus: Optional[tuple[Array, Optional[FinalStep]]] = None
+    ) -> Array:
         """Return ``u = (neg_laplacian + shift)^-1 (b - E_S v)`` on the whole
         block for the spectrum ``S = Q^d b`` (factors as for :meth:`read`),
         a new array, or with ``minus = (u_2, step)``, a solve on the block
-        and its final step, ``u - u_2`` in ``u_2`` itself (C-contiguous).
+        and its final step, ``u - u_2`` in ``u_2`` itself (C-contiguous); a
+        None ``step`` makes ``u_2`` only the output, its values unread.
 
         The block ``C = (S - Q^d E_S v) - (lambda + shift) (S_2 - Q^d E_Y2
         v_2) / (lambda + shift_2)`` is the sparse forward half of ``E_S v``,

@@ -15,7 +15,7 @@ from perfhom.errors import InvalidParameterError, SolverError
 from perfhom import solver
 from perfhom.potential import lump_measure, make_plane, parse_potential
 from perfhom.solver import Grid, l2_norm, rhs_spectrum, solve_limit
-from perfhom.stencil import dirichlet_solve, neg_laplacian
+from perfhom.stencil import dirichlet_solve, neg_laplacian, outer, spectral_solve
 
 EPS64 = 2.0**-52
 
@@ -238,30 +238,107 @@ def test_zero_rhs_gives_zero():
     assert stats.iterations == 0 and stats.residual == 0.0
 
 
-PEAK_ARRAYS = {"plane(0.5, 20)": 3.25, "graph(0.5, 0.1, 2, 20)": 3.3, "sine_density(2)": 8.4}
+def limit_rhs(kind, grid):
+    """A node array, the spectrum of three factors, or zero."""
+    if kind == "factors":
+        return rhs_spectrum((np.sin, np.cos, lambda t: 1.0 + t), grid)
+    if kind == "zero":
+        return np.zeros(grid.shape)
+    return 1.0 + np.random.default_rng(7).standard_normal(grid.shape)
 
 
-@pytest.mark.parametrize("spec", PEAK_ARRAYS)
-def test_limit_solve_peak_memory(spec):
+@pytest.mark.parametrize("kind", ["array", "factors", "zero"])
+@pytest.mark.parametrize("spec", ["constant(40)", "plane(0.5, 20)", "graph(0.5, 0.1, 2, 20)"])
+def test_out_receives_the_plain_solution(spec, kind):
+    # the exact branch (constant), the CG branch (plane, graph) and zero f
+    # write the plain call's bits into out, which may be the measure
+    grid = Grid(3, 15)
+    weights = weights_for(spec, grid)
+    kept = weights.copy()
+    f = limit_rhs(kind, grid)
+    plain, stats = solve_limit(f, weights, grid, 1e-9)
+    if spec == "constant(40)" and kind == "factors":
+        # the exact solve's block is the outer product of the factors
+        block = spectral_solve(outer(f.values), grid.h, float(weights.min()))
+        assert plain.tobytes() == block.tobytes()
+    out = np.full(grid.shape, np.nan)
+    u, out_stats = solve_limit(f, weights, grid, 1e-9, out=out)
+    assert u is out
+    assert u.tobytes() == plain.tobytes()
+    assert weights.tobytes() == kept.tobytes()
+    assert (out_stats.iterations, out_stats.residual) == (stats.iterations, stats.residual)
+    u, in_stats = solve_limit(f, weights, grid, 1e-9, out=weights)
+    assert np.shares_memory(u, weights)
+    assert u.tobytes() == plain.tobytes()
+    assert (in_stats.iterations, in_stats.residual) == (stats.iterations, stats.residual)
+
+
+def test_bad_out_rejected():
+    grid = Grid(3, 7)
+    weights = weights_for("plane(0.5, 20)", grid)
+    kept = weights.copy()
+    read_only = np.zeros(grid.shape)
+    read_only.flags.writeable = False
+    bad = [
+        np.zeros((7, 7, 8)),
+        np.zeros((7, 7, 14))[:, :, ::2],
+        np.zeros(grid.shape, order="F"),
+        read_only,
+        np.zeros(grid.shape, dtype=np.float32),
+        np.zeros(grid.shape).tolist(),
+    ]
+    for out in bad:
+        with pytest.raises(InvalidParameterError, match="out must be"):
+            solve_limit(np.ones(grid.shape), weights, grid, out=out)
+    # a writable view of a one-block spectrum would be overwritten mid-solve
+    block = np.ones(grid.shape)
+    view = block[...]
+    rhs = rhs_spectrum(block, grid)
+    with pytest.raises(InvalidParameterError, match="spectrum"):
+        solve_limit(rhs, weights, grid, out=view)
+    assert weights.tobytes() == kept.tobytes()
+
+
+PEAK_ARRAYS = {
+    "plane(0.5, 20)": 3.25,
+    "graph(0.5, 0.1, 2, 20)": 3.3,
+    "sine_density(2)": 8.4,
+    "constant(40)": 3.95,
+}
+# with out=weights: the solution is written into the measure the caller holds
+PEAK_ARRAYS_IN_WEIGHTS = {"plane(0.5, 20)": 2.85, "constant(40)": 2.95}
+
+
+@pytest.mark.parametrize(
+    "spec, in_weights",
+    [pytest.param(spec, False, id=spec) for spec in PEAK_ARRAYS]
+    + [pytest.param(spec, True, id=f"{spec}-out=weights") for spec in PEAK_ARRAYS_IN_WEIGHTS],
+)
+def test_limit_solve_peak_memory(spec, in_weights):
     # the spectrum of the copy of f and the final solve's block, both
     # built in place, are the grid arrays; the transforms' scratch of
     # 2^16 values is 0.63 of one at 47^3.  The iterations hold O(|Y|)
-    # vectors and the restricted solve's blocks (2.92 and 3.07 arrays
+    # vectors and the restricted solve's blocks (2.88 and 3.03 arrays
     # measured; 3.05 and 3.19 when the start was A^-1 f).  sine_density's
     # Y is every node but one, so its CG vectors, the D^1/2 scaling and
-    # the restricted solve's blocks are grid sized (8.20 arrays measured,
+    # the restricted solve's blocks are grid sized (8.13 arrays measured,
     # in the iterations).  The grid CG it replaced peaked at 6.0 grid
-    # arrays on all three
+    # arrays on all three.  The constant measure's exact solve holds its
+    # block and the check's residual (3.64).  With out=weights the final
+    # step's block is the measure, allocated before tracing: 2.51 for the
+    # plane and 2.64 for the constant; graph's and sine_density's peaks are
+    # in the iterations and do not move
     grid = Grid(3, 47)
     weights = weights_for(spec, grid)
     f = np.ones(grid.shape)
     tracemalloc.start()
     try:
-        solve_limit(f, weights, grid, 1e-9)
+        solve_limit(f, weights, grid, 1e-9, out=weights if in_weights else None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < PEAK_ARRAYS[spec] * 8 * grid.size
+    bound = (PEAK_ARRAYS_IN_WEIGHTS if in_weights else PEAK_ARRAYS)[spec]
+    assert peak < bound * 8 * grid.size
 
 
 # The plane limit in closed form: with f = sin(pi x) sin(pi y) sin(pi z),

@@ -31,6 +31,7 @@ from perfhom.potential import (
 from perfhom.solver import (
     Grid,
     corrector_field,
+    corrector_norm,
     field_from_callable,
     hole_mask,
     l2_distance,
@@ -389,6 +390,37 @@ def test_corrector_matches_per_hole_sum():
         assert solver._cutoff(np.array([t])).tolist() == [0.0]
 
 
+@pytest.mark.parametrize("dim, n", [(3, 23), (4, 15)])
+def test_corrector_norm_is_the_fields_norm(dim, n):
+    # separation balls of radius eps about the cube's corners, edges and
+    # faces touch each other on node planes and reach past the boundary,
+    # so node boxes overlap and are clipped: the pieces, summed hole by
+    # hole, still give the norm of the whole deviation field
+    report = construct_holes(make_constant(dim, 10.0), TilingSpec(dim, 0.25), unit_box(dim))
+    holes, seps = report.holes, report.separation
+    assert seps.R == 0.25 and holes.centers.min() == 0.0 and holes.centers.max() == 1.0
+    grid = Grid(dim, n)
+    w, v_norm = corrector_field(holes, seps, grid)
+    norm = corrector_norm(holes, seps, grid)
+    assert norm == v_norm
+    assert norm == pytest.approx(l2_norm(1.0 - w, grid), rel=4096 * EPS64, abs=0.0)
+
+
+def test_corrector_norm_makes_no_grid_field():
+    report = construct_holes(make_constant(3, 40.0), TilingSpec(3, 0.125), unit_box(3))
+    grid = Grid(3, 63)
+    tracemalloc.start()
+    try:
+        norm = corrector_norm(report.holes, report.separation, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norm > 0.0
+    # a dozen temporaries of one 17^3 node box, none of grid size (0.20
+    # measured)
+    assert peak < 0.25 * 8 * grid.size
+
+
 def test_corrector_norm_decreases_with_epsilon():
     grid = Grid(3, 24)
     norms = []
@@ -409,11 +441,12 @@ def test_corrector_rejects_bad_geometry():
         ],
         3,
     )
-    with pytest.raises(GeometryError):
-        corrector_field(overlapping, seps, grid)
     oversized = HoleFamily.from_holes([Hole((0.5, 0.5, 0.5), 0.3, (2, 2, 2))], 3)
-    with pytest.raises(GeometryError):
-        corrector_field(oversized, seps, grid)
+    for corrector in (corrector_field, corrector_norm):
+        with pytest.raises(GeometryError):
+            corrector(overlapping, seps, grid)
+        with pytest.raises(GeometryError):
+            corrector(oversized, seps, grid)
 
 
 def test_weak_witness_identities():
